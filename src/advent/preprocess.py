@@ -63,7 +63,7 @@ def build_count_series(events: EventStream, vehicle: int) -> CountSeries:
         return CountSeries(vehicle=vehicle)
     secs = np.floor(inbound.times).astype(np.int64)
     uniq, cnt = np.unique(secs, return_counts=True)
-    return CountSeries(vehicle=vehicle, counts={int(t): int(c) for t, c in zip(uniq, cnt)})
+    return CountSeries(vehicle=vehicle, counts=dict(zip(uniq.tolist(), cnt.tolist())))
 
 
 def _presence_seconds(truth: GroundTruth, vehicle: int) -> tuple[int, int]:
@@ -151,7 +151,7 @@ def interval_counts(
             NeighborCounts(
                 vehicle=vehicle,
                 interval=(start, start + length),
-                per_sender={int(s): int(c) for s, c in zip(uniq, cnt)},
+                per_sender=dict(zip(uniq.tolist(), cnt.tolist())),
             )
         )
     return out

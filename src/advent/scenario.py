@@ -8,14 +8,15 @@ recorded event logs in the same CSV format.
 
 from __future__ import annotations
 
+import itertools
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ScenarioConfig",
-    "PacketEvent",
     "EventStream",
     "GroundTruth",
     "ConfigError",
@@ -74,15 +75,19 @@ class ScenarioConfig:
             raise ConfigError("neighbor_degree must be >= 0")
 
 
-@dataclass(frozen=True)
-class PacketEvent:
-    time_s: float
-    sender: int
-    receiver: int
+def _group_order(ids: np.ndarray) -> np.ndarray:
+    """Stable argsort of `ids`, by radix sort when they fit in 16 bits."""
+    if len(ids) and ids.min() >= 0 and ids.max() <= np.iinfo(np.uint16).max:
+        ids = ids.astype(np.uint16)
+    return np.argsort(ids, kind="stable")
 
 
 class EventStream:
-    """Time-sorted packet events held as parallel numpy arrays."""
+    """Time-sorted packet events held as parallel numpy arrays.
+
+    The arrays are treated as read-only: ``inbound`` caches a receiver-grouped
+    index over them on first use.
+    """
 
     def __init__(self, times, senders, receivers):
         self.times = np.asarray(times, dtype=np.float64)
@@ -90,21 +95,24 @@ class EventStream:
         self.receivers = np.asarray(receivers, dtype=np.int64)
         if not (len(self.times) == len(self.senders) == len(self.receivers)):
             raise ValueError("event arrays must have equal length")
+        self._by_receiver: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __iter__(self):
-        for t, s, r in zip(self.times, self.senders, self.receivers):
-            yield PacketEvent(float(t), int(s), int(r))
 
     def sorted(self) -> "EventStream":
         order = np.lexsort((self.receivers, self.senders, self.times))
         return EventStream(self.times[order], self.senders[order], self.receivers[order])
 
     def inbound(self, vehicle: int) -> "EventStream":
-        mask = self.receivers == vehicle
-        return EventStream(self.times[mask], self.senders[mask], self.receivers[mask])
+        """Events received by `vehicle`, in stream order."""
+        if self._by_receiver is None:
+            # A stable sort keeps each receiver's events in stream order.
+            order = _group_order(self.receivers)
+            self._by_receiver = (order, self.receivers[order])
+        order, keys = self._by_receiver
+        idx = order[np.searchsorted(keys, vehicle, "left"):np.searchsorted(keys, vehicle, "right")]
+        return EventStream(self.times[idx], self.senders[idx], self.receivers[idx])
 
     def between(self, start_s: float, end_s: float) -> "EventStream":
         mask = (self.times >= start_s) & (self.times < end_s)
@@ -246,6 +254,12 @@ def generate(config: ScenarioConfig) -> tuple[EventStream, GroundTruth]:
 
 _BASE_HEADER = ["time_s", "sender", "receiver"]
 _ANNOT_HEADER = _BASE_HEADER + ["is_attacker_sender", "attack_active"]
+_FLAGS = _ANNOT_HEADER[3:]
+_BASE_DTYPE = np.dtype([("time_s", "f8"), ("sender", "i8"), ("receiver", "i8")])
+_ANNOT_DTYPE = np.dtype(_BASE_DTYPE.descr + [(name, "i1") for name in _FLAGS])
+# Lines parsed per np.loadtxt call while a rejected log is searched for its
+# first bad line.
+_RESCAN_LINES = 4096
 
 
 def write_events_csv(path, stream: EventStream, truth: GroundTruth | None = None) -> None:
@@ -260,11 +274,14 @@ def write_events_csv(path, stream: EventStream, truth: GroundTruth | None = None
                 fh.write(f"{t!r},{s},{r}\n")
         else:
             fh.write(",".join(_ANNOT_HEADER) + "\n")
-            att = truth.attackers
-            for t, s, r in zip(times, senders, receivers):
-                ia = 1 if s in att else 0
-                aa = 1 if any(ws <= t < we for ws, we in truth.attack_windows) else 0
-                fh.write(f"{t!r},{s},{r},{ia},{aa}\n")
+            active = np.zeros(len(stream), dtype=bool)
+            for ws, we in truth.attack_windows:
+                active |= (stream.times >= ws) & (stream.times < we)
+            # 2 * is_attacker_sender + attack_active picks the line's tail.
+            flags = (2 * np.isin(stream.senders, list(truth.attackers)) + active).tolist()
+            tails = (",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n")
+            for t, s, r, k in zip(times, senders, receivers, flags):
+                fh.write(f"{t!r},{s},{r}{tails[k]}")
 
 
 def write_ground_truth(path, truth: GroundTruth) -> None:
@@ -278,80 +295,158 @@ def load_ground_truth(path) -> GroundTruth:
         return GroundTruth.from_dict(json.load(fh))
 
 
+def _load_rows(source, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
+    """Parse event rows from a path or a list of lines; raises ValueError."""
+    with warnings.catch_warnings():
+        # A body with no rows is an empty log, not a reason to warn.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", skiprows=skiprows,
+                          comments=None, encoding="utf-8", ndmin=1)
+
+
+def _value_error(rows: np.ndarray) -> str | None:
+    """Why the first row that breaks a value rule is rejected, or None."""
+    t, s, r = rows["time_s"], rows["sender"], rows["receiver"]
+    rules = [
+        (~np.isfinite(t) | (t < 0), "time_s", "must be finite and >= 0"),
+        (s == r, "receiver", "must differ from sender"),
+    ] + [
+        ((rows[name] != 0) & (rows[name] != 1), name, "must be 0 or 1")
+        for name in _FLAGS if name in rows.dtype.names
+    ]
+    hits = [(int(np.argmax(bad)), name, rule) for bad, name, rule in rules if bad.any()]
+    if not hits:
+        return None
+    i, name, rule = min(hits)
+    return f"{name} {rule}, got {rows[name][i].item()!r}"
+
+
+def _line_error(lines: list[str], dtype: np.dtype) -> str | None:
+    """Why `lines` are rejected, or None when they parse and pass every rule."""
+    try:
+        rows = _load_rows(lines, dtype)
+    except ValueError as exc:
+        # np.loadtxt counts rows within `lines`; the caller knows the line.
+        return str(exc).split(" at row ")[0]
+    return _value_error(rows)
+
+
+def _locate(path, dtype: np.dtype, reason: str) -> ParseError:
+    """Name the first bad line of a rejected log by parsing it again, a chunk
+    of lines at a time and then line by line inside the first bad chunk."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        lineno = 2
+        while chunk := list(itertools.islice(fh, _RESCAN_LINES)):
+            if _line_error(chunk, dtype) is not None:
+                for offset, line in enumerate(chunk):
+                    why = _line_error([line], dtype)
+                    if why is not None:
+                        return ParseError(f"line {lineno + offset}: {why}")
+            lineno += len(chunk)
+    return ParseError(reason)
+
+
+def _in_order(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> bool:
+    """Whether the rows already follow (time, sender, receiver) order."""
+    dt = np.diff(t)
+    if (dt < 0).any():
+        return False
+    tie = np.flatnonzero(dt == 0)
+    s0, s1 = s[tie], s[tie + 1]
+    return not ((s1 < s0) | ((s1 == s0) & (r[tie + 1] < r[tie]))).any()
+
+
+def _presence(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> dict[int, tuple[float, float]]:
+    """Each id's first and last observation as sender or receiver; `t` is sorted."""
+    spans: dict[int, tuple[float, float]] = {}
+    if len(t) == 0:
+        return spans
+    for col in (s, r):
+        order = _group_order(col)
+        keys = col[order]
+        # Groups are in time order, so their ends hold the first and last time.
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        ends = np.append(starts[1:], len(keys)) - 1
+        for v, a, b in zip(keys[starts].tolist(), t[order[starts]].tolist(),
+                           t[order[ends]].tolist()):
+            lo, hi = spans.get(v, (a, b))
+            spans[v] = (min(lo, a), max(hi, b))
+    return dict(sorted(spans.items()))
+
+
+def _flag_labels(t, s, attacker_flag, active_flag) -> tuple[set[int], list[tuple[float, float]]]:
+    """Attackers from the sender flag; windows from runs of flagged seconds."""
+    attackers = set(np.unique(s[attacker_flag == 1]).tolist())
+
+    windows: list[tuple[float, float]] = []
+    secs = np.unique(np.floor(t[active_flag == 1]).astype(np.int64))
+    if len(secs):
+        # Runs of consecutive flagged seconds; each becomes [first, last + 1).
+        breaks = np.flatnonzero(np.diff(secs) != 1)
+        starts = secs[np.concatenate([[0], breaks + 1])]
+        ends = secs[np.concatenate([breaks, [len(secs) - 1]])] + 1
+        windows = [(float(a), float(b)) for a, b in zip(starts.tolist(), ends.tolist())]
+    return attackers, windows
+
+
 def ingest(path) -> tuple[EventStream, GroundTruth | None]:
     """Read an event-log CSV; unsorted rows are sorted, malformed rows rejected.
+
+    Grammar.  The first line is the header: ``time_s,sender,receiver``,
+    optionally followed by ``,is_attacker_sender,attack_active`` (spaces
+    around a name are ignored).  A missing or blank header means an empty
+    log.  Every later line is empty (skipped, but counted in line numbers)
+    or a row of exactly as many comma-separated fields as the header, each
+    field optionally padded with spaces or tabs:
+
+    - ``time_s``: a decimal float such as ``12``, ``1.5``, ``.5`` or
+      ``1e3``; finite and >= 0.
+    - ``sender``, ``receiver``: decimal integers with an optional sign that
+      fit in int64; a row whose sender equals its receiver is rejected.
+    - ``is_attacker_sender``, ``attack_active``: ``0`` or ``1``.
+
+    Nothing else is accepted: no ``_`` digit separators, no ``3.0`` as an
+    id, no quotes, and no comments (a line starting with ``#`` is a bad
+    row, as is a line holding only whitespace).  A ParseError names the
+    first bad line.
 
     Ground truth is reconstructed only when the annotation columns are present:
     attackers from the sender flag, attack windows from contiguous runs of
     flagged seconds, presence from each vehicle's first/last observation.
     """
-    times: list[float] = []
-    senders: list[int] = []
-    receivers: list[int] = []
-    annotated = False
-    att_flags: list[int] = []
-    act_flags: list[int] = []
-
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
-        if not header.strip():
-            return EventStream([], [], []), None
-        cols = [c.strip() for c in header.strip().split(",")]
-        if cols == _ANNOT_HEADER:
-            annotated = True
-        elif cols != _BASE_HEADER:
-            raise ParseError(f"line 1: unrecognized header {cols!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise ParseError(f"line {lineno}: expected {len(cols)} fields, got {len(parts)}")
-            try:
-                t = float(parts[0])
-                s = int(parts[1])
-                r = int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            if t < 0:
-                raise ParseError(f"line {lineno}: negative time_s")
-            if s == r:
-                raise ParseError(f"line {lineno}: sender == receiver ({s})")
-            times.append(t)
-            senders.append(s)
-            receivers.append(r)
-            if annotated:
-                try:
-                    att_flags.append(int(parts[3]))
-                    act_flags.append(int(parts[4]))
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
+    if not header.strip():
+        return EventStream([], [], []), None
+    cols = [c.strip() for c in header.strip().split(",")]
+    if cols == _ANNOT_HEADER:
+        dtype = _ANNOT_DTYPE
+    elif cols == _BASE_HEADER:
+        dtype = _BASE_DTYPE
+    else:
+        raise ParseError(f"line 1: unrecognized header {cols!r}")
 
-    stream = EventStream(times, senders, receivers).sorted()
-    if not annotated:
+    try:
+        rows = _load_rows(path, dtype, skiprows=1)
+    except ValueError as exc:
+        raise _locate(path, dtype, str(exc)) from None
+    reason = _value_error(rows)
+    if reason is not None:
+        raise _locate(path, dtype, reason)
+
+    # Contiguous copies: strided field views slow every later kernel.
+    t, s, r = (np.ascontiguousarray(rows[name]) for name in _BASE_HEADER)
+    labels = None
+    if dtype is _ANNOT_DTYPE:
+        labels = _flag_labels(t, s, rows[_FLAGS[0]], rows[_FLAGS[1]])
+    del rows
+    if not _in_order(t, s, r):
+        order = np.lexsort((r, s, t))
+        t, s, r = t[order], s[order], r[order]
+    stream = EventStream(t, s, r)
+    if labels is None:
         return stream, None
-
-    order = np.lexsort((receivers, senders, times))
-    att_arr = np.asarray(att_flags)[order]
-    act_arr = np.asarray(act_flags)[order]
-    attackers = set(int(v) for v in np.unique(stream.senders[att_arr == 1]))
-
-    windows: list[tuple[float, float]] = []
-    if len(stream) and act_arr.any():
-        secs = np.unique(np.floor(stream.times[act_arr == 1]).astype(int))
-        start = prev = int(secs[0])
-        for t in secs[1:]:
-            if int(t) != prev + 1:
-                windows.append((float(start), float(prev + 1)))
-                start = int(t)
-            prev = int(t)
-        windows.append((float(start), float(prev + 1)))
-
-    presence: dict[int, tuple[float, float]] = {}
-    for v in np.unique(np.concatenate([stream.senders, stream.receivers])):
-        mask = (stream.senders == v) | (stream.receivers == v)
-        ts = stream.times[mask]
-        presence[int(v)] = (float(ts.min()), float(ts.max()))
-
-    return stream, GroundTruth(attackers=attackers, attack_windows=windows, presence=presence)
+    attackers, windows = labels
+    return stream, GroundTruth(attackers=attackers, attack_windows=windows,
+                               presence=_presence(t, s, r))

@@ -27,9 +27,9 @@ def test_count_series_matches_event_tally(small_scenario):
     v = int(events.receivers[0])
     cs = build_count_series(events, v)
     tally = {}
-    for e in events:
-        if e.receiver == v:
-            tally[int(e.time_s)] = tally.get(int(e.time_s), 0) + 1
+    for t, r in zip(events.times.tolist(), events.receivers.tolist()):
+        if r == v:
+            tally[int(t)] = tally.get(int(t), 0) + 1
     assert cs.counts == tally
 
 

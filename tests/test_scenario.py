@@ -1,8 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from advent import scenario
-from advent.scenario import ConfigError, ParseError, ScenarioConfig
+from advent.scenario import ConfigError, EventStream, GroundTruth, ParseError, ScenarioConfig
+
+BASE = "time_s,sender,receiver\n"
+ANNOT = "time_s,sender,receiver,is_attacker_sender,attack_active\n"
 
 
 def test_config_invariants_rejected():
@@ -127,18 +134,134 @@ def test_ingest_three_rows_sorted(tmp_path):
     assert events.senders.tolist() == [2, 3, 1]
 
 
-def test_ingest_rejects_self_send_with_line_number(tmp_path):
+@pytest.mark.parametrize("text, line", [
+    (BASE + "1.0,1,2\n2.0,3,3\n", 3),
+    (BASE + "not_a_number,1,2\n", 2),
+    (BASE + "1.0,1,2\n\n2.0,3\n", 4),
+    (BASE + "1.0,3.0,2\n", 2),
+    (BASE + "1.0,1,2\n#2.0,1,2\n", 3),
+    (BASE + "".join(f"{i}.5,1,2\n" for i in range(5000)) + "-1.0,1,2\n", 5002),
+    (BASE + "nan,1,2\n", 2),
+    (BASE + "1_0.0,1,2\n", 2),
+    (BASE + "1.0,1_0,2\n", 2),
+    (BASE + "1.0,1,2\n  \n", 3),
+    (ANNOT + "1.0,1,2,0,0\n2.0,1,2,2,0\n", 3),
+    (ANNOT + "1.0,1,2,0,-1\n", 2),
+], ids=["self_send", "malformed", "short_after_blank", "float_sender", "hash_line",
+        "negative_time_deep", "nan_time", "underscore_time", "underscore_id",
+        "whitespace_line", "attacker_flag_2", "active_flag_minus_1"])
+def test_ingest_rejects_bad_line(tmp_path, text, line):
     path = tmp_path / "log.csv"
-    path.write_text("time_s,sender,receiver\n1.0,1,2\n2.0,3,3\n")
-    with pytest.raises(ParseError, match="line 3"):
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^line {line}: "):
         scenario.ingest(path)
 
 
-def test_ingest_rejects_malformed_row(tmp_path):
+@pytest.mark.parametrize("header", [BASE, ANNOT, BASE + "\n\n"])
+def test_ingest_header_only(tmp_path, header):
     path = tmp_path / "log.csv"
-    path.write_text("time_s,sender,receiver\nnot_a_number,1,2\n")
-    with pytest.raises(ParseError, match="line 2"):
-        scenario.ingest(path)
+    path.write_text(header)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        events, truth = scenario.ingest(path)
+    assert len(events) == 0
+    if header == ANNOT:
+        assert truth == GroundTruth()
+    else:
+        assert truth is None
+
+
+def _reference_csv(stream, truth):
+    """Per-line writer: the specification of write_events_csv's bytes."""
+    lines = [BASE if truth is None else ANNOT]
+    for t, s, r in zip(stream.times.tolist(), stream.senders.tolist(),
+                       stream.receivers.tolist()):
+        if truth is None:
+            lines.append(f"{t!r},{s},{r}\n")
+        else:
+            ia = 1 if s in truth.attackers else 0
+            aa = 1 if any(ws <= t < we for ws, we in truth.attack_windows) else 0
+            lines.append(f"{t!r},{s},{r},{ia},{aa}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_csv_bytes_match_reference_writer(tmp_path, small_scenario):
+    # Events exactly on both edges of a window, and just inside and outside.
+    edges = EventStream([0.1, 9.999999999999998, 10.0, 12.25, 20.0, 20.5],
+                        [1, 2, 1, 3, 1, 2], [2, 1, 3, 1, 2, 3])
+    edge_truth = GroundTruth(attackers={1}, attack_windows=[(10.0, 20.0), (30.0, 30.0)])
+    path = tmp_path / "events.csv"
+    for stream, truth in [(edges, edge_truth), small_scenario, (edges, None)]:
+        scenario.write_events_csv(path, stream, truth)
+        assert path.read_bytes() == _reference_csv(stream, truth)
+    scenario.write_events_csv(path, edges, edge_truth)
+    assert path.read_text().splitlines()[1:] == [
+        "0.1,1,2,1,0", "9.999999999999998,2,1,0,0", "10.0,1,3,1,1",
+        "12.25,3,1,0,1", "20.0,1,2,1,0", "20.5,2,3,0,0"]
+
+
+_ROWS = st.lists(
+    st.tuples(
+        # Few distinct times, so rows often tie on time and then on sender.
+        st.sampled_from([0.0, 0.5, 1.0, 2.999999999999999, 3.0, 7.25]) | st.floats(0.0, 50.0),
+        st.integers(0, 4),
+        st.integers(1, 4),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_ROWS, base=st.sampled_from([0, -3, 1 << 40]))
+def test_ingest_roundtrip_property(tmp_path, rows, base):
+    t = np.array([row[0] for row in rows], dtype=np.float64)
+    s = np.array([base + row[1] for row in rows], dtype=np.int64)
+    r = np.array([base + (row[1] + row[2]) % 5 for row in rows], dtype=np.int64)
+    path = tmp_path / "log.csv"
+    path.write_text(ANNOT + "".join(
+        f"{ti!r},{si},{ri},{int(row[3])},{int(row[4])}\n"
+        for ti, si, ri, row in zip(t.tolist(), s.tolist(), r.tolist(), rows)))
+
+    events, truth = scenario.ingest(path)
+
+    order = np.lexsort((r, s, t))
+    assert events.times.view(np.uint64).tolist() == t[order].view(np.uint64).tolist()
+    assert events.senders.tolist() == s[order].tolist()
+    assert events.receivers.tolist() == r[order].tolist()
+
+    presence = {}
+    for ti, si, ri in zip(t.tolist(), s.tolist(), r.tolist()):
+        for v in (si, ri):
+            a, b = presence.get(v, (ti, ti))
+            presence[v] = (min(a, ti), max(b, ti))
+    windows = []
+    for sec in sorted({math.floor(ti) for ti, row in zip(t.tolist(), rows) if row[4]}):
+        if windows and windows[-1][1] == sec:
+            windows[-1] = (windows[-1][0], sec + 1.0)
+        else:
+            windows.append((float(sec), sec + 1.0))
+    assert truth.attackers == {si for si, row in zip(s.tolist(), rows) if row[3]}
+    assert truth.attack_windows == windows
+    assert truth.presence == presence
+    assert list(truth.presence) == sorted(presence)
+
+
+@pytest.mark.parametrize("base", [0, -3, 1 << 40])
+def test_inbound_matches_mask(base):
+    rng = np.random.default_rng(3)
+    times = rng.random(200) * 10
+    senders = base + rng.integers(0, 6, 200)
+    receivers = base + rng.integers(0, 6, 200)
+    events = EventStream(times, senders, receivers)
+    for v in range(base - 1, base + 7):
+        inbound = events.inbound(v)
+        mask = receivers == v
+        assert inbound.times.tolist() == times[mask].tolist()
+        assert inbound.senders.tolist() == senders[mask].tolist()
+        assert inbound.receivers.tolist() == receivers[mask].tolist()
 
 
 def test_ground_truth_json_roundtrip(tmp_path, small_scenario):
