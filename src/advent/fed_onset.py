@@ -19,7 +19,6 @@ import numpy as np
 from . import gbdt, head
 from .gbdt import LocalEnsemble
 from .head import HeadConfig, HeadWeights
-from .preprocess import FeatureRow
 
 __all__ = [
     "ProtocolError",
@@ -32,7 +31,6 @@ __all__ = [
     "round0_aggregate",
     "fedavg",
     "run_training",
-    "detect_onset",
     "detect_onset_batch",
     "confirm_onset",
     "StaticInterval",
@@ -86,6 +84,8 @@ class FedConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.clients_per_round is not None and self.clients_per_round < 1:
+            raise ValueError("clients_per_round must be >= 1")
         if self.onset_quorum < 1:
             raise ValueError("onset_quorum must be >= 1")
 
@@ -98,12 +98,6 @@ class FedClient:
     x: np.ndarray
     y: np.ndarray
     tree_matrix: np.ndarray | None = None
-
-    @classmethod
-    def from_rows(cls, cid: int, rows: list[FeatureRow]) -> "FedClient":
-        x = np.stack([np.asarray(r.features, dtype=np.float64) for r in rows])
-        y = np.asarray([r.label for r in rows], dtype=np.float64)
-        return cls(cid=cid, x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +154,27 @@ def round0_aggregate(
 
 
 def fedavg(updates: list[tuple[int, HeadWeights, int]]) -> HeadWeights:
-    """Sample-count-weighted element-wise mean of client head weights."""
+    """Sample-count-weighted element-wise mean of client head weights.
+
+    Every update must match the first one's shapes and hold only finite
+    values; a broadcastable mismatch or a NaN would otherwise pass straight
+    into the global model.
+    """
     if not updates:
         raise ProtocolError("fedavg requires at least one update")
-    shape = (updates[0][1].conv_kernels.shape, len(updates[0][1].dense))
+
+    def shapes(w):
+        return w.conv_kernels.shape, w.conv_bias.shape, w.dense.shape, np.shape(w.dense_bias)
+
+    shape = shapes(updates[0][1])
     total = 0
     for cid, w, count in updates:
         if count < 1:
             raise ProtocolError(f"client {cid}: sample_count must be >= 1")
-        if (w.conv_kernels.shape, len(w.dense)) != shape:
+        if shapes(w) != shape:
             raise ProtocolError(f"client {cid}: weight shape mismatch")
+        if not all(np.isfinite(a).all() for a in (w.conv_kernels, w.conv_bias, w.dense, w.dense_bias)):
+            raise ProtocolError(f"client {cid}: non-finite weight")
         total += count
     first = updates[0][1]
     kernels = np.zeros_like(first.conv_kernels)
@@ -196,7 +201,9 @@ def run_training(
 
     Every message crosses the wire as a JSON line; pass `transcript` to
     capture them.  Client head-update seeds are derived from the head seed
-    and the client id so runs are deterministic.
+    and the client id, and with `clients_per_round` each round's subset is
+    drawn from a generator seeded by the head seed and the round, so runs
+    are deterministic.
     """
     if not clients:
         raise ProtocolError("no clients available; training stalled")
@@ -230,9 +237,9 @@ def run_training(
         w_global = head.weights_from_dict(decode_message(bcast)["payload"])
         participants = clients
         if fed_config.clients_per_round is not None:
-            participants = clients[: fed_config.clients_per_round]
-        if not participants:
-            raise ProtocolError(f"round {r}: no clients available; training stalled")
+            pick = np.random.default_rng((head_config.rng_seed, r)).choice(
+                len(clients), size=min(fed_config.clients_per_round, len(clients)), replace=False)
+            participants = [clients[i] for i in np.sort(pick)]
         updates: list[tuple[int, HeadWeights, int]] = []
         for c in participants:
             local_cfg = HeadConfig(
@@ -271,17 +278,8 @@ def cold_start_payload(model: GlobalModel) -> list[str]:
 # Inference and confirmation
 
 
-def detect_onset(model: GlobalModel, row: FeatureRow) -> str:
-    """'attack' or 'normal' for one feature row; probability tie goes normal."""
-    if not model.complete:
-        raise NotReadyError(f"model at round {model.round} of {model.total_rounds}")
-    vec = gbdt.per_tree_outputs(model.ensembles, row.features)
-    p = head.forward(model.head, vec)
-    return "attack" if p > 0.5 else "normal"
-
-
 def detect_onset_batch(model: GlobalModel, x: np.ndarray) -> np.ndarray:
-    """Boolean attack decisions for a batch of feature rows."""
+    """Boolean attack decisions (p > 0.5, so a tie goes normal) for a batch of feature rows."""
     if not model.complete:
         raise NotReadyError(f"model at round {model.round} of {model.total_rounds}")
     v = gbdt.per_tree_output_matrix(model.ensembles, x)

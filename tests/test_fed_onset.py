@@ -16,7 +16,6 @@ from advent.fed_onset import (
     WeightedIncidents,
     confirm_onset,
     decode_message,
-    detect_onset,
     detect_onset_batch,
     encode_message,
     fedavg,
@@ -25,7 +24,6 @@ from advent.fed_onset import (
     should_retrain,
 )
 from advent.head import HeadConfig, HeadWeights
-from advent.preprocess import FeatureRow
 
 
 def _clients(n_clients=3, rows=60, seed=0):
@@ -112,6 +110,23 @@ def test_fedavg_shape_mismatch_and_bad_count():
     other = _weights(rng, f=3)
     with pytest.raises(ProtocolError, match="shape"):
         fedavg([(1, w, 5), (2, other, 5)])
+    # A length-1 conv_bias would broadcast across both filters.
+    short_bias = w.copy()
+    short_bias.conv_bias = short_bias.conv_bias[:1]
+    with pytest.raises(ProtocolError, match="shape"):
+        fedavg([(1, w, 5), (2, short_bias, 5)])
+    for name in ("conv_kernels", "conv_bias", "dense", "dense_bias"):
+        poisoned = w.copy()
+        if name == "dense_bias":
+            poisoned.dense_bias = float("nan")
+        else:
+            getattr(poisoned, name).flat[0] = np.nan
+        with pytest.raises(ProtocolError, match="non-finite"):
+            fedavg([(1, w, 5), (2, poisoned, 5)])
+    inf_first = w.copy()
+    inf_first.dense[0] = np.inf
+    with pytest.raises(ProtocolError, match="non-finite"):
+        fedavg([(1, inf_first, 5)])
     with pytest.raises(ProtocolError, match="sample_count"):
         fedavg([(1, w, 0)])
     with pytest.raises(ProtocolError):
@@ -165,6 +180,31 @@ def test_run_training_deterministic():
     assert m1.head.allclose(m2.head, atol=0)
 
 
+def test_run_training_clients_per_round_draws_seeded_subsets():
+    def run(seed):
+        transcript = []
+        model = run_training(_clients(5, rows=30), gbdt.GbdtConfig(trees_per_client=2),
+                             HeadConfig(filters=2, epochs=1, rng_seed=seed),
+                             FedConfig(rounds=7, clients_per_round=2), transcript=transcript)
+        picks = {}
+        for line in transcript:
+            msg = decode_message(line)
+            if msg["type"] == "WEIGHTS_UPDATE":
+                picks.setdefault(msg["round"], []).append(msg["cid"])
+        return model, picks
+
+    m1, picks1 = run(5)
+    m2, picks2 = run(5)
+    assert picks1 == picks2
+    assert m1.head.allclose(m2.head, atol=0)
+    assert sorted(picks1) == list(range(1, 7))
+    assert all(len(set(cids)) == 2 for cids in picks1.values())
+    assert len({tuple(cids) for cids in picks1.values()}) >= 2
+    assert run(6)[1] != picks1
+    with pytest.raises(ValueError):
+        FedConfig(clients_per_round=0)
+
+
 def test_run_training_no_clients():
     with pytest.raises(ProtocolError, match="stalled"):
         run_training([], gbdt.GbdtConfig(), HeadConfig(), FedConfig())
@@ -186,17 +226,15 @@ def test_detect_onset_threshold_and_not_ready():
     cs = _clients(2, rows=60, seed=7)
     model = run_training(cs, gbdt.GbdtConfig(trees_per_client=2),
                          HeadConfig(filters=2, epochs=20), FedConfig(rounds=3))
-    row_hi = FeatureRow(t=0, features=np.full(10, 9.0), label=1)
-    row_lo = FeatureRow(t=1, features=np.full(10, 1.0), label=0)
-    assert detect_onset(model, row_hi) == "attack"
-    assert detect_onset(model, row_lo) == "normal"
-    x = np.stack([row_hi.features, row_lo.features])
+    x = np.stack([np.full(10, 9.0), np.full(10, 1.0)])
     assert detect_onset_batch(model, x).tolist() == [True, False]
+    assert detect_onset_batch(model, x[::-1]).tolist() == [False, True]
+    assert detect_onset_batch(model, x[1:]).tolist() == [False]
     model.round, model.total_rounds = 0, 5
     with pytest.raises(NotReadyError):
-        detect_onset(model, row_hi)
-    with pytest.raises(NotReadyError):
         detect_onset_batch(model, x)
+    with pytest.raises(NotReadyError):
+        detect_onset_batch(model, x[:1])
 
 
 def test_detect_onset_tie_goes_normal():
@@ -206,7 +244,8 @@ def test_detect_onset_tie_goes_normal():
     w = HeadWeights(conv_kernels=np.zeros((2, 2)), conv_bias=np.zeros(2),
                     dense=np.zeros(2), dense_bias=0.0)
     model = fed_onset.GlobalModel(ensembles=[ens], head=w, round=0, total_rounds=1)
-    assert detect_onset(model, FeatureRow(t=0, features=np.ones(10), label=0)) == "normal"
+    assert detect_onset_batch(model, np.ones((1, 10))).tolist() == [False]
+    assert head.forward_batch(w, gbdt.per_tree_output_matrix([ens], np.ones((1, 10))))[0] == 0.5
 
 
 def test_confirm_onset_quorum():

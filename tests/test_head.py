@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advent import gbdt, head
 from advent.head import (
     HeadConfig,
     HeadWeights,
-    forward,
     forward_batch,
     gradients,
     init,
@@ -40,6 +38,25 @@ def finite_difference(w, v, y, eps=1e-6):
     wm.dense_bias -= eps
     grads.append((loss_at(wp) - loss_at(wm)) / (2 * eps))
     return tuple(grads)
+
+
+def reference_logits(w, v):
+    """Conv + dense head as explicit loops: per filter f and client window k,
+    act = conv_bias[f] + sum_t kernels[f, t] * v[k*T + t]; the logit is
+    dense_bias + sum_f,k dense[f*K + k] * act (filter-major dense layout)."""
+    f_, t_ = w.conv_kernels.shape
+    k_ = len(w.dense) // f_
+    out = []
+    for row in np.atleast_2d(np.asarray(v, dtype=np.float64)):
+        z = w.dense_bias
+        for f in range(f_):
+            for k in range(k_):
+                act = w.conv_bias[f]
+                for t in range(t_):
+                    act += w.conv_kernels[f, t] * row[k * t_ + t]
+                z += w.dense[f * k_ + k] * act
+        out.append(z)
+    return np.array(out)
 
 
 def random_weights(rng, f, k, t):
@@ -79,7 +96,8 @@ def test_forward_hand_computed():
     v = np.array([1.0, 1.0, 2.0, 0.0])
     # client activations: [1*1+2*1+0.5, 1*2+2*0+0.5] = [3.5, 2.5]
     z = 3.5 - 2.5 + 0.25
-    assert forward(w, v) == pytest.approx(1.0 / (1.0 + np.exp(-z)))
+    assert forward_batch(w, v)[0] == pytest.approx(1.0 / (1.0 + np.exp(-z)))
+    assert reference_logits(w, v)[0] == pytest.approx(z)
 
 
 def test_forward_flatten_is_filter_major():
@@ -91,7 +109,7 @@ def test_forward_flatten_is_filter_major():
         dense_bias=0.0,
     )
     # Only filter 0 applied to client 0 contributes.
-    assert forward(w, [4.0, -100.0]) == pytest.approx(1.0 / (1.0 + np.exp(-4.0)))
+    assert forward_batch(w, [4.0, -100.0])[0] == pytest.approx(1.0 / (1.0 + np.exp(-4.0)))
 
 
 def test_forward_batch_matches_scalar():
@@ -100,13 +118,31 @@ def test_forward_batch_matches_scalar():
     v = rng.normal(size=(7, 20))
     batch = forward_batch(w, v)
     for i in range(7):
-        assert batch[i] == pytest.approx(forward(w, v[i]))
+        assert batch[i] == pytest.approx(forward_batch(w, v[i])[0])
+
+
+def test_forward_and_loss_match_loop_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        f, k, t = (int(x) for x in rng.integers(1, 6, size=3))
+        b = int(rng.integers(1, 9))
+        w = random_weights(rng, f, k, t)
+        v = rng.normal(size=(b, k * t))
+        y = (rng.random(b) > 0.5).astype(float)
+        p_ref = 1.0 / (1.0 + np.exp(-np.clip(reference_logits(w, v), -500, 500)))
+        loss_ref = -np.mean(y * np.log(p_ref + 1e-12) + (1 - y) * np.log(1 - p_ref + 1e-12))
+        np.testing.assert_allclose(forward_batch(w, v), p_ref, rtol=1e-12, atol=1e-12)
+        assert gradients(w, v, y)[0] == pytest.approx(loss_ref, rel=1e-12, abs=1e-12)
 
 
 def test_forward_rejects_wrong_length():
     w = init(2, 3, HeadConfig())
     with pytest.raises(ValueError):
-        forward(w, np.zeros(5))
+        forward_batch(w, np.zeros(5))
+    with pytest.raises(ValueError):
+        gradients(w, np.zeros((2, 5)), np.zeros(2))
+    with pytest.raises(ValueError):
+        train_on_matrix(w, np.zeros((2, 5)), np.zeros(2), HeadConfig())
 
 
 def test_forward_extreme_logits_finite():
@@ -116,7 +152,7 @@ def test_forward_extreme_logits_finite():
         dense=np.array([1000.0]),
         dense_bias=0.0,
     )
-    p = forward(w, [1e6])
+    p = forward_batch(w, [1e6])[0]
     assert 0.0 < p <= 1.0
     assert np.isfinite(p)
 
@@ -131,10 +167,9 @@ def test_gradients_match_finite_differences():
         while True:
             w = random_weights(rng, f, k, t)
             v = rng.normal(size=(b, k * t))
-            flat = head._flat_activations(w, v)
             # Saturated logits make the central difference of the clamped
             # loss flat, so it stops being a valid oracle there.
-            if np.max(np.abs(flat @ w.dense + w.dense_bias)) < 10:
+            if np.max(np.abs(reference_logits(w, v))) < 10:
                 break
         y = (rng.random(b) > 0.5).astype(float)
         _, analytic = gradients(w, v, y)
@@ -176,20 +211,27 @@ def test_train_zero_epochs_identity():
     assert w1.allclose(w0, atol=0)
 
 
-def test_train_local_matches_matrix_path(small_scenario):
-    from advent import preprocess
-
-    events, truth = small_scenario
-    v = int(events.receivers[0])
-    rows = preprocess.windowize(preprocess.build_count_series(events, v), truth)[:200]
-    x = np.stack([r.features for r in rows])
-    y = np.array([r.label for r in rows], dtype=float)
-    ens = gbdt.train(x, y, gbdt.GbdtConfig(trees_per_client=2), client=0)
-    cfg = HeadConfig(filters=2, epochs=2)
-    w0 = init(1, 2, cfg)
-    via_rows = head.train_local(w0, rows, [ens], cfg)
-    via_matrix = train_on_matrix(w0, gbdt.per_tree_output_matrix([ens], x), y, cfg)
-    assert via_rows.allclose(via_matrix, atol=0)
+def test_train_matches_gradients_step_loop():
+    # Plain SGD written against the public gradients: the same permutation
+    # per epoch, the same batches, one update per batch.
+    rng = np.random.default_rng(6)
+    for f, k, t, n, bs in ((2, 3, 4, 50, 8), (4, 12, 10, 130, 64), (1, 1, 1, 5, 7)):
+        v = rng.normal(size=(n, k * t))
+        y = (rng.random(n) > 0.5).astype(float)
+        cfg = HeadConfig(filters=f, epochs=4, batch_size=bs, learning_rate=0.3, rng_seed=11)
+        w = init(k, t, cfg)
+        ref = w.copy()
+        order_rng = np.random.default_rng(cfg.rng_seed)
+        for _ in range(cfg.epochs):
+            order = order_rng.permutation(n)
+            for start in range(0, n, bs):
+                idx = order[start : start + bs]
+                _, (dk, db, dd, ddb) = gradients(ref, v[idx], y[idx])
+                ref.conv_kernels -= cfg.learning_rate * dk
+                ref.conv_bias -= cfg.learning_rate * db
+                ref.dense -= cfg.learning_rate * dd
+                ref.dense_bias -= cfg.learning_rate * ddb
+        assert train_on_matrix(w, v, y, cfg).allclose(ref, rtol=0, atol=1e-12)
 
 
 def test_weights_json_roundtrip_exact():
@@ -205,5 +247,5 @@ def test_weights_json_roundtrip_exact():
 def test_forward_always_a_probability(seed):
     rng = np.random.default_rng(seed)
     w = random_weights(rng, 2, 3, 2)
-    p = forward(w, rng.normal(size=6) * 100)
-    assert 0.0 <= p <= 1.0
+    p = forward_batch(w, rng.normal(size=(4, 6)) * 100)
+    assert np.all((0.0 <= p) & (p <= 1.0))
