@@ -3,8 +3,8 @@
     PYTHONPATH=src python -m pytest benchmarks/test_kernels.py
 
 This directory is outside the `testpaths` of pyproject.toml, so the tier-1
-test run never collects it.  Each case records `step_us` (median call time
-over SGD steps per call) in the benchmark's `extra_info`.
+test run never collects it.  The head cases record `step_us` (median call
+time over SGD steps per call) in the benchmark's `extra_info`.
 """
 
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from advent import head
+from advent import gbdt, head
 
 T, FILTERS, BATCH, ROWS, EPOCHS = 10, 4, 64, 640, 5
 
@@ -36,3 +36,52 @@ def test_head_step(benchmark, k):
     benchmark.extra_info["steps_per_call"] = steps
     benchmark.extra_info["step_us"] = 1e6 * benchmark.stats.stats.median / steps
     assert np.isfinite(out.dense).all()
+
+
+def _count_rows(rng, n):
+    """Integer packet-count rows of 10 lags, floods raising the counts.
+
+    Like the dense-pulsed training set: about a third of the rows are
+    attack seconds and each lag takes about 70 distinct values.
+    """
+    y = (rng.random(n) < 0.35).astype(np.float64)
+    rate = np.where(y == 1, rng.uniform(5.0, 50.0, n), rng.uniform(0.5, 4.0, n))
+    x = rng.poisson(rate[:, None], (n, 10)).astype(np.float64)
+    return x, y
+
+
+@pytest.fixture(scope="module")
+def dense_pulsed_fit():
+    """The dense-pulsed workload's pooled fit: 25.6k rows, 20 trees of depth 3."""
+    rng = np.random.default_rng(0)
+    x, y = _count_rows(rng, 25_602)
+    return x, y, gbdt.GbdtConfig(trees_per_client=20, max_depth=3)
+
+
+def test_gbdt_train(benchmark, dense_pulsed_fit):
+    """Split search: one `gbdt.train` call at the dense-pulsed shape."""
+    x, y, cfg = dense_pulsed_fit
+    ens = benchmark.pedantic(gbdt.train, (x, y, cfg), rounds=5)
+    benchmark.extra_info["distinct_values_per_feature"] = int(np.mean(
+        [len(np.unique(col)) for col in x.T]))
+    assert len(ens.trees) == 20
+
+
+def test_gbdt_predict_margin_batch(benchmark, dense_pulsed_fit):
+    """Tree apply: 20 trees of depth 3 over one vehicle's 600 rows."""
+    x, y, cfg = dense_pulsed_fit
+    ens = gbdt.train(x[:2000], y[:2000], cfg)
+    out = benchmark(gbdt.predict_margin_batch, ens, x[:600])
+    assert out.shape == (600,)
+
+
+def test_gbdt_per_tree_output_matrix(benchmark):
+    """Tree apply for the head: K=12 clients x 10 trees over 600 rows (fed-s shape)."""
+    rng = np.random.default_rng(1)
+    ensembles = []
+    for cid in range(12):
+        x, y = _count_rows(rng, 500)
+        ensembles.append(gbdt.train(x, y, gbdt.GbdtConfig(trees_per_client=T), client=cid))
+    probe, _ = _count_rows(rng, 600)
+    out = benchmark(gbdt.per_tree_output_matrix, ensembles, probe)
+    assert out.shape == (600, 12 * T)

@@ -5,24 +5,26 @@ gradients/hessians of the current margin, splits maximize the standard
 L2-regularized gain, and leaves carry -G/(H+lambda).  Leaf values are stored
 pre-shrinkage; shrinkage is applied at prediction time so serialized trees
 are scale-independent.
+
+Split search works on exact-value histograms: each feature is binned once per
+`train` call into the codes of its sorted distinct values, and a node sums
+count, g and h per bin.  An ensemble keeps its trees as flat node arrays, so
+prediction walks every tree at once, one vectorized step per level.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GbdtConfig",
-    "TreeNode",
     "Tree",
     "LocalEnsemble",
     "train",
-    "predict_margin",
     "predict_margin_batch",
-    "per_tree_outputs",
     "per_tree_output_matrix",
     "ensemble_to_dict",
     "ensemble_from_dict",
@@ -55,29 +57,28 @@ class GbdtConfig:
 
 
 @dataclass
-class TreeNode:
-    # Leaf iff left is None; then `value` is the pre-shrinkage log-odds step.
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class Tree:
-    root: TreeNode
+    root: int  # index of the tree's root in its ensemble's node arrays
     max_depth: int
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalEnsemble:
+    """Trees as flat node arrays shared by the whole ensemble.
+
+    Node i is a leaf iff left[i] == right[i] == i; value[i] is then its
+    pre-shrinkage log-odds step.  Otherwise a row goes to left[i] when
+    x[feature[i]] < threshold[i] and to right[i] when not.  A leaf has
+    feature 0, so stepping a row on from its leaf keeps it there.
+    """
+
     client: int
-    trees: list[Tree] = field(default_factory=list)
+    trees: list[Tree]
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
     base_score: float = 0.0
     shrinkage: float = 0.3
 
@@ -95,42 +96,57 @@ GAIN_TOL_ABS = 1e-12
 MIN_GAIN = 1e-12
 
 
+# Rows walk the trees in blocks of about this many (row, tree) pairs.
+_WALK_BLOCK_NODES = 1 << 15
+
+
 def _gain_tol(m: float) -> float:
     return GAIN_TOL_REL * abs(m) + GAIN_TOL_ABS
 
 
-def _find_best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GbdtConfig):
-    """Best (feature, threshold, gain) over exact midpoints of sorted unique values."""
-    n, n_features = x.shape
+def _bin_features(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Codes (n_features, n) of each value of x among its feature's sorted distinct values."""
+    values = [np.unique(col) for col in x.T]
+    codes = np.empty(x.shape[::-1], dtype=np.min_scalar_type(max(map(len, values), default=1) - 1))
+    for f, vals in enumerate(values):
+        codes[f] = np.searchsorted(vals, x[:, f])
+    return codes, values
+
+
+def _find_best_split(codes, values, g, h, cfg: GbdtConfig):
+    """Best (gain, feature, threshold) over midpoints of the node's distinct values.
+
+    `codes` holds the node's rows only; `g` and `h` are theirs, in row order.
+    A candidate's left side is the rows of every bin up to it, so its sums
+    are cumulative sums over the node's non-empty bins.
+    """
+    n = codes.shape[1]
     lam = cfg.lambda_l2
     g_total = float(g.sum())
     h_total = float(h.sum())
     parent = g_total * g_total / (h_total + lam)
     msl = cfg.min_samples_leaf
     candidates = []  # (feature, threshold, gain): per-feature best
-    for f in range(n_features):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        gs = np.cumsum(g[order])
-        hs = np.cumsum(h[order])
-        # Candidate split after position i (0-based) requires xs[i] < xs[i+1].
-        distinct = xs[:-1] < xs[1:]
-        if not distinct.any():
+    for f, vals in enumerate(values):
+        c = codes[f].astype(np.intp)
+        count = np.bincount(c, minlength=len(vals))
+        present = np.flatnonzero(count)
+        if len(present) < 2:
             continue
-        pos = np.nonzero(distinct)[0]
-        left_n = pos + 1
-        ok = (left_n >= msl) & ((n - left_n) >= msl)
-        pos = pos[ok]
+        below = present[:-1]  # candidate j splits after the node's j-th value
+        left_n = np.cumsum(count[below])
+        pos = np.flatnonzero((left_n >= msl) & ((n - left_n) >= msl))
         if len(pos) == 0:
             continue
-        gl = gs[pos]
-        hl = hs[pos]
+        gl = np.cumsum(np.bincount(c, g, len(vals))[below])[pos]
+        hl = np.cumsum(np.bincount(c, h, len(vals))[below])[pos]
         gr = g_total - gl
         hr = h_total - hl
         gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
         m = float(gains.max())
         i_best = int(np.argmax(gains >= m - _gain_tol(m)))  # first tied index
-        candidates.append((f, float(0.5 * (xs[pos[i_best]] + xs[pos[i_best] + 1])),
+        b = pos[i_best]
+        candidates.append((f, float(0.5 * (vals[present[b]] + vals[present[b + 1]])),
                            float(gains[i_best])))
     if not candidates:
         return None
@@ -143,91 +159,132 @@ def _find_best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GbdtConfi
     return None
 
 
-def _build_node(x, g, h, depth, cfg: GbdtConfig) -> TreeNode:
-    lam = cfg.lambda_l2
-    if depth >= cfg.max_depth or len(x) < 2 * cfg.min_samples_leaf:
-        return TreeNode(value=float(-g.sum() / (h.sum() + lam)))
-    split = _find_best_split(x, g, h, cfg)
+def _build_node(nodes, rows, codes, values, g, h, depth, cfg: GbdtConfig, leaf_of_row) -> int:
+    """Append the subtree over `rows` (ascending) to `nodes` in preorder.
+
+    Returns its root's index and writes each row's leaf value to leaf_of_row.
+    """
+    i = len(nodes)
+    nodes.append(None)
+    split = None
+    if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_samples_leaf:
+        split = _find_best_split(codes[:, rows], values, g[rows], h[rows], cfg)
     if split is None:
-        return TreeNode(value=float(-g.sum() / (h.sum() + lam)))
+        value = float(-g[rows].sum() / (h[rows].sum() + cfg.lambda_l2))
+        leaf_of_row[rows] = value
+        nodes[i] = (0, 0.0, i, i, value)
+        return i
     _, f, thr = split
-    mask = x[:, f] < thr
-    left = _build_node(x[mask], g[mask], h[mask], depth + 1, cfg)
-    right = _build_node(x[~mask], g[~mask], h[~mask], depth + 1, cfg)
-    return TreeNode(feature=f, threshold=thr, left=left, right=right)
+    # code < cut exactly when x < thr, since the codes index sorted values.
+    goes_left = codes[f, rows] < np.searchsorted(values[f], thr)
+    left = _build_node(nodes, rows[goes_left], codes, values, g, h, depth + 1, cfg, leaf_of_row)
+    right = _build_node(nodes, rows[~goes_left], codes, values, g, h, depth + 1, cfg, leaf_of_row)
+    nodes[i] = (f, thr, left, right, 0.0)
+    return i
 
 
-def _tree_apply(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Pre-shrinkage leaf values for each row of x."""
-    out = np.empty(len(x), dtype=np.float64)
-    stack = [(node, np.arange(len(x)))]
-    while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            out[idx] = nd.value
-            continue
-        mask = x[idx, nd.feature] < nd.threshold
-        stack.append((nd.left, idx[mask]))
-        stack.append((nd.right, idx[~mask]))
-    return out
+def _ensemble(client, nodes, roots, max_depths, base_score, shrinkage) -> LocalEnsemble:
+    feature, threshold, left, right, value = zip(*nodes) if nodes else ((),) * 5
+    return LocalEnsemble(
+        client=client,
+        trees=[Tree(root=r, max_depth=d) for r, d in zip(roots, max_depths)],
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value, dtype=np.float64),
+        base_score=base_score,
+        shrinkage=shrinkage,
+    )
 
 
 def train(x: np.ndarray, y: np.ndarray, config: GbdtConfig, client: int = 0) -> LocalEnsemble:
     """Fit trees_per_client trees sequentially on logistic-loss grad/hess.
 
-    Single-class input degrades to zero-valued trees with a clamped log-odds
-    base score instead of failing.
+    Features must be finite and labels 0 or 1.  Single-class input degrades
+    to zero-valued trees with a clamped log-odds base score instead of
+    failing.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("training rows must be a non-empty 2-D array")
-    if len(x) != len(y):
+    if y.ndim != 1 or len(x) != len(y):
         raise ValueError("x and y length mismatch")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("labels must be 0 or 1")
+    depths = [config.max_depth] * config.trees_per_client
     prevalence = float(y.mean())
     if prevalence <= 0.0 or prevalence >= 1.0:
         base = _MAX_LOG_ODDS if prevalence >= 1.0 else -_MAX_LOG_ODDS
-        trees = [Tree(root=TreeNode(value=0.0), max_depth=config.max_depth)
-                 for _ in range(config.trees_per_client)]
-        return LocalEnsemble(client=client, trees=trees, base_score=base,
-                             shrinkage=config.shrinkage)
+        nodes = [(0, 0.0, i, i, 0.0) for i in range(config.trees_per_client)]
+        return _ensemble(client, nodes, range(len(nodes)), depths, base, config.shrinkage)
     base = float(np.log(prevalence / (1.0 - prevalence)))
+    codes, values = _bin_features(x)
+    rows = np.arange(len(y))
     margins = np.full(len(y), base)
-    trees: list[Tree] = []
+    leaf_of_row = np.empty(len(y))
+    nodes: list = []
+    roots = []
     for _ in range(config.trees_per_client):
         p = _sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        root = _build_node(x, g, h, 0, config)
-        trees.append(Tree(root=root, max_depth=config.max_depth))
-        margins += config.shrinkage * _tree_apply(root, x)
-    return LocalEnsemble(client=client, trees=trees, base_score=base,
-                         shrinkage=config.shrinkage)
+        roots.append(_build_node(nodes, rows, codes, values, g, h, 0, config, leaf_of_row))
+        margins += config.shrinkage * leaf_of_row
+    return _ensemble(client, nodes, roots, depths, base, config.shrinkage)
 
 
-def _check_features(features, n_features: int | None = None) -> np.ndarray:
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("features must be a 1-D vector")
-    if n_features is not None and len(arr) != n_features:
-        raise ValueError(f"expected {n_features} features, got {len(arr)}")
-    return arr
+def _leaf_values(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
+    """(n_rows, n_trees) pre-shrinkage leaf value of each row in each tree.
 
-
-def predict_margin(ensemble: LocalEnsemble, features) -> float:
-    arr = _check_features(features)
-    x = arr[None, :]
-    total = ensemble.base_score
-    for tree in ensemble.trees:
-        total += ensemble.shrinkage * float(_tree_apply(tree.root, x)[0])
-    return total
+    The ensembles' node arrays are stacked into one forest, and a block of
+    rows steps down every tree at once, one vectorized step per level.  The
+    blocks bound the walk's temporaries however many rows and trees there are.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("feature rows must be a 2-D array")
+    n, n_features = x.shape
+    offsets = np.cumsum([0] + [len(e.left) for e in ensembles[:-1]])
+    roots = np.array([t.root + o for e, o in zip(ensembles, offsets) for t in e.trees],
+                     dtype=np.intp)
+    feature = np.concatenate([e.feature for e in ensembles])
+    threshold = np.concatenate([e.threshold for e in ensembles])
+    left = np.concatenate([e.left + o for e, o in zip(ensembles, offsets)])
+    right = np.concatenate([e.right + o for e, o in zip(ensembles, offsets)])
+    value = np.concatenate([e.value for e in ensembles])
+    internal = left != np.arange(len(left))
+    if internal.any() and not 0 <= feature[internal].min() <= feature[internal].max() < n_features:
+        raise ValueError(f"trees split on features outside the {n_features} given")
+    depth = 0  # of the deepest leaf
+    level = roots[internal[roots]]
+    while len(level):
+        depth += 1
+        level = np.concatenate([left[level], right[level]])
+        level = level[internal[level]]
+    out = np.empty((n, len(roots)))
+    block = max(1, _WALK_BLOCK_NODES // max(1, len(roots)))
+    row_start = (np.arange(min(n, block)) * n_features)[:, None]
+    for lo in range(0, n, block):
+        rows = x[lo:lo + block]
+        flat = rows.ravel()
+        node = np.broadcast_to(roots, (len(rows), len(roots)))
+        for _ in range(depth):
+            goes_left = flat[row_start[:len(node)] + feature[node]] < threshold[node]
+            node = np.where(goes_left, left[node], right[node])
+        out[lo:lo + block] = value[node]
+    return out
 
 
 def predict_margin_batch(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    total = np.full(len(x), ensemble.base_score)
-    for tree in ensemble.trees:
-        total += ensemble.shrinkage * _tree_apply(tree.root, x)
+    steps = _leaf_values([ensemble], x)
+    steps *= ensemble.shrinkage
+    total = np.full(len(steps), ensemble.base_score)
+    for column in steps.T:  # in tree order, so the sum is bitwise stable
+        total += column
     return total
 
 
@@ -242,53 +299,39 @@ def _check_uniform(ensembles: list[LocalEnsemble]) -> list[LocalEnsemble]:
     return ordered
 
 
-def per_tree_outputs(ensembles: list[LocalEnsemble], features) -> np.ndarray:
-    """Concatenated shrinkage-scaled tree outputs in (client, tree) order."""
-    ordered = _check_uniform(ensembles)
-    arr = _check_features(features)
-    x = arr[None, :]
-    out = []
-    for e in ordered:
-        for tree in e.trees:
-            out.append(e.shrinkage * float(_tree_apply(tree.root, x)[0]))
-    return np.asarray(out)
-
-
 def per_tree_output_matrix(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
-    """(n_rows, K*T) matrix of per-tree outputs for a batch of feature rows."""
+    """(n_rows, K*T) shrinkage-scaled per-tree outputs in (client, tree) order."""
     ordered = _check_uniform(ensembles)
-    x = np.asarray(x, dtype=np.float64)
-    cols = []
-    for e in ordered:
-        for tree in e.trees:
-            cols.append(e.shrinkage * _tree_apply(tree.root, x))
-    return np.stack(cols, axis=1)
+    out = _leaf_values(ordered, x)
+    out *= np.array([e.shrinkage for e in ordered for _ in e.trees])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format (round-0 payload)
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"v": node.value}
+def _node_to_dict(e: LocalEnsemble, i: int) -> dict:
+    if e.left[i] == i:
+        return {"v": float(e.value[i])}
     return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": _node_to_dict(node.left),
-        "r": _node_to_dict(node.right),
+        "f": int(e.feature[i]),
+        "t": float(e.threshold[i]),
+        "l": _node_to_dict(e, int(e.left[i])),
+        "r": _node_to_dict(e, int(e.right[i])),
     }
 
 
-def _node_from_dict(d: dict) -> TreeNode:
+def _node_from_dict(nodes: list, d: dict) -> int:
+    i = len(nodes)
+    nodes.append(None)
     if "v" in d:
-        return TreeNode(value=float(d["v"]))
-    return TreeNode(
-        feature=int(d["f"]),
-        threshold=float(d["t"]),
-        left=_node_from_dict(d["l"]),
-        right=_node_from_dict(d["r"]),
-    )
+        nodes[i] = (0, 0.0, i, i, float(d["v"]))
+        return i
+    left = _node_from_dict(nodes, d["l"])
+    right = _node_from_dict(nodes, d["r"])
+    nodes[i] = (int(d["f"]), float(d["t"]), left, right, 0.0)
+    return i
 
 
 def ensemble_to_dict(ensemble: LocalEnsemble) -> dict:
@@ -297,19 +340,18 @@ def ensemble_to_dict(ensemble: LocalEnsemble) -> dict:
         "base_score": ensemble.base_score,
         "shrinkage": ensemble.shrinkage,
         "trees": [
-            {"max_depth": t.max_depth, "root": _node_to_dict(t.root)} for t in ensemble.trees
+            {"max_depth": t.max_depth, "root": _node_to_dict(ensemble, t.root)}
+            for t in ensemble.trees
         ],
     }
 
 
 def ensemble_from_dict(d: dict) -> LocalEnsemble:
-    return LocalEnsemble(
-        client=int(d["client"]),
-        base_score=float(d["base_score"]),
-        shrinkage=float(d["shrinkage"]),
-        trees=[Tree(root=_node_from_dict(t["root"]), max_depth=int(t["max_depth"]))
-               for t in d["trees"]],
-    )
+    nodes: list = []
+    roots = [_node_from_dict(nodes, t["root"]) for t in d["trees"]]
+    return _ensemble(int(d["client"]), nodes, roots,
+                     [int(t["max_depth"]) for t in d["trees"]],
+                     float(d["base_score"]), float(d["shrinkage"]))
 
 
 def ensemble_to_json(ensemble: LocalEnsemble) -> str:

@@ -25,6 +25,7 @@ __all__ = [
     "windowize",
     "windowize_arrays",
     "interval_counts",
+    "receiver_counts",
     "export_feature_rows",
     "NORMAL_INTERVAL_S",
     "ALERT_INTERVAL_S",
@@ -155,6 +156,29 @@ def interval_counts(
             )
         )
     return out
+
+
+def receiver_counts(events: EventStream, interval: tuple[float, float]) -> dict[int, NeighborCounts]:
+    """Per-sender counts of all of `events`, keyed by receiver, each over `interval`.
+
+    One pass over the stream serves every receiver: the (receiver, sender)
+    pairs are coded and counted at once, and each receiver takes its run of
+    the sorted pairs.  Receivers with no events have no entry.
+    """
+    if len(events) == 0:
+        return {}
+    receivers, r_code = np.unique(events.receivers, return_inverse=True)
+    senders, s_code = np.unique(events.senders, return_inverse=True)
+    pairs, cnt = np.unique(r_code * len(senders) + s_code, return_counts=True)
+    pair_receiver, pair_sender = np.divmod(pairs, len(senders))
+    bounds = np.searchsorted(pair_receiver, np.arange(len(receivers) + 1)).tolist()
+    sender_ids = senders[pair_sender].tolist()
+    cnt = cnt.tolist()
+    return {
+        v: NeighborCounts(vehicle=v, interval=interval,
+                          per_sender=dict(zip(sender_ids[lo:hi], cnt[lo:hi])))
+        for v, lo, hi in zip(receivers.tolist(), bounds[:-1], bounds[1:])
+    }
 
 
 def export_feature_rows(path, rows: list[FeatureRow], *, include_synthetic_flag: bool = False) -> None:

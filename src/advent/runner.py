@@ -197,13 +197,8 @@ def _run_mnd(manifest: RunManifest, events, truth):
         present = {v for v, (a, b) in truth.presence.items() if a <= t0 and b >= t1}
         if not present:
             continue
-        chunk = events.between(t0, t1)
-        reports = []
-        for v in sorted(present):
-            counts = preprocess.interval_counts(chunk, v, "alert", anchor_s=t0)
-            if not counts:
-                continue
-            reports.append(mnd.detect(counts[0], params))
+        counts = preprocess.receiver_counts(events.between(t0, t1), (t0, t1))
+        reports = [mnd.detect(counts[v], params) for v in sorted(present) if v in counts]
         if manifest.mnd_mode == "local_mad":
             # Each vehicle keeps only its own list; macro over vehicle-rounds.
             for rep in reports:

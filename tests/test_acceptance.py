@@ -104,19 +104,20 @@ def test_criterion_2_gbdt_split_oracle():
         base = np.log(y.mean() / (1 - y.mean()))
         g, h = logistic_gh(np.full(n, base), y)
         expected = brute_force_split(x, g, h, cfg)
-        root = gbdt.train(x, y, cfg).trees[0].root
+        ens = gbdt.train(x, y, cfg)
+        root = ens.trees[0].root
         if expected is None:
-            ok = root.is_leaf
+            ok = ens.left[root] == root
         else:
-            ok = (root.feature, root.threshold) == (expected[1], expected[2])
+            ok = (ens.feature[root], ens.threshold[root]) == (expected[1], expected[2])
         mismatches += 0 if ok else 1
         if i < 20:
             # Full ensembles: training loss never increases across rounds.
             ens = gbdt.train(x, y, gbdt.GbdtConfig(trees_per_client=6))
             margins = np.full(n, ens.base_score)
             prev = np.inf
-            for tree in ens.trees:
-                margins += ens.shrinkage * gbdt._tree_apply(tree.root, x)
+            for column in gbdt.per_tree_output_matrix([ens], x).T:
+                margins += column
                 p = 1.0 / (1.0 + np.exp(-margins))
                 loss = float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
                 if loss > prev + 1e-12:

@@ -1,7 +1,13 @@
 import numpy as np
 
-from advent import preprocess, scenario
-from advent.preprocess import build_count_series, interval_counts, windowize, windowize_arrays
+from advent import preprocess, runner, scenario
+from advent.preprocess import (
+    build_count_series,
+    interval_counts,
+    receiver_counts,
+    windowize,
+    windowize_arrays,
+)
 from advent.scenario import EventStream, GroundTruth
 
 
@@ -120,6 +126,37 @@ def test_interval_totals_match_count_series(small_scenario):
     total = build_count_series(events, v).total()
     assert sum(sum(iv.per_sender.values()) for iv in interval_counts(events, v, "alert")) == total
     assert sum(sum(iv.per_sender.values()) for iv in interval_counts(events, v, "normal")) == total
+
+
+def test_receiver_counts_match_interval_counts_sparse_rounds():
+    # Oracle: the per-vehicle interval_counts call the MND rounds used to
+    # make, on a sparse topology where not every present vehicle hears
+    # every other one, across several alert rounds.
+    config = scenario.ScenarioConfig(
+        duration_s=600, total_vehicles=30, concurrent_range=(12, 18), arrival_interval_s=20,
+        attacker_fraction=0.2, attack_count=3, attack_spacing_s=150, attack_duration_s=25,
+        normal_rate_pps=0.5, flood_rate_pps=8.0, neighbor_degree=3, rng_seed=5,
+    )
+    events, truth = scenario.generate(config)
+    rounds = runner._alert_rounds(truth)
+    assert len(rounds) >= 6
+    reporters = silent = partial = 0
+    for t0, t1 in rounds:
+        chunk = events.between(t0, t1)
+        counts = receiver_counts(chunk, (t0, t1))
+        present = {v for v, (a, b) in truth.presence.items() if a <= t0 and b >= t1}
+        for v in present:
+            expected = interval_counts(chunk, v, "alert", anchor_s=t0)
+            if not expected:
+                assert v not in counts
+                silent += 1
+                continue
+            assert counts[v] == expected[0]
+            reporters += 1
+            partial += len(counts[v].per_sender) < len(present) - 1
+        assert set(counts) == set(chunk.receivers.tolist())
+    assert reporters > 50 and partial > 0 and silent > 0
+    assert receiver_counts(_stream([]), (0.0, 10.0)) == {}
 
 
 def test_export_feature_rows(tmp_path):
