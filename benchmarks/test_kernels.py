@@ -3,8 +3,9 @@
     PYTHONPATH=src python -m pytest benchmarks/test_kernels.py
 
 This directory is outside the `testpaths` of pyproject.toml, so the tier-1
-test run never collects it.  The head cases record `step_us` (median call
-time over SGD steps per call) in the benchmark's `extra_info`.
+test run never collects it.  The head cases record `step_us` or
+`client_step_us` (median call time over SGD steps per call) in the
+benchmark's `extra_info`.
 """
 
 import math
@@ -36,6 +37,29 @@ def test_head_step(benchmark, k):
     benchmark.extra_info["steps_per_call"] = steps
     benchmark.extra_info["step_us"] = 1e6 * benchmark.stats.stats.median / steps
     assert np.isfinite(out.dense).all()
+
+
+def test_head_round(benchmark):
+    """One FedAvg round of the head at the fed-s shape: 12 clients of
+    250-750 rows, K=12 x T=10, batch 64, EPOCHS epochs, as one `train_round`.
+
+    Records `client_step_us`, the call time over the clients' summed SGD
+    steps, comparable with `test_head_step`'s `step_us`.
+    """
+    k = 12
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(250, 751, size=k)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    v = rng.normal(size=(bounds[-1], k * T))
+    y = (rng.random(bounds[-1]) > 0.5).astype(np.float64)
+    cfg = head.HeadConfig(filters=FILTERS, epochs=EPOCHS, batch_size=BATCH)
+    w = head.init(k, T, cfg)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    steps = EPOCHS * sum(math.ceil(n / BATCH) for n in sizes)
+    out = benchmark(head.train_round, w, v, y, spans, list(range(k)), cfg)
+    benchmark.extra_info["client_steps_per_call"] = steps
+    benchmark.extra_info["client_step_us"] = 1e6 * benchmark.stats.stats.median / steps
+    assert all(np.isfinite(o.dense).all() for o in out)
 
 
 def _count_rows(rng, n):

@@ -1,5 +1,5 @@
 """Federated attack-onset protocol: round-0 tree aggregation, weight rounds,
-onset inference, quorum confirmation, and model-update policies.
+onset inference and quorum confirmation.
 
 Round 0 collects each client's tree ensemble, sorts them by client id, and
 initializes the convolutional head.  The ensembles stay fixed afterwards;
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,6 @@ __all__ = [
     "run_training",
     "detect_onset_batch",
     "confirm_onset",
-    "StaticInterval",
-    "NewNodeThreshold",
-    "AttackCountThreshold",
-    "WeightedIncidents",
-    "RetrainState",
-    "should_retrain",
 ]
 
 log = logging.getLogger(__name__)
@@ -97,7 +91,7 @@ class FedClient:
     cid: int
     x: np.ndarray
     y: np.ndarray
-    tree_matrix: np.ndarray | None = None
+    tree_matrix: np.ndarray | None = None  # a row range of run_training's shared matrix
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +220,12 @@ def run_training(
     broadcast_ensembles = [
         gbdt.ensemble_from_dict(d) for d in decode_message(global_line)["payload"]
     ]
-    for c in clients:
-        c.tree_matrix = gbdt.per_tree_output_matrix(broadcast_ensembles, c.x)
+    # One tree matrix for all clients; each client's is a row range of it.
+    matrix = gbdt.per_tree_output_matrix(broadcast_ensembles, np.concatenate([c.x for c in clients]))
+    labels = np.concatenate([c.y for c in clients])
+    bounds = np.cumsum([0] + [len(c.y) for c in clients]).tolist()
+    for c, start, stop in zip(clients, bounds, bounds[1:]):
+        c.tree_matrix = matrix[start:stop]
 
     # Rounds 1..R-1: head-weight averaging.
     for r in range(1, fed_config.rounds):
@@ -235,21 +233,16 @@ def run_training(
                                head.weights_to_dict(model.head))
         queue.append(bcast)
         w_global = head.weights_from_dict(decode_message(bcast)["payload"])
-        participants = clients
+        picked = range(len(clients))
         if fed_config.clients_per_round is not None:
-            pick = np.random.default_rng((head_config.rng_seed, r)).choice(
-                len(clients), size=min(fed_config.clients_per_round, len(clients)), replace=False)
-            participants = [clients[i] for i in np.sort(pick)]
+            picked = np.sort(np.random.default_rng((head_config.rng_seed, r)).choice(
+                len(clients), size=min(fed_config.clients_per_round, len(clients)), replace=False))
+        participants = [clients[i] for i in picked]
+        trained = head.train_round(
+            w_global, matrix, labels, [(bounds[i], bounds[i + 1]) for i in picked],
+            [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in participants], head_config)
         updates: list[tuple[int, HeadWeights, int]] = []
-        for c in participants:
-            local_cfg = HeadConfig(
-                filters=head_config.filters,
-                learning_rate=head_config.learning_rate,
-                epochs=head_config.epochs,
-                batch_size=head_config.batch_size,
-                rng_seed=head_config.rng_seed * 100003 + c.cid * 1009 + r,
-            )
-            w_new = head.train_on_matrix(w_global, c.tree_matrix, c.y, local_cfg)
+        for c, w_new in zip(participants, trained):
             line = encode_message("WEIGHTS_UPDATE", c.cid, r, model.model_version,
                                   {"weights": head.weights_to_dict(w_new),
                                    "sample_count": len(c.y)})
@@ -261,17 +254,6 @@ def run_training(
         model.round = r
     model.model_version += 1
     return model
-
-
-def cold_start_payload(model: GlobalModel) -> list[str]:
-    """Messages handed to a newly authenticated client: current ensembles and
-    head weights, stamped with the server's current model_version."""
-    return [
-        encode_message("GLOBAL_ENSEMBLE", None, model.round, model.model_version,
-                       [gbdt.ensemble_to_dict(e) for e in model.ensembles]),
-        encode_message("WEIGHTS_BROADCAST", None, model.round, model.model_version,
-                       head.weights_to_dict(model.head)),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -302,51 +284,3 @@ def confirm_onset(
         if len(cids) >= quorum:
             return "confirmed"
     return "unconfirmed"
-
-
-# ---------------------------------------------------------------------------
-# Model-update policies
-
-
-@dataclass(frozen=True)
-class StaticInterval:
-    interval_s: float
-
-
-@dataclass(frozen=True)
-class NewNodeThreshold:
-    count: int
-
-
-@dataclass(frozen=True)
-class AttackCountThreshold:
-    count: int
-
-
-@dataclass(frozen=True)
-class WeightedIncidents:
-    weights: dict[str, float]
-    threshold: float
-
-
-@dataclass
-class RetrainState:
-    now_s: float = 0.0
-    last_train_s: float = 0.0
-    new_nodes: int = 0
-    confirmed_onsets: int = 0
-    incident_counts: dict[str, int] = field(default_factory=dict)
-
-
-def should_retrain(state: RetrainState, policy) -> bool:
-    if isinstance(policy, StaticInterval):
-        return state.now_s - state.last_train_s >= policy.interval_s
-    if isinstance(policy, NewNodeThreshold):
-        return state.new_nodes >= policy.count
-    if isinstance(policy, AttackCountThreshold):
-        return state.confirmed_onsets >= policy.count
-    if isinstance(policy, WeightedIncidents):
-        total = sum(w * state.incident_counts.get(kind, 0)
-                    for kind, w in policy.weights.items())
-        return total >= policy.threshold
-    raise ValueError(f"unknown policy {policy!r}")

@@ -17,9 +17,13 @@ every gradient follows from the one mat-vec u:
     dK = D·u,  dD = kernels·uᵀ + conv_bias·s,  dconv_bias = s·ΣD,  ddense_bias = s.
 
 Inference and training evaluate this form and never build the F*K
-activations.  Clients train locally with mini-batch SGD on binary
-cross-entropy; the wire format and FedAvg still carry and average the
-factors (`conv_kernels`, `conv_bias`, `dense`, `dense_bias`), never W_eff.
+activations or a bias-tap copy of v.  Clients train locally with mini-batch
+SGD on binary cross-entropy.  `train_round` runs all clients of a FedAvg
+round as one stacked SGD run, each client with its own shuffles and
+batches, so every step is one batched (clients, batch, K*T) computation;
+`train_on_matrix` is its one-client case.  The wire format and FedAvg still
+carry and average the factors (`conv_kernels`, `conv_bias`, `dense`,
+`dense_bias`), never W_eff.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "forward_batch",
     "gradients",
     "train_on_matrix",
+    "train_round",
     "weights_to_dict",
     "weights_from_dict",
     "weights_to_json",
@@ -115,7 +120,15 @@ def init(k: int, t: int, config: HeadConfig) -> HeadWeights:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    """1 / (1 + exp(-clip(z, -500, 500))), in one buffer: per-call cost
+    dominates a training step's small arrays (np.clip alone costs more
+    than np.maximum and np.minimum together)."""
+    e = np.maximum(z, -500.0)
+    np.minimum(e, 500.0, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 def _check_width(w: HeadWeights, v: np.ndarray) -> None:
@@ -134,47 +147,60 @@ def forward_batch(w: HeadWeights, v: np.ndarray) -> np.ndarray:
     return _sigmoid(v @ w_eff.ravel() + c)
 
 
-# Training works on the augmented form: the conv bias is a (T+1)-th kernel
-# tap over a constant-1 input, so A = [kernels | conv_bias] is (F, T+1), each
-# client window gains a trailing 1, W_aug = Dᵀ·A = [W_eff | Dᵀ·conv_bias] and
-# z = v1 · W_aug + dense_bias.  With u = (dzᵀ·v1).reshape(K, T+1) = [u | s],
-# D·u = [dK | s·ΣD] and A·uᵀ = kernels·uᵀ + conv_bias·s = dD: two products give
-# every gradient.
+# Training stacks the clients of a round: client c's parameters are row c of
+# a (C, P) buffer, and each step gathers the active clients' batches
+# straight from the shared tree matrix into one (m, b, K*T) buffer, so every
+# numpy call of a step serves all m clients (np.matmul broadcasts over the
+# leading axis).  Each client's z adds its own c = conv_bias·ΣD + dense_bias
+# and its conv-bias gradient is s·ΣD, so no bias-tap column is stored.
+
+# Clients of a round train in blocks whose batch buffer holds at most about
+# this many float64 values (8 MB).
+_ROUND_BLOCK_VALUES = 1 << 20
 
 
 def _pack(w: HeadWeights) -> np.ndarray:
-    """Flat parameters: A row-major, then D row-major, then dense_bias."""
-    a = np.concatenate([w.conv_kernels, w.conv_bias[:, None]], axis=1)
-    return np.concatenate([a.ravel(), w.dense, [w.dense_bias]])
+    """Flat parameters: kernels row-major, conv_bias, D row-major, dense_bias."""
+    return np.concatenate([w.conv_kernels.ravel(), w.conv_bias, w.dense, [w.dense_bias]])
 
 
 def _layout(w: HeadWeights, buf: np.ndarray):
-    """Views of a flat `_pack` buffer: A (F, T+1), D (F, K), dense_bias (1,)."""
+    """Views of stacked `_pack` rows (m, P): kernels (m, F, T), conv_bias
+    (m, F), D (m, F, K) and dense_bias (m,)."""
     f, k, t = w.n_filters, w.n_clients, w.kernel_size
-    n = f * (t + 1)
-    return buf[:n].reshape(f, t + 1), buf[n:-1].reshape(f, k), buf[-1:]
+    m, i, j = len(buf), f * t, f * (t + 1)
+    return buf[:, :i].reshape(m, f, t), buf[:, i:j], buf[:, j:-1].reshape(m, f, k), buf[:, -1]
 
 
-def _with_bias_tap(w: HeadWeights, v: np.ndarray) -> np.ndarray:
-    """(B, K*(T+1)) copy of (B, K*T) tree vectors with a 1 after each window."""
-    b, k, t = len(v), w.n_clients, w.kernel_size
-    out = np.ones((b, k, t + 1))
-    out[:, :, :t] = v.reshape(b, k, t)
-    return out.reshape(b, -1)
+def _unpack(w: HeadWeights, row: np.ndarray) -> HeadWeights:
+    kernels, conv_bias, d, dense_bias = _layout(w, row[None])
+    return HeadWeights(conv_kernels=kernels[0].copy(), conv_bias=conv_bias[0].copy(),
+                       dense=d[0].flatten(), dense_bias=float(dense_bias[0]))
 
 
-def _backward(params, v1, y, grads) -> np.ndarray:
-    """Write the mean-BCE gradient of a batch of augmented vectors into the
-    `_layout` views `grads`; return the batch's probabilities."""
-    a, d, dense_bias = params
-    g_a, g_d, g_dense_bias = grads
-    w_aug = d.T @ a
-    p = _sigmoid(v1 @ w_aug.ravel() + dense_bias)
-    dz = (p - y) / len(v1)
-    u = (dz @ v1).reshape(w_aug.shape)
-    np.matmul(d, u, out=g_a)
-    np.matmul(a, u.T, out=g_d)
-    g_dense_bias[0] = dz.sum()
+def _backward(params, v, y, div, grads) -> np.ndarray:
+    """Write each client's mean-BCE gradient over its batch into the
+    `_layout` views `grads`; return the (m, b) probabilities.
+
+    v is (m, b, K*T) and y (m, b); row i of client c divides its loss
+    derivative by div[c, i], the row count of its batch, or by inf for a
+    pad row, whose derivative is then 0.
+    """
+    kernels, conv_bias, d, dense_bias = params
+    g_k, g_cb, g_d, g_db = grads
+    m, _, k = d.shape
+    sum_d = d.sum(axis=2)
+    w_eff = np.matmul(d.transpose(0, 2, 1), kernels)
+    c = (conv_bias * sum_d).sum(axis=1) + dense_bias
+    p = _sigmoid(np.matmul(v, w_eff.reshape(m, -1, 1))[:, :, 0] + c[:, None])
+    dz = (p - y) / div
+    u = np.matmul(dz[:, None, :], v).reshape(m, k, -1)
+    s = dz.sum(axis=1)
+    np.matmul(d, u, out=g_k)
+    np.matmul(kernels, u.transpose(0, 2, 1), out=g_d)
+    g_d += conv_bias[:, :, None] * s[:, None, None]
+    np.multiply(sum_d, s[:, None], out=g_cb)
+    g_db[:] = s
     return p
 
 
@@ -183,43 +209,92 @@ def gradients(w: HeadWeights, v: np.ndarray, y: np.ndarray):
     v = np.asarray(v, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_width(w, v)
-    theta = _pack(w)
+    theta = _pack(w)[None]
     grad = np.empty_like(theta)
     grads = _layout(w, grad)
-    p = _backward(_layout(w, theta), _with_bias_tap(w, v), y, grads)
-    g_a, g_d, g_dense_bias = grads
+    p = _backward(_layout(w, theta), v[None], y[None], len(v), grads)[0]
+    g_k, g_cb, g_d, g_db = grads
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    return loss, (g_a[:, :-1], g_a[:, -1], g_d.ravel(), float(g_dense_bias[0]))
+    return loss, (g_k[0], g_cb[0], g_d[0].ravel(), float(g_db[0]))
 
 
 def train_on_matrix(w: HeadWeights, v: np.ndarray, y: np.ndarray, config: HeadConfig) -> HeadWeights:
-    """Mini-batch SGD on BCE over shuffled batches; returns updated weights."""
-    if len(v) == 0:
-        raise ValueError("training rows must be non-empty")
+    """Mini-batch SGD on BCE over shuffled batches; returns updated weights.
+
+    The one-client case of `train_round`, shuffled by config.rng_seed.
+    """
+    return train_round(w, v, y, [(0, len(v))], [config.rng_seed], config)[0]
+
+
+def train_round(w: HeadWeights, v: np.ndarray, y: np.ndarray, spans, seeds,
+                config: HeadConfig) -> list[HeadWeights]:
+    """Mini-batch SGD on BCE for every client of a FedAvg round at once.
+
+    Client i starts from `w` and trains on rows spans[i] = (start, stop) of
+    the (N, K*T) block `v` and of `y`, shuffled each epoch by its own
+    default_rng(seeds[i]) into batches of config.batch_size, the last one
+    short, exactly as a lone run would (config.rng_seed is not used).  So
+    each result equals that client's lone run up to summation order.
+    Returns one HeadWeights per span, in span order; `w` is not modified.
+    """
     v = np.asarray(v, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_width(w, v)
-    v1 = _with_bias_tap(w, v)
-    theta = _pack(w)
+    if len(y) != len(v):
+        raise ValueError(f"got {len(v)} tree vectors but {len(y)} labels")
+    if len(seeds) != len(spans):
+        raise ValueError(f"got {len(spans)} spans but {len(seeds)} seeds")
+    spans = [(int(a), int(b)) for a, b in spans]
+    if not all(0 <= a < b <= len(v) for a, b in spans):
+        raise ValueError("every span must be a non-empty row range of v")
+    bs = config.batch_size
+    steps = [-(-(b - a) // bs) for a, b in spans]
+    # Sorted by batch count, descending, the clients still training at any
+    # step are a prefix of their block.
+    order = sorted(range(len(spans)), key=lambda i: -steps[i])
+    per_block = max(1, _ROUND_BLOCK_VALUES // (bs * v.shape[1]))
+    out: list[HeadWeights | None] = [None] * len(spans)
+    for block in np.array_split(order, -(-len(order) // per_block)):
+        theta = _train_block(w, v, y, [spans[i] for i in block], [seeds[i] for i in block], config)
+        for i, row in zip(block, theta):
+            out[i] = _unpack(w, row)
+    return out
+
+
+def _train_block(w, v, y, spans, seeds, config) -> np.ndarray:
+    """Stacked SGD for clients sorted by batch count, descending; returns
+    their (C, P) `_pack` rows."""
+    bs, lr = config.batch_size, config.learning_rate
+    starts = np.array([a for a, _ in spans])
+    sizes = np.array([b - a for a, b in spans])
+    steps = -(-sizes // bs)
+    width = steps[0] * bs
+    theta = np.tile(_pack(w), (len(spans), 1))
     grad = np.empty_like(theta)
-    params, grads = _layout(w, theta), _layout(w, grad)
-    v_epoch = np.empty_like(v1)
-    rng = np.random.default_rng(config.rng_seed)
-    lr, bs = config.learning_rate, config.batch_size
+    active = (steps[None, :] > np.arange(steps[0])[:, None]).sum(axis=1).tolist()
+    views = {m: (_layout(w, theta[:m]), _layout(w, grad[:m])) for m in set(active)}
+    # Position q of a client's epoch lies in batch q // bs; past its last row
+    # it is a pad, which gathers the client's first row and divides by inf.
+    pos = np.arange(width)
+    div = np.minimum(sizes[:, None] - pos // bs * bs, bs).astype(np.float64)
+    div[pos >= sizes[:, None]] = np.inf
+    idx = np.repeat(starts[:, None], width, axis=1)
+    v_batch = np.empty((len(spans), bs, v.shape[1]))
+    rngs = [np.random.default_rng(s) for s in seeds]
     for _ in range(config.epochs):
-        order = rng.permutation(len(v))
-        # Reusing one buffer spares a fresh allocation (and its page faults)
-        # per epoch; `order` is a permutation, so mode="clip" never clips and
-        # only skips the extra copy mode="raise" makes when `out` is given.
-        np.take(v1, order, axis=0, out=v_epoch, mode="clip")
-        y_epoch = y[order]
-        for start in range(0, len(v), bs):
-            _backward(params, v_epoch[start : start + bs], y_epoch[start : start + bs], grads)
-            theta -= lr * grad
-    a, d, dense_bias = params
-    return HeadWeights(conv_kernels=a[:, :-1].copy(), conv_bias=a[:, -1].copy(),
-                       dense=d.ravel().copy(), dense_bias=float(dense_bias[0]))
+        for row, rng, start, size in zip(idx, rngs, starts, sizes):
+            row[:size] = start + rng.permutation(size)
+        y_epoch = y[idx]
+        for j, m in enumerate(active):
+            cols = slice(j * bs, (j + 1) * bs)
+            params, grads = views[m]
+            # `idx` holds valid rows only, so mode="clip" never clips; it
+            # spares the extra copy mode="raise" makes when `out` is given.
+            np.take(v, idx[:m, cols], axis=0, out=v_batch[:m], mode="clip")
+            _backward(params, v_batch[:m], y_epoch[:m, cols], div[:m, cols], grads)
+            theta[:m] -= lr * grad[:m]
+    return theta
 
 
 # ---------------------------------------------------------------------------

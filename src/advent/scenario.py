@@ -115,8 +115,9 @@ class EventStream:
         return EventStream(self.times[idx], self.senders[idx], self.receivers[idx])
 
     def between(self, start_s: float, end_s: float) -> "EventStream":
-        mask = (self.times >= start_s) & (self.times < end_s)
-        return EventStream(self.times[mask], self.senders[mask], self.receivers[mask])
+        """Events with start_s <= time < end_s, as views of this stream."""
+        lo, hi = np.searchsorted(self.times, [start_s, end_s])
+        return EventStream(self.times[lo:hi], self.senders[lo:hi], self.receivers[lo:hi])
 
 
 @dataclass

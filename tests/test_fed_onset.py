@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,15 +6,10 @@ import pytest
 
 from advent import fed_onset, gbdt, head
 from advent.fed_onset import (
-    AttackCountThreshold,
     FedClient,
     FedConfig,
-    NewNodeThreshold,
     NotReadyError,
     ProtocolError,
-    RetrainState,
-    StaticInterval,
-    WeightedIncidents,
     confirm_onset,
     decode_message,
     detect_onset_batch,
@@ -21,7 +17,6 @@ from advent.fed_onset import (
     fedavg,
     round0_aggregate,
     run_training,
-    should_retrain,
 )
 from advent.head import HeadConfig, HeadWeights
 
@@ -205,21 +200,42 @@ def test_run_training_clients_per_round_draws_seeded_subsets():
         FedConfig(clients_per_round=0)
 
 
+@pytest.mark.parametrize("per_round", [None, 2])
+def test_run_training_matches_per_client_loop(per_round):
+    # Reference: each participant trains alone with train_on_matrix on its
+    # own tree matrix and seed, then the round's updates are averaged.
+    rng = np.random.default_rng(8)
+    clients = []
+    for cid, rows in zip((3, 5, 8, 9), (37, 70, 5, 130)):
+        x = rng.random((rows, 10)) * 10
+        clients.append(FedClient(cid=cid, x=x, y=(x[:, 0] > 5).astype(float)))
+    head_cfg = HeadConfig(filters=2, epochs=3, batch_size=16, learning_rate=0.3, rng_seed=5)
+    transcript = []
+    model = run_training(clients, gbdt.GbdtConfig(trees_per_client=2), head_cfg,
+                         FedConfig(rounds=4, clients_per_round=per_round), transcript=transcript)
+    picks = {}
+    for line in transcript:
+        msg = decode_message(line)
+        if msg["type"] == "WEIGHTS_UPDATE":
+            picks.setdefault(msg["round"], []).append(msg["cid"])
+    by_cid = {c.cid: c for c in clients}
+    w = head.init(len(clients), 2, head_cfg)
+    for r in (1, 2, 3):
+        updates = []
+        for cid in picks[r]:
+            c = by_cid[cid]
+            np.testing.assert_array_equal(
+                c.tree_matrix, gbdt.per_tree_output_matrix(model.ensembles, c.x))
+            cfg = dataclasses.replace(head_cfg, rng_seed=head_cfg.rng_seed * 100003 + cid * 1009 + r)
+            updates.append((cid, head.train_on_matrix(w, c.tree_matrix, c.y, cfg), len(c.y)))
+        w = fedavg(updates)
+    assert len(picks[1]) == (per_round or len(clients))
+    assert model.head.allclose(w, rtol=0, atol=1e-12)
+
+
 def test_run_training_no_clients():
     with pytest.raises(ProtocolError, match="stalled"):
         run_training([], gbdt.GbdtConfig(), HeadConfig(), FedConfig())
-
-
-def test_cold_start_payload_restores_model():
-    model = run_training(_clients(2, rows=30), gbdt.GbdtConfig(trees_per_client=2),
-                         HeadConfig(filters=2, epochs=1), FedConfig(rounds=2))
-    lines = fed_onset.cold_start_payload(model)
-    ens_msg, w_msg = (decode_message(line) for line in lines)
-    assert ens_msg["type"] == "GLOBAL_ENSEMBLE"
-    assert w_msg["type"] == "WEIGHTS_BROADCAST"
-    assert ens_msg["model_version"] == model.model_version
-    restored = head.weights_from_dict(w_msg["payload"])
-    assert restored.allclose(model.head, atol=0)
 
 
 def test_detect_onset_threshold_and_not_ready():
@@ -263,17 +279,3 @@ def test_confirm_onset_window_slides():
     # No pair within 2 s of the earliest report, but (2,3) are within 2 s.
     reports = [(1, 0.0), (2, 5.0), (3, 6.5)]
     assert confirm_onset(reports, quorum=2, window_s=2.0) == "confirmed"
-
-
-def test_retrain_policies():
-    st = RetrainState(now_s=100.0, last_train_s=0.0, new_nodes=3,
-                      confirmed_onsets=1, incident_counts={"onset": 2, "mnd": 5})
-    assert should_retrain(st, StaticInterval(interval_s=50.0))
-    assert not should_retrain(st, StaticInterval(interval_s=200.0))
-    assert should_retrain(st, NewNodeThreshold(count=3))
-    assert not should_retrain(st, NewNodeThreshold(count=4))
-    assert not should_retrain(st, AttackCountThreshold(count=2))
-    assert should_retrain(st, WeightedIncidents(weights={"onset": 1.0, "mnd": 0.5},
-                                                threshold=4.0))
-    with pytest.raises(ValueError):
-        should_retrain(st, object())

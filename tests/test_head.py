@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advent import head
+
 from advent.head import (
     HeadConfig,
     HeadWeights,
@@ -10,6 +12,7 @@ from advent.head import (
     gradients,
     init,
     train_on_matrix,
+    train_round,
     weights_from_json,
     weights_to_json,
 )
@@ -232,6 +235,68 @@ def test_train_matches_gradients_step_loop():
                 ref.dense -= cfg.learning_rate * dd
                 ref.dense_bias -= cfg.learning_rate * ddb
         assert train_on_matrix(w, v, y, cfg).allclose(ref, rtol=0, atol=1e-12)
+
+
+def sgd_with_gradients(w, v, y, seed, cfg):
+    """Plain SGD written against the public gradients: one rng.permutation
+    per epoch, batches of cfg.batch_size in that order, one update per batch."""
+    ref = w.copy()
+    order_rng = np.random.default_rng(seed)
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(len(v))
+        for start in range(0, len(v), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, (dk, db, dd, ddb) = gradients(ref, v[idx], y[idx])
+            ref.conv_kernels -= cfg.learning_rate * dk
+            ref.conv_bias -= cfg.learning_rate * db
+            ref.dense -= cfg.learning_rate * dd
+            ref.dense_bias -= cfg.learning_rate * ddb
+    return ref
+
+
+@pytest.mark.parametrize("block_values", [None, 1, 300])
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epochs):
+    # Batch size 8.  Clients: several batches plus a partial one, one row,
+    # fewer rows than a batch, an exact multiple of the batch; the spans are
+    # out of order and leave gaps.  Small block budgets split the round
+    # into one-client blocks or blocks of three.
+    if block_values is not None:
+        monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(12)
+    f, k, t = 3, 2, 4
+    v = rng.normal(size=(80, k * t))
+    y = (rng.random(80) > 0.5).astype(float)
+    spans = [(40, 67), (0, 1), (10, 15), (20, 36), (70, 71)]
+    seeds = [7, 3, 19, 3, 44]
+    cfg = HeadConfig(filters=f, epochs=epochs, batch_size=8, learning_rate=0.3, rng_seed=999)
+    w = init(k, t, cfg)
+    snapshot = w.copy()
+    out = train_round(w, v, y, spans, seeds, cfg)
+    assert w.allclose(snapshot, rtol=0, atol=0)  # input left untouched
+    assert len(out) == len(spans)
+    for (a, b), seed, got in zip(spans, seeds, out):
+        ref = sgd_with_gradients(w, v[a:b], y[a:b], seed, cfg)
+        assert got.allclose(ref, rtol=0, atol=1e-12)
+        if epochs == 0:
+            assert got.allclose(w, rtol=0, atol=0)
+
+
+def test_train_round_rejects_bad_spans_and_seeds():
+    cfg = HeadConfig(filters=2)
+    w = init(2, 3, cfg)
+    v, y = np.zeros((10, 6)), np.zeros(10)
+    for spans in ([(5, 5)], [(4, 2)], [(-1, 3)], [(8, 11)]):
+        with pytest.raises(ValueError, match="span"):
+            train_round(w, v, y, spans, [0], cfg)
+    with pytest.raises(ValueError, match="length 6"):
+        train_round(w, np.zeros((10, 5)), y, [(0, 10)], [0], cfg)
+    with pytest.raises(ValueError, match="seeds"):
+        train_round(w, v, y, [(0, 5), (5, 10)], [0], cfg)
+    with pytest.raises(ValueError, match="labels"):
+        train_round(w, v, y[:9], [(0, 9)], [0], cfg)
+    with pytest.raises(ValueError, match="span"):
+        train_on_matrix(w, np.zeros((0, 6)), np.zeros(0), cfg)
 
 
 def test_weights_json_roundtrip_exact():

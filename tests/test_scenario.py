@@ -264,6 +264,22 @@ def test_inbound_matches_mask(base):
         assert inbound.receivers.tolist() == receivers[mask].tolist()
 
 
+def test_between_matches_mask():
+    # Ties, and events exactly on window edges: start is inclusive, end exclusive.
+    times = np.array([0.0, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0])
+    senders = np.arange(len(times))
+    receivers = senders[::-1].copy()
+    events = EventStream(times, senders, receivers)
+    windows = [(1.0, 3.0), (1.0, 1.0), (3.0, 1.0), (-1.0, 10.0), (0.0, 0.0), (2.0, 2.5),
+               (2.5, 3.0), (3.0, 4.0), (4.0, 4.5), (4.5, 9.0), (-2.0, 0.0), (1.2, 1.4)]
+    for start, end in windows:
+        chunk = events.between(start, end)
+        mask = (times >= start) & (times < end)
+        assert chunk.times.tolist() == times[mask].tolist()
+        assert chunk.senders.tolist() == senders[mask].tolist()
+        assert chunk.receivers.tolist() == receivers[mask].tolist()
+
+
 def test_ground_truth_json_roundtrip(tmp_path, small_scenario):
     _, truth = small_scenario
     path = tmp_path / "truth.json"
