@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import FeatureRow
-
-__all__ = ["BalanceConfig", "smote", "smote_arrays"]
+__all__ = ["BalanceConfig", "smote_arrays"]
 
 log = logging.getLogger(__name__)
 
@@ -66,20 +64,3 @@ def smote_arrays(
     bpts = minority[nn_idx[base, pick]]
     synth = a + lam[:, None] * (bpts - a)
     return np.concatenate([x, synth]), np.concatenate([y, np.ones(n_new, dtype=np.int64)])
-
-
-def smote(rows: list[FeatureRow], config: BalanceConfig, seed: int) -> list[FeatureRow]:
-    """Append synthetic positive rows until normal/malicious <= target_ratio.
-
-    Synthetic rows carry the synthetic flag and t = -1 (they have no
-    timestamp); original rows are passed through untouched.
-    """
-    if not rows:
-        return rows
-    x = np.stack([np.asarray(r.features, dtype=np.float64) for r in rows])
-    y = np.asarray([r.label for r in rows], dtype=np.int64)
-    x2, y2 = smote_arrays(x, y, config, seed)
-    out = list(rows)
-    for i in range(len(rows), len(x2)):
-        out.append(FeatureRow(t=-1, features=x2[i], label=1, synthetic=True))
-    return out

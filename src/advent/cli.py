@@ -66,11 +66,16 @@ def cmd_preprocess(args) -> int:
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    header = ",".join(["t", *(f"f{i}" for i in range(args.lags)), "label"])
     for v in sorted(truth.presence):
-        series = preprocess.build_count_series(events, v)
-        rows = preprocess.windowize(series, truth, args.lags)
-        if rows:
-            preprocess.export_feature_rows(out / f"vehicle_{v}.csv", rows)
+        seconds, x, labels = preprocess.windowize_arrays(
+            preprocess.build_count_series(events, v), truth, args.lags)
+        if len(seconds) == 0:
+            continue
+        with open(out / f"vehicle_{v}.csv", "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for t, feats, label in zip(seconds.tolist(), x.tolist(), labels.tolist()):
+                fh.write(f"{t},{','.join(map(repr, feats))},{label}\n")
     print(f"wrote per-vehicle feature files to {out}")
     return 0
 

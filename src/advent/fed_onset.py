@@ -71,15 +71,12 @@ class GlobalModel:
 @dataclass(frozen=True)
 class FedConfig:
     rounds: int = 10
-    clients_per_round: int | None = None  # None = all available
     onset_quorum: int = 2
     confirm_window_s: float = 2.0
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.clients_per_round is not None and self.clients_per_round < 1:
-            raise ValueError("clients_per_round must be >= 1")
         if self.onset_quorum < 1:
             raise ValueError("onset_quorum must be >= 1")
 
@@ -194,10 +191,9 @@ def run_training(
     """Execute round 0 plus rounds-1 weight rounds over an in-process queue.
 
     Every message crosses the wire as a JSON line; pass `transcript` to
-    capture them.  Client head-update seeds are derived from the head seed
-    and the client id, and with `clients_per_round` each round's subset is
-    drawn from a generator seeded by the head seed and the round, so runs
-    are deterministic.
+    capture them.  Every client trains in every weight round, with a seed
+    derived from the head seed, the client id and the round, so runs are
+    deterministic.
     """
     if not clients:
         raise ProtocolError("no clients available; training stalled")
@@ -233,16 +229,11 @@ def run_training(
                                head.weights_to_dict(model.head))
         queue.append(bcast)
         w_global = head.weights_from_dict(decode_message(bcast)["payload"])
-        picked = range(len(clients))
-        if fed_config.clients_per_round is not None:
-            picked = np.sort(np.random.default_rng((head_config.rng_seed, r)).choice(
-                len(clients), size=min(fed_config.clients_per_round, len(clients)), replace=False))
-        participants = [clients[i] for i in picked]
         trained = head.train_round(
-            w_global, matrix, labels, [(bounds[i], bounds[i + 1]) for i in picked],
-            [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in participants], head_config)
+            w_global, matrix, labels, list(zip(bounds, bounds[1:])),
+            [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients], head_config)
         updates: list[tuple[int, HeadWeights, int]] = []
-        for c, w_new in zip(participants, trained):
+        for c, w_new in zip(clients, trained):
             line = encode_message("WEIGHTS_UPDATE", c.cid, r, model.model_version,
                                   {"weights": head.weights_to_dict(w_new),
                                    "sample_count": len(c.y)})

@@ -8,7 +8,7 @@ instead of distorting them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .scenario import GroundTruth
 
@@ -45,19 +45,9 @@ class EvalReport:
     precision: float = math.nan
     recall: float = math.nan
     f1: float = math.nan
-    first_second_rate: float = math.nan
-    timing: dict[str, float] = field(default_factory=dict)
 
     def metrics_dict(self) -> dict[str, float]:
-        return {
-            "dr": self.dr,
-            "far": self.far,
-            "fnr": self.fnr,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "first_second_rate": self.first_second_rate,
-        }
+        return asdict(self)
 
 
 def _ratio(num: int, den: int) -> float:
@@ -131,7 +121,7 @@ def macro_average(reports: list[EvalReport]) -> EvalReport:
     out = EvalReport()
     if not reports:
         return out
-    for name in ("dr", "far", "fnr", "precision", "recall", "f1", "first_second_rate"):
+    for name in out.metrics_dict():
         vals = [getattr(r, name) for r in reports if not math.isnan(getattr(r, name))]
         setattr(out, name, sum(vals) / len(vals) if vals else math.nan)
     return out

@@ -93,14 +93,14 @@ def detect(counts: NeighborCounts, params: MadParams = MadParams()) -> Suspicion
         return SuspicionReport(reporter=counts.vehicle, interval=counts.interval,
                                suspected=set(), stats=stats)
     m = _median(values)
-    spread = params.ce * mad(values, params.b)
-    upper = m + spread
+    scale = mad(values, params.b)
+    upper = m + params.ce * scale
     suspected = {s for s, v in zip(senders, values) if v > upper}
     return SuspicionReport(
         reporter=counts.vehicle,
         interval=counts.interval,
         suspected=suspected,
-        stats={"median": m, "mad": mad(values, params.b), "upper_tr": upper},
+        stats={"median": m, "mad": scale, "upper_tr": upper},
     )
 
 

@@ -19,14 +19,11 @@ DEFAULT_LAGS = 10
 
 __all__ = [
     "CountSeries",
-    "FeatureRow",
     "NeighborCounts",
     "build_count_series",
-    "windowize",
     "windowize_arrays",
     "interval_counts",
     "receiver_counts",
-    "export_feature_rows",
     "NORMAL_INTERVAL_S",
     "ALERT_INTERVAL_S",
     "DEFAULT_LAGS",
@@ -40,14 +37,6 @@ class CountSeries:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-@dataclass
-class FeatureRow:
-    t: int
-    features: np.ndarray  # [Count(t), Count(t-1), ..., Count(t-(a-1))]
-    label: int  # 1 = attack in progress at second t
-    synthetic: bool = False
 
 
 @dataclass
@@ -77,7 +66,12 @@ def _presence_seconds(truth: GroundTruth, vehicle: int) -> tuple[int, int]:
 def windowize_arrays(
     series: CountSeries, truth: GroundTruth, a: int = DEFAULT_LAGS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of windowize: (seconds, features (n, a), labels (n,))."""
+    """One row per present second: (seconds, features (n, a), labels (n,)).
+
+    Row i holds [Count(t), Count(t-1), ..., Count(t-(a-1))] for t = seconds[i].
+    Its label is 1 whenever t falls in any attack window while the vehicle is
+    present, regardless of whether flood traffic reached it.
+    """
     if a < 1:
         raise ValueError("a must be >= 1")
     first, last = _presence_seconds(truth, series.vehicle)
@@ -96,19 +90,6 @@ def windowize_arrays(
     for ws, we in truth.attack_windows:
         labels[(seconds >= ws) & (seconds < we)] = 1
     return seconds, x, labels
-
-
-def windowize(series: CountSeries, truth: GroundTruth, a: int = DEFAULT_LAGS) -> list[FeatureRow]:
-    """One row per present second: current count plus a-1 lagged counts.
-
-    Label is positive whenever the second falls in any attack window while the
-    vehicle is present, regardless of whether flood traffic reached it.
-    """
-    seconds, x, labels = windowize_arrays(series, truth, a)
-    return [
-        FeatureRow(t=int(t), features=x[i], label=int(labels[i]))
-        for i, t in enumerate(seconds)
-    ]
 
 
 def interval_counts(
@@ -179,22 +160,3 @@ def receiver_counts(events: EventStream, interval: tuple[float, float]) -> dict[
                           per_sender=dict(zip(sender_ids[lo:hi], cnt[lo:hi])))
         for v, lo, hi in zip(receivers.tolist(), bounds[:-1], bounds[1:])
     }
-
-
-def export_feature_rows(path, rows: list[FeatureRow], *, include_synthetic_flag: bool = False) -> None:
-    """Write rows as CSV: t,f0..f9,label[,synthetic]."""
-    if rows:
-        a = len(rows[0].features)
-    else:
-        a = DEFAULT_LAGS
-    header = ["t"] + [f"f{i}" for i in range(a)] + ["label"]
-    if include_synthetic_flag:
-        header.append("synthetic")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            feats = ",".join(repr(float(v)) for v in row.features)
-            line = f"{row.t},{feats},{row.label}"
-            if include_synthetic_flag:
-                line += f",{1 if row.synthetic else 0}"
-            fh.write(line + "\n")

@@ -126,9 +126,6 @@ class GroundTruth:
     attack_windows: list[tuple[float, float]] = field(default_factory=list)
     presence: dict[int, tuple[float, float]] = field(default_factory=dict)
 
-    def is_attack_second(self, t: int) -> bool:
-        return any(s <= t < e for s, e in self.attack_windows)
-
     def to_dict(self) -> dict:
         return {
             "attackers": sorted(self.attackers),

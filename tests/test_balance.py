@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advent.balance import BalanceConfig, smote, smote_arrays
-from advent.preprocess import FeatureRow
+from advent.balance import BalanceConfig, smote_arrays
 
 
 def test_config_invariants():
@@ -87,20 +86,6 @@ def test_deterministic_per_seed():
     c = smote_arrays(x, y, cfg, seed=8)
     assert np.array_equal(a[0], b[0])
     assert not np.array_equal(a[0], c[0])
-
-
-def test_row_level_smote_flags_synthetic():
-    rows = [FeatureRow(t=i, features=np.full(3, float(i % 7)), label=0) for i in range(40)]
-    rows += [FeatureRow(t=100 + i, features=np.full(3, 50.0 + i), label=1) for i in range(3)]
-    out = smote(rows, BalanceConfig(target_ratio=4.0), seed=1)
-    added = out[len(rows):]
-    assert len(added) == int(np.ceil(40 / 4.0)) - 3
-    assert all(r.synthetic and r.label == 1 and r.t == -1 for r in added)
-    assert out[: len(rows)] == rows
-
-
-def test_row_level_smote_empty():
-    assert smote([], BalanceConfig(), seed=0) == []
 
 
 @settings(max_examples=40, deadline=None)

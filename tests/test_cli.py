@@ -4,6 +4,7 @@ import pytest
 
 from advent import runner, scenario
 from advent.cli import main
+from advent.preprocess import build_count_series, windowize_arrays
 from advent.runner import RunManifest
 
 
@@ -70,6 +71,37 @@ def test_preprocess_writes_per_vehicle_csvs(scenario_dir, tmp_path):
     assert header == "t," + ",".join(f"f{i}" for i in range(10)) + ",label"
 
 
+def test_preprocess_csvs_match_windowize_arrays(scenario_dir, tmp_path):
+    # Reference: a per-row writer over windowize_arrays, one file per present
+    # vehicle with at least one row.  Vehicle 999 is present for no whole
+    # second, so it has no rows and gets no file.
+    events, _ = scenario.ingest(scenario_dir / "events.csv")
+    truth = scenario.load_ground_truth(scenario_dir / "truth.json")
+    truth.presence[999] = (100.0, 100.0)
+    truth_path = tmp_path / "truth.json"
+    scenario.write_ground_truth(truth_path, truth)
+    for lags in (10, 3):
+        out = tmp_path / f"feat{lags}"
+        rc = main(["preprocess", "--events", str(scenario_dir / "events.csv"),
+                   "--truth", str(truth_path), "--lags", str(lags), "--out", str(out)])
+        assert rc == 0
+        expected = {}
+        for v in sorted(truth.presence):
+            secs, x, y = windowize_arrays(build_count_series(events, v), truth, lags)
+            if len(secs) == 0:
+                continue
+            lines = ["t," + ",".join(f"f{i}" for i in range(lags)) + ",label"]
+            for i in range(len(secs)):
+                feats = ",".join(repr(float(f)) for f in x[i])
+                lines.append(f"{int(secs[i])},{feats},{int(y[i])}")
+            expected[f"vehicle_{v}.csv"] = ("\n".join(lines) + "\n").encode("utf-8")
+        assert len(expected) > 1 and "vehicle_999.csv" not in expected
+        assert sorted(p.name for p in out.glob("vehicle_*.csv")) == sorted(expected)
+        for name, data in expected.items():
+            assert (out / name).read_bytes() == data
+        assert any(b",1\n" in data for data in expected.values())
+
+
 def test_preprocess_missing_truth_exit1(tmp_path, capsys):
     ev = tmp_path / "plain.csv"
     ev.write_text("time_s,sender,receiver\n1.0,1,2\n")
@@ -86,8 +118,7 @@ def test_run_writes_reports(scenario_dir, tmp_path, capsys):
     assert rc == 0
     rep = runner.load_report(out / "report.json")
     assert rep["method"] == "centralized"
-    assert set(rep["onset"]) == {"dr", "far", "fnr", "precision", "recall", "f1",
-                                 "first_second_rate"}
+    assert set(rep["onset"]) == {"dr", "far", "fnr", "precision", "recall", "f1"}
     assert (out / "timing.json").exists()
     assert (out / "predictions.json").exists()
     # stdout carries the report JSON

@@ -175,35 +175,9 @@ def test_run_training_deterministic():
     assert m1.head.allclose(m2.head, atol=0)
 
 
-def test_run_training_clients_per_round_draws_seeded_subsets():
-    def run(seed):
-        transcript = []
-        model = run_training(_clients(5, rows=30), gbdt.GbdtConfig(trees_per_client=2),
-                             HeadConfig(filters=2, epochs=1, rng_seed=seed),
-                             FedConfig(rounds=7, clients_per_round=2), transcript=transcript)
-        picks = {}
-        for line in transcript:
-            msg = decode_message(line)
-            if msg["type"] == "WEIGHTS_UPDATE":
-                picks.setdefault(msg["round"], []).append(msg["cid"])
-        return model, picks
-
-    m1, picks1 = run(5)
-    m2, picks2 = run(5)
-    assert picks1 == picks2
-    assert m1.head.allclose(m2.head, atol=0)
-    assert sorted(picks1) == list(range(1, 7))
-    assert all(len(set(cids)) == 2 for cids in picks1.values())
-    assert len({tuple(cids) for cids in picks1.values()}) >= 2
-    assert run(6)[1] != picks1
-    with pytest.raises(ValueError):
-        FedConfig(clients_per_round=0)
-
-
-@pytest.mark.parametrize("per_round", [None, 2])
-def test_run_training_matches_per_client_loop(per_round):
-    # Reference: each participant trains alone with train_on_matrix on its
-    # own tree matrix and seed, then the round's updates are averaged.
+def test_run_training_matches_per_client_loop():
+    # Reference: each client trains alone with train_on_matrix on its own
+    # tree matrix and seed, then the round's updates are averaged.
     rng = np.random.default_rng(8)
     clients = []
     for cid, rows in zip((3, 5, 8, 9), (37, 70, 5, 130)):
@@ -212,7 +186,7 @@ def test_run_training_matches_per_client_loop(per_round):
     head_cfg = HeadConfig(filters=2, epochs=3, batch_size=16, learning_rate=0.3, rng_seed=5)
     transcript = []
     model = run_training(clients, gbdt.GbdtConfig(trees_per_client=2), head_cfg,
-                         FedConfig(rounds=4, clients_per_round=per_round), transcript=transcript)
+                         FedConfig(rounds=4), transcript=transcript)
     picks = {}
     for line in transcript:
         msg = decode_message(line)
@@ -229,7 +203,7 @@ def test_run_training_matches_per_client_loop(per_round):
             cfg = dataclasses.replace(head_cfg, rng_seed=head_cfg.rng_seed * 100003 + cid * 1009 + r)
             updates.append((cid, head.train_on_matrix(w, c.tree_matrix, c.y, cfg), len(c.y)))
         w = fedavg(updates)
-    assert len(picks[1]) == (per_round or len(clients))
+    assert picks == {r: [3, 5, 8, 9] for r in (1, 2, 3)}
     assert model.head.allclose(w, rtol=0, atol=1e-12)
 
 

@@ -5,7 +5,6 @@ from advent.preprocess import (
     build_count_series,
     interval_counts,
     receiver_counts,
-    windowize,
     windowize_arrays,
 )
 from advent.scenario import EventStream, GroundTruth
@@ -56,29 +55,30 @@ def _truth(vehicle, span, windows=()):
 
 def test_windowize_feature_order():
     series = preprocess.CountSeries(vehicle=1, counts={t: 10 + t for t in range(1, 13)})
-    rows = windowize(series, _truth(1, (1.0, 13.0)), a=10)
-    byt = {r.t: r for r in rows}
-    assert list(byt[10].features) == [20, 19, 18, 17, 16, 15, 14, 13, 12, 11]
+    secs, x, _ = windowize_arrays(series, _truth(1, (1.0, 13.0)), a=10)
+    assert secs.tolist() == list(range(1, 13))
+    assert x[secs.tolist().index(10)].tolist() == [20, 19, 18, 17, 16, 15, 14, 13, 12, 11]
 
 
 def test_windowize_zero_padding_before_join():
     series = preprocess.CountSeries(vehicle=1, counts={0: 5, 1: 6})
-    rows = windowize(series, _truth(1, (0.0, 2.0)), a=3)
-    assert list(rows[0].features) == [5, 0, 0]
-    assert list(rows[1].features) == [6, 5, 0]
+    secs, x, _ = windowize_arrays(series, _truth(1, (0.0, 2.0)), a=3)
+    assert secs.tolist() == [0, 1]
+    assert x.tolist() == [[5, 0, 0], [6, 5, 0]]
 
 
 def test_windowize_labels():
     series = preprocess.CountSeries(vehicle=1, counts={})
-    rows = windowize(series, _truth(1, (0.0, 10.0), windows=[(4.0, 7.0)]), a=2)
-    labels = {r.t: r.label for r in rows}
+    secs, _, y = windowize_arrays(series, _truth(1, (0.0, 10.0), windows=[(4.0, 7.0)]), a=2)
+    labels = dict(zip(secs.tolist(), y.tolist()))
     assert [labels[t] for t in range(10)] == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0]
 
 
 def test_windowize_a1_degenerate():
     series = preprocess.CountSeries(vehicle=1, counts={0: 3, 1: 1})
-    rows = windowize(series, _truth(1, (0.0, 2.0)), a=1)
-    assert [list(r.features) for r in rows] == [[3], [1]]
+    secs, x, _ = windowize_arrays(series, _truth(1, (0.0, 2.0)), a=1)
+    assert secs.tolist() == [0, 1]
+    assert x.tolist() == [[3], [1]]
 
 
 def test_windowize_conserves_events(small_scenario):
@@ -158,12 +158,3 @@ def test_receiver_counts_match_interval_counts_sparse_rounds():
     assert reporters > 50 and partial > 0 and silent > 0
     assert receiver_counts(_stream([]), (0.0, 10.0)) == {}
 
-
-def test_export_feature_rows(tmp_path):
-    series = preprocess.CountSeries(vehicle=1, counts={0: 3})
-    rows = windowize(series, _truth(1, (0.0, 1.0)), a=3)
-    path = tmp_path / "v1.csv"
-    preprocess.export_feature_rows(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,f0,f1,f2,label"
-    assert lines[1].startswith("0,3.0,0.0,0.0,0")
