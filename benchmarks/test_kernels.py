@@ -91,6 +91,22 @@ def test_gbdt_train(benchmark, dense_pulsed_fit):
     assert len(ens.trees) == 20
 
 
+def test_gbdt_train_clients(benchmark):
+    """Split search at the fed-s shape: 12 clients of 47-707 rows, 10 trees of
+    depth 3 each, one `gbdt.train` call per client.  Small nodes make this
+    case sensitive to per-node and per-level call overhead."""
+    rng = np.random.default_rng(2)
+    clients = [_count_rows(rng, n) for n in range(707, 46, -60)]
+    cfg = gbdt.GbdtConfig(trees_per_client=T, max_depth=3)
+
+    def train_all():
+        return [gbdt.train(x, y, cfg, client=c) for c, (x, y) in enumerate(clients)]
+
+    out = benchmark.pedantic(train_all, rounds=10)
+    benchmark.extra_info["clients"] = len(clients)
+    assert len(out) == 12 and all(len(e.trees) == T for e in out)
+
+
 def test_gbdt_predict_margin_batch(benchmark, dense_pulsed_fit):
     """Tree apply: 20 trees of depth 3 over one vehicle's 600 rows."""
     x, y, cfg = dense_pulsed_fit

@@ -54,6 +54,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.lags < 1:
+        print(f"error: --lags must be >= 1, got {args.lags}", file=sys.stderr)
+        return 1
     try:
         events, truth = scenario.ingest(args.events)
     except scenario.ParseError as exc:

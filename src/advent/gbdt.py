@@ -7,9 +7,16 @@ pre-shrinkage; shrinkage is applied at prediction time so serialized trees
 are scale-independent.
 
 Split search works on exact-value histograms: each feature is binned once per
-`train` call into the codes of its sorted distinct values, and a node sums
-count, g and h per bin.  An ensemble keeps its trees as flat node arrays, so
-prediction walks every tree at once, one vectorized step per level.
+`train` call into the codes of its sorted distinct values.  A tree grows a
+level at a time: one bincount per feature and statistic sums count, g and h
+per (node, bin) for every node of the depth, and the gains, tie rules and
+row partition are computed for all those nodes at once.  Each bin sums its
+rows in row order and each node's totals are sums over its own rows, so the
+trees are the same, bit for bit, as a depth-first search of one node at a
+time.  A level's histograms take (features x nodes x bins) entries; a level
+whose nodes would need more than `_HIST_ENTRIES` is searched in node blocks.
+An ensemble keeps its trees as flat node arrays, so prediction walks every
+tree at once, one vectorized step per level.
 """
 
 from __future__ import annotations
@@ -96,6 +103,10 @@ GAIN_TOL_ABS = 1e-12
 MIN_GAIN = 1e-12
 
 
+# A level's histograms cover as many of its nodes at once as keep them to
+# about this many (feature, node, bin) entries.
+_HIST_ENTRIES = 1 << 16
+
 # Rows walk the trees in blocks of about this many (row, tree) pairs.
 _WALK_BLOCK_NODES = 1 << 15
 
@@ -104,83 +115,166 @@ def _gain_tol(m: float) -> float:
     return GAIN_TOL_REL * abs(m) + GAIN_TOL_ABS
 
 
-def _bin_features(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Codes (n_features, n) of each value of x among its feature's sorted distinct values."""
-    values = [np.unique(col) for col in x.T]
-    codes = np.empty(x.shape[::-1], dtype=np.min_scalar_type(max(map(len, values), default=1) - 1))
-    for f, vals in enumerate(values):
-        codes[f] = np.searchsorted(vals, x[:, f])
-    return codes, values
+def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes (n_features, n) of each value of x among its feature's sorted distinct values.
 
-
-def _find_best_split(codes, values, g, h, cfg: GbdtConfig):
-    """Best (gain, feature, threshold) over midpoints of the node's distinct values.
-
-    `codes` holds the node's rows only; `g` and `h` are theirs, in row order.
-    A candidate's left side is the rows of every bin up to it, so its sums
-    are cumulative sums over the node's non-empty bins.
+    Also returns the distinct values as an (n_features, max distinct) array,
+    padded with +inf so that padding never counts among the values below a
+    threshold.
     """
-    n = codes.shape[1]
-    lam = cfg.lambda_l2
-    g_total = float(g.sum())
-    h_total = float(h.sum())
-    parent = g_total * g_total / (h_total + lam)
-    msl = cfg.min_samples_leaf
-    candidates = []  # (feature, threshold, gain): per-feature best
-    for f, vals in enumerate(values):
-        c = codes[f].astype(np.intp)
-        count = np.bincount(c, minlength=len(vals))
-        present = np.flatnonzero(count)
-        if len(present) < 2:
-            continue
-        below = present[:-1]  # candidate j splits after the node's j-th value
-        left_n = np.cumsum(count[below])
-        pos = np.flatnonzero((left_n >= msl) & ((n - left_n) >= msl))
-        if len(pos) == 0:
-            continue
-        gl = np.cumsum(np.bincount(c, g, len(vals))[below])[pos]
-        hl = np.cumsum(np.bincount(c, h, len(vals))[below])[pos]
-        gr = g_total - gl
-        hr = h_total - hl
-        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
-        m = float(gains.max())
-        i_best = int(np.argmax(gains >= m - _gain_tol(m)))  # first tied index
-        b = pos[i_best]
-        candidates.append((f, float(0.5 * (vals[present[b]] + vals[present[b + 1]])),
-                           float(gains[i_best])))
-    if not candidates:
-        return None
-    m = max(c[2] for c in candidates)
-    if m <= MIN_GAIN:
-        return None
-    for f, thr, gain in candidates:  # features ascend: first tied feature wins
-        if gain >= m - _gain_tol(m):
-            return (gain, f, thr)
-    return None
+    values, inverses = [], []
+    for col in x.T:
+        vals, inverse = np.unique(col, return_inverse=True)
+        values.append(vals)
+        # Narrowed at once: the intp inverses of every feature would take
+        # 8 bytes a value at the same time.
+        inverses.append(inverse.astype(np.min_scalar_type(len(vals) - 1)))
+    n_bins = max(map(len, values), default=1)
+    codes = np.empty(x.shape[::-1], dtype=np.min_scalar_type(n_bins - 1))
+    padded = np.full((len(values), n_bins), np.inf)
+    for f, (vals, inverse) in enumerate(zip(values, inverses)):
+        codes[f] = inverse
+        padded[f, :len(vals)] = vals
+    return codes, padded
 
 
-def _build_node(nodes, rows, codes, values, g, h, depth, cfg: GbdtConfig, leaf_of_row) -> int:
-    """Append the subtree over `rows` (ascending) to `nodes` in preorder.
+def _level_splits(codes, values, slot, count, g, h, g_tot, h_tot, cfg: GbdtConfig):
+    """Best split of every node of one level: (feature, threshold, cut) arrays.
+
+    `slot` is each row's node in the level, or len(count) once the row's
+    leaf is set.  Feature is -1 where a node does not split; otherwise its
+    rows with code < cut go left.  One bincount per feature and statistic
+    builds the (feature, node, bin) histograms, and each bin sums its rows in
+    row order.  A bin is a candidate when its cumulative sums leave at least
+    min_samples_leaf rows on each side.  Empty bins add +0.0, so those sums
+    equal sums over the node's non-empty bins alone, and an empty bin ties
+    with the non-empty one before it, which comes first and wins.
+    """
+    n_nodes = len(count)
+    n_features, n_bins = values.shape
+    size = (n_nodes + 1) * n_bins  # the last node's bins collect the finished rows
+    hist = np.empty((3, n_features, size))
+    base = np.multiply(slot, n_bins, dtype=np.intp)
+    for f, c in enumerate(codes):
+        key = base + c
+        hist[0, f] = np.bincount(key, minlength=size)
+        hist[1, f] = np.bincount(key, g, size)
+        hist[2, f] = np.bincount(key, h, size)
+    n_left, gl, hl = np.cumsum(hist.reshape(3, n_features, n_nodes + 1, n_bins)[:, :, :n_nodes],
+                               axis=3)
+    msl, lam = cfg.min_samples_leaf, cfg.lambda_l2
+    cand = (n_left >= msl) & (n_left <= (count - msl)[:, None])
+    at = np.flatnonzero(cand)
+    gl, hl = gl.ravel()[at], hl.ravel()[at]
+    node = at // n_bins % n_nodes
+    g_node, h_node = g_tot[node], h_tot[node]
+    gr = g_node - gl
+    hr = h_node - hl
+    gains = np.full(cand.shape, -np.inf)
+    gains.ravel()[at] = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
+                               - g_node * g_node / (h_node + lam))
+    # Within a feature, the first candidate tied with its max; a NaN or
+    # infinite max ties with nothing, and then the first candidate wins.
+    m = gains.max(axis=2, keepdims=True)
+    tied = gains >= m - _gain_tol(m)
+    tied |= cand & ~tied.any(axis=2, keepdims=True)
+    best = tied.argmax(axis=2)
+    chosen = gains[np.arange(n_features)[:, None], np.arange(n_nodes), best]
+    # Across features, the first whose gain ties with the max of the chosen
+    # gains.  Like Python's max() over the features in order, that max skips
+    # NaNs unless the first feature with a candidate has one, and NaN ties
+    # with nothing.  A feature with no candidate has gain -inf.
+    top = np.fmax.reduce(chosen, axis=0)
+    lead = chosen[cand.any(axis=2).argmax(axis=0), np.arange(n_nodes)]
+    tied = chosen >= top - _gain_tol(top)
+    splits = (top > MIN_GAIN) & ~np.isnan(lead) & tied.any(axis=0)
+    feature = np.where(splits, tied.argmax(axis=0), -1)
+    s = np.flatnonzero(splits)
+    f = feature[s]
+    b = best[f, s]
+    # The threshold is the midpoint of the bin and the node's next non-empty
+    # bin (where the count next rises); the cut counts the values below it,
+    # as np.searchsorted does.
+    after = n_left[f, s] > n_left[f, s, b][:, None]
+    threshold = np.zeros(n_nodes)
+    threshold[s] = 0.5 * (values[f, b] + values[f, after.argmax(axis=1)])
+    cut = np.zeros(n_nodes, dtype=np.intp)
+    cut[s] = (values[f] < threshold[s][:, None]).sum(axis=1)
+    return feature, threshold, cut
+
+
+def _grow_tree(nodes, codes, values, g, h, cfg: GbdtConfig, leaf_of_row) -> int:
+    """Append one tree, grown a level at a time, to `nodes` in preorder.
 
     Returns its root's index and writes each row's leaf value to leaf_of_row.
+    A node's totals are pairwise sums over its own rows in row order.
     """
-    i = len(nodes)
+    lam = cfg.lambda_l2
+    kids: list = [None]  # per node, in level order: (f, thr, left, right) or its leaf value
+    ids = [0]  # the level's nodes
+    # Each row's node in the level; one past the last once its leaf is set.
+    slot = np.zeros(len(g), dtype=np.min_scalar_type(min(2 ** cfg.max_depth, len(g))))
+    rows = np.arange(len(g))  # the level's rows, grouped by node
+    sizes = np.array([len(g)])
+    for depth in range(cfg.max_depth + 1):
+        g_rows, h_rows = g[rows], h[rows]
+        ends = np.cumsum(sizes).tolist()
+        starts = [0] + ends[:-1]
+        g_tot = np.array([g_rows[lo:hi].sum() for lo, hi in zip(starts, ends)])
+        h_tot = np.array([h_rows[lo:hi].sum() for lo, hi in zip(starts, ends)])
+        value = -g_tot / (h_tot + lam)
+        if depth < cfg.max_depth and len(codes):
+            step = max(1, _HIST_ENTRIES // values.size)
+            found = []
+            for lo in range(0, len(ids), step):
+                hi = min(lo + step, len(ids))
+                local = slot
+                if hi - lo < len(ids):  # the other nodes' rows count as finished
+                    lut = np.arange(len(ids) + 1) - lo
+                    lut[(lut < 0) | (lut > hi - lo)] = hi - lo
+                    local = lut.astype(slot.dtype)[slot]
+                found.append(_level_splits(codes, values, local, sizes[lo:hi], g, h,
+                                           g_tot[lo:hi], h_tot[lo:hi], cfg))
+            feature, threshold, cut = map(np.concatenate, zip(*found))
+        else:
+            feature, threshold, cut = np.full(len(ids), -1), np.zeros(len(ids)), None
+        if (feature < 0).any():  # a split node's rows get their leaf below it
+            leaf_of_row[rows] = np.repeat(value, sizes)
+        next_ids = []
+        for i, f, thr, v in zip(ids, feature.tolist(), threshold.tolist(), value.tolist()):
+            if f < 0:
+                kids[i] = v
+            else:
+                kids[i] = (f, thr, len(kids), len(kids) + 1)
+                next_ids += [len(kids), len(kids) + 1]
+                kids += [None, None]
+        if not next_ids:
+            break
+        # A split node's rows go to its left child, or to the right one (the
+        # next slot) when code >= cut; a leaf's rows leave the level.
+        splits = feature >= 0
+        to_left = np.where(splits, 2 * np.cumsum(splits) - 2, len(next_ids))
+        new = np.append(to_left, len(next_ids)).astype(slot.dtype)[slot]
+        for s in np.flatnonzero(splits).tolist():
+            new += (slot == s) & (codes[feature[s]] >= cut[s])
+        slot = new
+        sizes = np.bincount(slot, minlength=len(next_ids) + 1)[:-1]
+        rows = np.argsort(slot, kind="stable")[:sizes.sum()]
+        ids = next_ids
+    return _write_preorder(nodes, kids, 0)
+
+
+def _write_preorder(nodes, kids, i) -> int:
+    """Append node i of `kids` and its subtree to `nodes` in preorder; return its index."""
+    j = len(nodes)
     nodes.append(None)
-    split = None
-    if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_samples_leaf:
-        split = _find_best_split(codes[:, rows], values, g[rows], h[rows], cfg)
-    if split is None:
-        value = float(-g[rows].sum() / (h[rows].sum() + cfg.lambda_l2))
-        leaf_of_row[rows] = value
-        nodes[i] = (0, 0.0, i, i, value)
-        return i
-    _, f, thr = split
-    # code < cut exactly when x < thr, since the codes index sorted values.
-    goes_left = codes[f, rows] < np.searchsorted(values[f], thr)
-    left = _build_node(nodes, rows[goes_left], codes, values, g, h, depth + 1, cfg, leaf_of_row)
-    right = _build_node(nodes, rows[~goes_left], codes, values, g, h, depth + 1, cfg, leaf_of_row)
-    nodes[i] = (f, thr, left, right, 0.0)
-    return i
+    if isinstance(kids[i], float):
+        nodes[j] = (0, 0.0, j, j, kids[i])
+    else:
+        f, thr, left, right = kids[i]
+        nodes[j] = (f, thr, _write_preorder(nodes, kids, left),
+                    _write_preorder(nodes, kids, right), 0.0)
+    return j
 
 
 def _ensemble(client, nodes, roots, max_depths, base_score, shrinkage) -> LocalEnsemble:
@@ -223,7 +317,6 @@ def train(x: np.ndarray, y: np.ndarray, config: GbdtConfig, client: int = 0) -> 
         return _ensemble(client, nodes, range(len(nodes)), depths, base, config.shrinkage)
     base = float(np.log(prevalence / (1.0 - prevalence)))
     codes, values = _bin_features(x)
-    rows = np.arange(len(y))
     margins = np.full(len(y), base)
     leaf_of_row = np.empty(len(y))
     nodes: list = []
@@ -232,7 +325,7 @@ def train(x: np.ndarray, y: np.ndarray, config: GbdtConfig, client: int = 0) -> 
         p = _sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        roots.append(_build_node(nodes, rows, codes, values, g, h, 0, config, leaf_of_row))
+        roots.append(_grow_tree(nodes, codes, values, g, h, config, leaf_of_row))
         margins += config.shrinkage * leaf_of_row
     return _ensemble(client, nodes, roots, depths, base, config.shrinkage)
 

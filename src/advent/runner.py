@@ -59,6 +59,8 @@ class RunManifest:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.mnd_mode not in MND_MODES:
             raise ValueError(f"mnd_mode must be one of {MND_MODES}, got {self.mnd_mode!r}")
+        if self.lags < 1:
+            raise ValueError(f"lags must be >= 1, got {self.lags!r}")
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunManifest":
@@ -230,10 +232,7 @@ def run_pipeline(manifest: RunManifest) -> dict:
     decisions, pooled, macro, t_split = _run_onset(manifest, per_vehicle, truth)
     t_onset = time.perf_counter() - t0
 
-    onset_flags = {
-        v: set(int(s) for s, f in zip(secs, flags) if f)
-        for v, (secs, flags) in decisions.items()
-    }
+    onset_flags = {v: set(secs[flags].tolist()) for v, (secs, flags) in decisions.items()}
     fsr = metrics.first_second_rate(onset_flags, truth)
 
     t0 = time.perf_counter()

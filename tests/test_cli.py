@@ -110,6 +110,29 @@ def test_preprocess_missing_truth_exit1(tmp_path, capsys):
     assert "truth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lags", ["0", "-3"])
+def test_preprocess_rejects_lags_below_one(scenario_dir, tmp_path, capsys, lags):
+    out = tmp_path / "o"
+    rc = main(["preprocess", "--events", str(scenario_dir / "events.csv"),
+               "--lags", lags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --lags must be >= 1, got {lags}\n"
+    assert not out.exists()
+
+
+def test_run_rejects_lags_below_one(scenario_dir, tmp_path, capsys):
+    # Checked with the manifest, before the scenario is read: the events
+    # path does not exist, and the error names lags, not the file.
+    out = tmp_path / "o"
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(dict(_run_manifest(scenario_dir, out), lags=0,
+                                     scenario_path=str(tmp_path / "nope.csv"))))
+    rc = main(["run", "--config", str(mpath)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: lags must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_run_writes_reports(scenario_dir, tmp_path, capsys):
     out = tmp_path / "run1"
     mpath = tmp_path / "manifest.json"
@@ -199,3 +222,6 @@ def test_manifest_validation():
         RunManifest(scenario_path="x", output_dir="y", method="bogus")
     with pytest.raises(ValueError, match="mnd_mode"):
         RunManifest(scenario_path="x", output_dir="y", mnd_mode="bogus")
+    for lags in (0, -1):
+        with pytest.raises(ValueError, match="lags"):
+            RunManifest(scenario_path="x", output_dir="y", lags=lags)

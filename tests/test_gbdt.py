@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advent import gbdt
 from advent.gbdt import (
@@ -58,8 +61,9 @@ def logistic_gh(margins, y):
 
 
 # ---------------------------------------------------------------------------
-# Test-side references: a per-row walk of the JSON trees, and the argsort
-# trainer the histogram split search replaced.
+# Test-side references: a per-row walk of the JSON trees, the argsort
+# trainer the histogram split search replaced, and the recursive per-node
+# histogram trainer the level-wise growth replaced.
 
 
 def walk(node: dict, row) -> float:
@@ -143,6 +147,99 @@ def reference_train(x, y, cfg, client=0) -> dict:
         trees.append({"max_depth": cfg.max_depth, "root": root})
         margins += cfg.shrinkage * np.array([walk(root, row) for row in x])
     return {"client": client, "base_score": base, "shrinkage": cfg.shrinkage, "trees": trees}
+
+
+def _recursive_bin_features(x):
+    values = [np.unique(col) for col in x.T]
+    codes = np.empty(x.shape[::-1], dtype=np.min_scalar_type(max(map(len, values), default=1) - 1))
+    for f, vals in enumerate(values):
+        codes[f] = np.searchsorted(vals, x[:, f])
+    return codes, values
+
+
+def _recursive_best_split(codes, values, g, h, cfg):
+    n = codes.shape[1]
+    lam = cfg.lambda_l2
+    g_total = float(g.sum())
+    h_total = float(h.sum())
+    parent = g_total * g_total / (h_total + lam)
+    msl = cfg.min_samples_leaf
+    candidates = []
+    for f, vals in enumerate(values):
+        c = codes[f].astype(np.intp)
+        count = np.bincount(c, minlength=len(vals))
+        present = np.flatnonzero(count)
+        if len(present) < 2:
+            continue
+        below = present[:-1]
+        left_n = np.cumsum(count[below])
+        pos = np.flatnonzero((left_n >= msl) & ((n - left_n) >= msl))
+        if len(pos) == 0:
+            continue
+        gl = np.cumsum(np.bincount(c, g, len(vals))[below])[pos]
+        hl = np.cumsum(np.bincount(c, h, len(vals))[below])[pos]
+        gr = g_total - gl
+        hr = h_total - hl
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+        m = float(gains.max())
+        i_best = int(np.argmax(gains >= m - gbdt._gain_tol(m)))
+        b = pos[i_best]
+        candidates.append((f, float(0.5 * (vals[present[b]] + vals[present[b + 1]])),
+                           float(gains[i_best])))
+    if not candidates:
+        return None
+    m = max(c[2] for c in candidates)
+    if m <= gbdt.MIN_GAIN:
+        return None
+    for f, thr, gain in candidates:
+        if gain >= m - gbdt._gain_tol(m):
+            return (gain, f, thr)
+    return None
+
+
+def _recursive_build_node(nodes, rows, codes, values, g, h, depth, cfg, leaf_of_row):
+    i = len(nodes)
+    nodes.append(None)
+    split = None
+    if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_samples_leaf:
+        split = _recursive_best_split(codes[:, rows], values, g[rows], h[rows], cfg)
+    if split is None:
+        value = float(-g[rows].sum() / (h[rows].sum() + cfg.lambda_l2))
+        leaf_of_row[rows] = value
+        nodes[i] = (0, 0.0, i, i, value)
+        return i
+    _, f, thr = split
+    goes_left = codes[f, rows] < np.searchsorted(values[f], thr)
+    left = _recursive_build_node(nodes, rows[goes_left], codes, values, g, h, depth + 1, cfg,
+                                 leaf_of_row)
+    right = _recursive_build_node(nodes, rows[~goes_left], codes, values, g, h, depth + 1, cfg,
+                                  leaf_of_row)
+    nodes[i] = (f, thr, left, right, 0.0)
+    return i
+
+
+def recursive_train(x, y, cfg, client=0) -> str:
+    """The recursive trainer: each node searches its own rows' histograms,
+    depth first.  Returns the ensemble's JSON."""
+    prevalence = float(y.mean())
+    base = float(np.log(prevalence / (1.0 - prevalence)))
+    codes, values = _recursive_bin_features(x)
+    rows = np.arange(len(y))
+    margins = np.full(len(y), base)
+    leaf_of_row = np.empty(len(y))
+    nodes, roots = [], []
+    for _ in range(cfg.trees_per_client):
+        g, h = logistic_gh(margins, y)
+        roots.append(_recursive_build_node(nodes, rows, codes, values, g, h, 0, cfg, leaf_of_row))
+        margins += cfg.shrinkage * leaf_of_row
+    ens = gbdt._ensemble(client, nodes, roots, [cfg.max_depth] * len(roots), base, cfg.shrinkage)
+    return ensemble_to_json(ens)
+
+
+def _leaf_depths(ens, i, depth=0):
+    if ens.left[i] == i:
+        return [depth]
+    return _leaf_depths(ens, ens.left[i], depth + 1) + _leaf_depths(ens, ens.right[i], depth + 1)
 
 
 def _is_leaf(ens, i):
@@ -354,6 +451,163 @@ def test_matches_argsort_reference_trainer():
         expected = json.dumps(reference_train(x, y, cfg, client=4), sort_keys=True)
         assert ensemble_to_json(train(x, y, cfg, client=4)) == expected
     assert covered == {"n < 2*msl", "msl > 1", "wide codes"}
+
+
+def _level_case(name):
+    """(x, y, config) of one named case for the recursive-reference test."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n = 160
+    x = rng.poisson(3.0, (n, 4)).astype(float)
+    y = ((x[:, 0] + 0.5 * x[:, 1] + rng.normal(0, 1.5, n)) > 4.5).astype(float)
+    cfg = dict(trees_per_client=3, max_depth=3)
+    if name.startswith("depth"):
+        cfg["max_depth"] = int(name[5:])
+    elif name.startswith("msl"):
+        cfg["min_samples_leaf"] = int(name[3:])
+    elif name == "mixed-depths":
+        # The x0 < 2 side is pure, so it stops early; the rest grows on.
+        x[:, 0] = np.where(rng.random(n) < 0.3, 1.0, rng.poisson(6.0, n) + 2.0)
+        y = np.where(x[:, 0] < 2, 0.0, (rng.random(n) < 0.5).astype(float))
+        cfg["max_depth"] = 4
+    elif name == "wide-codes":  # more than 256 distinct values: uint16 codes
+        n = 400
+        x = rng.normal(size=(n, 3)) * 100
+        y = (x[:, 0] + rng.normal(0, 60, n) > 0).astype(float)
+    elif name.startswith("adjacent"):
+        # Neighbouring doubles: the midpoint of 1 and 1+2^-52 rounds down
+        # onto 1 (no row goes left), that of 1+2^-52 and 1+2^-51 up onto the
+        # upper value.
+        lo, mid, hi = 1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+        pair = (lo, mid) if name == "adjacent-down" else (mid, hi)
+        x[:, 0] = np.where(y == 1, pair[1], pair[0])
+    elif name == "lambda0":
+        cfg["lambda_l2"] = 0.0
+    elif name == "mirror-ties":
+        # Positive ends, negative middle: cutting off either end gains the
+        # same, up to rounding, and the first within tolerance must win.
+        x = np.column_stack([np.repeat([0.0, 1.0, 2.0, 3.0], 33), rng.integers(0, 3, 132)])
+        y = np.repeat([1.0, 0.0, 0.0, 1.0], 33)
+        perm = rng.permutation(132)
+        x, y = x[perm], y[perm]
+        cfg = dict(trees_per_client=2, max_depth=2)
+    return x, y, GbdtConfig(**cfg)
+
+
+LEVEL_CASES = ["depth1", "depth2", "depth3", "depth4", "depth5", "msl1", "msl2", "msl3",
+               "mixed-depths", "wide-codes", "adjacent-down", "adjacent-up", "lambda0",
+               "mirror-ties"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entries", [None, 1], ids=["one-histogram", "node-per-histogram"])
+@pytest.mark.parametrize("name", LEVEL_CASES)
+def test_matches_recursive_reference_trainer(name, entries, monkeypatch):
+    # Oracle: the recursive per-node trainer must give the same bits.  With
+    # one entry per histogram, each node of a level gets a histogram of its own.
+    if entries is not None:
+        monkeypatch.setattr(gbdt, "_HIST_ENTRIES", entries)
+    x, y, cfg = _level_case(name)
+    ens = train(x, y, cfg, client=3)
+    assert ensemble_to_json(ens) == recursive_train(x, y, cfg, client=3)
+    internal = ens.left != np.arange(len(ens.left))
+    depths = [_leaf_depths(ens, t.root) for t in ens.trees]
+    if name == "mixed-depths":
+        assert any(len(set(d)) > 1 for d in depths)
+    if name.startswith("depth"):
+        assert max(map(max, depths)) == cfg.max_depth
+    if name == "wide-codes":
+        assert gbdt._bin_features(x)[0].dtype == np.uint16
+    if name.startswith("adjacent"):
+        # The midpoint is one of the values themselves.
+        on_value = ens.threshold[internal & (ens.feature == 0)]
+        assert np.isin(on_value, x[:, 0]).any()
+
+
+def _saturating_case(seed):
+    """λ = 0 and shrinkage 1: two positive rows alone at the lowest values of
+    one feature get a large leaf, their p rounds to 1 and so g = h = 0, and a
+    later candidate with only them on its left has gain 0/0 = NaN."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(80, 200))
+    x = np.zeros((n, 2))
+    y = np.zeros(n)
+    y[:2] = 1.0
+    spiked = seed % 2
+    x[:, spiked] = np.concatenate([[0, 1], rng.integers(2, 10, n - 2)])
+    x[2:, 1 - spiked] = rng.integers(0, 6, n - 2)
+    y[2:] = (x[2:, 1 - spiked] + rng.normal(0, 1, n - 2) > rng.uniform(5, 7)).astype(float)
+    cfg = GbdtConfig(trees_per_client=int(rng.integers(3, 9)), max_depth=int(rng.integers(1, 3)),
+                     shrinkage=1.0, lambda_l2=0.0, min_samples_leaf=2)
+    return x, y, cfg
+
+
+@pytest.mark.parametrize("seed", [4, 7, 10])
+def test_matches_recursive_reference_with_nan_gains(seed):
+    # Oracle: NaN gains resolve as the recursive search's max() over its
+    # candidate list does.  A NaN first in the list wins it (no split); a
+    # NaN after it is skipped.  Seeds 4 and 10 put the NaN feature first,
+    # seed 7 second.  Both trainers warn when they divide 0 by 0.
+    x, y, cfg = _saturating_case(seed)
+    with pytest.warns(RuntimeWarning):
+        expected = recursive_train(x, y, cfg)
+    with pytest.warns(RuntimeWarning):
+        assert ensemble_to_json(train(x, y, cfg)) == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wide_level_matches_recursive_reference():
+    # Unregularized, a linear gradient splits every node at its middle, so
+    # level d holds 2^d nodes and the level's node slots need uint16.
+    n = 1024
+    x = np.arange(n, dtype=float)[:, None]
+    g, h = np.linspace(-1.0, 1.0, n), np.ones(n)
+    cfg = GbdtConfig(max_depth=10, lambda_l2=0.0)
+    nodes, leaf_of_row = [], np.empty(n)
+    gbdt._grow_tree(nodes, *gbdt._bin_features(x), g, h, cfg, leaf_of_row)
+    ref_nodes, ref_leaf_of_row = [], np.empty(n)
+    _recursive_build_node(ref_nodes, np.arange(n), *_recursive_bin_features(x), g, h, 0, cfg,
+                          ref_leaf_of_row)
+    assert nodes == ref_nodes
+    assert np.array_equal(leaf_of_row, ref_leaf_of_row)
+    depths = [0] * len(nodes)
+    for i, (_, _, left, right, _) in enumerate(nodes):
+        if left != i:
+            depths[left] = depths[right] = depths[i] + 1
+    assert np.bincount(depths).tolist() == [2 ** d for d in range(11)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+       st.sampled_from([0.0, 1.0]), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from([None, 1, 40]), st.integers(0, 2**32 - 1))
+def test_level_growth_matches_recursive_property(n, nf, depth, msl, lam, trees, kind, entries,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    if kind == 0:
+        x = rng.poisson(2.0, (n, nf)).astype(float)
+    elif kind == 1:
+        x = np.round(rng.random((n, nf)) * 5, 1)
+    elif kind == 2:  # neighbouring doubles
+        x = 1.0 + rng.integers(0, 4, (n, nf)) * np.finfo(float).eps
+    else:
+        x = rng.normal(size=(n, nf))
+    y = (rng.random(n) < 0.5).astype(float)
+    y[:2] = [0.0, 1.0]
+    cfg = GbdtConfig(trees_per_client=trees, max_depth=depth, min_samples_leaf=msl,
+                     lambda_l2=lam)
+    saved = gbdt._HIST_ENTRIES
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = recursive_train(x, y, cfg)
+    try:
+        if entries is not None:
+            gbdt._HIST_ENTRIES = entries
+        with warnings.catch_warnings():
+            # No warning the recursive search did not give as well.
+            warnings.simplefilter("ignore" if caught else "error", RuntimeWarning)
+            assert ensemble_to_json(train(x, y, cfg)) == expected
+    finally:
+        gbdt._HIST_ENTRIES = saved
 
 
 @pytest.mark.parametrize("block", [None, 7, 40])
