@@ -3,9 +3,10 @@
     PYTHONPATH=src python -m pytest benchmarks/test_kernels.py
 
 This directory is outside the `testpaths` of pyproject.toml, so the tier-1
-test run never collects it.  The head cases record `step_us` or
-`client_step_us` (median call time over SGD steps per call) in the
-benchmark's `extra_info`.
+test run never collects it; `tests/test_benchmarks_run.py` runs it once
+with --benchmark-disable so that an API change cannot leave it broken.  The
+head cases record `step_us` or `client_step_us` (median call time over SGD
+steps per call) in the benchmark's `extra_info`.
 """
 
 import math
@@ -18,31 +19,40 @@ from advent import gbdt, head
 T, FILTERS, BATCH, ROWS, EPOCHS = 10, 4, 64, 640, 5
 
 
+def _record_per_step(benchmark, name, steps):
+    """Record the median call time over `steps` SGD steps as `name`, in µs.
+    Under --benchmark-disable there are no statistics to record."""
+    benchmark.extra_info[f"{name}s_per_call"] = steps
+    if benchmark.stats is not None:
+        benchmark.extra_info[f"{name}_us"] = 1e6 * benchmark.stats.stats.median / steps
+
+
 @pytest.mark.parametrize("k", [12, 360], ids=["fed-s-K12", "L-K360"])
 def test_head_step(benchmark, k):
-    """One head SGD step at K clients x T trees, batch 64.
+    """One head SGD step at K clients x T trees, batch 64, every row distinct.
 
-    Timed as `train_on_matrix` over EPOCHS epochs of ROWS rows and divided by
-    the step count, like the benchmark's traced `head.step_us`, so the
-    per-epoch shuffle is included.  K=12 is the fed-s workload's shape;
-    K=360 is ROADMAP's workload L (`ScenarioConfig()` defaults).
+    Timed as a one-client `train_round` over EPOCHS epochs of ROWS rows and
+    divided by the step count, like the benchmark's traced `head.step_us`,
+    so the per-epoch shuffle is included.  K=12 is the fed-s workload's
+    shape; K=360 is ROADMAP's workload L (`ScenarioConfig()` defaults).
     """
     rng = np.random.default_rng(0)
-    v = rng.normal(size=(ROWS, k * T))
     y = (rng.random(ROWS) > 0.5).astype(np.float64)
     cfg = head.HeadConfig(filters=FILTERS, epochs=EPOCHS, batch_size=BATCH)
     w = head.init(k, T, cfg)
-    steps = EPOCHS * math.ceil(ROWS / BATCH)
-    out = benchmark(head.train_on_matrix, w, v, y, cfg)
-    benchmark.extra_info["steps_per_call"] = steps
-    benchmark.extra_info["step_us"] = 1e6 * benchmark.stats.stats.median / steps
-    assert np.isfinite(out.dense).all()
+    table = head.with_bias_tap(w, rng.normal(size=(ROWS, k * T)))
+    out = benchmark(head.train_round, w, table, np.arange(ROWS), y, [(0, ROWS)], [0], cfg)
+    _record_per_step(benchmark, "step", EPOCHS * math.ceil(ROWS / BATCH))
+    assert np.isfinite(out[0].dense).all()
 
 
-def test_head_round(benchmark):
+@pytest.mark.parametrize("table_rows", [6, None], ids=["6-row-table", "all-distinct"])
+def test_head_round(benchmark, table_rows):
     """One FedAvg round of the head at the fed-s shape: 12 clients of
     250-750 rows, K=12 x T=10, batch 64, EPOCHS epochs, as one `train_round`.
 
+    The rows are drawn from a 6-row table, as fed-s's depth-3 trees give
+    about 6 distinct tree vectors, or are all distinct, the worst case.
     Records `client_step_us`, the call time over the clients' summed SGD
     steps, comparable with `test_head_step`'s `step_us`.
     """
@@ -50,15 +60,19 @@ def test_head_round(benchmark):
     rng = np.random.default_rng(0)
     sizes = rng.integers(250, 751, size=k)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-    v = rng.normal(size=(bounds[-1], k * T))
-    y = (rng.random(bounds[-1]) > 0.5).astype(np.float64)
+    n = int(bounds[-1])
     cfg = head.HeadConfig(filters=FILTERS, epochs=EPOCHS, batch_size=BATCH)
     w = head.init(k, T, cfg)
+    if table_rows is None:
+        table, ids = head.with_bias_tap(w, rng.normal(size=(n, k * T))), np.arange(n)
+    else:
+        table = head.with_bias_tap(w, rng.normal(size=(table_rows, k * T)))
+        ids = rng.integers(0, table_rows, size=n)
+    y = (rng.random(n) > 0.5).astype(np.float64)
     spans = list(zip(bounds[:-1], bounds[1:]))
-    steps = EPOCHS * sum(math.ceil(n / BATCH) for n in sizes)
-    out = benchmark(head.train_round, w, v, y, spans, list(range(k)), cfg)
-    benchmark.extra_info["client_steps_per_call"] = steps
-    benchmark.extra_info["client_step_us"] = 1e6 * benchmark.stats.stats.median / steps
+    out = benchmark(head.train_round, w, table, ids, y, spans, list(range(k)), cfg)
+    _record_per_step(benchmark, "client_step",
+                     EPOCHS * sum(math.ceil(size / BATCH) for size in sizes))
     assert all(np.isfinite(o.dense).all() for o in out)
 
 

@@ -83,12 +83,11 @@ class FedConfig:
 
 @dataclass
 class FedClient:
-    """A vehicle's training-side state: local rows and, later, the fixed trees."""
+    """A vehicle's training-side state: its local feature rows and labels."""
 
     cid: int
     x: np.ndarray
     y: np.ndarray
-    tree_matrix: np.ndarray | None = None  # a row range of run_training's shared matrix
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +215,21 @@ def run_training(
     broadcast_ensembles = [
         gbdt.ensemble_from_dict(d) for d in decode_message(global_line)["payload"]
     ]
-    # One tree matrix for all clients; each client's is a row range of it.
-    matrix = gbdt.per_tree_output_matrix(broadcast_ensembles, np.concatenate([c.x for c in clients]))
+    # Each client evaluates the broadcast trees on its own rows, bias-tapped
+    # for the head once for all rounds.  A row's bytes key it into one
+    # shared table of distinct rows, so every client keeps one table id per
+    # row and no (N, K*T) matrix is built.
+    distinct: dict[bytes, int] = {}
+    ids = []
+    for c in clients:
+        v = gbdt.per_tree_output_matrix(broadcast_ensembles, c.x)
+        for row in head.with_bias_tap(model.head, v):
+            ids.append(distinct.setdefault(row.tobytes(), len(distinct)))
+    table = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(len(distinct), -1)
+    del distinct
+    ids = np.array(ids, dtype=np.intp)
     labels = np.concatenate([c.y for c in clients])
     bounds = np.cumsum([0] + [len(c.y) for c in clients]).tolist()
-    for c, start, stop in zip(clients, bounds, bounds[1:]):
-        c.tree_matrix = matrix[start:stop]
 
     # Rounds 1..R-1: head-weight averaging.
     for r in range(1, fed_config.rounds):
@@ -230,7 +238,7 @@ def run_training(
         queue.append(bcast)
         w_global = head.weights_from_dict(decode_message(bcast)["payload"])
         trained = head.train_round(
-            w_global, matrix, labels, list(zip(bounds, bounds[1:])),
+            w_global, table, ids, labels, list(zip(bounds, bounds[1:])),
             [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients], head_config)
         updates: list[tuple[int, HeadWeights, int]] = []
         for c, w_new in zip(clients, trained):

@@ -16,14 +16,24 @@ every gradient follows from the one mat-vec u:
 
     dK = D·u,  dD = kernels·uᵀ + conv_bias·s,  dconv_bias = s·ΣD,  ddense_bias = s.
 
-Inference and training evaluate this form and never build the F*K
-activations or a bias-tap copy of v.  Clients train locally with mini-batch
-SGD on binary cross-entropy.  `train_round` runs all clients of a FedAvg
-round as one stacked SGD run, each client with its own shuffles and
-batches, so every step is one batched (clients, batch, K*T) computation;
-`train_on_matrix` is its one-client case.  The wire format and FedAvg still
-carry and average the factors (`conv_kernels`, `conv_bias`, `dense`,
-`dense_bias`), never W_eff.
+Inference evaluates this form on (N, K*T) tree vectors and never builds
+the F*K activations.  Training works on bias-tapped rows (`with_bias_tap`):
+a 1 after each client's T outputs.  With A = [kernels | conv_bias] (F, T+1)
+the constant conv_bias·ΣD then enters z through Dᵀ·A, and u over the tapped
+rows gives dA = D·u (kernels and conv_bias at once), dD = A·uᵀ, and s, the
+dense-bias gradient, as any client's tap entry of u.
+
+Clients train locally with mini-batch SGD on binary cross-entropy.
+`train_round` runs all clients of a FedAvg round as one stacked SGD run,
+each client with its own shuffles and batches, so every step is one batched
+computation over the clients.  Its rows are a table of distinct tapped
+vectors plus one table id per row: depth-3 trees send most per-second
+feature rows to the same leaves, so a batch of 64 rows holds only a few
+distinct vectors.  Each step computes z on the distinct rows of every
+batch, copies it out to the batch rows, and sums dz per distinct row before
+the one u mat-vec.  `train_on_matrix` is the one-client case, each row its
+own table row.  The wire format and FedAvg still carry and average the
+factors (`conv_kernels`, `conv_bias`, `dense`, `dense_bias`), never W_eff.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ __all__ = [
     "gradients",
     "train_on_matrix",
     "train_round",
+    "with_bias_tap",
     "weights_to_dict",
     "weights_from_dict",
     "weights_to_json",
@@ -148,153 +159,218 @@ def forward_batch(w: HeadWeights, v: np.ndarray) -> np.ndarray:
 
 
 # Training stacks the clients of a round: client c's parameters are row c of
-# a (C, P) buffer, and each step gathers the active clients' batches
-# straight from the shared tree matrix into one (m, b, K*T) buffer, so every
-# numpy call of a step serves all m clients (np.matmul broadcasts over the
-# leading axis).  Each client's z adds its own c = conv_bias·ΣD + dense_bias
-# and its conv-bias gradient is s·ΣD, so no bias-tap column is stored.
+# a (C, P) buffer, and every numpy call of a step serves all m active clients
+# (np.matmul broadcasts over the leading axis).  A step gathers only the
+# distinct table rows of each active client's batch.
 
 # Clients of a round train in blocks whose batch buffer holds at most about
 # this many float64 values (8 MB).
 _ROUND_BLOCK_VALUES = 1 << 20
 
 
+def with_bias_tap(w: HeadWeights, v: np.ndarray) -> np.ndarray:
+    """(N, K*T) tree vectors as the (N, K*(T+1)) rows `train_round` trains
+    on: each client's T outputs followed by a 1."""
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    _check_width(w, v)
+    k, t = w.n_clients, w.kernel_size
+    out = np.ones((len(v), k, t + 1))
+    out[:, :, :t] = v.reshape(len(v), k, t)
+    return out.reshape(len(v), k * (t + 1))
+
+
 def _pack(w: HeadWeights) -> np.ndarray:
-    """Flat parameters: kernels row-major, conv_bias, D row-major, dense_bias."""
-    return np.concatenate([w.conv_kernels.ravel(), w.conv_bias, w.dense, [w.dense_bias]])
+    """Flat parameters: A = [kernels | conv_bias] row-major, D row-major, dense_bias."""
+    a = np.column_stack([w.conv_kernels, w.conv_bias])
+    return np.concatenate([a.ravel(), w.dense, [w.dense_bias]])
 
 
 def _layout(w: HeadWeights, buf: np.ndarray):
-    """Views of stacked `_pack` rows (m, P): kernels (m, F, T), conv_bias
-    (m, F), D (m, F, K) and dense_bias (m,)."""
+    """Views of stacked `_pack` rows (m, P): A (m, F, T+1), D (m, F, K) and
+    dense_bias (m,)."""
     f, k, t = w.n_filters, w.n_clients, w.kernel_size
-    m, i, j = len(buf), f * t, f * (t + 1)
-    return buf[:, :i].reshape(m, f, t), buf[:, i:j], buf[:, j:-1].reshape(m, f, k), buf[:, -1]
+    m, i = len(buf), f * (t + 1)
+    return buf[:, :i].reshape(m, f, t + 1), buf[:, i:-1].reshape(m, f, k), buf[:, -1]
 
 
 def _unpack(w: HeadWeights, row: np.ndarray) -> HeadWeights:
-    kernels, conv_bias, d, dense_bias = _layout(w, row[None])
-    return HeadWeights(conv_kernels=kernels[0].copy(), conv_bias=conv_bias[0].copy(),
+    a, d, dense_bias = _layout(w, row[None])
+    return HeadWeights(conv_kernels=a[0, :, :-1].copy(), conv_bias=a[0, :, -1].copy(),
                        dense=d[0].flatten(), dense_bias=float(dense_bias[0]))
 
 
-def _backward(params, v, y, div, grads) -> np.ndarray:
+def _backward(params, vd, slots, y, div, grads) -> np.ndarray:
     """Write each client's mean-BCE gradient over its batch into the
     `_layout` views `grads`; return the (m, b) probabilities.
 
-    v is (m, b, K*T) and y (m, b); row i of client c divides its loss
-    derivative by div[c, i], the row count of its batch, or by inf for a
-    pad row, whose derivative is then 0.
+    vd is (m, n, K*(T+1)): n bias-tapped rows per client, the distinct rows
+    of its batch.  Batch row i of client c is row slots[c, i] of vd seen as
+    (m*n, K*(T+1)), so slots[c] lies in [c*n, (c+1)*n); y is (m, b).  Row i
+    divides its loss derivative by div[c, i], the row count of the batch,
+    or by inf for a pad row, whose derivative is then 0.
     """
-    kernels, conv_bias, d, dense_bias = params
-    g_k, g_cb, g_d, g_db = grads
-    m, _, k = d.shape
-    sum_d = d.sum(axis=2)
-    w_eff = np.matmul(d.transpose(0, 2, 1), kernels)
-    c = (conv_bias * sum_d).sum(axis=1) + dense_bias
-    p = _sigmoid(np.matmul(v, w_eff.reshape(m, -1, 1))[:, :, 0] + c[:, None])
+    a, d, dense_bias = params
+    g_a, g_d, g_db = grads
+    m, n, _ = vd.shape
+    a_eff = np.matmul(d.transpose(0, 2, 1), a)
+    z = np.matmul(vd, a_eff.reshape(m, -1, 1)).take(slots)
+    z += dense_bias[:, None]
+    p = _sigmoid(z)
     dz = (p - y) / div
-    u = np.matmul(dz[:, None, :], v).reshape(m, k, -1)
-    s = dz.sum(axis=1)
-    np.matmul(d, u, out=g_k)
-    np.matmul(kernels, u.transpose(0, 2, 1), out=g_d)
-    g_d += conv_bias[:, :, None] * s[:, None, None]
-    np.multiply(sum_d, s[:, None], out=g_cb)
-    g_db[:] = s
+    # u = dzᵀ·v over the batch, summed per distinct row first.
+    dz_distinct = np.bincount(slots.ravel(), weights=dz.ravel(), minlength=m * n)
+    u = np.matmul(dz_distinct.reshape(m, 1, n), vd).reshape(m, d.shape[2], -1)
+    np.matmul(d, u, out=g_a)
+    np.matmul(a, u.transpose(0, 2, 1), out=g_d)
+    g_db[:] = u[:, 0, -1]
     return p
 
 
 def gradients(w: HeadWeights, v: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy loss and its gradients over a batch."""
-    v = np.asarray(v, dtype=np.float64)
+    v = with_bias_tap(w, v)
     y = np.asarray(y, dtype=np.float64)
-    _check_width(w, v)
     theta = _pack(w)[None]
     grad = np.empty_like(theta)
     grads = _layout(w, grad)
-    p = _backward(_layout(w, theta), v[None], y[None], len(v), grads)[0]
-    g_k, g_cb, g_d, g_db = grads
+    slots = np.arange(len(v))[None]
+    p = _backward(_layout(w, theta), v[None], slots, y[None], len(v), grads)[0]
+    g_a, g_d, g_db = grads
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
-    return loss, (g_k[0], g_cb[0], g_d[0].ravel(), float(g_db[0]))
+    return loss, (g_a[0, :, :-1], g_a[0, :, -1], g_d[0].ravel(), float(g_db[0]))
 
 
 def train_on_matrix(w: HeadWeights, v: np.ndarray, y: np.ndarray, config: HeadConfig) -> HeadWeights:
     """Mini-batch SGD on BCE over shuffled batches; returns updated weights.
 
-    The one-client case of `train_round`, shuffled by config.rng_seed.
+    The one-client case of `train_round`, with every row of v its own table
+    row, shuffled by config.rng_seed.
     """
-    return train_round(w, v, y, [(0, len(v))], [config.rng_seed], config)[0]
+    table = with_bias_tap(w, v)
+    return train_round(w, table, np.arange(len(table)), y, [(0, len(table))],
+                       [config.rng_seed], config)[0]
 
 
-def train_round(w: HeadWeights, v: np.ndarray, y: np.ndarray, spans, seeds,
-                config: HeadConfig) -> list[HeadWeights]:
+def train_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray, spans,
+                seeds, config: HeadConfig) -> list[HeadWeights]:
     """Mini-batch SGD on BCE for every client of a FedAvg round at once.
 
-    Client i starts from `w` and trains on rows spans[i] = (start, stop) of
-    the (N, K*T) block `v` and of `y`, shuffled each epoch by its own
-    default_rng(seeds[i]) into batches of config.batch_size, the last one
+    Training row i is the bias-tapped tree vector table[ids[i]] (see
+    `with_bias_tap`) with label y[i]; rows that share an id are trained on
+    as one.  Client j starts from `w` and trains on rows spans[j] =
+    (start, stop) of `ids` and `y`, shuffled each epoch by its own
+    default_rng(seeds[j]) into batches of config.batch_size, the last one
     short, exactly as a lone run would (config.rng_seed is not used).  So
-    each result equals that client's lone run up to summation order.
-    Returns one HeadWeights per span, in span order; `w` is not modified.
+    each result equals that client's lone run on the expanded rows up to
+    summation order.  Returns one HeadWeights per span, in span order; `w`
+    is not modified.
     """
-    v = np.asarray(v, dtype=np.float64)
+    table = np.asarray(table, dtype=np.float64)
+    ids = np.asarray(ids)
     y = np.asarray(y, dtype=np.float64)
-    _check_width(w, v)
-    if len(y) != len(v):
-        raise ValueError(f"got {len(v)} tree vectors but {len(y)} labels")
+    k, t = w.n_clients, w.kernel_size
+    if table.ndim != 2 or table.shape[1] != k * (t + 1):
+        raise ValueError(f"expected bias-tapped tree vectors of length {k * (t + 1)}, "
+                         f"got shape {table.shape}")
+    if not (table.reshape(len(table), k, t + 1)[:, :, t] == 1.0).all():
+        raise ValueError("every client's tree outputs in the table must end in a bias tap of 1")
+    if ids.ndim != 1 or not (ids.dtype.kind in "iu" or len(ids) == 0):
+        raise ValueError("ids must be a 1-D integer array")
+    ids = ids.astype(np.intp, copy=False)
+    if len(ids) and not 0 <= ids.min() <= ids.max() < len(table):
+        raise ValueError(f"every id must be a row of the {len(table)}-row table")
+    if len(y) != len(ids):
+        raise ValueError(f"got {len(ids)} row ids but {len(y)} labels")
     if len(seeds) != len(spans):
         raise ValueError(f"got {len(spans)} spans but {len(seeds)} seeds")
     spans = [(int(a), int(b)) for a, b in spans]
-    if not all(0 <= a < b <= len(v) for a, b in spans):
-        raise ValueError("every span must be a non-empty row range of v")
+    if not all(0 <= a < b <= len(ids) for a, b in spans):
+        raise ValueError("every span must be a non-empty row range of ids")
     bs = config.batch_size
     steps = [-(-(b - a) // bs) for a, b in spans]
     # Sorted by batch count, descending, the clients still training at any
     # step are a prefix of their block.
     order = sorted(range(len(spans)), key=lambda i: -steps[i])
-    per_block = max(1, _ROUND_BLOCK_VALUES // (bs * v.shape[1]))
+    per_block = max(1, _ROUND_BLOCK_VALUES // (bs * table.shape[1]))
     out: list[HeadWeights | None] = [None] * len(spans)
     for block in np.array_split(order, -(-len(order) // per_block)):
-        theta = _train_block(w, v, y, [spans[i] for i in block], [seeds[i] for i in block], config)
+        theta = _train_block(w, table, ids, y, [spans[i] for i in block],
+                             [seeds[i] for i in block], config)
         for i, row in zip(block, theta):
             out[i] = _unpack(w, row)
     return out
 
 
-def _train_block(w, v, y, spans, seeds, config) -> np.ndarray:
+def _train_block(w, table, ids, y, spans, seeds, config) -> np.ndarray:
     """Stacked SGD for clients sorted by batch count, descending; returns
     their (C, P) `_pack` rows."""
     bs, lr = config.batch_size, config.learning_rate
+    n_clients = len(spans)
     starts = np.array([a for a, _ in spans])
     sizes = np.array([b - a for a, b in spans])
     steps = -(-sizes // bs)
-    width = steps[0] * bs
-    theta = np.tile(_pack(w), (len(spans), 1))
+    n_steps, width = steps[0], steps[0] * bs
+    theta = np.tile(_pack(w), (n_clients, 1))
     grad = np.empty_like(theta)
-    active = (steps[None, :] > np.arange(steps[0])[:, None]).sum(axis=1).tolist()
+    active = (steps[None, :] > np.arange(n_steps)[:, None]).sum(axis=1).tolist()
     views = {m: (_layout(w, theta[:m]), _layout(w, grad[:m])) for m in set(active)}
     # Position q of a client's epoch lies in batch q // bs; past its last row
-    # it is a pad, which gathers the client's first row and divides by inf.
+    # it is a pad, which takes the client's first row and divides by inf.
+    # Batch arrays are step-major, (steps, C, bs), so that the active
+    # clients' batches of a step are one contiguous block.
     pos = np.arange(width)
     div = np.minimum(sizes[:, None] - pos // bs * bs, bs).astype(np.float64)
     div[pos >= sizes[:, None]] = np.inf
+    div = np.ascontiguousarray(div.reshape(n_clients, n_steps, bs).transpose(1, 0, 2))
     idx = np.repeat(starts[:, None], width, axis=1)
-    v_batch = np.empty((len(spans), bs, v.shape[1]))
+    v_buf = np.empty(n_clients * bs * table.shape[1])
     rngs = [np.random.default_rng(s) for s in seeds]
     for _ in range(config.epochs):
         for row, rng, start, size in zip(idx, rngs, starts, sizes):
             row[:size] = start + rng.permutation(size)
-        y_epoch = y[idx]
-        for j, m in enumerate(active):
-            cols = slice(j * bs, (j + 1) * bs)
+        rows = np.ascontiguousarray(idx.reshape(n_clients, n_steps, bs).transpose(1, 0, 2))
+        distinct, slots, n_distinct = _group_batches(ids[rows])
+        y_epoch = y[rows]
+        for j, (m, n) in enumerate(zip(active, n_distinct.tolist())):
             params, grads = views[m]
-            # `idx` holds valid rows only, so mode="clip" never clips; it
-            # spares the extra copy mode="raise" makes when `out` is given.
-            np.take(v, idx[:m, cols], axis=0, out=v_batch[:m], mode="clip")
-            _backward(params, v_batch[:m], y_epoch[:m, cols], div[:m, cols], grads)
+            vd = v_buf[: m * n * table.shape[1]].reshape(m, n, -1)
+            # Every id is a valid row, so mode="clip" never clips; it spares
+            # the extra copy mode="raise" makes when `out` is given.
+            np.take(table, distinct[j, :m, :n], axis=0, out=vd, mode="clip")
+            _backward(params, vd, slots[j, :m], y_epoch[j, :m], div[j, :m], grads)
             theta[:m] -= lr * grad[:m]
     return theta
+
+
+def _group_batches(batch_ids: np.ndarray):
+    """Distinct ids and row slots of (S, C, bs) batches of table ids.
+
+    Returns distinct (S, C, bs), slots (S, C, bs) and n (S,).  Batch j of
+    client c has k distinct ids, in distinct[j, c, :k] in ascending order
+    (the rest are 0), and n[j] is the largest such k over the clients.  Row
+    i of the batch is distinct[j, c, slots[j, c, i] - c * n[j]].
+    """
+    n_steps, n_clients, bs = batch_ids.shape
+    # Sorting id·bs + lane groups a batch's rows by id and keeps the lanes.
+    keys = batch_ids * bs + np.arange(bs)
+    keys.sort(axis=2)
+    sorted_ids = keys // bs
+    lanes = keys - sorted_ids * bs
+    first = np.empty(keys.shape, dtype=bool)
+    flat_ids = sorted_ids.ravel()
+    np.not_equal(flat_ids[1:], flat_ids[:-1], out=first.ravel()[1:])
+    first[:, :, 0] = True
+    rank = np.cumsum(first, axis=2)
+    rank -= 1
+    n = rank[:, :, -1].max(axis=1) + 1
+    batch_start = np.arange(0, keys.size, bs).reshape(n_steps, n_clients, 1)
+    distinct = np.zeros(keys.shape, dtype=np.intp)
+    distinct.ravel()[rank + batch_start] = sorted_ids
+    rank += np.arange(n_clients)[:, None] * n[:, None, None]
+    slots = np.empty(keys.shape, dtype=np.intp)
+    slots.ravel()[lanes + batch_start] = rank
+    return distinct, slots, n
 
 
 # ---------------------------------------------------------------------------

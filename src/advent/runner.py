@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,13 @@ __all__ = ["RunManifest", "run_pipeline", "write_report", "load_report"]
 
 METHODS = ("centralized", "federated", "federated_smote")
 MND_MODES = ("local_mad", "fl_aggregate", "fl_threshold")
+
+# RunManifest field annotations: the values each accepts (never a bool) and
+# how an error names them.  An int is accepted where a float is expected.
+_FIELD_TYPES = {"str": str, "str | None": (str, type(None)), "int": numbers.Integral,
+                "float": numbers.Real}
+_TYPE_NAMES = {"str": "a string", "str | None": "a string or null", "int": "an integer",
+               "float": "a number"}
 
 
 @dataclass
@@ -55,6 +63,10 @@ class RunManifest:
     mad_ce: float = mnd.EXCLUSION_CE
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.mnd_mode not in MND_MODES:
@@ -66,7 +78,15 @@ class RunManifest:
     def from_file(cls, path, **overrides) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a manifest must be a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown manifest field {unknown[0]!r}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"missing manifest field {missing[0]!r}")
         return cls(**data)
 
     def gbdt_config(self) -> GbdtConfig:

@@ -373,12 +373,22 @@ def _presence(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> dict[int, tuple[fl
     return dict(sorted(spans.items()))
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array.  Plain np.unique would
+    import numpy.ma, over a megabyte of resident memory."""
+    a = np.sort(a)
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def _flag_labels(t, s, attacker_flag, active_flag) -> tuple[set[int], list[tuple[float, float]]]:
     """Attackers from the sender flag; windows from runs of flagged seconds."""
-    attackers = set(np.unique(s[attacker_flag == 1]).tolist())
+    attackers = set(_distinct(s[attacker_flag == 1]).tolist())
 
     windows: list[tuple[float, float]] = []
-    secs = np.unique(np.floor(t[active_flag == 1]).astype(np.int64))
+    secs = _distinct(np.floor(t[active_flag == 1]).astype(np.int64))
     if len(secs):
         # Runs of consecutive flagged seconds; each becomes [first, last + 1).
         breaks = np.flatnonzero(np.diff(secs) != 1)

@@ -133,6 +133,30 @@ def test_run_rejects_lags_below_one(scenario_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"lagz": 3}, "unknown manifest field 'lagz'"),
+    ({"lags": "3"}, "lags must be an integer, got '3'"),
+    ({"epochs": True}, "epochs must be an integer, got True"),
+    ({"learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
+    ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+    ({"method": 3}, "method must be a string, got 3"),
+    ({"truth_path": 7}, "truth_path must be a string or null, got 7"),
+    ({"scenario_path": None}, "missing manifest field 'scenario_path'"),
+], ids=["unknown", "str-int", "bool-int", "str-float", "float-int", "int-str",
+        "int-path", "missing"])
+def test_run_rejects_bad_manifest_fields(scenario_dir, tmp_path, capsys, change, message):
+    out = tmp_path / "o"
+    manifest = dict(_run_manifest(scenario_dir, out), **change)
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({k: v for k, v in manifest.items() if v is not None}))
+    rc = main(["run", "--config", str(mpath)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_writes_reports(scenario_dir, tmp_path, capsys):
     out = tmp_path / "run1"
     mpath = tmp_path / "manifest.json"
@@ -225,3 +249,8 @@ def test_manifest_validation():
     for lags in (0, -1):
         with pytest.raises(ValueError, match="lags"):
             RunManifest(scenario_path="x", output_dir="y", lags=lags)
+    with pytest.raises(ValueError, match="th must be an integer"):
+        RunManifest(scenario_path="x", output_dir="y", th=False)
+    # An int is a valid float; the value is kept as given.
+    m = RunManifest(scenario_path="x", output_dir="y", learning_rate=1, target_ratio=5)
+    assert m.head_config().learning_rate == 1 and m.target_ratio == 5

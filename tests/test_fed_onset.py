@@ -175,15 +175,23 @@ def test_run_training_deterministic():
     assert m1.head.allclose(m2.head, atol=0)
 
 
-def test_run_training_matches_per_client_loop():
+def test_run_training_matches_per_client_loop(monkeypatch):
     # Reference: each client trains alone with train_on_matrix on its own
-    # tree matrix and seed, then the round's updates are averaged.
+    # per_tree_output_matrix and seed, then the round's updates are averaged.
     rng = np.random.default_rng(8)
     clients = []
     for cid, rows in zip((3, 5, 8, 9), (37, 70, 5, 130)):
         x = rng.random((rows, 10)) * 10
         clients.append(FedClient(cid=cid, x=x, y=(x[:, 0] > 5).astype(float)))
     head_cfg = HeadConfig(filters=2, epochs=3, batch_size=16, learning_rate=0.3, rng_seed=5)
+    calls = []
+    train_round = head.train_round
+
+    def recording_train_round(w, table, ids, *args):
+        calls.append((table, ids))
+        return train_round(w, table, ids, *args)
+
+    monkeypatch.setattr(head, "train_round", recording_train_round)
     transcript = []
     model = run_training(clients, gbdt.GbdtConfig(trees_per_client=2), head_cfg,
                          FedConfig(rounds=4), transcript=transcript)
@@ -192,18 +200,33 @@ def test_run_training_matches_per_client_loop():
         msg = decode_message(line)
         if msg["type"] == "WEIGHTS_UPDATE":
             picks.setdefault(msg["round"], []).append(msg["cid"])
+    assert picks == {r: [3, 5, 8, 9] for r in (1, 2, 3)}
+
+    # Every round trains on one table of pairwise byte-distinct rows, and
+    # each client's rows rebuilt from it are its own tree outputs, bitwise.
+    table, ids = calls[0]
+    assert len(calls) == 3 and all(c[0] is table and c[1] is ids for c in calls)
+    k, t = len(clients), 2
+    outputs = table.reshape(len(table), k, t + 1)[:, :, :t].reshape(len(table), k * t)
+    assert len({row.tobytes() for row in outputs}) == len(table) < len(ids)
+    matrices = {c.cid: gbdt.per_tree_output_matrix(model.ensembles, c.x) for c in clients}
+    start = 0
+    for c in clients:
+        stop = start + len(c.y)
+        rebuilt = outputs[ids[start:stop]]
+        assert rebuilt.shape == matrices[c.cid].shape
+        assert rebuilt.tobytes() == matrices[c.cid].tobytes()
+        start = stop
+
     by_cid = {c.cid: c for c in clients}
     w = head.init(len(clients), 2, head_cfg)
     for r in (1, 2, 3):
         updates = []
         for cid in picks[r]:
             c = by_cid[cid]
-            np.testing.assert_array_equal(
-                c.tree_matrix, gbdt.per_tree_output_matrix(model.ensembles, c.x))
             cfg = dataclasses.replace(head_cfg, rng_seed=head_cfg.rng_seed * 100003 + cid * 1009 + r)
-            updates.append((cid, head.train_on_matrix(w, c.tree_matrix, c.y, cfg), len(c.y)))
+            updates.append((cid, head.train_on_matrix(w, matrices[cid], c.y, cfg), len(c.y)))
         w = fedavg(updates)
-    assert picks == {r: [3, 5, 8, 9] for r in (1, 2, 3)}
     assert model.head.allclose(w, rtol=0, atol=1e-12)
 
 

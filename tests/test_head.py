@@ -15,6 +15,7 @@ from advent.head import (
     train_round,
     weights_from_json,
     weights_to_json,
+    with_bias_tap,
 )
 
 
@@ -257,10 +258,10 @@ def sgd_with_gradients(w, v, y, seed, cfg):
 @pytest.mark.parametrize("block_values", [None, 1, 300])
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epochs):
-    # Batch size 8.  Clients: several batches plus a partial one, one row,
-    # fewer rows than a batch, an exact multiple of the batch; the spans are
-    # out of order and leave gaps.  Small block budgets split the round
-    # into one-client blocks or blocks of three.
+    # Batch size 8, every row its own table row.  Clients: several batches
+    # plus a partial one, one row, fewer rows than a batch, an exact multiple
+    # of the batch; the spans are out of order and leave gaps.  Small block
+    # budgets split the round into one-client blocks or blocks of three.
     if block_values is not None:
         monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", block_values)
     rng = np.random.default_rng(12)
@@ -272,7 +273,7 @@ def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epoc
     cfg = HeadConfig(filters=f, epochs=epochs, batch_size=8, learning_rate=0.3, rng_seed=999)
     w = init(k, t, cfg)
     snapshot = w.copy()
-    out = train_round(w, v, y, spans, seeds, cfg)
+    out = train_round(w, with_bias_tap(w, v), np.arange(80), y, spans, seeds, cfg)
     assert w.allclose(snapshot, rtol=0, atol=0)  # input left untouched
     assert len(out) == len(spans)
     for (a, b), seed, got in zip(spans, seeds, out):
@@ -282,19 +283,75 @@ def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epoc
             assert got.allclose(w, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("block_values", [None, 1, 300])
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_train_round_on_repeated_ids_matches_expanded_sgd(monkeypatch, block_values, epochs):
+    # A 3-row table; each client's rows are table rows picked by id, so ids
+    # repeat within batches and across clients, and one batch holds the same
+    # row under both labels.  Batch size 8: a client of 21 rows (a last batch
+    # of 5 rows and 3 pads), a 1-row client, a client of 8 copies of one row
+    # with mixed labels, and one of 13 rows; the shorter clients sit out the
+    # later steps of the stacked run.
+    if block_values is not None:
+        monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", block_values)
+    rng = np.random.default_rng(21)
+    f, k, t = 2, 3, 2
+    rows = rng.normal(size=(3, k * t))
+    sizes = [21, 1, 8, 13]
+    ids = np.concatenate([rng.integers(0, 3, 21), [2], np.ones(8, dtype=int),
+                          rng.integers(0, 2, 13)])
+    y = (rng.random(len(ids)) > 0.5).astype(float)
+    y[22:30] = [0, 1, 0, 1, 1, 0, 0, 1]
+    bounds = np.cumsum([0] + sizes)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    seeds = [5, 8, 13, 5]
+    cfg = HeadConfig(filters=f, epochs=epochs, batch_size=8, learning_rate=0.5, rng_seed=1)
+    w = init(k, t, cfg)
+    out = train_round(w, with_bias_tap(w, rows), ids, y, spans, seeds, cfg)
+    assert len(out) == len(spans)
+    for (a, b), seed, got in zip(spans, seeds, out):
+        ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
+        assert got.allclose(ref, rtol=0, atol=1e-12)
+        if epochs == 0:
+            assert got.allclose(w, rtol=0, atol=0)
+        else:
+            assert not got.allclose(w, rtol=0, atol=0)
+
+
+def test_with_bias_tap_layout():
+    w = init(2, 3, HeadConfig(filters=2))
+    v = np.arange(12.0).reshape(2, 6)
+    expected = [[0, 1, 2, 1, 3, 4, 5, 1], [6, 7, 8, 1, 9, 10, 11, 1]]
+    np.testing.assert_array_equal(with_bias_tap(w, v), expected)
+    with pytest.raises(ValueError, match="length 6"):
+        with_bias_tap(w, np.zeros((2, 5)))
+
+
 def test_train_round_rejects_bad_spans_and_seeds():
     cfg = HeadConfig(filters=2)
     w = init(2, 3, cfg)
-    v, y = np.zeros((10, 6)), np.zeros(10)
+    table, y = with_bias_tap(w, np.zeros((4, 6))), np.zeros(10)
+    ids = np.arange(10) % 4
     for spans in ([(5, 5)], [(4, 2)], [(-1, 3)], [(8, 11)]):
         with pytest.raises(ValueError, match="span"):
-            train_round(w, v, y, spans, [0], cfg)
-    with pytest.raises(ValueError, match="length 6"):
-        train_round(w, np.zeros((10, 5)), y, [(0, 10)], [0], cfg)
+            train_round(w, table, ids, y, spans, [0], cfg)
+    with pytest.raises(ValueError, match="length 8"):
+        train_round(w, np.zeros((4, 6)), ids, y, [(0, 10)], [0], cfg)
+    untapped = table.copy()
+    untapped[2, 7] = 0.5
+    with pytest.raises(ValueError, match="bias tap"):
+        train_round(w, untapped, ids, y, [(0, 10)], [0], cfg)
     with pytest.raises(ValueError, match="seeds"):
-        train_round(w, v, y, [(0, 5), (5, 10)], [0], cfg)
+        train_round(w, table, ids, y, [(0, 5), (5, 10)], [0], cfg)
     with pytest.raises(ValueError, match="labels"):
-        train_round(w, v, y[:9], [(0, 9)], [0], cfg)
+        train_round(w, table, ids, y[:9], [(0, 9)], [0], cfg)
+    for bad in (-1, 4):
+        out_of_range = ids.copy()
+        out_of_range[6] = bad
+        with pytest.raises(ValueError, match="4-row table"):
+            train_round(w, table, out_of_range, y, [(0, 10)], [0], cfg)
+    with pytest.raises(ValueError, match="integer"):
+        train_round(w, table, ids.astype(float), y, [(0, 10)], [0], cfg)
     with pytest.raises(ValueError, match="span"):
         train_on_matrix(w, np.zeros((0, 6)), np.zeros(0), cfg)
 

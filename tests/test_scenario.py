@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,20 @@ def test_csv_roundtrip_annotated(tmp_path, small_scenario):
     assert truth2.attackers == truth.attackers
     # Windows reconstructed at second granularity from the active flag.
     assert len(truth2.attack_windows) == len([w for w in truth.attack_windows if w[1] > w[0]])
+
+
+def test_annotated_ingest_leaves_numpy_ma_unimported(small_scenario_dir):
+    # A plain np.unique imports numpy.ma, over a megabyte of resident memory
+    # that every run on an annotated log would carry.
+    code = ("import sys\n"
+            "from advent import scenario\n"
+            f"events, truth = scenario.ingest({str(small_scenario_dir / 'events.csv')!r})\n"
+            "assert truth.attackers and truth.attack_windows\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(scenario.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_csv_deterministic_bytes(tmp_path, small_scenario):
