@@ -14,9 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from advent import gbdt, head
+from advent import gbdt, head, scenario
 
 T, FILTERS, BATCH, ROWS, EPOCHS = 10, 4, 64, 640, 5
+
+# The central-l benchmark workload's scenario at seed 1: ROADMAP L cut to
+# 600 s, about 631k events.
+CENTRAL_L = scenario.ScenarioConfig(duration_s=600, concurrent_range=(20, 20), attack_count=3,
+                                    attack_spacing_s=150, rng_seed=1)
 
 
 def _record_per_step(benchmark, name, steps):
@@ -139,3 +144,22 @@ def test_gbdt_per_tree_output_matrix(benchmark):
     probe, _ = _count_rows(rng, 600)
     out = benchmark(gbdt.per_tree_output_matrix, ensembles, probe)
     assert out.shape == (600, 12 * T)
+
+
+def test_generate(benchmark):
+    """Scenario generation at the central-l shape, ending in one event sort."""
+    events, truth = benchmark.pedantic(scenario.generate, (CENTRAL_L,), rounds=5)
+    benchmark.extra_info["events"] = len(events)
+    assert len(events) > 0 and truth.attackers
+
+
+@pytest.mark.parametrize("annotated", [True, False], ids=["annotated", "plain"])
+def test_write_events_csv(benchmark, tmp_path, annotated):
+    """The event-log CSV at the central-l shape; float repr of the times is
+    most of it."""
+    events, truth = scenario.generate(CENTRAL_L)
+    path = tmp_path / "events.csv"
+    benchmark.pedantic(scenario.write_events_csv, (path, events, truth if annotated else None),
+                       rounds=5)
+    benchmark.extra_info["bytes"] = path.stat().st_size
+    assert path.stat().st_size > 0

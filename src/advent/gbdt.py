@@ -193,11 +193,14 @@ def _level_splits(codes, values, slot, count, g, h, g_tot, h_tot, cfg: GbdtConfi
     f = feature[s]
     b = best[f, s]
     # The threshold is the midpoint of the bin and the node's next non-empty
-    # bin (where the count next rises); the cut counts the values below it,
-    # as np.searchsorted does.
+    # bin (where the count next rises), or the upper value when the midpoint
+    # of two adjacent doubles rounds down onto the lower one; the cut counts
+    # the values below it, as np.searchsorted does.
     after = n_left[f, s] > n_left[f, s, b][:, None]
+    lower, upper = values[f, b], values[f, after.argmax(axis=1)]
+    mid = 0.5 * (lower + upper)
     threshold = np.zeros(n_nodes)
-    threshold[s] = 0.5 * (values[f, b] + values[f, after.argmax(axis=1)])
+    threshold[s] = np.where(mid > lower, mid, upper)
     cut = np.zeros(n_nodes, dtype=np.intp)
     cut[s] = (values[f] < threshold[s][:, None]).sum(axis=1)
     return feature, threshold, cut

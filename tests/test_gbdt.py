@@ -19,6 +19,14 @@ from advent.gbdt import (
 )
 
 
+def split_threshold(lo, hi):
+    """The midpoint of two neighbouring values, or the upper one when the
+    midpoint of adjacent doubles rounds down onto the lower one (and would
+    send no row left)."""
+    mid = 0.5 * (lo + hi)
+    return mid if mid > lo else hi
+
+
 def brute_force_split(x, g, h, cfg):
     """Exhaustive scan over all (feature, midpoint) candidates; same tie rule
     as production: gains within tolerance tie, lowest feature then lowest
@@ -32,7 +40,7 @@ def brute_force_split(x, g, h, cfg):
         best = None
         vals = np.unique(x[:, f])
         for lo, hi in zip(vals[:-1], vals[1:]):
-            thr = 0.5 * (lo + hi)
+            thr = split_threshold(lo, hi)
             mask = x[:, f] < thr
             nl = int(mask.sum())
             if nl < cfg.min_samples_leaf or n - nl < cfg.min_samples_leaf:
@@ -108,7 +116,7 @@ def _argsort_best_split(x, g, h, cfg):
         gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
         m = float(gains.max())
         i_best = int(np.argmax(gains >= m - gbdt._gain_tol(m)))
-        candidates.append((f, float(0.5 * (xs[pos[i_best]] + xs[pos[i_best] + 1])),
+        candidates.append((f, float(split_threshold(xs[pos[i_best]], xs[pos[i_best] + 1])),
                            float(gains[i_best])))
     if not candidates:
         return None
@@ -184,7 +192,7 @@ def _recursive_best_split(codes, values, g, h, cfg):
         m = float(gains.max())
         i_best = int(np.argmax(gains >= m - gbdt._gain_tol(m)))
         b = pos[i_best]
-        candidates.append((f, float(0.5 * (vals[present[b]] + vals[present[b + 1]])),
+        candidates.append((f, float(split_threshold(vals[present[b]], vals[present[b + 1]])),
                            float(gains[i_best])))
     if not candidates:
         return None
@@ -475,8 +483,8 @@ def _level_case(name):
         y = (x[:, 0] + rng.normal(0, 60, n) > 0).astype(float)
     elif name.startswith("adjacent"):
         # Neighbouring doubles: the midpoint of 1 and 1+2^-52 rounds down
-        # onto 1 (no row goes left), that of 1+2^-52 and 1+2^-51 up onto the
-        # upper value.
+        # onto 1, so the upper value is the threshold; that of 1+2^-52 and
+        # 1+2^-51 rounds up onto the upper value itself.
         lo, mid, hi = 1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
         pair = (lo, mid) if name == "adjacent-down" else (mid, hi)
         x[:, 0] = np.where(y == 1, pair[1], pair[0])
@@ -518,9 +526,27 @@ def test_matches_recursive_reference_trainer(name, entries, monkeypatch):
     if name == "wide-codes":
         assert gbdt._bin_features(x)[0].dtype == np.uint16
     if name.startswith("adjacent"):
-        # The midpoint is one of the values themselves.
+        # The threshold is the upper of the two values.
         on_value = ens.threshold[internal & (ens.feature == 0)]
         assert np.isin(on_value, x[:, 0]).any()
+        assert (on_value[np.isin(on_value, x[:, 0])] == x[:, 0].max()).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_adjacent_doubles_split(lam):
+    # The midpoint of 1 and 1+2^-52 rounds down onto 1; a threshold there
+    # would send no row left, leave both classes at one margin and, with
+    # lambda 0, give the empty leaf 0/0.
+    x = np.repeat([1.0, np.nextafter(1.0, 2.0)], 20)[:, None]
+    y = np.repeat([0.0, 1.0], 20)
+    cfg = GbdtConfig(trees_per_client=3, max_depth=2, lambda_l2=lam)
+    ens = train(x, y, cfg)
+    assert np.isfinite(ens.value).all() and np.isfinite(ens.threshold).all()
+    margins = predict_margin_batch(ens, x)
+    assert margins[y == 1].min() > margins[y == 0].max()
+    assert ensemble_to_json(ens) == recursive_train(x, y, cfg)
+    assert brute_force_split(x, *logistic_gh(np.zeros(40), y), cfg)[2] == x[-1, 0]
 
 
 def _saturating_case(seed):

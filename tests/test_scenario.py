@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from advent import scenario
 from advent.scenario import ConfigError, EventStream, GroundTruth, ParseError, ScenarioConfig
@@ -203,13 +203,36 @@ def _reference_csv(stream, truth):
     return "".join(lines).encode("utf-8")
 
 
-def test_csv_bytes_match_reference_writer(tmp_path, small_scenario):
+def test_csv_bytes_match_reference_writer(tmp_path, small_scenario, monkeypatch):
     # Events exactly on both edges of a window, and just inside and outside.
     edges = EventStream([0.1, 9.999999999999998, 10.0, 12.25, 20.0, 20.5],
                         [1, 2, 1, 3, 1, 2], [2, 1, 3, 1, 2, 3])
     edge_truth = GroundTruth(attackers={1}, attack_windows=[(10.0, 20.0), (30.0, 30.0)])
+    events, truth = small_scenario
+    big = np.iinfo(np.int64)
+    cases = [(edges, edge_truth), small_scenario, (edges, None), (events, None),
+             (events, GroundTruth()), (EventStream([], [], []), edge_truth),
+             (EventStream([], [], []), None), (EventStream([15.5], [-7], [1 << 40]), edge_truth),
+             (EventStream([15.5], [-7], [1 << 40]), None)]
+    # Ids shifted negative, past 2^32, or spread over all of int64: the ids'
+    # range is then short (a table) or far longer than the log (a sort).
+    for base, spread in [(-50, 1), (1 << 40, 1), (-(1 << 35), 1 << 30), (0, big.max // 16)]:
+        shifted = EventStream(events.times, base + events.senders * spread,
+                              base + events.receivers * spread)
+        attackers = {base + v * spread for v in truth.attackers}
+        cases += [(shifted, GroundTruth(attackers=attackers,
+                                        attack_windows=truth.attack_windows)),
+                  (shifted, None)]
+    extremes = EventStream([0.5, 1.0, 1.5], [big.min, big.max, 0], [big.max, big.min, big.min])
+    cases += [(extremes, GroundTruth(attackers={big.min}, attack_windows=[(1.0, 2.0)])),
+              (extremes, None)]
     path = tmp_path / "events.csv"
-    for stream, truth in [(edges, edge_truth), small_scenario, (edges, None)]:
+    for stream, truth in cases:
+        scenario.write_events_csv(path, stream, truth)
+        assert path.read_bytes() == _reference_csv(stream, truth)
+    # Written in blocks of 7 lines, with a partial last block.
+    monkeypatch.setattr(scenario, "_WRITE_LINES", 7)
+    for stream, truth in [small_scenario, (edges, None), (EventStream([15.5], [-7], [3]), None)]:
         scenario.write_events_csv(path, stream, truth)
         assert path.read_bytes() == _reference_csv(stream, truth)
     scenario.write_events_csv(path, edges, edge_truth)
@@ -265,6 +288,24 @@ def test_ingest_roundtrip_property(tmp_path, rows, base):
     assert truth.attack_windows == windows
     assert truth.presence == presence
     assert list(truth.presence) == sorted(presence)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 1.5, 2.0]), st.integers(-2, 2),
+                               st.integers(-2, 2)), max_size=60),
+       base=st.sampled_from([0, -3, 1 << 40]))
+@example(rows=[(-0.0, 0, 0)] * 6 + [(1.5, 0, 0)] * 2 + [(-0.0, 1, 2), (0.0, 1, 2)], base=0)
+def test_sorted_matches_lexsort_property(rows, base):
+    # Three distinct times, as -0.0 ties with 0.0 and must keep its place,
+    # so most rows tie on time and many also on sender and receiver.
+    t = np.array([row[0] for row in rows], dtype=np.float64)
+    s = np.array([base + row[1] for row in rows], dtype=np.int64)
+    r = np.array([base + row[2] for row in rows], dtype=np.int64)
+    events = EventStream(t, s, r).sorted()
+    order = np.lexsort((r, s, t))
+    assert events.times.tobytes() == t[order].tobytes()
+    assert events.senders.tolist() == s[order].tolist()
+    assert events.receivers.tolist() == r[order].tolist()
 
 
 @pytest.mark.parametrize("base", [0, -3, 1 << 40])
