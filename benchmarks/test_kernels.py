@@ -51,15 +51,19 @@ def test_head_step(benchmark, k):
     assert np.isfinite(out[0].dense).all()
 
 
-@pytest.mark.parametrize("table_rows", [6, None], ids=["6-row-table", "all-distinct"])
-def test_head_round(benchmark, table_rows):
+@pytest.mark.parametrize("ids_from", ["6-row-table", "all-distinct", "L-like"])
+def test_head_round(benchmark, ids_from):
     """One FedAvg round of the head at the fed-s shape: 12 clients of
     250-750 rows, K=12 x T=10, batch 64, EPOCHS epochs, as one `train_round`.
 
     The rows are drawn from a 6-row table, as fed-s's depth-3 trees give
-    about 6 distinct tree vectors, or are all distinct, the worst case.
-    Records `client_step_us`, the call time over the clients' summed SGD
-    steps, comparable with `test_head_step`'s `step_us`.
+    about 6 distinct tree vectors; or are all distinct, the worst case; or,
+    like workload L (6,559 distinct rows of 89,162), each client draws from
+    its own 25 rows of a 5,000-row table.  The 6-row table keeps the
+    (batch, table row) keys of an epoch in a range short enough to code by
+    a table; the other two cases code them by a sort.  Records
+    `client_step_us`, the call time over the clients' summed SGD steps,
+    comparable with `test_head_step`'s `step_us`.
     """
     k = 12
     rng = np.random.default_rng(0)
@@ -68,11 +72,15 @@ def test_head_round(benchmark, table_rows):
     n = int(bounds[-1])
     cfg = head.HeadConfig(filters=FILTERS, epochs=EPOCHS, batch_size=BATCH)
     w = head.init(k, T, cfg)
-    if table_rows is None:
+    if ids_from == "all-distinct":
         table, ids = head.with_bias_tap(w, rng.normal(size=(n, k * T))), np.arange(n)
+    elif ids_from == "6-row-table":
+        table = head.with_bias_tap(w, rng.normal(size=(6, k * T)))
+        ids = rng.integers(0, 6, size=n)
     else:
-        table = head.with_bias_tap(w, rng.normal(size=(table_rows, k * T)))
-        ids = rng.integers(0, table_rows, size=n)
+        table = head.with_bias_tap(w, rng.normal(size=(5000, k * T)))
+        ids = np.concatenate([rng.choice(rng.choice(5000, 25, replace=False), size)
+                              for size in sizes])
     y = (rng.random(n) > 0.5).astype(np.float64)
     spans = list(zip(bounds[:-1], bounds[1:]))
     out = benchmark(head.train_round, w, table, ids, y, spans, list(range(k)), cfg)

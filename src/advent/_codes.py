@@ -1,0 +1,22 @@
+"""Dense integer codes of int64 keys, shared by the scenario writer and the
+head's batch grouping."""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["dense_codes"]
+
+
+def dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a non-empty int64 array and each key's
+    index among them.  A table over the keys' range replaces the sort when
+    that range is no longer than the array."""
+    lo = int(keys.min())
+    span = int(keys.max()) - lo + 1
+    if span > len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.zeros(span, dtype=bool)
+    seen[keys - lo] = True
+    slot = np.cumsum(seen) - 1
+    return np.flatnonzero(seen) + lo, slot[keys - lo]

@@ -29,11 +29,16 @@ each client with its own shuffles and batches, so every step is one batched
 computation over the clients.  Its rows are a table of distinct tapped
 vectors plus one table id per row: depth-3 trees send most per-second
 feature rows to the same leaves, so a batch of 64 rows holds only a few
-distinct vectors.  Each step computes z on the distinct rows of every
-batch, copies it out to the batch rows, and sums dz per distinct row before
-the one u mat-vec.  `train_on_matrix` is the one-client case, each row its
-own table row.  The wire format and FedAvg still carry and average the
-factors (`conv_kernels`, `conv_bias`, `dense`, `dense_bias`), never W_eff.
+distinct vectors.  Once per epoch, every row of every batch gets the key
+(batch, table id), and the keys are coded in one pass; two bincounts then
+give each distinct row of a batch its row count cnt and positive count pos,
+both already scaled by lr / (rows of the batch).  Each step gathers the
+distinct rows of every active client's batch, takes dz = cnt·p - pos on
+them (the summed dz of the batch rows each one stands for) before the one
+u mat-vec, and subtracts the gradient.  `train_on_matrix` is the
+one-client case, each row its own table row.  The wire format and FedAvg
+still carry and average the factors (`conv_kernels`, `conv_bias`, `dense`,
+`dense_bias`), never W_eff.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._codes import dense_codes
 
 __all__ = [
     "HeadConfig",
@@ -131,11 +138,10 @@ def init(k: int, t: int, config: HeadConfig) -> HeadWeights:
 
 
 def _sigmoid(z):
-    """1 / (1 + exp(-clip(z, -500, 500))), in one buffer: per-call cost
-    dominates a training step's small arrays (np.clip alone costs more
-    than np.maximum and np.minimum together)."""
+    """1 / (1 + exp(-max(z, -500))), in one buffer: per-call cost dominates
+    a training step's small arrays.  Capping z at 500 as well would change
+    nothing, since 1 + exp(-500) rounds to 1."""
     e = np.maximum(z, -500.0)
-    np.minimum(e, 500.0, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     e += 1.0
@@ -199,27 +205,26 @@ def _unpack(w: HeadWeights, row: np.ndarray) -> HeadWeights:
                        dense=d[0].flatten(), dense_bias=float(dense_bias[0]))
 
 
-def _backward(params, vd, slots, y, div, grads) -> np.ndarray:
-    """Write each client's mean-BCE gradient over its batch into the
-    `_layout` views `grads`; return the (m, b) probabilities.
+def _backward(params, vd, cnt, pos, grads) -> np.ndarray:
+    """Write each client's gradient over its batch into the `_layout` views
+    `grads`; return the (m, n) probabilities of the distinct rows.
 
     vd is (m, n, K*(T+1)): n bias-tapped rows per client, the distinct rows
-    of its batch.  Batch row i of client c is row slots[c, i] of vd seen as
-    (m*n, K*(T+1)), so slots[c] lies in [c*n, (c+1)*n); y is (m, b).  Row i
-    divides its loss derivative by div[c, i], the row count of the batch,
-    or by inf for a pad row, whose derivative is then 0.
+    of its batch.  Row i of client c stands for cnt[c, i] batch rows, of
+    which pos[c, i] are positive, each count scaled by the step's weight
+    (1 / batch rows for the mean BCE).  A pad row has both counts 0.
     """
     a, d, dense_bias = params
     g_a, g_d, g_db = grads
     m, n, _ = vd.shape
     a_eff = np.matmul(d.transpose(0, 2, 1), a)
-    z = np.matmul(vd, a_eff.reshape(m, -1, 1)).take(slots)
+    z = np.matmul(vd, a_eff.reshape(m, -1, 1)).reshape(m, n)
     z += dense_bias[:, None]
     p = _sigmoid(z)
-    dz = (p - y) / div
-    # u = dzᵀ·v over the batch, summed per distinct row first.
-    dz_distinct = np.bincount(slots.ravel(), weights=dz.ravel(), minlength=m * n)
-    u = np.matmul(dz_distinct.reshape(m, 1, n), vd).reshape(m, d.shape[2], -1)
+    # dz summed over the batch rows of each distinct row.
+    dz = cnt * p
+    dz -= pos
+    u = np.matmul(dz.reshape(m, 1, n), vd).reshape(m, d.shape[2], -1)
     np.matmul(d, u, out=g_a)
     np.matmul(a, u.transpose(0, 2, 1), out=g_d)
     g_db[:] = u[:, 0, -1]
@@ -233,8 +238,8 @@ def gradients(w: HeadWeights, v: np.ndarray, y: np.ndarray):
     theta = _pack(w)[None]
     grad = np.empty_like(theta)
     grads = _layout(w, grad)
-    slots = np.arange(len(v))[None]
-    p = _backward(_layout(w, theta), v[None], slots, y[None], len(v), grads)[0]
+    p = _backward(_layout(w, theta), v[None], np.full((1, len(v)), 1 / len(v)),
+                  y[None] / len(v), grads)[0]
     g_a, g_d, g_db = grads
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
@@ -306,71 +311,58 @@ def _train_block(w, table, ids, y, spans, seeds, config) -> np.ndarray:
     """Stacked SGD for clients sorted by batch count, descending; returns
     their (C, P) `_pack` rows."""
     bs, lr = config.batch_size, config.learning_rate
-    n_clients = len(spans)
+    n_clients, n_table = len(spans), len(table)
     starts = np.array([a for a, _ in spans])
     sizes = np.array([b - a for a, b in spans])
     steps = -(-sizes // bs)
-    n_steps, width = steps[0], steps[0] * bs
+    n_steps = steps[0]
     theta = np.tile(_pack(w), (n_clients, 1))
     grad = np.empty_like(theta)
     active = (steps[None, :] > np.arange(n_steps)[:, None]).sum(axis=1).tolist()
-    views = {m: (_layout(w, theta[:m]), _layout(w, grad[:m])) for m in set(active)}
-    # Position q of a client's epoch lies in batch q // bs; past its last row
-    # it is a pad, which takes the client's first row and divides by inf.
-    # Batch arrays are step-major, (steps, C, bs), so that the active
-    # clients' batches of a step are one contiguous block.
-    pos = np.arange(width)
-    div = np.minimum(sizes[:, None] - pos // bs * bs, bs).astype(np.float64)
-    div[pos >= sizes[:, None]] = np.inf
-    div = np.ascontiguousarray(div.reshape(n_clients, n_steps, bs).transpose(1, 0, 2))
-    idx = np.repeat(starts[:, None], width, axis=1)
+    views = {m: (theta[:m], grad[:m], _layout(w, theta[:m]), _layout(w, grad[:m]))
+             for m in set(active)}
+    # Batches are numbered step-major, b = step·C + client, and position q of
+    # client c's epoch lies in batch (q // bs)·C + c.  Its row with table id
+    # i has key b·len(table) + i, so the distinct keys of an epoch are its
+    # (batch, distinct row) pairs, in batch order.
+    batch = np.concatenate([np.arange(size) // bs * n_clients + c for c, size in enumerate(sizes)])
+    batch_keys = batch * n_table
+    # Each row weighs lr / (rows of its batch), so that the counts below
+    # come out scaled for the step.  A batch past a client's last has no
+    # rows and is never looked up.
+    rows = np.minimum(sizes - np.arange(n_steps)[:, None] * bs, bs)
+    weight = (lr / rows.ravel().clip(min=1))[batch]
     v_buf = np.empty(n_clients * bs * table.shape[1])
     rngs = [np.random.default_rng(s) for s in seeds]
     for _ in range(config.epochs):
-        for row, rng, start, size in zip(idx, rngs, starts, sizes):
-            row[:size] = start + rng.permutation(size)
-        rows = np.ascontiguousarray(idx.reshape(n_clients, n_steps, bs).transpose(1, 0, 2))
-        distinct, slots, n_distinct = _group_batches(ids[rows])
-        y_epoch = y[rows]
+        order = np.concatenate([start + rng.permutation(size)
+                                for rng, start, size in zip(rngs, starts, sizes)])
+        distinct, codes = dense_codes(batch_keys + ids[order])
+        b_of = distinct // n_table
+        per_batch = np.bincount(b_of, minlength=n_steps * n_clients)
+        n_distinct = per_batch.reshape(n_steps, n_clients).max(axis=1)
+        width = int(n_distinct.max())
+        # The r-th distinct row of batch b goes to slot b·width + r of the
+        # packed (steps, C, width) arrays; a slot left empty counts 0 rows.
+        first = np.cumsum(per_batch) - per_batch
+        slot = (np.arange(len(per_batch)) * width - first)[b_of] + np.arange(len(distinct))
+        shape = (n_steps, n_clients, width)
+        table_ids = np.zeros(shape, dtype=np.intp)
+        table_ids.reshape(-1)[slot] = distinct - b_of * n_table
+        # Row count and positive count per (batch, distinct row).
+        row_slot = slot[codes]
+        cnts = np.bincount(row_slot, weights=weight, minlength=table_ids.size).reshape(shape)
+        poss = np.bincount(row_slot, weights=y[order] * weight,
+                           minlength=table_ids.size).reshape(shape)
         for j, (m, n) in enumerate(zip(active, n_distinct.tolist())):
-            params, grads = views[m]
+            th, g, params, grads = views[m]
             vd = v_buf[: m * n * table.shape[1]].reshape(m, n, -1)
             # Every id is a valid row, so mode="clip" never clips; it spares
             # the extra copy mode="raise" makes when `out` is given.
-            np.take(table, distinct[j, :m, :n], axis=0, out=vd, mode="clip")
-            _backward(params, vd, slots[j, :m], y_epoch[j, :m], div[j, :m], grads)
-            theta[:m] -= lr * grad[:m]
+            table.take(table_ids[j, :m, :n], axis=0, out=vd, mode="clip")
+            _backward(params, vd, cnts[j, :m, :n], poss[j, :m, :n], grads)
+            th -= g
     return theta
-
-
-def _group_batches(batch_ids: np.ndarray):
-    """Distinct ids and row slots of (S, C, bs) batches of table ids.
-
-    Returns distinct (S, C, bs), slots (S, C, bs) and n (S,).  Batch j of
-    client c has k distinct ids, in distinct[j, c, :k] in ascending order
-    (the rest are 0), and n[j] is the largest such k over the clients.  Row
-    i of the batch is distinct[j, c, slots[j, c, i] - c * n[j]].
-    """
-    n_steps, n_clients, bs = batch_ids.shape
-    # Sorting id·bs + lane groups a batch's rows by id and keeps the lanes.
-    keys = batch_ids * bs + np.arange(bs)
-    keys.sort(axis=2)
-    sorted_ids = keys // bs
-    lanes = keys - sorted_ids * bs
-    first = np.empty(keys.shape, dtype=bool)
-    flat_ids = sorted_ids.ravel()
-    np.not_equal(flat_ids[1:], flat_ids[:-1], out=first.ravel()[1:])
-    first[:, :, 0] = True
-    rank = np.cumsum(first, axis=2)
-    rank -= 1
-    n = rank[:, :, -1].max(axis=1) + 1
-    batch_start = np.arange(0, keys.size, bs).reshape(n_steps, n_clients, 1)
-    distinct = np.zeros(keys.shape, dtype=np.intp)
-    distinct.ravel()[rank + batch_start] = sorted_ids
-    rank += np.arange(n_clients)[:, None] * n[:, None, None]
-    slots = np.empty(keys.shape, dtype=np.intp)
-    slots.ravel()[lanes + batch_start] = rank
-    return distinct, slots, n
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._codes import dense_codes
+
 __all__ = [
     "ScenarioConfig",
     "EventStream",
@@ -75,11 +77,16 @@ class ScenarioConfig:
             raise ConfigError("neighbor_degree must be >= 0")
 
 
+def _narrow(ids: np.ndarray) -> np.ndarray:
+    """`ids` as uint16 when they all fit, which numpy sorts much faster."""
+    if len(ids) and ids.min() >= 0 and ids.max() <= np.iinfo(np.uint16).max:
+        return ids.astype(np.uint16)
+    return ids
+
+
 def _group_order(ids: np.ndarray) -> np.ndarray:
     """Stable argsort of `ids`, by radix sort when they fit in 16 bits."""
-    if len(ids) and ids.min() >= 0 and ids.max() <= np.iinfo(np.uint16).max:
-        ids = ids.astype(np.uint16)
-    return np.argsort(ids, kind="stable")
+    return np.argsort(_narrow(ids), kind="stable")
 
 
 class EventStream:
@@ -113,7 +120,8 @@ class EventStream:
         tied[:-1] |= eq
         at = np.flatnonzero(tied)
         sub = np.sort(order[at])
-        order[at] = sub[np.lexsort((self.receivers[sub], self.senders[sub], self.times[sub]))]
+        order[at] = sub[np.lexsort((_narrow(self.receivers[sub]), _narrow(self.senders[sub]),
+                                    self.times[sub]))]
         t[at] = self.times[order[at]]  # a -0.0 tied with 0.0 moves with its row
         return EventStream(t, self.senders[order], self.receivers[order])
 
@@ -276,20 +284,6 @@ _RESCAN_LINES = 4096
 _WRITE_LINES = 1 << 16
 
 
-def _dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of a non-empty int64 array and each key's
-    index among them.  A table over the keys' range replaces the sort when
-    that range is no longer than the array."""
-    lo = int(keys.min())
-    span = int(keys.max()) - lo + 1
-    if span > len(keys):
-        return np.unique(keys, return_inverse=True)
-    seen = np.zeros(span, dtype=bool)
-    seen[keys - lo] = True
-    slot = np.cumsum(seen) - 1
-    return np.flatnonzero(seen) + lo, slot[keys - lo]
-
-
 def _line_tails(stream: EventStream, truth: GroundTruth | None) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct line tail of a non-empty stream, ``,sender,receiver``
     plus the flags and newline, as an object array, and each event's index
@@ -297,9 +291,9 @@ def _line_tails(stream: EventStream, truth: GroundTruth | None) -> tuple[np.ndar
     active = np.zeros(len(stream), dtype=np.int64)
     for ws, we in ([] if truth is None else truth.attack_windows):
         active |= (stream.times >= ws) & (stream.times < we)
-    ids, codes = _dense_codes(np.concatenate([stream.senders, stream.receivers]))
+    ids, codes = dense_codes(np.concatenate([stream.senders, stream.receivers]))
     pair = codes[:len(stream)] * len(ids) + codes[len(stream):]
-    keys, index = _dense_codes(2 * pair + active)
+    keys, index = dense_codes(2 * pair + active)
     tails = []
     for s, r, a in zip(ids[keys // 2 // len(ids)].tolist(), ids[keys // 2 % len(ids)].tolist(),
                        (keys % 2).tolist()):

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advent import head
+from advent._codes import dense_codes
 
 from advent.head import (
     HeadConfig,
@@ -286,36 +289,84 @@ def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epoc
 @pytest.mark.parametrize("block_values", [None, 1, 300])
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_train_round_on_repeated_ids_matches_expanded_sgd(monkeypatch, block_values, epochs):
-    # A 3-row table; each client's rows are table rows picked by id, so ids
-    # repeat within batches and across clients, and one batch holds the same
-    # row under both labels.  Batch size 8: a client of 21 rows (a last batch
-    # of 5 rows and 3 pads), a 1-row client, a client of 8 copies of one row
-    # with mixed labels, and one of 13 rows; the shorter clients sit out the
-    # later steps of the stacked run.
+    # Each client's rows are table rows picked by id, so ids repeat within
+    # batches and across clients, and one batch holds the same row under
+    # both labels.  Batch size 8.  Clients: 21 rows (a last batch of 5 rows
+    # and 3 pads), 1 row, 8 copies of one row with mixed labels, 13 rows, 19
+    # rows that all share one id, 11 rows with no positive label, and
+    # another 1-row client; the shorter clients sit out the later steps of
+    # the stacked run.  The rows come from a 3-row table, where an epoch's
+    # (batch, table row) keys span no more values than there are rows and
+    # are coded by a table, and from a 5,000-row table with the ids spread
+    # over it, where the keys of a client with more than one distinct row
+    # are coded by a sort.
     if block_values is not None:
         monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", block_values)
-    rng = np.random.default_rng(21)
+    sorted_sides = []
+
+    def spy(keys):
+        sorted_sides.append(int(keys.max()) - int(keys.min()) + 1 > len(keys))
+        return dense_codes(keys)
+
+    monkeypatch.setattr(head, "dense_codes", spy)
     f, k, t = 2, 3, 2
-    rows = rng.normal(size=(3, k * t))
-    sizes = [21, 1, 8, 13]
-    ids = np.concatenate([rng.integers(0, 3, 21), [2], np.ones(8, dtype=int),
-                          rng.integers(0, 2, 13)])
-    y = (rng.random(len(ids)) > 0.5).astype(float)
-    y[22:30] = [0, 1, 0, 1, 1, 0, 0, 1]
+    sizes = [21, 1, 8, 13, 19, 11, 1]
     bounds = np.cumsum([0] + sizes)
     spans = list(zip(bounds[:-1], bounds[1:]))
-    seeds = [5, 8, 13, 5]
+    seeds = [5, 8, 13, 5, 2, 40, 9]
     cfg = HeadConfig(filters=f, epochs=epochs, batch_size=8, learning_rate=0.5, rng_seed=1)
     w = init(k, t, cfg)
-    out = train_round(w, with_bias_tap(w, rows), ids, y, spans, seeds, cfg)
-    assert len(out) == len(spans)
+    for table_rows in (3, 5000):
+        rng = np.random.default_rng(21)
+        rows = rng.normal(size=(table_rows, k * t))
+        ids = np.concatenate([rng.integers(0, table_rows, 21), [2], np.ones(8, dtype=int),
+                              rng.integers(0, table_rows, 13),
+                              np.full(19, table_rows - 1), rng.integers(0, table_rows, 11),
+                              [0]])
+        y = (rng.random(len(ids)) > 0.5).astype(float)
+        y[22:30] = [0, 1, 0, 1, 1, 0, 0, 1]
+        y[43:62] = np.arange(19) % 3 == 0
+        y[62:73] = 0
+        sorted_sides.clear()
+        out = train_round(w, with_bias_tap(w, rows), ids, y, spans, seeds, cfg)
+        assert any(sorted_sides) == (table_rows > 3 and epochs > 0)
+        assert len(out) == len(spans)
+        for (a, b), seed, got in zip(spans, seeds, out):
+            ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
+            assert got.allclose(ref, rtol=0, atol=1e-12)
+            if epochs == 0:
+                assert got.allclose(w, rtol=0, atol=0)
+            else:
+                assert not got.allclose(w, rtol=0, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_train_round_matches_expanded_sgd_property(data):
+    # Random shapes, tables (narrow ones repeat ids, wide ones code their
+    # keys by a sort), ids, labels, spans in any order with gaps between
+    # them, seeds and block budgets, against SGD on the expanded rows.
+    f, k, t = (data.draw(st.integers(1, 3)) for _ in range(3))
+    table_rows = data.draw(st.sampled_from([1, 2, 5, 40, 3000]))
+    n = data.draw(st.integers(1, 40))
+    ids = np.array(data.draw(st.lists(st.integers(0, table_rows - 1), min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=float)
+    cuts = sorted(data.draw(st.sets(st.integers(0, n), min_size=2, max_size=8)))
+    spans = data.draw(st.permutations([(a, b) for a, b in zip(cuts, cuts[1:])
+                                       if data.draw(st.booleans()) or a == cuts[0]]))
+    seeds = [data.draw(st.integers(0, 2**32 - 1)) for _ in spans]
+    cfg = HeadConfig(filters=f, epochs=data.draw(st.integers(1, 3)),
+                     batch_size=data.draw(st.integers(1, 9)), learning_rate=0.5,
+                     rng_seed=data.draw(st.integers(0, 99)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(table_rows, k * t))
+    w = init(k, t, cfg)
+    block_values = data.draw(st.sampled_from([1, 50, 300, head._ROUND_BLOCK_VALUES]))
+    with mock.patch.object(head, "_ROUND_BLOCK_VALUES", block_values):
+        out = train_round(w, with_bias_tap(w, rows), ids, y, spans, seeds, cfg)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
         assert got.allclose(ref, rtol=0, atol=1e-12)
-        if epochs == 0:
-            assert got.allclose(w, rtol=0, atol=0)
-        else:
-            assert not got.allclose(w, rtol=0, atol=0)
 
 
 def test_with_bias_tap_layout():
