@@ -120,18 +120,41 @@ def test_gbdt_train(benchmark, dense_pulsed_fit):
 
 def test_gbdt_train_clients(benchmark):
     """Split search at the fed-s shape: 12 clients of 47-707 rows, 10 trees of
-    depth 3 each, one `gbdt.train` call per client.  Small nodes make this
+    depth 3 each, in one `gbdt.train_clients` call.  Small nodes make this
     case sensitive to per-node and per-level call overhead."""
     rng = np.random.default_rng(2)
     clients = [_count_rows(rng, n) for n in range(707, 46, -60)]
     cfg = gbdt.GbdtConfig(trees_per_client=T, max_depth=3)
-
-    def train_all():
-        return [gbdt.train(x, y, cfg, client=c) for c, (x, y) in enumerate(clients)]
-
-    out = benchmark.pedantic(train_all, rounds=10)
+    out = benchmark.pedantic(gbdt.train_clients, ([x for x, _ in clients],
+                                                  [y for _, y in clients], cfg, range(12)),
+                             rounds=10)
     benchmark.extra_info["clients"] = len(clients)
     assert len(out) == 12 and all(len(e.trees) == T for e in out)
+
+
+@pytest.mark.parametrize("how", ["train_clients", "lone-train"])
+def test_gbdt_train_clients_L(benchmark, how):
+    """Round 0 at ROADMAP L's shape: 265 clients of 336 rows, 10 trees of
+    depth 3, about 40% of the clients with positives (the rest fall back to
+    single leaves).  A level holds hundreds of nodes, searched in
+    `_HIST_ENTRIES` node blocks on their own rows.  Timed as one
+    `train_clients` call, and as one `gbdt.train` call per client for
+    comparison."""
+    rng = np.random.default_rng(3)
+    clients = []
+    for _ in range(265):
+        x, y = _count_rows(rng, 336)
+        clients.append((x, y if rng.random() < 0.4 else np.zeros_like(y)))
+    cfg = gbdt.GbdtConfig(trees_per_client=T, max_depth=3)
+    xs, ys = [x for x, _ in clients], [y for _, y in clients]
+    if how == "train_clients":
+        out = benchmark.pedantic(gbdt.train_clients, (xs, ys, cfg, range(265)), rounds=3)
+    else:
+        out = benchmark.pedantic(
+            lambda: [gbdt.train(x, y, cfg, client=c) for c, (x, y) in enumerate(clients)],
+            rounds=3)
+    benchmark.extra_info["clients_with_positives"] = sum(bool(y.any()) for y in ys)
+    assert len(out) == 265 and all(len(e.trees) == T for e in out)
 
 
 def test_gbdt_predict_margin_batch(benchmark, dense_pulsed_fit):

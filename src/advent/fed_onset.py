@@ -190,9 +190,10 @@ def run_training(
     """Execute round 0 plus rounds-1 weight rounds over an in-process queue.
 
     Every message crosses the wire as a JSON line; pass `transcript` to
-    capture them.  Every client trains in every weight round, with a seed
-    derived from the head seed, the client id and the round, so runs are
-    deterministic.
+    capture them.  Round 0 fits every client's trees in one
+    `gbdt.train_clients` call; each ensemble is the client's own fit.
+    Every client trains in every weight round, with a seed derived from the
+    head seed, the client id and the round, so runs are deterministic.
     """
     if not clients:
         raise ProtocolError("no clients available; training stalled")
@@ -200,8 +201,9 @@ def run_training(
 
     # Round 0: tree upload and aggregation.
     submissions: list[tuple[int, LocalEnsemble]] = []
-    for c in clients:
-        ens = gbdt.train(c.x, c.y, gbdt_config, client=c.cid)
+    fitted = gbdt.train_clients([c.x for c in clients], [c.y for c in clients], gbdt_config,
+                                [c.cid for c in clients])
+    for c, ens in zip(clients, fitted):
         line = encode_message("TREES_UPLOAD", c.cid, 0, 0, gbdt.ensemble_to_dict(ens))
         queue.append(line)
         msg = decode_message(line)

@@ -6,17 +6,23 @@ L2-regularized gain, and leaves carry -G/(H+lambda).  Leaf values are stored
 pre-shrinkage; shrinkage is applied at prediction time so serialized trees
 are scale-independent.
 
-Split search works on exact-value histograms: each feature is binned once per
-`train` call into the codes of its sorted distinct values.  A tree grows a
-level at a time: one bincount per feature and statistic sums count, g and h
-per (node, bin) for every node of the depth, and the gains, tie rules and
-row partition are computed for all those nodes at once.  Each bin sums its
-rows in row order and each node's totals are sums over its own rows, so the
-trees are the same, bit for bit, as a depth-first search of one node at a
-time.  A level's histograms take (features x nodes x bins) entries; a level
-whose nodes would need more than `_HIST_ENTRIES` is searched in node blocks.
-An ensemble keeps its trees as flat node arrays, so prediction walks every
-tree at once, one vectorized step per level.
+Split search works on exact-value histograms: each client's features are
+binned once per fit into the codes of its own sorted distinct values.
+`train_clients` fits many clients at once (`train` is the one-client call):
+tree t of every client with both classes grows in the same level-wise pass.
+A level's nodes are every client's nodes at that depth, and its rows are
+grouped by node.  One bincount per feature and statistic sums count, g and h
+per (node, bin) for every node of the level, and the gains, tie rules and
+row partition (one pass per split feature) are computed for all those nodes
+at once.  Each bin sums its rows in row order and each node's totals are
+sums over its own rows, so the trees are the same, bit for bit, as a
+depth-first search of one node at a time on one client's rows.  A level's
+histograms take (features x nodes x bins) entries; a level whose nodes would
+need more than `_HIST_ENTRIES` is searched in node blocks, each on its own
+rows.  The root level's row counts are the same for every tree and are
+counted once.  An ensemble keeps its trees as flat node arrays, so
+prediction walks every tree at once, one vectorized step per level; a tree
+whose root is a leaf is not walked.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "Tree",
     "LocalEnsemble",
     "train",
+    "train_clients",
     "predict_margin_batch",
     "per_tree_output_matrix",
     "ensemble_to_dict",
@@ -116,7 +123,7 @@ def _gain_tol(m: float) -> float:
 
 
 def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes (n_features, n) of each value of x among its feature's sorted distinct values.
+    """Codes (n, n_features) of each value of x among its feature's sorted distinct values.
 
     Also returns the distinct values as an (n_features, max distinct) array,
     padded with +inf so that padding never counts among the values below a
@@ -130,38 +137,46 @@ def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # 8 bytes a value at the same time.
         inverses.append(inverse.astype(np.min_scalar_type(len(vals) - 1)))
     n_bins = max(map(len, values), default=1)
-    codes = np.empty(x.shape[::-1], dtype=np.min_scalar_type(n_bins - 1))
+    codes = np.empty(x.shape, dtype=np.min_scalar_type(n_bins - 1))
     padded = np.full((len(values), n_bins), np.inf)
     for f, (vals, inverse) in enumerate(zip(values, inverses)):
-        codes[f] = inverse
+        codes[:, f] = inverse
         padded[f, :len(vals)] = vals
     return codes, padded
 
 
-def _level_splits(codes, values, slot, count, g, h, g_tot, h_tot, cfg: GbdtConfig):
-    """Best split of every node of one level: (feature, threshold, cut) arrays.
+def _level_splits(codes, values, client, count, gh, g_tot, h_tot, cfg: GbdtConfig, n_left):
+    """Best split of each node of a block of one level: (feature, threshold, cut) arrays.
 
-    `slot` is each row's node in the level, or len(count) once the row's
-    leaf is set.  Feature is -1 where a node does not split; otherwise its
-    rows with code < cut go left.  One bincount per feature and statistic
-    builds the (feature, node, bin) histograms, and each bin sums its rows in
-    row order.  A bin is a candidate when its cumulative sums leave at least
-    min_samples_leaf rows on each side.  Empty bins add +0.0, so those sums
-    equal sums over the node's non-empty bins alone, and an empty bin ties
-    with the non-empty one before it, which comes first and wins.
+    The block's rows are grouped by node, `count` rows a node, each node's
+    in row order; `codes` and `gh` (g and h stacked) are theirs, and
+    `client` is each node's client, whose distinct values `values[client]`
+    the codes index.  Feature is -1 where a node does not split; otherwise
+    its rows with code < cut go left.  One bincount per feature and
+    statistic builds the (feature, node, bin) histograms, and each bin sums
+    its rows in row order.  A bin is a candidate when its cumulative sums
+    leave at least min_samples_leaf rows on each side.  Empty bins add +0.0,
+    so those sums equal sums over the node's non-empty bins alone, and an
+    empty bin ties with the non-empty one before it, which comes first and
+    wins.  The rows at or below each bin, `n_left`, are counted when None
+    is given, and returned after the split.
     """
     n_nodes = len(count)
-    n_features, n_bins = values.shape
-    size = (n_nodes + 1) * n_bins  # the last node's bins collect the finished rows
-    hist = np.empty((3, n_features, size))
-    base = np.multiply(slot, n_bins, dtype=np.intp)
-    for f, c in enumerate(codes):
-        key = base + c
-        hist[0, f] = np.bincount(key, minlength=size)
-        hist[1, f] = np.bincount(key, g, size)
-        hist[2, f] = np.bincount(key, h, size)
-    n_left, gl, hl = np.cumsum(hist.reshape(3, n_features, n_nodes + 1, n_bins)[:, :, :n_nodes],
-                               axis=3)
+    n_features, n_bins = values.shape[1:]
+    size = n_nodes * n_bins
+    sums = np.empty((2, n_features, size))
+    counts = np.empty((n_features, size), dtype=np.intp) if n_left is None else None
+    base = np.repeat(np.arange(0, size, n_bins), count)
+    g, h = gh
+    for f in range(n_features):
+        key = base + codes[:, f]
+        if counts is not None:
+            counts[f] = np.bincount(key, minlength=size)
+        sums[0, f] = np.bincount(key, g, size)
+        sums[1, f] = np.bincount(key, h, size)
+    if counts is not None:
+        n_left = np.cumsum(counts.reshape(n_features, n_nodes, n_bins), axis=2)
+    gl, hl = np.cumsum(sums.reshape(2, n_features, n_nodes, n_bins), axis=3)
     msl, lam = cfg.min_samples_leaf, cfg.lambda_l2
     cand = (n_left >= msl) & (n_left <= (count - msl)[:, None])
     at = np.flatnonzero(cand)
@@ -196,75 +211,95 @@ def _level_splits(codes, values, slot, count, g, h, g_tot, h_tot, cfg: GbdtConfi
     # bin (where the count next rises), or the upper value when the midpoint
     # of two adjacent doubles rounds down onto the lower one; the cut counts
     # the values below it, as np.searchsorted does.
+    vals = values[client[s], f]
     after = n_left[f, s] > n_left[f, s, b][:, None]
-    lower, upper = values[f, b], values[f, after.argmax(axis=1)]
+    lower = vals[np.arange(len(s)), b]
+    upper = vals[np.arange(len(s)), after.argmax(axis=1)]
     mid = 0.5 * (lower + upper)
     threshold = np.zeros(n_nodes)
     threshold[s] = np.where(mid > lower, mid, upper)
     cut = np.zeros(n_nodes, dtype=np.intp)
-    cut[s] = (values[f] < threshold[s][:, None]).sum(axis=1)
-    return feature, threshold, cut
+    cut[s] = (vals < threshold[s][:, None]).sum(axis=1)
+    return feature, threshold, cut, n_left
 
 
-def _grow_tree(nodes, codes, values, g, h, cfg: GbdtConfig, leaf_of_row) -> int:
-    """Append one tree, grown a level at a time, to `nodes` in preorder.
+def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_counts) -> list:
+    """Grow one tree per client, all of them a level at a time.
 
-    Returns its root's index and writes each row's leaf value to leaf_of_row.
-    A node's totals are pairwise sums over its own rows in row order.
+    The rows are grouped by client, sizes[c] rows for client c; client c's
+    root is node c of the returned list, which holds each node, level by
+    level, as (f, thr, left, right) or as its leaf value.  Each row's leaf
+    value goes to leaf_of_row.  A level's nodes are every client's nodes at
+    that depth, the left children before the right ones; its rows are
+    grouped by node and each node's are in row order, so a node's totals are
+    pairwise sums over its own rows in row order.  A level whose histograms
+    would need more than `_HIST_ENTRIES` entries is searched in blocks of
+    nodes, each on its own rows.  `root_counts` keeps the root level's
+    cumulated row counts, by block, for the next trees of the same rows.
     """
     lam = cfg.lambda_l2
-    kids: list = [None]  # per node, in level order: (f, thr, left, right) or its leaf value
-    ids = [0]  # the level's nodes
-    # Each row's node in the level; one past the last once its leaf is set.
-    slot = np.zeros(len(g), dtype=np.min_scalar_type(min(2 ** cfg.max_depth, len(g))))
-    rows = np.arange(len(g))  # the level's rows, grouped by node
-    sizes = np.array([len(g)])
+    n_features, n_bins = values.shape[1:]
+    kids: list = [None] * len(sizes)
+    ids = range(len(sizes))  # the level's nodes
+    client = np.arange(len(sizes))  # each node's client
+    sizes = np.asarray(sizes)
+    rows = np.arange(gh.shape[1])  # the level's rows, grouped by node
+    level_gh, level_codes = gh, codes  # g and h, and the codes, of the level's rows
+    step = max(1, _HIST_ENTRIES // max(1, n_features * n_bins))
     for depth in range(cfg.max_depth + 1):
-        g_rows, h_rows = g[rows], h[rows]
         ends = np.cumsum(sizes).tolist()
         starts = [0] + ends[:-1]
-        g_tot = np.array([g_rows[lo:hi].sum() for lo, hi in zip(starts, ends)])
-        h_tot = np.array([h_rows[lo:hi].sum() for lo, hi in zip(starts, ends)])
+        tot = np.array([level_gh[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, ends)])
+        g_tot, h_tot = tot[:, 0], tot[:, 1]
         value = -g_tot / (h_tot + lam)
-        if depth < cfg.max_depth and len(codes):
-            step = max(1, _HIST_ENTRIES // values.size)
+        if depth < cfg.max_depth and n_features:
             found = []
             for lo in range(0, len(ids), step):
                 hi = min(lo + step, len(ids))
-                local = slot
-                if hi - lo < len(ids):  # the other nodes' rows count as finished
-                    lut = np.arange(len(ids) + 1) - lo
-                    lut[(lut < 0) | (lut > hi - lo)] = hi - lo
-                    local = lut.astype(slot.dtype)[slot]
-                found.append(_level_splits(codes, values, local, sizes[lo:hi], g, h,
-                                           g_tot[lo:hi], h_tot[lo:hi], cfg))
+                a, b = starts[lo], ends[hi - 1]
+                *split, n_left = _level_splits(level_codes[a:b], values, client[lo:hi],
+                                               sizes[lo:hi], level_gh[:, a:b], g_tot[lo:hi],
+                                               h_tot[lo:hi], cfg,
+                                               root_counts.get(lo) if depth == 0 else None)
+                if depth == 0:
+                    root_counts[lo] = n_left
+                found.append(split)
             feature, threshold, cut = map(np.concatenate, zip(*found))
         else:
             feature, threshold, cut = np.full(len(ids), -1), np.zeros(len(ids)), None
         if (feature < 0).any():  # a split node's rows get their leaf below it
             leaf_of_row[rows] = np.repeat(value, sizes)
-        next_ids = []
+        splits = feature >= 0
+        n_split = int(splits.sum())
+        first = len(kids)  # the next level's first left child
         for i, f, thr, v in zip(ids, feature.tolist(), threshold.tolist(), value.tolist()):
             if f < 0:
                 kids[i] = v
             else:
-                kids[i] = (f, thr, len(kids), len(kids) + 1)
-                next_ids += [len(kids), len(kids) + 1]
-                kids += [None, None]
-        if not next_ids:
+                kids[i] = (f, thr, first, first + n_split)
+                first += 1
+        if not n_split:
             break
-        # A split node's rows go to its left child, or to the right one (the
-        # next slot) when code >= cut; a leaf's rows leave the level.
-        splits = feature >= 0
-        to_left = np.where(splits, 2 * np.cumsum(splits) - 2, len(next_ids))
-        new = np.append(to_left, len(next_ids)).astype(slot.dtype)[slot]
-        for s in np.flatnonzero(splits).tolist():
-            new += (slot == s) & (codes[feature[s]] >= cut[s])
-        slot = new
-        sizes = np.bincount(slot, minlength=len(next_ids) + 1)[:-1]
-        rows = np.argsort(slot, kind="stable")[:sizes.sum()]
-        ids = next_ids
-    return _write_preorder(nodes, kids, 0)
+        ids = range(len(kids), len(kids) + 2 * n_split)
+        kids += [None] * (2 * n_split)
+        # A split node's rows go to its left child, or to its right one when
+        # code >= cut, one pass per split feature; a leaf's rows leave the
+        # level.
+        right = np.zeros(len(rows), dtype=bool)
+        for f in sorted(set(feature[splits].tolist())):
+            right |= level_codes[:, f] >= np.repeat(np.where(feature == f, cut, n_bins), sizes)
+        n_right = np.add.reduceat(right, starts, dtype=np.intp)[splits]
+        left = ~right
+        if n_split < len(sizes):
+            left &= np.repeat(splits, sizes)
+        sizes = np.concatenate([sizes[splits] - n_right, n_right])
+        rows = rows[np.concatenate([np.flatnonzero(left), np.flatnonzero(right)])]
+        level_gh = level_codes = None  # freed before the next level's are taken
+        level_gh = np.take(gh, rows, axis=1)
+        if depth + 1 < cfg.max_depth:
+            level_codes = np.take(codes, rows, axis=0)
+        client = np.tile(client[splits], 2)
+    return kids
 
 
 def _write_preorder(nodes, kids, i) -> int:
@@ -302,43 +337,80 @@ def train(x: np.ndarray, y: np.ndarray, config: GbdtConfig, client: int = 0) -> 
     to zero-valued trees with a clamped log-odds base score instead of
     failing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or len(x) == 0:
-        raise ValueError("training rows must be a non-empty 2-D array")
-    if y.ndim != 1 or len(x) != len(y):
-        raise ValueError("x and y length mismatch")
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise ValueError("labels must be 0 or 1")
+    return train_clients([x], [y], config, [client])[0]
+
+
+def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
+    """`train` for each client on its own rows xs[i], ys[i], in one pass.
+
+    Tree t of every client with both classes grows in the same level-wise
+    pass, each client with its own feature bins, base score and margins, so
+    each ensemble is the same, bit for bit, as the client's own `train`.
+    """
+    if not len(xs) == len(ys) == len(clients):
+        raise ValueError("need one x and one y per client")
     depths = [config.max_depth] * config.trees_per_client
-    prevalence = float(y.mean())
-    if prevalence <= 0.0 or prevalence >= 1.0:
-        base = _MAX_LOG_ODDS if prevalence >= 1.0 else -_MAX_LOG_ODDS
-        nodes = [(0, 0.0, i, i, 0.0) for i in range(config.trees_per_client)]
-        return _ensemble(client, nodes, range(len(nodes)), depths, base, config.shrinkage)
-    base = float(np.log(prevalence / (1.0 - prevalence)))
-    codes, values = _bin_features(x)
-    margins = np.full(len(y), base)
+    out: list = [None] * len(clients)
+    fits = []  # (index, x, y, base score) of each client with both classes
+    for i, (x, y, client) in enumerate(zip(xs, ys, clients)):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if x.ndim != 2 or len(x) == 0:
+            raise ValueError("training rows must be a non-empty 2-D array")
+        if y.ndim != 1 or len(x) != len(y):
+            raise ValueError("x and y length mismatch")
+        if not np.isfinite(x).all():
+            raise ValueError("features must be finite")
+        if not ((y == 0.0) | (y == 1.0)).all():
+            raise ValueError("labels must be 0 or 1")
+        prevalence = float(y.mean())
+        if prevalence <= 0.0 or prevalence >= 1.0:
+            base = _MAX_LOG_ODDS if prevalence >= 1.0 else -_MAX_LOG_ODDS
+            nodes = [(0, 0.0, t, t, 0.0) for t in range(config.trees_per_client)]
+            out[i] = _ensemble(client, nodes, range(len(nodes)), depths, base,
+                               config.shrinkage)
+        else:
+            fits.append((i, x, y, float(np.log(prevalence / (1.0 - prevalence)))))
+    if not fits:
+        return out
+    if len({x.shape[1] for _, x, _, _ in fits}) > 1:
+        raise ValueError("every client's rows must have the same features")
+    # Each client's codes index its own distinct values, padded with +inf.
+    binned = [_bin_features(x) for _, x, _, _ in fits]
+    codes = np.concatenate([c for c, _ in binned])
+    n_bins = max(v.shape[1] for _, v in binned)
+    values = np.full((len(fits), len(binned[0][1]), n_bins), np.inf)
+    for c, (_, v) in enumerate(binned):
+        values[c, :, :v.shape[1]] = v
+    del binned  # the codes live on in `codes` alone
+    sizes = [len(y) for _, _, y, _ in fits]
+    y = np.concatenate([y for _, _, y, _ in fits])
+    margins = np.repeat([base for *_, base in fits], sizes)
+    gh = np.empty((2, len(y)))  # g and h of every row
     leaf_of_row = np.empty(len(y))
-    nodes: list = []
-    roots = []
+    root_counts: dict = {}
+    nodes: list = [[] for _ in fits]
+    roots: list = [[] for _ in fits]
     for _ in range(config.trees_per_client):
         p = _sigmoid(margins)
-        g = p - y
-        h = p * (1.0 - p)
-        roots.append(_grow_tree(nodes, codes, values, g, h, config, leaf_of_row))
+        np.subtract(p, y, out=gh[0])
+        np.multiply(p, 1.0 - p, out=gh[1])
+        kids = _grow_trees(codes, values, sizes, gh, config, leaf_of_row, root_counts)
+        for c in range(len(fits)):
+            roots[c].append(_write_preorder(nodes[c], kids, c))
         margins += config.shrinkage * leaf_of_row
-    return _ensemble(client, nodes, roots, depths, base, config.shrinkage)
+    for c, (i, _, _, base) in enumerate(fits):
+        out[i] = _ensemble(clients[i], nodes[c], roots[c], depths, base, config.shrinkage)
+    return out
 
 
 def _leaf_values(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
     """(n_rows, n_trees) pre-shrinkage leaf value of each row in each tree.
 
     The ensembles' node arrays are stacked into one forest, and a block of
-    rows steps down every tree at once, one vectorized step per level.  The
-    blocks bound the walk's temporaries however many rows and trees there are.
+    rows steps down every tree whose root splits at once, one vectorized step
+    per level.  The blocks bound the walk's temporaries however many rows and
+    trees there are.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -355,13 +427,21 @@ def _leaf_values(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
     internal = left != np.arange(len(left))
     if internal.any() and not 0 <= feature[internal].min() <= feature[internal].max() < n_features:
         raise ValueError(f"trees split on features outside the {n_features} given")
+    out = np.empty((n, len(roots)))
+    # A tree whose root is a leaf gives every row its value.
+    splits = internal[roots]
+    if splits.all():
+        columns = slice(None)
+    else:
+        out[:, ~splits] = value[roots[~splits]]
+        columns = np.flatnonzero(splits)
+        roots = roots[splits]
     depth = 0  # of the deepest leaf
-    level = roots[internal[roots]]
+    level = roots
     while len(level):
         depth += 1
         level = np.concatenate([left[level], right[level]])
         level = level[internal[level]]
-    out = np.empty((n, len(roots)))
     block = max(1, _WALK_BLOCK_NODES // max(1, len(roots)))
     row_start = (np.arange(min(n, block)) * n_features)[:, None]
     for lo in range(0, n, block):
@@ -371,7 +451,7 @@ def _leaf_values(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
         for _ in range(depth):
             goes_left = flat[row_start[:len(node)] + feature[node]] < threshold[node]
             node = np.where(goes_left, left[node], right[node])
-        out[lo:lo + block] = value[node]
+        out[lo:lo + block, columns] = value[node]
     return out
 
 

@@ -180,8 +180,9 @@ def with_bias_tap(w: HeadWeights, v: np.ndarray) -> np.ndarray:
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     _check_width(w, v)
     k, t = w.n_clients, w.kernel_size
-    out = np.ones((len(v), k, t + 1))
+    out = np.empty((len(v), k, t + 1))
     out[:, :, :t] = v.reshape(len(v), k, t)
+    out[:, :, t] = 1.0
     return out.reshape(len(v), k * (t + 1))
 
 

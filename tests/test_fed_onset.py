@@ -167,6 +167,22 @@ def test_run_training_trees_fixed_after_round0():
         assert gbdt.ensemble_to_dict(ens) == uploaded[ens.client]
 
 
+def test_run_training_uploads_lone_fits():
+    # Round 0 fits every client in one call; each upload must still be the
+    # client's own fit, a single-class client's and a one-row client's too.
+    cs = _clients(3, rows=50, seed=4)
+    cs.append(FedClient(cid=7, x=cs[0].x[:25], y=np.zeros(25)))
+    cs.append(FedClient(cid=5, x=cs[1].x[:1], y=np.ones(1)))
+    cfg = gbdt.GbdtConfig(trees_per_client=3)
+    transcript = []
+    run_training(cs, cfg, HeadConfig(filters=2, epochs=1), FedConfig(rounds=2),
+                 transcript=transcript)
+    uploads = [decode_message(line) for line in transcript]
+    uploads = [(m["cid"], m["payload"]) for m in uploads if m["type"] == "TREES_UPLOAD"]
+    lone = [gbdt.train(c.x, c.y, cfg, client=c.cid) for c in cs]
+    assert uploads == [(c.cid, gbdt.ensemble_to_dict(e)) for c, e in zip(cs, lone)]
+
+
 def test_run_training_deterministic():
     m1 = run_training(_clients(2, rows=30), gbdt.GbdtConfig(trees_per_client=2),
                       HeadConfig(filters=2, epochs=2, rng_seed=5), FedConfig(rounds=3))

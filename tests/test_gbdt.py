@@ -583,23 +583,33 @@ def test_matches_recursive_reference_with_nan_gains(seed):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wide_level_matches_recursive_reference():
     # Unregularized, a linear gradient splits every node at its middle, so
-    # level d holds 2^d nodes and the level's node slots need uint16.
+    # level d holds 2^d nodes of each client.  Two clients with their own
+    # values and gradients grow in one pass: level 9 holds 1,024 nodes, and
+    # the next level's node slots need uint16.
     n = 1024
-    x = np.arange(n, dtype=float)[:, None]
-    g, h = np.linspace(-1.0, 1.0, n), np.ones(n)
+    xs = [np.arange(n, dtype=float)[:, None], 0.5 * np.arange(n)[:, None] + 3.0]
+    gs = [np.linspace(-1.0, 1.0, n), np.linspace(2.0, -2.0, n)]
+    h = np.ones(n)
     cfg = GbdtConfig(max_depth=10, lambda_l2=0.0)
-    nodes, leaf_of_row = [], np.empty(n)
-    gbdt._grow_tree(nodes, *gbdt._bin_features(x), g, h, cfg, leaf_of_row)
-    ref_nodes, ref_leaf_of_row = [], np.empty(n)
-    _recursive_build_node(ref_nodes, np.arange(n), *_recursive_bin_features(x), g, h, 0, cfg,
-                          ref_leaf_of_row)
-    assert nodes == ref_nodes
-    assert np.array_equal(leaf_of_row, ref_leaf_of_row)
-    depths = [0] * len(nodes)
-    for i, (_, _, left, right, _) in enumerate(nodes):
-        if left != i:
-            depths[left] = depths[right] = depths[i] + 1
-    assert np.bincount(depths).tolist() == [2 ** d for d in range(11)]
+    binned = [gbdt._bin_features(x) for x in xs]
+    leaf_of_row = np.empty(2 * n)
+    kids = gbdt._grow_trees(np.concatenate([c for c, _ in binned]),
+                            np.stack([v for _, v in binned]), [n, n],
+                            np.stack([np.concatenate(gs), np.tile(h, 2)]), cfg, leaf_of_row,
+                            {})
+    for c, (x, g) in enumerate(zip(xs, gs)):
+        nodes = []
+        gbdt._write_preorder(nodes, kids, c)
+        ref_nodes, ref_leaf_of_row = [], np.empty(n)
+        _recursive_build_node(ref_nodes, np.arange(n), *_recursive_bin_features(x), g, h, 0,
+                              cfg, ref_leaf_of_row)
+        assert nodes == ref_nodes
+        assert np.array_equal(leaf_of_row[c * n:(c + 1) * n], ref_leaf_of_row)
+        depths = [0] * len(nodes)
+        for i, (_, _, left, right, _) in enumerate(nodes):
+            if left != i:
+                depths[left] = depths[right] = depths[i] + 1
+        assert np.bincount(depths).tolist() == [2 ** d for d in range(11)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,6 +646,135 @@ def test_level_growth_matches_recursive_property(n, nf, depth, msl, lam, trees, 
         gbdt._HIST_ENTRIES = saved
 
 
+def _client_rows(rng, n, nf, kind):
+    """n rows of nf features: small counts, one-decimal values, neighbouring
+    doubles, or wide normal values (more than 256 distinct in 300 rows)."""
+    if kind == 0:
+        return rng.poisson(2.0, (n, nf)).astype(float)
+    if kind == 1:
+        return np.round(rng.random((n, nf)) * 5, 1)
+    if kind == 2:
+        return 1.0 + rng.integers(0, 4, (n, nf)) * np.finfo(float).eps
+    return rng.normal(size=(n, nf)) * 100
+
+
+def _check_train_clients(xs, ys, cfg, cids):
+    """Each client's ensemble from one `train_clients` call must be, in JSON,
+    its lone `train` and, given both classes, the recursive trainer's."""
+    out = gbdt.train_clients(xs, ys, cfg, cids)
+    assert [e.client for e in out] == list(cids)
+    for x, y, cid, ens in zip(xs, ys, cids, out):
+        got = ensemble_to_json(ens)
+        assert got == ensemble_to_json(train(x, y, cfg, client=cid))
+        if 0 < y.mean() < 1:
+            assert got == recursive_train(x, y, cfg, client=cid)
+        else:  # the single-class fallback: single zero leaves
+            assert ens.base_score == (15.0 if y.mean() else -15.0)
+            assert len(ens.trees) == cfg.trees_per_client and not ens.value.any()
+            assert all(_is_leaf(ens, t.root) for t in ens.trees)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entries", [None, 1, 40],
+                         ids=["one-histogram", "node-per-histogram", "node-blocks"])
+def test_train_clients_matches_lone_and_recursive(entries, monkeypatch):
+    # Oracle: per client, its own fit and the recursive trainer.  The clients
+    # differ in size and in their numbers of distinct values, so most
+    # clients' bins are padded; one needs uint16 codes.  Some have one class,
+    # one has a single row, and one only a row of each class.
+    if entries is not None:
+        monkeypatch.setattr(gbdt, "_HIST_ENTRIES", entries)
+    rng = np.random.default_rng(21)
+    xs, ys = [], []
+    for n, kind, labels in [(120, 0, "mixed"), (300, 3, "mixed"), (30, 1, "zeros"),
+                            (1, 0, "ones"), (2, 1, "mixed"), (20, 2, "ones"),
+                            (60, 2, "mixed"), (45, 1, "mixed")]:
+        x = _client_rows(rng, n, 3, kind)
+        if labels == "mixed":
+            y = (x[:, 0] + x[:, 1] * rng.random(n) > np.median(x[:, 0])).astype(float)
+            y[:2] = [0.0, 1.0]
+        else:
+            y = np.full(n, float(labels == "ones"))
+        xs.append(x)
+        ys.append(y)
+    xs[-1][:, 2] = 7.0  # one value: a feature with no candidate
+    assert gbdt._bin_features(xs[1])[0].dtype == np.uint16
+    assert len({gbdt._bin_features(x)[1].shape[1] for x in xs}) > 4
+    cids = [9, 4, 12, 1, 7, 30, 2, 5]  # in no order: each ensemble keeps its own
+    for cfg in (GbdtConfig(trees_per_client=3, max_depth=4),
+                GbdtConfig(trees_per_client=2, max_depth=2, min_samples_leaf=3, lambda_l2=0.0)):
+        _check_train_clients(xs, ys, cfg, cids)
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+def test_train_clients_with_nan_gains(entries, monkeypatch):
+    # Oracle: the saturating cases of the NaN-gain test as three clients of
+    # one call, so that one level's nodes resolve NaN gains each their own
+    # way: seeds 4 and 10 put the NaN feature first, seed 7 second.
+    if entries is not None:
+        monkeypatch.setattr(gbdt, "_HIST_ENTRIES", entries)
+    cases = [_saturating_case(seed)[:2] for seed in (4, 7, 10)]
+    cfg = GbdtConfig(trees_per_client=5, max_depth=2, shrinkage=1.0, lambda_l2=0.0,
+                     min_samples_leaf=2)
+    with pytest.warns(RuntimeWarning):
+        expected = [recursive_train(x, y, cfg, client=c) for c, (x, y) in enumerate(cases)]
+    with pytest.warns(RuntimeWarning):
+        out = gbdt.train_clients([x for x, _ in cases], [y for _, y in cases], cfg, [0, 1, 2])
+    assert [ensemble_to_json(e) for e in out] == expected
+
+
+def test_train_clients_rejects_bad_input():
+    x = np.random.default_rng(5).random((20, 3))
+    y = (x[:, 0] > 0.5).astype(float)
+    cfg = GbdtConfig(trees_per_client=2)
+    with pytest.raises(ValueError, match="one x and one y"):
+        gbdt.train_clients([x, x], [y], cfg, [0, 1])
+    with pytest.raises(ValueError, match="same features"):
+        gbdt.train_clients([x, x[:, :2]], [y, y], cfg, [0, 1])
+    with pytest.raises(ValueError, match="0 or 1"):
+        gbdt.train_clients([x, x], [y, y + 0.5], cfg, [0, 1])
+    assert gbdt.train_clients([], [], cfg, []) == []
+
+
+# (rows, value kind, labels) of one client
+_CLIENT = st.tuples(st.integers(1, 40), st.integers(0, 3),
+                    st.sampled_from(["mixed", "zeros", "ones"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_CLIENT, min_size=1, max_size=5), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 3), st.sampled_from([0.0, 1.0]), st.integers(1, 3),
+       st.sampled_from([None, 1, 40]), st.integers(0, 2**32 - 1))
+def test_train_clients_matches_recursive_property(clients, nf, depth, msl, lam, trees, entries,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    xs, ys = [], []
+    for n, kind, labels in clients:
+        xs.append(_client_rows(rng, n, nf, kind))
+        y = (rng.random(n) < 0.5).astype(float) if labels == "mixed" else \
+            np.full(n, float(labels == "ones"))
+        if labels == "mixed" and n >= 2:
+            y[:2] = [0.0, 1.0]
+        ys.append(y)
+    cfg = GbdtConfig(trees_per_client=trees, max_depth=depth, min_samples_leaf=msl,
+                     lambda_l2=lam)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for x, y in zip(xs, ys):
+            if 0 < y.mean() < 1:
+                recursive_train(x, y, cfg)
+    saved = gbdt._HIST_ENTRIES
+    try:
+        if entries is not None:
+            gbdt._HIST_ENTRIES = entries
+        with warnings.catch_warnings():
+            # No warning the recursive search did not give as well.
+            warnings.simplefilter("ignore" if caught else "error", RuntimeWarning)
+            _check_train_clients(xs, ys, cfg, list(range(len(xs))))
+    finally:
+        gbdt._HIST_ENTRIES = saved
+
+
 @pytest.mark.parametrize("block", [None, 7, 40])
 def test_apply_matches_json_walk(block, monkeypatch):
     # Oracle: a per-row recursive walk of the wire-format trees.  Small walk
@@ -649,20 +788,33 @@ def test_apply_matches_json_walk(block, monkeypatch):
         y = (x[:, client] + rng.normal(0, 1, 120) > 3).astype(float)
         cfg = GbdtConfig(trees_per_client=4, max_depth=depth, shrinkage=0.1 * client)
         ensembles.append(train(x, y, cfg, client=client))
+    # Trees whose root is a leaf, alone and among trees of several depths:
+    # a single-class client's, and single leaves mixed with the trees above.
+    x = rng.poisson(3.0, (50, 6)).astype(float)
+    ensembles.append(train(x, np.ones(50), GbdtConfig(trees_per_client=4), client=5))
+    roots = [t["root"] for e in ensembles[:3] for t in ensemble_to_dict(e)["trees"]]
+    mixed = [{"v": 0.75}, roots[9], {"v": -1.25}, roots[1]]
+    assert "l" in roots[9]["l"] and "l" in roots[1]
+    ensembles.append(ensemble_from_dict({"client": 6, "base_score": 0.5, "shrinkage": 0.2,
+                                         "trees": [{"max_depth": 4, "root": r} for r in mixed]}))
+    leaves = [{"v": 0.5}, {"v": -0.25}, {"v": 2.0}, {"v": 0.0}]
+    ensembles.append(ensemble_from_dict({"client": 7, "base_score": 0.0, "shrinkage": 0.3,
+                                         "trees": [{"max_depth": 1, "root": r} for r in leaves]}))
     # Probe rows hit every threshold exactly as well as values between them.
     probe = rng.poisson(3.0, (80, 6)).astype(float)
     probe[:10] += 0.5
-    matrix = per_tree_output_matrix(ensembles[::-1], probe)
-    assert matrix.shape == (80, 12) and matrix.flags.c_contiguous
-    col = 0
-    for e in ensembles:
-        d = ensemble_to_dict(e)
-        assert np.array_equal(predict_margin_batch(e, probe), walk_margins(d, probe))
-        for t in d["trees"]:
-            expected = [d["shrinkage"] * walk(t["root"], row) for row in probe]
-            assert np.array_equal(matrix[:, col], expected)
-            col += 1
-        assert np.array_equal(predict_margin_batch(e, probe[:0]), np.empty(0))
+    for forest in (ensembles, ensembles[3::2]):
+        matrix = per_tree_output_matrix(forest[::-1], probe)
+        assert matrix.shape == (80, 4 * len(forest)) and matrix.flags.c_contiguous
+        col = 0
+        for e in forest:
+            d = ensemble_to_dict(e)
+            assert np.array_equal(predict_margin_batch(e, probe), walk_margins(d, probe))
+            for t in d["trees"]:
+                expected = [d["shrinkage"] * walk(t["root"], row) for row in probe]
+                assert np.array_equal(matrix[:, col], expected)
+                col += 1
+            assert np.array_equal(predict_margin_batch(e, probe[:0]), np.empty(0))
 
 
 def test_per_tree_outputs_single():
