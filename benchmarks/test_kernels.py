@@ -118,6 +118,31 @@ def test_gbdt_train(benchmark, dense_pulsed_fit):
     assert len(ens.trees) == 20
 
 
+def test_gbdt_train_central_l(benchmark):
+    """Split search at the central-l shape: one `gbdt.train` call on 9,700
+    rows with about 370 distinct values per feature, 10 trees of depth 3.
+    A bin holds few rows, so the per-bin search, not the per-row histogram,
+    leads.
+
+    Like the central-l training set: 13% of the rows are attack seconds,
+    whose older lags fall back to normal traffic more often the older they
+    are, and 1% of the labels are flipped, so the trees keep splitting
+    (about 68 splits in all, as against 62 on central-l at seed 1).
+    """
+    rng = np.random.default_rng(5)
+    n = 9_700
+    y = (rng.random(n) < 0.13).astype(np.float64)
+    flood_share = np.where(y[:, None] == 1, 0.98 - 0.04 * np.arange(10), 0.006 * np.arange(10))
+    rate = np.where(rng.random((n, 10)) < flood_share, rng.uniform(60.0, 360.0, n)[:, None],
+                    rng.uniform(8.0, 32.0, n)[:, None])
+    x = rng.poisson(rate).astype(np.float64)
+    y = np.where(rng.random(n) < 0.01, 1.0 - y, y)
+    ens = benchmark.pedantic(gbdt.train, (x, y, gbdt.GbdtConfig(trees_per_client=T)), rounds=5)
+    benchmark.extra_info["distinct_values_per_feature"] = int(np.mean(
+        [len(np.unique(col)) for col in x.T]))
+    assert len(ens.trees) == T
+
+
 def test_gbdt_train_clients(benchmark):
     """Split search at the fed-s shape: 12 clients of 47-707 rows, 10 trees of
     depth 3 each, in one `gbdt.train_clients` call.  Small nodes make this

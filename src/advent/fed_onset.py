@@ -125,14 +125,27 @@ def round0_aggregate(
     head_config: HeadConfig = HeadConfig(),
     total_rounds: int = 1,
 ) -> GlobalModel:
-    """Sort submitted ensembles by client id and initialize the head."""
+    """Sort submitted ensembles by client id and initialize the head.
+
+    Every ensemble must hold only finite leaf values, thresholds and base
+    score, and a shrinkage in (0, 1]: the wire format's JSON accepts NaN and
+    Infinity, which would otherwise pass straight into the head's table.
+    """
     if not submissions:
         raise ProtocolError("round 0 requires at least one submission")
     seen: set[int] = set()
-    for cid, _ in submissions:
+    for cid, ens in submissions:
         if cid in seen:
             raise ProtocolError(f"duplicate client id {cid} in round 0")
         seen.add(cid)
+        if not np.isfinite(ens.value).all():
+            raise ProtocolError(f"client {cid}: non-finite leaf value")
+        if not np.isfinite(ens.threshold).all():
+            raise ProtocolError(f"client {cid}: non-finite threshold")
+        if not np.isfinite(ens.base_score):
+            raise ProtocolError(f"client {cid}: non-finite base score")
+        if not 0.0 < ens.shrinkage <= 1.0:
+            raise ProtocolError(f"client {cid}: shrinkage outside (0, 1]")
     ordered = [ens for _, ens in sorted(submissions, key=lambda s: s[0])]
     t = len(ordered[0].trees)
     for ens in ordered:

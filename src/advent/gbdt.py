@@ -11,15 +11,25 @@ binned once per fit into the codes of its own sorted distinct values.
 `train_clients` fits many clients at once (`train` is the one-client call):
 tree t of every client with both classes grows in the same level-wise pass.
 A level's nodes are every client's nodes at that depth, and its rows are
-grouped by node.  One bincount per feature and statistic sums count, g and h
-per (node, bin) for every node of the level, and the gains, tie rules and
-row partition (one pass per split feature) are computed for all those nodes
-at once.  Each bin sums its rows in row order and each node's totals are
-sums over its own rows, so the trees are the same, bit for bit, as a
-depth-first search of one node at a time on one client's rows.  A level's
-histograms take (features x nodes x bins) entries; a level whose nodes would
-need more than `_HIST_ENTRIES` is searched in node blocks, each on its own
-rows.  The root level's row counts are the same for every tree and are
+grouped by node, each node's in row order.  A node's histograms hold, per
+feature and bin, the rows, g and h at or below the bin.  Below the root only
+the smaller child of each split is histogrammed from its own rows (one
+bincount per feature and statistic for all of them); its sibling's
+histograms are its parent's, kept from the level above, less the smaller
+child's.  The level puts the smaller children first, in their parents'
+order, and their siblings after them in the same order, so the rows to
+histogram are one prefix of the level's rows; the child ids in each split
+say which is which, and the trees' preorder does not change.  Counts come
+out exact.  A subtracted g or h sum can differ from the direct one by
+rounding; gains within the gain tolerance tie, so that rounding changes no
+split unless two candidates' gains differ by about the tolerance.  Node
+totals and leaf values are still pairwise sums over each node's own rows in
+row order, so the trees are the same, bit for bit, as a depth-first search
+of one node at a time on one client's rows.  The gains, tie rules and row
+partition are computed for many nodes at once; a level whose search would
+need more than `_HIST_ENTRIES` (feature, node, bin) entries is searched in
+node blocks, and only the split nodes' histograms are kept for the next
+level.  The root level's row counts are the same for every tree and are
 counted once.  An ensemble keeps its trees as flat node arrays, so
 prediction walks every tree at once, one vectorized step per level; a tree
 whose root is a leaf is not walked.
@@ -110,8 +120,8 @@ GAIN_TOL_ABS = 1e-12
 MIN_GAIN = 1e-12
 
 
-# A level's histograms cover as many of its nodes at once as keep them to
-# about this many (feature, node, bin) entries.
+# A level's split search covers as many of its nodes at once as keep its
+# temporaries to about this many (feature, node, bin) entries.
 _HIST_ENTRIES = 1 << 16
 
 # Rows walk the trees in blocks of about this many (row, tree) pairs.
@@ -145,43 +155,43 @@ def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, padded
 
 
-def _level_splits(codes, values, client, count, gh, g_tot, h_tot, cfg: GbdtConfig, n_left):
-    """Best split of each node of a block of one level: (feature, threshold, cut) arrays.
+def _histograms(codes, sizes, n_bins, weights, out) -> None:
+    """Cumulative histograms of nodes' rows over their features' bins.
 
-    The block's rows are grouped by node, `count` rows a node, each node's
-    in row order; `codes` and `gh` (g and h stacked) are theirs, and
-    `client` is each node's client, whose distinct values `values[client]`
-    the codes index.  Feature is -1 where a node does not split; otherwise
-    its rows with code < cut go left.  One bincount per feature and
-    statistic builds the (feature, node, bin) histograms, and each bin sums
-    its rows in row order.  A bin is a candidate when its cumulative sums
-    leave at least min_samples_leaf rows on each side.  Empty bins add +0.0,
-    so those sums equal sums over the node's non-empty bins alone, and an
-    empty bin ties with the non-empty one before it, which comes first and
-    wins.  The rows at or below each bin, `n_left`, are counted when None
-    is given, and returned after the split.
+    The rows are grouped by node, sizes[i] rows for node i, each node's in
+    row order, and `codes` are theirs.  out[k, i, f, b] becomes the sum of
+    weights[k] (None counts the rows) over node i's rows whose code on
+    feature f is at most b.  One bincount per feature and weight sums each
+    bin's rows in row order.
     """
-    n_nodes = len(count)
-    n_features, n_bins = values.shape[1:]
-    size = n_nodes * n_bins
-    sums = np.empty((2, n_features, size))
-    counts = np.empty((n_features, size), dtype=np.intp) if n_left is None else None
-    base = np.repeat(np.arange(0, size, n_bins), count)
-    g, h = gh
-    for f in range(n_features):
+    n_nodes = len(sizes)
+    base = np.repeat(np.arange(0, n_nodes * n_bins, n_bins), sizes)
+    for f in range(codes.shape[1]):
         key = base + codes[:, f]
-        if counts is not None:
-            counts[f] = np.bincount(key, minlength=size)
-        sums[0, f] = np.bincount(key, g, size)
-        sums[1, f] = np.bincount(key, h, size)
-    if counts is not None:
-        n_left = np.cumsum(counts.reshape(n_features, n_nodes, n_bins), axis=2)
-    gl, hl = np.cumsum(sums.reshape(2, n_features, n_nodes, n_bins), axis=3)
+        for k, w in enumerate(weights):
+            out[k, :, f] = np.bincount(key, w, n_nodes * n_bins).reshape(n_nodes, n_bins)
+    np.cumsum(out, axis=3, out=out)
+
+
+def _level_splits(hist, values, client, count, g_tot, h_tot, cfg: GbdtConfig):
+    """Best split of each node of a block of one level: (feature, threshold, cut, left) arrays.
+
+    `hist` holds the nodes' cumulative histograms as (rows, g, h) x node x
+    feature x bin (see `_histograms`); `client` is each node's client, whose
+    distinct values `values[client]` the bins index, and `count` its rows.
+    Feature is -1 where a node does not split; otherwise its rows with code <
+    cut go left, `left` of them.  A bin is a candidate when it leaves at
+    least min_samples_leaf rows on each side.  An empty bin has its
+    predecessor's sums, up to the rounding of a subtracted histogram, so it
+    ties with the non-empty bin before it, which comes first and wins.
+    """
+    n_left, gl, hl = hist
+    n_nodes, n_features, n_bins = n_left.shape
     msl, lam = cfg.min_samples_leaf, cfg.lambda_l2
-    cand = (n_left >= msl) & (n_left <= (count - msl)[:, None])
+    cand = (n_left >= msl) & (n_left <= (count - msl)[:, None, None])
     at = np.flatnonzero(cand)
     gl, hl = gl.ravel()[at], hl.ravel()[at]
-    node = at // n_bins % n_nodes
+    node = at // (n_features * n_bins)
     g_node, h_node = g_tot[node], h_tot[node]
     gr = g_node - gl
     hr = h_node - hl
@@ -194,33 +204,37 @@ def _level_splits(codes, values, client, count, gh, g_tot, h_tot, cfg: GbdtConfi
     tied = gains >= m - _gain_tol(m)
     tied |= cand & ~tied.any(axis=2, keepdims=True)
     best = tied.argmax(axis=2)
-    chosen = gains[np.arange(n_features)[:, None], np.arange(n_nodes), best]
+    chosen = np.take_along_axis(gains, best[:, :, None], axis=2)[:, :, 0]
     # Across features, the first whose gain ties with the max of the chosen
     # gains.  Like Python's max() over the features in order, that max skips
     # NaNs unless the first feature with a candidate has one, and NaN ties
     # with nothing.  A feature with no candidate has gain -inf.
-    top = np.fmax.reduce(chosen, axis=0)
-    lead = chosen[cand.any(axis=2).argmax(axis=0), np.arange(n_nodes)]
-    tied = chosen >= top - _gain_tol(top)
-    splits = (top > MIN_GAIN) & ~np.isnan(lead) & tied.any(axis=0)
-    feature = np.where(splits, tied.argmax(axis=0), -1)
+    top = np.fmax.reduce(chosen, axis=1)
+    lead = chosen[np.arange(n_nodes), cand.any(axis=2).argmax(axis=1)]
+    tied = chosen >= (top - _gain_tol(top))[:, None]
+    splits = (top > MIN_GAIN) & ~np.isnan(lead) & tied.any(axis=1)
+    feature = np.where(splits, tied.argmax(axis=1), -1)
     s = np.flatnonzero(splits)
     f = feature[s]
-    b = best[f, s]
+    b = best[s, f]
     # The threshold is the midpoint of the bin and the node's next non-empty
     # bin (where the count next rises), or the upper value when the midpoint
     # of two adjacent doubles rounds down onto the lower one; the cut counts
     # the values below it, as np.searchsorted does.
+    pick = np.arange(len(s))
+    below = n_left[s, f]
+    left = below[pick, b]
     vals = values[client[s], f]
-    after = n_left[f, s] > n_left[f, s, b][:, None]
-    lower = vals[np.arange(len(s)), b]
-    upper = vals[np.arange(len(s)), after.argmax(axis=1)]
+    lower = vals[pick, b]
+    upper = vals[pick, (below > left[:, None]).argmax(axis=1)]
     mid = 0.5 * (lower + upper)
     threshold = np.zeros(n_nodes)
     threshold[s] = np.where(mid > lower, mid, upper)
     cut = np.zeros(n_nodes, dtype=np.intp)
     cut[s] = (vals < threshold[s][:, None]).sum(axis=1)
-    return feature, threshold, cut, n_left
+    n_go_left = np.zeros(n_nodes, dtype=np.intp)
+    n_go_left[s] = left
+    return feature, threshold, cut, n_go_left
 
 
 def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_counts) -> list:
@@ -229,13 +243,16 @@ def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_cou
     The rows are grouped by client, sizes[c] rows for client c; client c's
     root is node c of the returned list, which holds each node, level by
     level, as (f, thr, left, right) or as its leaf value.  Each row's leaf
-    value goes to leaf_of_row.  A level's nodes are every client's nodes at
-    that depth, the left children before the right ones; its rows are
-    grouped by node and each node's are in row order, so a node's totals are
-    pairwise sums over its own rows in row order.  A level whose histograms
-    would need more than `_HIST_ENTRIES` entries is searched in blocks of
-    nodes, each on its own rows.  `root_counts` keeps the root level's
-    cumulated row counts, by block, for the next trees of the same rows.
+    value goes to leaf_of_row.  `root_counts` is the clients' cumulative row
+    counts, `_histograms` with no weight, the same for every tree of the
+    same rows.  Below the root a level's nodes are the smaller children of
+    the last level's splits, in their parents' order, then their siblings in
+    the same order.  Its rows are grouped by node, each node's in row order,
+    so a node's totals are pairwise sums over its own rows in row order.
+    The smaller children's rows come first and alone are histogrammed; each
+    sibling's histograms are its parent's less the smaller child's.  A level
+    whose split search would need more than `_HIST_ENTRIES` histogram
+    entries is searched in blocks of nodes.
     """
     lam = cfg.lambda_l2
     n_features, n_bins = values.shape[1:]
@@ -244,7 +261,12 @@ def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_cou
     client = np.arange(len(sizes))  # each node's client
     sizes = np.asarray(sizes)
     rows = np.arange(gh.shape[1])  # the level's rows, grouped by node
-    level_gh, level_codes = gh, codes  # g and h, and the codes, of the level's rows
+    level_gh = gh  # g and h of the level's rows
+    flat_codes = codes.reshape(-1)
+    # The level's cumulative (rows, g, h) histograms, node by node.
+    hist = np.empty((3, len(sizes), n_features, n_bins))
+    hist[:1] = root_counts
+    _histograms(codes, sizes, n_bins, gh, hist[1:])
     step = max(1, _HIST_ENTRIES // max(1, n_features * n_bins))
     for depth in range(cfg.max_depth + 1):
         ends = np.cumsum(sizes).tolist()
@@ -253,52 +275,57 @@ def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_cou
         g_tot, h_tot = tot[:, 0], tot[:, 1]
         value = -g_tot / (h_tot + lam)
         if depth < cfg.max_depth and n_features:
-            found = []
-            for lo in range(0, len(ids), step):
-                hi = min(lo + step, len(ids))
-                a, b = starts[lo], ends[hi - 1]
-                *split, n_left = _level_splits(level_codes[a:b], values, client[lo:hi],
-                                               sizes[lo:hi], level_gh[:, a:b], g_tot[lo:hi],
-                                               h_tot[lo:hi], cfg,
-                                               root_counts.get(lo) if depth == 0 else None)
-                if depth == 0:
-                    root_counts[lo] = n_left
-                found.append(split)
-            feature, threshold, cut = map(np.concatenate, zip(*found))
+            feature, threshold, cut, n_left = map(np.concatenate, zip(*(
+                _level_splits(hist[:, lo:lo + step], values, client[lo:lo + step],
+                              sizes[lo:lo + step], g_tot[lo:lo + step], h_tot[lo:lo + step], cfg)
+                for lo in range(0, len(ids), step))))
         else:
-            feature, threshold, cut = np.full(len(ids), -1), np.zeros(len(ids)), None
+            feature, threshold = np.full(len(ids), -1), np.zeros(len(ids))
+            n_left = np.zeros(len(ids), dtype=np.intp)
         if (feature < 0).any():  # a split node's rows get their leaf below it
             leaf_of_row[rows] = np.repeat(value, sizes)
         splits = feature >= 0
         n_split = int(splits.sum())
-        first = len(kids)  # the next level's first left child
+        n_left = n_left[splits]
+        n_right = sizes[splits] - n_left
+        right_small = n_right < n_left
+        # The next level's smaller children (the left one on a tie) take its
+        # first n_split ids.
+        first = len(kids)
+        swap = iter(right_small.tolist())
         for i, f, thr, v in zip(ids, feature.tolist(), threshold.tolist(), value.tolist()):
             if f < 0:
                 kids[i] = v
             else:
-                kids[i] = (f, thr, first, first + n_split)
+                small, large = first, first + n_split
+                kids[i] = (f, thr, large, small) if next(swap) else (f, thr, small, large)
                 first += 1
         if not n_split:
             break
         ids = range(len(kids), len(kids) + 2 * n_split)
         kids += [None] * (2 * n_split)
-        # A split node's rows go to its left child, or to its right one when
-        # code >= cut, one pass per split feature; a leaf's rows leave the
-        # level.
-        right = np.zeros(len(rows), dtype=bool)
-        for f in sorted(set(feature[splits].tolist())):
-            right |= level_codes[:, f] >= np.repeat(np.where(feature == f, cut, n_bins), sizes)
-        n_right = np.add.reduceat(right, starts, dtype=np.intp)[splits]
-        left = ~right
+        # A split node's rows go left when their code on its feature is below
+        # its cut; a leaf's rows leave the level.
         if n_split < len(sizes):
-            left &= np.repeat(splits, sizes)
-        sizes = np.concatenate([sizes[splits] - n_right, n_right])
-        rows = rows[np.concatenate([np.flatnonzero(left), np.flatnonzero(right)])]
-        level_gh = level_codes = None  # freed before the next level's are taken
+            rows = rows[np.repeat(splits, sizes)]
+        sizes = sizes[splits]
+        right = flat_codes[rows * n_features + np.repeat(feature[splits], sizes)] \
+            >= np.repeat(cut[splits], sizes)
+        to_large = right != np.repeat(right_small, sizes)
+        rows = rows[np.concatenate([np.flatnonzero(~to_large), np.flatnonzero(to_large)])]
+        sizes = np.concatenate([np.minimum(n_left, n_right), np.maximum(n_left, n_right)])
+        client = np.tile(client[splits], 2)
+        level_gh = None  # freed before the next level's are taken
         level_gh = np.take(gh, rows, axis=1)
         if depth + 1 < cfg.max_depth:
-            level_codes = np.take(codes, rows, axis=0)
-        client = np.tile(client[splits], 2)
+            parent = hist[:, splits]
+            hist = None
+            hist = np.empty((3, 2 * n_split, n_features, n_bins))
+            m = int(sizes[:n_split].sum())
+            _histograms(np.take(codes, rows[:m], axis=0), sizes[:n_split], n_bins,
+                        (None, *level_gh[:, :m]), hist[:, :n_split])
+            np.subtract(parent, hist[:, :n_split], out=hist[:, n_split:])
+            parent = None
     return kids
 
 
@@ -340,6 +367,11 @@ def train(x: np.ndarray, y: np.ndarray, config: GbdtConfig, client: int = 0) -> 
     return train_clients([x], [y], config, [client])[0]
 
 
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays end to end: a lone array as it is, not a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
     """`train` for each client on its own rows xs[i], ys[i], in one pass.
 
@@ -377,18 +409,19 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
         raise ValueError("every client's rows must have the same features")
     # Each client's codes index its own distinct values, padded with +inf.
     binned = [_bin_features(x) for _, x, _, _ in fits]
-    codes = np.concatenate([c for c, _ in binned])
+    codes = _joined([c for c, _ in binned])
     n_bins = max(v.shape[1] for _, v in binned)
     values = np.full((len(fits), len(binned[0][1]), n_bins), np.inf)
     for c, (_, v) in enumerate(binned):
         values[c, :, :v.shape[1]] = v
     del binned  # the codes live on in `codes` alone
     sizes = [len(y) for _, _, y, _ in fits]
-    y = np.concatenate([y for _, _, y, _ in fits])
+    y = _joined([y for _, _, y, _ in fits])
     margins = np.repeat([base for *_, base in fits], sizes)
     gh = np.empty((2, len(y)))  # g and h of every row
     leaf_of_row = np.empty(len(y))
-    root_counts: dict = {}
+    root_counts = np.empty((1, len(fits), values.shape[1], n_bins))
+    _histograms(codes, sizes, n_bins, [None], root_counts)
     nodes: list = [[] for _ in fits]
     roots: list = [[] for _ in fits]
     for _ in range(config.trees_per_client):

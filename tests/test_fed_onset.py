@@ -73,6 +73,36 @@ def test_round0_empty_rejected():
         round0_aggregate([])
 
 
+@pytest.mark.parametrize("token, path, match", [
+    ("NaN", ("trees", 0, "root", "l", "v"), "non-finite leaf value"),
+    ("Infinity", ("trees", 1, "root", "t"), "non-finite threshold"),
+    ("-Infinity", ("base_score",), "non-finite base score"),
+    ("0.0", ("shrinkage",), "shrinkage outside"),
+    ("1.5", ("shrinkage",), "shrinkage outside"),
+    ("NaN", ("shrinkage",), "shrinkage outside"),
+], ids=["nan-leaf", "inf-threshold", "inf-base-score", "zero-shrinkage", "large-shrinkage",
+        "nan-shrinkage"])
+def test_round0_rejects_bad_ensemble(token, path, match):
+    # The wire format's JSON parser takes NaN and Infinity tokens, so a bad
+    # ensemble decodes; round 0 must refuse it and name its client.
+    cs = _clients(2)
+    good = gbdt.ensemble_to_dict(gbdt.train(cs[0].x, cs[0].y,
+                                            gbdt.GbdtConfig(trees_per_client=2), client=1))
+    bad = gbdt.ensemble_to_dict(gbdt.train(cs[1].x, cs[1].y,
+                                           gbdt.GbdtConfig(trees_per_client=2), client=2))
+    assert "l" in bad["trees"][0]["root"] and "t" in bad["trees"][1]["root"]
+    *parents, key = path
+    target = bad
+    for p in parents:
+        target = target[p]
+    target[key] = "TOKEN"
+    line = json.dumps(bad, sort_keys=True).replace('"TOKEN"', token)
+    subs = [(1, gbdt.ensemble_from_dict(good)), (2, gbdt.ensemble_from_json(line))]
+    with pytest.raises(ProtocolError, match=f"client 2: {match}"):
+        round0_aggregate(subs)
+    round0_aggregate(subs[:1])
+
+
 def test_fedavg_equal_weights_is_mean():
     rng = np.random.default_rng(1)
     w1, w2 = _weights(rng), _weights(rng)

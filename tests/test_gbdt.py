@@ -593,10 +593,12 @@ def test_wide_level_matches_recursive_reference():
     cfg = GbdtConfig(max_depth=10, lambda_l2=0.0)
     binned = [gbdt._bin_features(x) for x in xs]
     leaf_of_row = np.empty(2 * n)
-    kids = gbdt._grow_trees(np.concatenate([c for c, _ in binned]),
-                            np.stack([v for _, v in binned]), [n, n],
+    codes = np.concatenate([c for c, _ in binned])
+    root_counts = np.empty((1, 2, 1, n))
+    gbdt._histograms(codes, [n, n], n, [None], root_counts)
+    kids = gbdt._grow_trees(codes, np.stack([v for _, v in binned]), [n, n],
                             np.stack([np.concatenate(gs), np.tile(h, 2)]), cfg, leaf_of_row,
-                            {})
+                            root_counts)
     for c, (x, g) in enumerate(zip(xs, gs)):
         nodes = []
         gbdt._write_preorder(nodes, kids, c)
@@ -610,6 +612,91 @@ def test_wide_level_matches_recursive_reference():
             if left != i:
                 depths[left] = depths[right] = depths[i] + 1
         assert np.bincount(depths).tolist() == [2 ** d for d in range(11)]
+
+
+def _grow_and_trace(xs, gs, hs, cfg):
+    """Grow one tree per client with `_grow_trees` on the given g and h, and
+    check every histogram its split search saw against a direct bincount of
+    the node's own rows.
+
+    A root's or a smaller child's histograms must be the direct ones, bit for
+    bit.  A larger sibling's, taken as its parent's less the smaller child's,
+    must have the same counts, and g and h sums within the rounding that its
+    chain of subtractions can add: each cumulative sum in the chain is off by
+    at most (rows + bins) units of rounding of the client's absolute sums,
+    and a node at depth d ends a chain of d subtractions.  Each level's
+    smaller children must come first, in their parents' order.  Returns the
+    tree's kids and whether each node's histograms were subtracted."""
+    binned = [gbdt._bin_features(x) for x in xs]
+    n_bins = max(v.shape[1] for _, v in binned)
+    nf = xs[0].shape[1]
+    values = np.full((len(xs), nf, n_bins), np.inf)
+    for c, (_, v) in enumerate(binned):
+        values[c, :, :v.shape[1]] = v
+    codes = np.concatenate([c for c, _ in binned])
+    sizes = [len(x) for x in xs]
+    root_counts = np.empty((1, len(xs), nf, n_bins))
+    gbdt._histograms(codes, sizes, n_bins, [None], root_counts)
+    seen = []
+    search = gbdt._level_splits
+
+    def spy(hist, *args):
+        seen.append(hist.copy())
+        return search(hist, *args)
+
+    gbdt._level_splits = spy
+    try:
+        kids = gbdt._grow_trees(codes, values, sizes,
+                                np.stack([np.concatenate(gs), np.concatenate(hs)]), cfg,
+                                np.empty(sum(sizes)), root_counts)
+    finally:
+        gbdt._level_splits = search
+    x, g, h = np.concatenate(xs), np.concatenate(gs), np.concatenate(hs)
+    bounds = np.cumsum([0] + sizes)
+    rows = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    client, depth, subtracted = list(range(len(xs))), [0] * len(xs), [False] * len(xs)
+    level = list(range(len(xs)))
+    while level:
+        smalls, larges = [], []
+        for i in level:
+            if isinstance(kids[i], tuple):
+                f, thr, left, right = kids[i]
+                goes_left = x[rows[i], f] < thr
+                n_left = int(goes_left.sum())
+                if n_left <= len(goes_left) - n_left:
+                    smalls.append((left, i, goes_left))
+                    larges.append((right, i, ~goes_left))
+                else:
+                    smalls.append((right, i, ~goes_left))
+                    larges.append((left, i, goes_left))
+        # The smaller children take the next ids in their parents' order,
+        # then their siblings in the same order.
+        level = [kid for kid, _, _ in smalls + larges]
+        assert level == list(range(len(rows), len(rows) + len(level)))
+        for kid, parent, mask in smalls + larges:
+            rows.append(rows[parent][mask])
+            client.append(client[parent])
+            depth.append(depth[parent] + 1)
+        subtracted += [False] * len(smalls) + [True] * len(larges)
+    hist = np.concatenate(seen, axis=1)
+    assert hist.shape[1] == sum(d < cfg.max_depth for d in depth)
+    eps = np.finfo(float).eps
+    for i in range(hist.shape[1]):
+        c = client[i]
+        for f in range(nf):
+            code = codes[rows[i], f].astype(np.intp)
+            direct = [np.cumsum(np.bincount(code, w, n_bins)) for w in
+                      (None, g[rows[i]], h[rows[i]])]
+            assert np.array_equal(hist[0, i, f], direct[0])
+            for k, w in ((1, g), (2, h)):
+                if not subtracted[i]:
+                    assert np.array_equal(hist[k, i, f], direct[k])
+                    continue
+                whole = np.cumsum(np.bincount(codes[rows[c], f].astype(np.intp),
+                                              np.abs(w[rows[c]]), n_bins))
+                tol = 2 * depth[i] * (sizes[c] + n_bins) * eps * whole
+                assert (np.abs(hist[k, i, f] - direct[k]) <= tol).all()
+    return kids, subtracted
 
 
 @settings(max_examples=60, deadline=None)
@@ -771,6 +858,56 @@ def test_train_clients_matches_recursive_property(clients, nf, depth, msl, lam, 
             # No warning the recursive search did not give as well.
             warnings.simplefilter("ignore" if caught else "error", RuntimeWarning)
             _check_train_clients(xs, ys, cfg, list(range(len(xs))))
+    finally:
+        gbdt._HIST_ENTRIES = saved
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("smaller", ["left", "right", "same-size"])
+def test_subtracted_sibling_matches_direct_histograms(smaller):
+    # Oracle: direct bincounts of each node's rows, and the recursive
+    # trainer.  The root's best split sends 10 of 40 rows left, 10 right, or
+    # 20 each way; its smaller child is histogrammed from its rows and takes
+    # the next level's first id, and the sibling's histograms are subtracted.
+    rng = np.random.default_rng(50)
+    n = 40
+    x = np.column_stack([np.arange(n, dtype=float), rng.integers(0, 5, n).astype(float)])
+    cut = {"left": 10, "right": 30, "same-size": 20}[smaller]
+    g = np.where(x[:, 0] < cut, 1.0, -1.0) + rng.normal(0, 0.2, n)
+    h = rng.uniform(0.1, 0.3, n)
+    cfg = GbdtConfig(max_depth=3)
+    kids, subtracted = _grow_and_trace([x], [g], [h], cfg)
+    f, thr, left, right = kids[0]
+    assert (f, thr) == (0, cut - 0.5)
+    assert (left, right) == ((2, 1) if smaller == "right" else (1, 2))
+    assert subtracted[2] and not subtracted[1]
+    nodes = []
+    gbdt._write_preorder(nodes, kids, 0)
+    ref_nodes = []
+    _recursive_build_node(ref_nodes, np.arange(n), *_recursive_bin_features(x), g, h, 0, cfg,
+                          np.empty(n))
+    assert nodes == ref_nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 3)), min_size=1, max_size=5),
+       st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.sampled_from([0.0, 1.0]),
+       st.sampled_from([None, 1, 40]), st.integers(0, 2**32 - 1))
+def test_subtracted_histograms_property(clients, nf, depth, msl, lam, entries, seed):
+    # Over random levels of several clients, every histogram the split search
+    # sees is a direct one, or a subtracted one with exact counts and g and h
+    # sums within the subtractions' rounding of the direct sums.  g and h
+    # span six orders of magnitude, so sums carry rounding.
+    rng = np.random.default_rng(seed)
+    xs = [_client_rows(rng, n, nf, kind) for n, kind in clients]
+    gs = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n) for n, _ in clients]
+    hs = [rng.uniform(0.01, 1.0, n) * 10.0 ** rng.uniform(-3, 3, n) for n, _ in clients]
+    cfg = GbdtConfig(max_depth=depth, min_samples_leaf=msl, lambda_l2=lam)
+    saved = gbdt._HIST_ENTRIES
+    try:
+        if entries is not None:
+            gbdt._HIST_ENTRIES = entries
+        _grow_and_trace(xs, gs, hs, cfg)
     finally:
         gbdt._HIST_ENTRIES = saved
 
