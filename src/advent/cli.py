@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: generate, preprocess, run, evaluate, report.  Flag values take
-precedence over config-file values, which take precedence over defaults.
+Subcommands: generate, preprocess, run, report.  Flag values take precedence
+over config-file values, which take precedence over defaults.
 The ADVENT_LOG environment variable sets log verbosity.
 """
 
@@ -111,27 +111,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    """Recompute the report from a run directory's saved predictions."""
-    run_dir = Path(args.run_dir)
-    pred_path = run_dir / "predictions.json"
-    report_path = run_dir / "report.json"
-    if not pred_path.exists() or not report_path.exists():
-        print(f"error: {run_dir} is not a completed run directory", file=sys.stderr)
-        return 1
-    with open(pred_path, "r", encoding="utf-8") as fh:
-        pred = json.load(fh)
-    from . import metrics
-    from .metrics import Confusion
-
-    old = runner.load_report(report_path)
-    conf = Confusion(**pred["onset_confusion"])
-    out = dict(old)
-    out["onset"] = metrics.score(conf).metrics_dict()
-    print(json.dumps(out, indent=1, sort_keys=True))
-    return 0
-
-
 _REPORT_COLUMNS = [
     "scenario", "method", "mnd_mode", "seed",
     "onset_dr", "onset_far", "onset_fnr", "onset_f1",
@@ -214,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int)
     r.add_argument("--out")
     r.set_defaults(func=cmd_run)
-
-    e = sub.add_parser("evaluate", help="recompute metrics from a run directory")
-    e.add_argument("--run-dir", dest="run_dir", required=True)
-    e.set_defaults(func=cmd_evaluate)
 
     rp = sub.add_parser("report", help="tabulate reports under a directory")
     rp.add_argument("--out", required=True)

@@ -1,46 +1,18 @@
-"""Server-side aggregation of suspicion reports into the broadcast blocklist.
+"""Server-side aggregation of suspicion reports into the malicious-node list.
 
-Frequency counting over distinct reporters with threshold TH, plus the
-stateless/stateful list lifecycle (stateful keeps per-id expiry timers).
+Frequency counting over distinct reporters with threshold TH: an id is
+listed when at least TH distinct vehicles report it in the same round.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, field
 
 from .mnd import SuspicionReport
 
-__all__ = [
-    "AggregationState",
-    "aggregate",
-    "update_list",
-    "make_broadcast_message",
-    "parse_broadcast_message",
-    "NodeBlocklist",
-]
+__all__ = ["aggregate"]
 
 log = logging.getLogger(__name__)
-
-DEFAULT_TIMER_S = 120.0
-
-
-@dataclass
-class AggregationState:
-    mode: str = "stateless"  # or "stateful"
-    th: int = 2
-    timer_duration_s: float = DEFAULT_TIMER_S
-    frequencies: dict[int, int] = field(default_factory=dict)
-    listed: set[int] = field(default_factory=set)
-    timers: dict[int, float] = field(default_factory=dict)
-    version: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("stateless", "stateful"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.th < 1:
-            raise ValueError("th must be >= 1")
 
 
 def aggregate(reports: list[SuspicionReport], th: int) -> set[int]:
@@ -55,63 +27,3 @@ def aggregate(reports: list[SuspicionReport], th: int) -> set[int]:
                 continue
             freq.setdefault(v, set()).add(rep.reporter)
     return {v for v, reporters in freq.items() if len(reporters) >= th}
-
-
-def update_list(state: AggregationState, new_set: set[int], now_s: float) -> tuple[AggregationState, set[int]]:
-    """Fold a freshly aggregated set into the lifecycle; returns the broadcast set.
-
-    Stateless: broadcast exactly new_set, carry nothing forward.  Stateful:
-    reset timers for re-reported ids, drop ids whose timers have expired.
-    """
-    if state.mode == "stateless":
-        state.listed = set()
-        state.timers = {}
-        state.version += 1
-        return state, set(new_set)
-    for v in new_set:
-        state.timers[v] = now_s + state.timer_duration_s
-    surviving = {v for v, expiry in state.timers.items() if expiry > now_s}
-    state.timers = {v: e for v, e in state.timers.items() if v in surviving}
-    state.listed = surviving
-    state.version += 1
-    return state, set(surviving)
-
-
-def make_broadcast_message(listed: set[int], version: int, mode: str, issued_at_s: float) -> str:
-    return json.dumps(
-        {
-            "type": "MALICIOUS_LIST",
-            "version": version,
-            "ids": sorted(listed),
-            "mode": mode,
-            "issued_at_s": issued_at_s,
-        },
-        sort_keys=True,
-    )
-
-
-def parse_broadcast_message(line: str) -> dict:
-    msg = json.loads(line)
-    if msg.get("type") != "MALICIOUS_LIST":
-        raise ValueError(f"unexpected message type {msg.get('type')!r}")
-    return msg
-
-
-class NodeBlocklist:
-    """A vehicle's view of the broadcast list; drops traffic from listed ids."""
-
-    def __init__(self):
-        self.blocked: set[int] = set()
-        self.version: int = -1
-        self.dropped: int = 0
-
-    def apply(self, message: str) -> None:
-        msg = parse_broadcast_message(message)
-        self.blocked = set(int(v) for v in msg["ids"])
-        self.version = int(msg["version"])
-
-    def accepts(self, sender: int) -> bool:
-        if sender in self.blocked:
-            self.dropped += 1
-            return False
-        return True

@@ -1,11 +1,13 @@
-"""Federated attack-onset protocol: round-0 tree aggregation, weight rounds,
-onset inference and quorum confirmation.
+"""Federated attack-onset protocol: round-0 tree aggregation, weight rounds
+and onset inference.
 
 Round 0 collects each client's tree ensemble, sorts them by client id, and
 initializes the convolutional head.  The ensembles stay fixed afterwards;
 rounds 1..R-1 broadcast the head weights, run client updates, and FedAvg the
-results.  Transport is a JSON-lines message format carried over an in-process
-queue here, but the same bytes round-trip through files.
+results.  Every message is encoded as one JSON line and decoded by its
+receiver in process; the lines are kept only in a transcript the caller
+passes, and the same bytes round-trip through files.  Each vehicle's onset
+flags are its own: no quorum across vehicles confirms them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "fedavg",
     "run_training",
     "detect_onset_batch",
-    "confirm_onset",
 ]
 
 log = logging.getLogger(__name__)
@@ -42,8 +43,6 @@ MESSAGE_TYPES = (
     "GLOBAL_ENSEMBLE",
     "WEIGHTS_BROADCAST",
     "WEIGHTS_UPDATE",
-    "ONSET_REPORT",
-    "ONSET_CONFIRMED",
 )
 
 
@@ -71,14 +70,10 @@ class GlobalModel:
 @dataclass(frozen=True)
 class FedConfig:
     rounds: int = 10
-    onset_quorum: int = 2
-    confirm_window_s: float = 2.0
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.onset_quorum < 1:
-            raise ValueError("onset_quorum must be >= 1")
 
 
 @dataclass
@@ -114,6 +109,18 @@ def decode_message(line: str) -> dict:
     if msg.get("type") not in MESSAGE_TYPES:
         raise ProtocolError(f"unknown message type {msg.get('type')!r}")
     return msg
+
+
+def _send(transcript: list[str] | None, line: str) -> dict:
+    """Put one encoded message on the wire: keep the line only in a
+    transcript the caller gave, and return it as the receiver decodes it.
+
+    Taking the line, not the payload, lets the sender's payload be freed
+    before the decode builds the receiver's copy.
+    """
+    if transcript is not None:
+        transcript.append(line)
+    return decode_message(line)
 
 
 # ---------------------------------------------------------------------------
@@ -200,36 +207,32 @@ def run_training(
     fed_config: FedConfig,
     transcript: list[str] | None = None,
 ) -> GlobalModel:
-    """Execute round 0 plus rounds-1 weight rounds over an in-process queue.
+    """Execute round 0 plus rounds-1 weight rounds in process.
 
     Every message crosses the wire as a JSON line; pass `transcript` to
-    capture them.  Round 0 fits every client's trees in one
-    `gbdt.train_clients` call; each ensemble is the client's own fit.
+    capture them, otherwise each line is dropped once decoded.  Round 0
+    fits every client's trees in one `gbdt.train_clients` call; each
+    ensemble is the client's own fit.
     Every client trains in every weight round, with a seed derived from the
     head seed, the client id and the round, so runs are deterministic.
     """
     if not clients:
         raise ProtocolError("no clients available; training stalled")
-    queue: list[str] = transcript if transcript is not None else []
 
     # Round 0: tree upload and aggregation.
     submissions: list[tuple[int, LocalEnsemble]] = []
     fitted = gbdt.train_clients([c.x for c in clients], [c.y for c in clients], gbdt_config,
                                 [c.cid for c in clients])
     for c, ens in zip(clients, fitted):
-        line = encode_message("TREES_UPLOAD", c.cid, 0, 0, gbdt.ensemble_to_dict(ens))
-        queue.append(line)
-        msg = decode_message(line)
+        msg = _send(transcript, encode_message("TREES_UPLOAD", c.cid, 0, 0,
+                                               gbdt.ensemble_to_dict(ens)))
         submissions.append((msg["cid"], gbdt.ensemble_from_dict(msg["payload"])))
     model = round0_aggregate(submissions, head_config, total_rounds=fed_config.rounds)
-    global_line = encode_message(
+    broadcast = _send(transcript, encode_message(
         "GLOBAL_ENSEMBLE", None, 0, model.model_version,
-        [gbdt.ensemble_to_dict(e) for e in model.ensembles],
-    )
-    queue.append(global_line)
-    broadcast_ensembles = [
-        gbdt.ensemble_from_dict(d) for d in decode_message(global_line)["payload"]
-    ]
+        [gbdt.ensemble_to_dict(e) for e in model.ensembles]))["payload"]
+    broadcast_ensembles = [gbdt.ensemble_from_dict(d) for d in broadcast]
+    del broadcast  # before the table build, where a large run's memory peaks
     # Each client evaluates the broadcast trees on its own rows, bias-tapped
     # for the head once for all rounds.  A row's bytes key it into one
     # shared table of distinct rows, so every client keeps one table id per
@@ -248,20 +251,17 @@ def run_training(
 
     # Rounds 1..R-1: head-weight averaging.
     for r in range(1, fed_config.rounds):
-        bcast = encode_message("WEIGHTS_BROADCAST", None, r, model.model_version,
-                               head.weights_to_dict(model.head))
-        queue.append(bcast)
-        w_global = head.weights_from_dict(decode_message(bcast)["payload"])
+        w_global = head.weights_from_dict(_send(transcript, encode_message(
+            "WEIGHTS_BROADCAST", None, r, model.model_version,
+            head.weights_to_dict(model.head)))["payload"])
         trained = head.train_round(
             w_global, table, ids, labels, list(zip(bounds, bounds[1:])),
             [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients], head_config)
         updates: list[tuple[int, HeadWeights, int]] = []
         for c, w_new in zip(clients, trained):
-            line = encode_message("WEIGHTS_UPDATE", c.cid, r, model.model_version,
-                                  {"weights": head.weights_to_dict(w_new),
-                                   "sample_count": len(c.y)})
-            queue.append(line)
-            msg = decode_message(line)
+            msg = _send(transcript, encode_message(
+                "WEIGHTS_UPDATE", c.cid, r, model.model_version,
+                {"weights": head.weights_to_dict(w_new), "sample_count": len(c.y)}))
             updates.append((msg["cid"], head.weights_from_dict(msg["payload"]["weights"]),
                             msg["payload"]["sample_count"]))
         model.head = fedavg(updates)
@@ -271,7 +271,7 @@ def run_training(
 
 
 # ---------------------------------------------------------------------------
-# Inference and confirmation
+# Inference
 
 
 def detect_onset_batch(model: GlobalModel, x: np.ndarray) -> np.ndarray:
@@ -282,19 +282,3 @@ def detect_onset_batch(model: GlobalModel, x: np.ndarray) -> np.ndarray:
     p = head.forward_batch(model.head, v)
     return p > 0.5
 
-
-def confirm_onset(
-    reports: list[tuple[int, float]],
-    quorum: int = 2,
-    window_s: float = 2.0,
-) -> str:
-    """'confirmed' iff >= quorum distinct clients report within a sliding window."""
-    if quorum < 1:
-        raise ValueError("quorum must be >= 1")
-    ordered = sorted(reports, key=lambda r: r[1])
-    for i in range(len(ordered)):
-        t0 = ordered[i][1]
-        cids = {cid for cid, t in ordered[i:] if t <= t0 + window_s}
-        if len(cids) >= quorum:
-            return "confirmed"
-    return "unconfirmed"

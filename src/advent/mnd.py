@@ -8,7 +8,6 @@ lower bound is computed for the stats but never flags anyone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .preprocess import NeighborCounts
@@ -19,10 +18,6 @@ __all__ = [
     "mad",
     "rejection_bounds",
     "detect",
-    "report_to_dict",
-    "report_from_dict",
-    "report_to_json",
-    "report_from_json",
 ]
 
 CONSISTENCY_B = 1.4826
@@ -103,34 +98,3 @@ def detect(counts: NeighborCounts, params: MadParams = MadParams()) -> Suspicion
         stats={"median": m, "mad": scale, "upper_tr": upper},
     )
 
-
-def report_to_dict(r: SuspicionReport) -> dict:
-    return {
-        "reporter": r.reporter,
-        "interval": [r.interval[0], r.interval[1]],
-        "suspected": sorted(r.suspected),
-        "stats": {"M": r.stats.get("median"), "mad": r.stats.get("mad"),
-                  "upper_tr": r.stats.get("upper_tr")},
-    }
-
-
-def report_from_dict(d: dict) -> SuspicionReport:
-    stats = d.get("stats") or {}
-    mapped = {}
-    if stats.get("M") is not None:
-        mapped = {"median": float(stats["M"]), "mad": float(stats["mad"]),
-                  "upper_tr": float(stats["upper_tr"])}
-    return SuspicionReport(
-        reporter=int(d["reporter"]),
-        interval=(float(d["interval"][0]), float(d["interval"][1])),
-        suspected=set(int(v) for v in d.get("suspected", [])),
-        stats=mapped,
-    )
-
-
-def report_to_json(r: SuspicionReport) -> str:
-    return json.dumps(report_to_dict(r), sort_keys=True)
-
-
-def report_from_json(s: str) -> SuspicionReport:
-    return report_from_dict(json.loads(s))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fed_mnd, fed_onset, gbdt, metrics, mnd, preprocess, scenario
-from .balance import BalanceConfig, smote_arrays
+from .balance import DEFAULT_TARGET_RATIO, BalanceConfig, smote_arrays
 from .gbdt import GbdtConfig
 from .head import HeadConfig
 from .metrics import Confusion
@@ -57,7 +57,7 @@ class RunManifest:
     learning_rate: float = 0.1
     epochs: int = 100
     batch_size: int = 64
-    target_ratio: float = 294.12
+    target_ratio: float = DEFAULT_TARGET_RATIO
     k_neighbors: int = 5
     mad_b: float = mnd.CONSISTENCY_B
     mad_ce: float = mnd.EXCLUSION_CE
@@ -157,16 +157,18 @@ def _run_onset(manifest: RunManifest, per_vehicle, truth):
             flags = gbdt.predict_margin_batch(model, x) > 0.0
             decisions[v] = (secs, flags)
     else:
+        smote = None
+        if manifest.method == "federated_smote":
+            smote = BalanceConfig(target_ratio=manifest.target_ratio,
+                                  k_neighbors=manifest.k_neighbors)
         clients = []
         for v, (secs, x, y) in sorted(per_vehicle.items()):
             mask = secs < t_split
             cx, cy = x[mask], y[mask]
             if len(cx) == 0:
                 continue
-            if manifest.method == "federated_smote":
-                bcfg = BalanceConfig(target_ratio=manifest.target_ratio,
-                                     k_neighbors=manifest.k_neighbors)
-                cx, cy = smote_arrays(cx, cy, bcfg, seed=manifest.seed * 7919 + v)
+            if smote is not None:
+                cx, cy = smote_arrays(cx, cy, smote, seed=manifest.seed * 7919 + v)
             clients.append(fed_onset.FedClient(cid=v, x=cx, y=cy.astype(np.float64)))
         model = fed_onset.run_training(
             clients, gcfg, hcfg, fed_onset.FedConfig(rounds=manifest.rounds)

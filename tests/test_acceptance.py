@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from advent import cli, fed_mnd, fed_onset, gbdt, head, mnd, runner, scenario
+from advent import cli, fed_onset, gbdt, head, mnd, runner, scenario
 from advent.balance import BalanceConfig, smote_arrays
 from advent.head import HeadConfig, HeadWeights
-from advent.preprocess import NeighborCounts
 
 from test_gbdt import brute_force_split, logistic_gh
 from test_head import finite_difference, random_weights, reference_logits
@@ -316,14 +315,7 @@ def test_criterion_10_serialization_roundtrips(tmp_path):
     ok &= bool(np.array_equal(w2.conv_kernels, w.conv_kernels)
                and np.array_equal(w2.dense, w.dense)
                and w2.dense_bias == w.dense_bias)
-    # Suspicion reports.
-    rep = mnd.detect(NeighborCounts(vehicle=1, interval=(0.0, 10.0),
-                                    per_sender={2: 10, 3: 9, 4: 240}))
-    back = mnd.report_from_json(mnd.report_to_json(rep))
-    ok &= back.suspected == rep.suspected and back.stats == rep.stats
-    # Broadcast and protocol messages.
-    line = fed_mnd.make_broadcast_message({4, 2}, 7, "stateful", 30.0)
-    ok &= fed_mnd.parse_broadcast_message(line)["ids"] == [2, 4]
+    # Protocol messages.
     pline = fed_onset.encode_message("WEIGHTS_UPDATE", 2, 3, 1,
                                      {"weights": head.weights_to_dict(w),
                                       "sample_count": 12})

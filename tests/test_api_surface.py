@@ -1,14 +1,17 @@
-"""Tooling checks on names other code looks up by string.
+"""Tooling checks on names other code looks up by string, and on reach.
 
 Every name an advent module exports must exist, and so must every function
 the benchmark tracer (perfbench/tracer.py) wraps: a traced function that is
 deleted or renamed would otherwise only drop its per-layer metrics from a
-traced benchmark result.
+traced benchmark result.  Every exported function and method must also be
+called by some CLI run, or be allowlisted with the reason it stays.
 """
 
 import importlib
 import importlib.util
+import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import advent
@@ -48,3 +51,94 @@ def test_every_tracer_target_exists():
     missing = [(mod, attr) for mod, attr in targets
                if _missing(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+# Exported functions and methods that no CLI run calls, each with the reason
+# it stays.  Anything else exported must be reached by `_cli_runs`.
+UNREACHED_ALLOWED = {
+    "preprocess.interval_counts": "tracer target (perfbench/tracer.py)",
+    "head.train_on_matrix": "tracer target (perfbench/tracer.py)",
+    "preprocess.CountSeries.total": "tracer counter hook of build_count_series",
+    "head.gradients": "oracle: the analytic gradients the tests check SGD against",
+    "mnd.rejection_bounds": "oracle: the MAD band the acceptance tests check",
+    "gbdt.ensemble_to_json": "canonical form: ensemble round trips in the tests",
+    "gbdt.ensemble_from_json": "canonical form: ensemble round trips in the tests",
+    "head.weights_to_json": "canonical form: weight round trips in the tests",
+    "head.weights_from_json": "canonical form: weight round trips in the tests",
+    "head.HeadWeights.copy": "tests copy weights before poisoning one",
+    "head.HeadWeights.allclose": "tests compare trained weights",
+}
+
+
+def _exported_code():
+    """Qualified name -> code object of every function and method an advent
+    module exports, not counting ones dataclasses generate."""
+    package = Path(advent.__file__).parent
+    out = {}
+
+    def add(name, fn):
+        if isinstance(fn, (staticmethod, classmethod)):
+            fn = fn.__func__
+        elif isinstance(fn, property):
+            fn = fn.fget
+        code = getattr(fn, "__code__", None)
+        if code is not None and Path(code.co_filename).parent == package:
+            out[name] = code
+
+    for info in pkgutil.iter_modules(advent.__path__):
+        mod = importlib.import_module(f"advent.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if isinstance(obj, type):
+                for attr, member in vars(obj).items():
+                    add(f"{info.name}.{name}.{attr}", member)
+            else:
+                add(f"{info.name}.{name}", obj)
+    return out
+
+
+def _cli_runs(tmp: Path):
+    """Every subcommand on a small scenario: both onset paths and all three
+    MND modes."""
+    from advent.cli import main
+
+    config = tmp / "scenario.json"
+    config.write_text(json.dumps({
+        "duration_s": 600, "total_vehicles": 12, "concurrent_range": [4, 8],
+        "arrival_interval_s": 50, "attacker_fraction": 0.2, "attack_count": 1,
+        "attack_spacing_s": 300, "attack_duration_s": 25, "normal_rate_pps": 1.0,
+        "flood_rate_pps": 20.0, "neighbor_degree": 12, "rng_seed": 42,
+    }))
+    events = str(tmp / "scn" / "events.csv")
+    assert main(["generate", "--config", str(config), "--out", str(tmp / "scn")]) == 0
+    assert main(["preprocess", "--events", events, "--out", str(tmp / "feat")]) == 0
+    small = tmp / "small.json"
+    small.write_text(json.dumps({"rounds": 2, "epochs": 2, "trees_per_client": 2}))
+    for method, mode in (("centralized", "fl_aggregate"), ("federated_smote", "fl_threshold"),
+                         ("centralized", "local_mad")):
+        out = tmp / "runs" / f"{method}-{mode}"
+        assert main(["run", "--config", str(small), "--scenario", events, "--out", str(out),
+                     "--method", method, "--mnd-mode", mode, "--seed", "1"]) == 0
+    assert main(["report", "--out", str(tmp / "runs")]) == 0
+
+
+def test_every_export_is_reached_or_allowed(tmp_path, capsys):
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        _cli_runs(tmp_path)
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    exported = _exported_code()
+    assert set(UNREACHED_ALLOWED) <= set(exported)
+    unreached = {name for name, code in exported.items() if code not in called}
+    assert sorted(unreached - set(UNREACHED_ALLOWED)) == []
+    # An allowed name that a run does reach no longer needs its entry.
+    assert sorted(set(UNREACHED_ALLOWED) - unreached) == []

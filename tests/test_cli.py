@@ -204,23 +204,6 @@ def test_run_byte_identical_reports(scenario_dir, tmp_path):
     assert a == b
 
 
-def test_evaluate_roundtrip(scenario_dir, tmp_path, capsys):
-    out = tmp_path / "run_eval"
-    mpath = tmp_path / "manifest.json"
-    mpath.write_text(json.dumps(_run_manifest(scenario_dir, out)))
-    assert main(["run", "--config", str(mpath)]) == 0
-    capsys.readouterr()
-    assert main(["evaluate", "--run-dir", str(out)]) == 0
-    recomputed = json.loads(capsys.readouterr().out)
-    original = runner.load_report(out / "report.json")
-    assert recomputed["onset"] == original["onset"]
-
-
-def test_evaluate_bad_dir_exit1(tmp_path, capsys):
-    assert main(["evaluate", "--run-dir", str(tmp_path)]) == 1
-    assert "run directory" in capsys.readouterr().err
-
-
 def test_report_aggregates_runs(scenario_dir, tmp_path, capsys):
     root = tmp_path / "sweep"
     for seed in (1, 2):

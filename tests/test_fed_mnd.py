@@ -1,29 +1,13 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advent.fed_mnd import (
-    AggregationState,
-    NodeBlocklist,
-    aggregate,
-    make_broadcast_message,
-    parse_broadcast_message,
-    update_list,
-)
+from advent.fed_mnd import aggregate
 from advent.mnd import SuspicionReport
 
 
 def _rep(reporter, suspected):
     return SuspicionReport(reporter=reporter, interval=(0.0, 10.0), suspected=set(suspected))
-
-
-def test_state_invariants():
-    with pytest.raises(ValueError):
-        AggregationState(mode="other")
-    with pytest.raises(ValueError):
-        AggregationState(th=0)
 
 
 def test_aggregate_distinct_reporters():
@@ -50,63 +34,6 @@ def test_aggregate_self_report_ignored(caplog):
 def test_aggregate_th_validation():
     with pytest.raises(ValueError):
         aggregate([], th=0)
-
-
-def test_stateless_lifecycle_no_carryover():
-    st_ = AggregationState(mode="stateless")
-    st_, out = update_list(st_, {5, 6}, now_s=100.0)
-    assert out == {5, 6}
-    st_, out = update_list(st_, set(), now_s=110.0)
-    assert out == set()
-    assert st_.version == 2
-
-
-def test_stateful_timer_keeps_then_expires():
-    st_ = AggregationState(mode="stateful", timer_duration_s=120.0)
-    st_, out = update_list(st_, {5}, now_s=0.0)
-    assert out == {5}
-    # Not re-reported, but the timer has not expired yet.
-    st_, out = update_list(st_, set(), now_s=60.0)
-    assert out == {5}
-    # Past the expiry: dropped.
-    st_, out = update_list(st_, set(), now_s=121.0)
-    assert out == set()
-    assert st_.timers == {}
-
-
-def test_stateful_rereport_resets_timer():
-    st_ = AggregationState(mode="stateful", timer_duration_s=120.0)
-    st_, _ = update_list(st_, {5}, now_s=0.0)
-    st_, _ = update_list(st_, {5}, now_s=100.0)  # timer now runs to 220
-    st_, out = update_list(st_, set(), now_s=150.0)
-    assert out == {5}
-    st_, out = update_list(st_, set(), now_s=221.0)
-    assert out == set()
-
-
-def test_broadcast_message_roundtrip_and_shape():
-    line = make_broadcast_message({7, 3}, version=4, mode="stateless", issued_at_s=60.0)
-    msg = parse_broadcast_message(line)
-    assert msg["type"] == "MALICIOUS_LIST"
-    assert msg["ids"] == [3, 7]
-    assert msg["version"] == 4
-    assert "\n" not in line  # one JSON object per line on the wire
-
-
-def test_parse_rejects_wrong_type():
-    with pytest.raises(ValueError):
-        parse_broadcast_message(json.dumps({"type": "WEIGHTS_UPDATE"}))
-
-
-def test_node_blocklist_drops_listed_sender():
-    bl = NodeBlocklist()
-    assert bl.accepts(7)
-    bl.apply(make_broadcast_message({7}, version=1, mode="stateless", issued_at_s=0.0))
-    assert not bl.accepts(7)
-    assert bl.accepts(8)
-    assert bl.dropped == 1
-    bl.apply(make_broadcast_message(set(), version=2, mode="stateless", issued_at_s=10.0))
-    assert bl.accepts(7)
 
 
 reports_strategy = st.lists(

@@ -6,11 +6,11 @@ import pytest
 
 from advent import fed_onset, gbdt, head
 from advent.fed_onset import (
+    MESSAGE_TYPES,
     FedClient,
     FedConfig,
     NotReadyError,
     ProtocolError,
-    confirm_onset,
     decode_message,
     detect_onset_batch,
     encode_message,
@@ -41,14 +41,24 @@ def _weights(rng, f=2, k=3, t=2):
 
 
 def test_message_roundtrip_and_unknown_type():
-    line = encode_message("ONSET_REPORT", 3, 5, 1, {"t": 42})
+    line = encode_message("WEIGHTS_UPDATE", 3, 5, 1, {"sample_count": 42})
     msg = decode_message(line)
-    assert (msg["type"], msg["cid"], msg["round"]) == ("ONSET_REPORT", 3, 5)
-    assert msg["payload"] == {"t": 42}
+    assert (msg["type"], msg["cid"], msg["round"], msg["model_version"]) == (
+        "WEIGHTS_UPDATE", 3, 5, 1)
+    assert msg["payload"] == {"sample_count": 42}
+    assert "\n" not in line  # one JSON object per line on the wire
     with pytest.raises(ValueError):
         encode_message("BOGUS", 1, 0, 0, {})
     with pytest.raises(ProtocolError):
         decode_message(json.dumps({"type": "BOGUS"}))
+
+
+def test_fed_config_rejects_no_rounds():
+    with pytest.raises(ValueError, match="rounds"):
+        FedConfig(rounds=0)
+    with pytest.raises(ValueError, match="rounds"):
+        FedConfig(rounds=-1)
+    assert FedConfig(rounds=1).rounds == 1
 
 
 def test_round0_sorts_by_cid():
@@ -181,6 +191,20 @@ def test_run_training_round_count_and_transcript():
     assert model.model_version == 1
 
 
+def test_run_training_sends_every_message_type():
+    # A run with one weight round puts every protocol message type on the
+    # wire and nothing else; keeping the transcript changes no weight.
+    cs = _clients(2, rows=30)
+    cfgs = (gbdt.GbdtConfig(trees_per_client=2), HeadConfig(filters=2, epochs=1),
+            FedConfig(rounds=2))
+    transcript = []
+    kept = run_training(cs, *cfgs, transcript=transcript)
+    assert transcript and all("\n" not in line for line in transcript)
+    assert sorted({decode_message(line)["type"] for line in transcript}) == sorted(MESSAGE_TYPES)
+    dropped = run_training(cs, *cfgs)
+    assert dropped.head.allclose(kept.head, atol=0)
+
+
 def test_run_training_trees_fixed_after_round0():
     cs = _clients(2, rows=30)
     transcript = []
@@ -305,20 +329,3 @@ def test_detect_onset_tie_goes_normal():
     model = fed_onset.GlobalModel(ensembles=[ens], head=w, round=0, total_rounds=1)
     assert detect_onset_batch(model, np.ones((1, 10))).tolist() == [False]
     assert head.forward_batch(w, gbdt.per_tree_output_matrix([ens], np.ones((1, 10))))[0] == 0.5
-
-
-def test_confirm_onset_quorum():
-    assert confirm_onset([(1, 0.0), (2, 1.5)], quorum=2, window_s=2.0) == "confirmed"
-    assert confirm_onset([(1, 0.0), (2, 3.0)], quorum=2, window_s=2.0) == "unconfirmed"
-    # Same client twice is one distinct reporter.
-    assert confirm_onset([(1, 0.0), (1, 0.5)], quorum=2, window_s=2.0) == "unconfirmed"
-    assert confirm_onset([(1, 0.0)], quorum=1) == "confirmed"
-    assert confirm_onset([], quorum=1) == "unconfirmed"
-    with pytest.raises(ValueError):
-        confirm_onset([], quorum=0)
-
-
-def test_confirm_onset_window_slides():
-    # No pair within 2 s of the earliest report, but (2,3) are within 2 s.
-    reports = [(1, 0.0), (2, 5.0), (3, 6.5)]
-    assert confirm_onset(reports, quorum=2, window_s=2.0) == "confirmed"

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advent import mnd
-from advent.mnd import MadParams, SuspicionReport, detect, mad, rejection_bounds
+from advent.mnd import MadParams, detect, mad, rejection_bounds
 from advent.preprocess import NeighborCounts
 
 
@@ -83,22 +82,6 @@ def test_detect_mad_zero_majority():
     # When most senders agree exactly, MAD is 0 and any excess is flagged.
     rep = detect(_counts({1: 10, 2: 10, 3: 10, 4: 10, 5: 11}))
     assert rep.suspected == {5}
-
-
-def test_report_json_roundtrip():
-    rep = detect(_counts({1: 10, 2: 9, 3: 250}, vehicle=7, interval=(30.0, 40.0)))
-    back = mnd.report_from_json(mnd.report_to_json(rep))
-    assert back.reporter == 7
-    assert back.interval == (30.0, 40.0)
-    assert back.suspected == rep.suspected
-    assert back.stats == pytest.approx(rep.stats)
-
-
-def test_report_json_empty_stats():
-    rep = SuspicionReport(reporter=1, interval=(0.0, 10.0))
-    back = mnd.report_from_json(mnd.report_to_json(rep))
-    assert back.suspected == set()
-    assert back.stats == {}
 
 
 @settings(max_examples=200, deadline=None)
