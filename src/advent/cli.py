@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: generate, preprocess, run, report.  Flag values take precedence
-over config-file values, which take precedence over defaults.
-The ADVENT_LOG environment variable sets log verbosity.
+Subcommands: generate, preprocess, run, report.  `preprocess` runs the
+pipeline's load and features stages, so it writes the rows `run` trains and
+scores on.  Flag values take precedence over config-file values, which take
+precedence over defaults.  The ADVENT_LOG environment variable sets log
+verbosity.
 """
 
 from __future__ import annotations
@@ -58,23 +60,14 @@ def cmd_preprocess(args) -> int:
         print(f"error: --lags must be >= 1, got {args.lags}", file=sys.stderr)
         return 1
     try:
-        events, truth = scenario.ingest(args.events)
-    except scenario.ParseError as exc:
+        per_vehicle = runner.features(*runner.load(args.events, args.truth), args.lags)
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.truth:
-        truth = scenario.load_ground_truth(args.truth)
-    if truth is None:
-        print("error: ground truth required (annotated CSV or --truth)", file=sys.stderr)
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = ",".join(["t", *(f"f{i}" for i in range(args.lags)), "label"])
-    for v in sorted(truth.presence):
-        seconds, x, labels = preprocess.windowize_arrays(
-            preprocess.build_count_series(events, v), truth, args.lags)
-        if len(seconds) == 0:
-            continue
+    for v, (seconds, x, labels) in per_vehicle.items():
         with open(out / f"vehicle_{v}.csv", "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             for t, feats, label in zip(seconds.tolist(), x.tolist(), labels.tolist()):
@@ -104,7 +97,7 @@ def cmd_run(args) -> int:
     try:
         manifest = _manifest_from_args(args)
         report = runner.run_pipeline(manifest)
-    except (ValueError, FileNotFoundError, scenario.ParseError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(report, indent=1, sort_keys=True))
@@ -115,7 +108,6 @@ _REPORT_COLUMNS = [
     "scenario", "method", "mnd_mode", "seed",
     "onset_dr", "onset_far", "onset_fnr", "onset_f1",
     "first_second_rate", "mnd_dr", "mnd_far", "mnd_f1",
-    "preprocess_s", "onset_train_s", "mnd_s",
 ]
 
 
@@ -127,11 +119,8 @@ def cmd_report(args) -> int:
     rows = []
     for path in sorted(out_dir.rglob("report.json")):
         rep = runner.load_report(path)
-        timing = {}
         tpath = path.with_name("timing.json")
-        if tpath.exists():
-            with open(tpath, "r", encoding="utf-8") as fh:
-                timing = json.load(fh)
+        timing = json.loads(tpath.read_text(encoding="utf-8")) if tpath.exists() else {}
         rows.append({
             "scenario": rep.get("scenario", ""),
             "method": rep.get("method", ""),
@@ -145,19 +134,19 @@ def cmd_report(args) -> int:
             "mnd_dr": rep["mnd"]["dr"],
             "mnd_far": rep["mnd"]["far"],
             "mnd_f1": rep["mnd"]["f1"],
-            "preprocess_s": timing.get("preprocess_s", ""),
-            "onset_train_s": timing.get("onset_train_s", ""),
-            "mnd_s": timing.get("mnd_s", ""),
+            **timing,
         })
     if not rows:
         print(f"error: no report.json files under {out_dir}", file=sys.stderr)
         return 1
     rows.sort(key=lambda r: (r["scenario"], r["method"], r["mnd_mode"], str(r["seed"])))
+    # One timing column per key any timing.json holds, in the order first seen.
+    columns = list(dict.fromkeys([*_REPORT_COLUMNS, *(k for r in rows for k in r)]))
     csv_path = out_dir / "comparison.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_REPORT_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for r in rows:
-            fh.write(",".join(str(r[c]) for c in _REPORT_COLUMNS) + "\n")
+            fh.write(",".join(str(r.get(c, "")) for c in columns) + "\n")
     for r in rows:
         print(f"{r['scenario']:>16} {r['method']:>16} {r['mnd_mode']:>12} "
               f"seed={r['seed']} onset_f1={r['onset_f1']:.4f} "

@@ -4,10 +4,12 @@ and onset inference.
 Round 0 collects each client's tree ensemble, sorts them by client id, and
 initializes the convolutional head.  The ensembles stay fixed afterwards;
 rounds 1..R-1 broadcast the head weights, run client updates, and FedAvg the
-results.  Every message is encoded as one JSON line and decoded by its
-receiver in process; the lines are kept only in a transcript the caller
-passes, and the same bytes round-trip through files.  Each vehicle's onset
-flags are its own: no quorum across vehicles confirms them.
+results.  `run_training` always runs every round, so the model it returns
+is the final one and holds only the ensembles and the head.  Every message
+is encoded as one JSON line and decoded by its receiver in process; the
+lines are kept only in a transcript the caller passes, and the same bytes
+round-trip through files.  Each vehicle's onset flags are its own: no quorum
+across vehicles confirms them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .head import HeadConfig, HeadWeights
 __all__ = [
     "ProtocolError",
     "GlobalModel",
-    "FedConfig",
     "FedClient",
     "MESSAGE_TYPES",
     "encode_message",
@@ -50,30 +51,10 @@ class ProtocolError(RuntimeError):
     pass
 
 
-class NotReadyError(RuntimeError):
-    pass
-
-
 @dataclass
 class GlobalModel:
     ensembles: list[LocalEnsemble]  # sorted ascending by client id
     head: HeadWeights
-    round: int = 0
-    model_version: int = 0
-    total_rounds: int = 1
-
-    @property
-    def complete(self) -> bool:
-        return self.round >= self.total_rounds - 1
-
-
-@dataclass(frozen=True)
-class FedConfig:
-    rounds: int = 10
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
 
 
 @dataclass
@@ -89,19 +70,11 @@ class FedClient:
 # JSON-lines message protocol
 
 
-def encode_message(msg_type: str, cid: int | None, round_: int, model_version: int, payload) -> str:
+def encode_message(msg_type: str, cid: int | None, round_: int, payload) -> str:
     if msg_type not in MESSAGE_TYPES:
         raise ValueError(f"unknown message type {msg_type!r}")
-    return json.dumps(
-        {
-            "type": msg_type,
-            "cid": cid,
-            "round": round_,
-            "model_version": model_version,
-            "payload": payload,
-        },
-        sort_keys=True,
-    )
+    return json.dumps({"type": msg_type, "cid": cid, "round": round_, "payload": payload},
+                      sort_keys=True)
 
 
 def decode_message(line: str) -> dict:
@@ -130,7 +103,6 @@ def _send(transcript: list[str] | None, line: str) -> dict:
 def round0_aggregate(
     submissions: list[tuple[int, LocalEnsemble]],
     head_config: HeadConfig = HeadConfig(),
-    total_rounds: int = 1,
 ) -> GlobalModel:
     """Sort submitted ensembles by client id and initialize the head.
 
@@ -159,8 +131,7 @@ def round0_aggregate(
         if len(ens.trees) != t:
             raise ProtocolError("clients submitted differing tree counts")
     w = head.init(k=len(ordered), t=t, config=head_config)
-    return GlobalModel(ensembles=ordered, head=w, round=0, model_version=0,
-                       total_rounds=total_rounds)
+    return GlobalModel(ensembles=ordered, head=w)
 
 
 def fedavg(updates: list[tuple[int, HeadWeights, int]]) -> HeadWeights:
@@ -204,7 +175,7 @@ def run_training(
     clients: list[FedClient],
     gbdt_config: gbdt.GbdtConfig,
     head_config: HeadConfig,
-    fed_config: FedConfig,
+    rounds: int,
     transcript: list[str] | None = None,
 ) -> GlobalModel:
     """Execute round 0 plus rounds-1 weight rounds in process.
@@ -216,6 +187,8 @@ def run_training(
     Every client trains in every weight round, with a seed derived from the
     head seed, the client id and the round, so runs are deterministic.
     """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
     if not clients:
         raise ProtocolError("no clients available; training stalled")
 
@@ -224,12 +197,12 @@ def run_training(
     fitted = gbdt.train_clients([c.x for c in clients], [c.y for c in clients], gbdt_config,
                                 [c.cid for c in clients])
     for c, ens in zip(clients, fitted):
-        msg = _send(transcript, encode_message("TREES_UPLOAD", c.cid, 0, 0,
+        msg = _send(transcript, encode_message("TREES_UPLOAD", c.cid, 0,
                                                gbdt.ensemble_to_dict(ens)))
         submissions.append((msg["cid"], gbdt.ensemble_from_dict(msg["payload"])))
-    model = round0_aggregate(submissions, head_config, total_rounds=fed_config.rounds)
+    model = round0_aggregate(submissions, head_config)
     broadcast = _send(transcript, encode_message(
-        "GLOBAL_ENSEMBLE", None, 0, model.model_version,
+        "GLOBAL_ENSEMBLE", None, 0,
         [gbdt.ensemble_to_dict(e) for e in model.ensembles]))["payload"]
     broadcast_ensembles = [gbdt.ensemble_from_dict(d) for d in broadcast]
     del broadcast  # before the table build, where a large run's memory peaks
@@ -250,23 +223,20 @@ def run_training(
     bounds = np.cumsum([0] + [len(c.y) for c in clients]).tolist()
 
     # Rounds 1..R-1: head-weight averaging.
-    for r in range(1, fed_config.rounds):
+    for r in range(1, rounds):
         w_global = head.weights_from_dict(_send(transcript, encode_message(
-            "WEIGHTS_BROADCAST", None, r, model.model_version,
-            head.weights_to_dict(model.head)))["payload"])
+            "WEIGHTS_BROADCAST", None, r, head.weights_to_dict(model.head)))["payload"])
         trained = head.train_round(
             w_global, table, ids, labels, list(zip(bounds, bounds[1:])),
             [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients], head_config)
         updates: list[tuple[int, HeadWeights, int]] = []
         for c, w_new in zip(clients, trained):
             msg = _send(transcript, encode_message(
-                "WEIGHTS_UPDATE", c.cid, r, model.model_version,
+                "WEIGHTS_UPDATE", c.cid, r,
                 {"weights": head.weights_to_dict(w_new), "sample_count": len(c.y)}))
             updates.append((msg["cid"], head.weights_from_dict(msg["payload"]["weights"]),
                             msg["payload"]["sample_count"]))
         model.head = fedavg(updates)
-        model.round = r
-    model.model_version += 1
     return model
 
 
@@ -276,8 +246,6 @@ def run_training(
 
 def detect_onset_batch(model: GlobalModel, x: np.ndarray) -> np.ndarray:
     """Boolean attack decisions (p > 0.5, so a tie goes normal) for a batch of feature rows."""
-    if not model.complete:
-        raise NotReadyError(f"model at round {model.round} of {model.total_rounds}")
     v = gbdt.per_tree_output_matrix(model.ensembles, x)
     p = head.forward_batch(model.head, v)
     return p > 0.5

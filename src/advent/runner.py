@@ -1,8 +1,13 @@
-"""End-to-end pipeline: preprocess, onset detection, MND, evaluation.
+"""End-to-end pipeline, run as named stages.
 
-Orchestrates a single run described by a RunManifest over a generated or
-ingested scenario.  Metric outputs (report.json) are deterministic for a
-fixed manifest and seed; wall-clock timings go to a separate timing.json.
+A RunManifest describes one run over a scenario CSV.  `run_pipeline` calls
+the stages in order: load, features, onset_fit, onset_decide, alert_rounds,
+mnd_reports, mnd_aggregate, score and write.  Each takes its inputs as
+arguments and returns its outputs, and `run_pipeline` times each one, so
+timing.json holds one `<stage>_s` key per stage.  `advent preprocess` calls
+load and features, so it exports the rows that a run trains and scores on.
+report.json and predictions.json are deterministic for a fixed manifest and
+seed; wall-clock timings go only to timing.json.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .head import HeadConfig
 from .metrics import Confusion
 from .preprocess import ALERT_INTERVAL_S
 
-__all__ = ["RunManifest", "run_pipeline", "write_report", "load_report"]
+__all__ = ["RunManifest", "load", "features", "run_pipeline", "write_report", "load_report"]
 
 METHODS = ("centralized", "federated", "federated_smote")
 MND_MODES = ("local_mad", "fl_aggregate", "fl_threshold")
@@ -71,8 +76,11 @@ class RunManifest:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.mnd_mode not in MND_MODES:
             raise ValueError(f"mnd_mode must be one of {MND_MODES}, got {self.mnd_mode!r}")
-        if self.lags < 1:
-            raise ValueError(f"lags must be >= 1, got {self.lags!r}")
+        for name in ("lags", "rounds", "th"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction!r}")
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunManifest":
@@ -108,24 +116,24 @@ class RunManifest:
         )
 
 
-def _load_scenario(manifest: RunManifest):
-    events, truth_csv = scenario.ingest(manifest.scenario_path)
-    truth = None
-    truth_path = manifest.truth_path
+def load(scenario_path, truth_path=None):
+    """Ingest the events and the ground truth: from `truth_path`, else from a
+    truth.json sidecar next to the CSV, else from the CSV's annotations."""
+    events, truth = scenario.ingest(scenario_path)
     if truth_path is None:
-        candidate = Path(manifest.scenario_path).with_name("truth.json")
-        if candidate.exists():
-            truth_path = str(candidate)
+        sidecar = Path(scenario_path).with_name("truth.json")
+        if sidecar.exists():
+            truth_path = sidecar
     if truth_path is not None:
         truth = scenario.load_ground_truth(truth_path)
-    if truth is None:
-        truth = truth_csv
     if truth is None:
         raise ValueError("ground truth required: annotated CSV or truth.json sidecar")
     return events, truth
 
 
-def _preprocess_all(events, truth, lags):
+def features(events, truth, lags):
+    """Vehicle -> (seconds, lagged count features, labels), for every vehicle
+    with at least one row, in vehicle order."""
     per_vehicle = {}
     for v in sorted(truth.presence):
         series = preprocess.build_count_series(events, v)
@@ -135,54 +143,96 @@ def _preprocess_all(events, truth, lags):
     return per_vehicle
 
 
-def _split_second(per_vehicle, fraction):
+def onset_fit(manifest: RunManifest, per_vehicle):
+    """Train the configured method on the seconds before the split second.
+
+    Returns (decide, split second); `decide` maps feature rows to attack
+    flags: the GBDT margin > 0, or the federated model's p > 0.5.
+    """
     pooled = np.concatenate([secs for secs, _, _ in per_vehicle.values()])
     pooled.sort()
-    return int(pooled[min(len(pooled) - 1, int(fraction * len(pooled)))])
-
-
-def _run_onset(manifest: RunManifest, per_vehicle, truth):
-    """Train per the configured method; return per-vehicle decisions and the
-    pooled/macro test confusion."""
-    t_split = _split_second(per_vehicle, manifest.train_fraction)
+    t_split = int(pooled[min(len(pooled) - 1, int(manifest.train_fraction * len(pooled)))])
+    del pooled  # one int per row: not to be held through the fit
     gcfg = manifest.gbdt_config()
-    hcfg = manifest.head_config()
-
-    decisions: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # v -> (secs, attack?)
     if manifest.method == "centralized":
         train_x = np.concatenate([x[secs < t_split] for secs, x, _ in per_vehicle.values()])
         train_y = np.concatenate([y[secs < t_split] for secs, _, y in per_vehicle.values()])
         model = gbdt.train(train_x, train_y, gcfg)
-        for v, (secs, x, y) in per_vehicle.items():
-            flags = gbdt.predict_margin_batch(model, x) > 0.0
-            decisions[v] = (secs, flags)
-    else:
-        smote = None
-        if manifest.method == "federated_smote":
-            smote = BalanceConfig(target_ratio=manifest.target_ratio,
-                                  k_neighbors=manifest.k_neighbors)
-        clients = []
-        for v, (secs, x, y) in sorted(per_vehicle.items()):
-            mask = secs < t_split
-            cx, cy = x[mask], y[mask]
-            if len(cx) == 0:
-                continue
-            if smote is not None:
-                cx, cy = smote_arrays(cx, cy, smote, seed=manifest.seed * 7919 + v)
-            clients.append(fed_onset.FedClient(cid=v, x=cx, y=cy.astype(np.float64)))
-        model = fed_onset.run_training(
-            clients, gcfg, hcfg, fed_onset.FedConfig(rounds=manifest.rounds)
-        )
-        for v, (secs, x, y) in per_vehicle.items():
-            flags = fed_onset.detect_onset_batch(model, x)
-            decisions[v] = (secs, flags)
+        return (lambda rows: gbdt.predict_margin_batch(model, rows) > 0.0), t_split
+    smote = None
+    if manifest.method == "federated_smote":
+        smote = BalanceConfig(target_ratio=manifest.target_ratio, k_neighbors=manifest.k_neighbors)
+    clients = []
+    for v, (secs, x, y) in per_vehicle.items():
+        mask = secs < t_split
+        cx, cy = x[mask], y[mask]
+        if len(cx) == 0:
+            continue
+        if smote is not None:
+            cx, cy = smote_arrays(cx, cy, smote, seed=manifest.seed * 7919 + v)
+        clients.append(fed_onset.FedClient(cid=v, x=cx, y=cy.astype(np.float64)))
+    model = fed_onset.run_training(clients, gcfg, manifest.head_config(), manifest.rounds)
+    return (lambda rows: fed_onset.detect_onset_batch(model, rows)), t_split
 
+
+def onset_decide(decide, per_vehicle):
+    """Vehicle -> one attack flag per row of its features."""
+    return {v: decide(x) for v, (_, x, _) in per_vehicle.items()}
+
+
+def alert_rounds(truth):
+    """MND rounds of ALERT_INTERVAL_S, anchored at each attack window's start."""
+    rounds = []
+    for ws, we in truth.attack_windows:
+        for j in range(int(math.ceil((we - ws) / ALERT_INTERVAL_S))):
+            t0 = ws + j * ALERT_INTERVAL_S
+            rounds.append((t0, t0 + ALERT_INTERVAL_S))
+    return rounds
+
+
+def mnd_reports(events, truth, rounds, params: mnd.MadParams):
+    """Per round with a vehicle present for the whole of it: (present set,
+    the SuspicionReport of each present vehicle that heard a packet)."""
+    out = []
+    for t0, t1 in rounds:
+        present = {v for v, (a, b) in truth.presence.items() if a <= t0 and b >= t1}
+        if not present:
+            continue
+        counts = preprocess.receiver_counts(events.between(t0, t1), (t0, t1))
+        reports = [mnd.detect(counts[v], params) for v in sorted(present) if v in counts]
+        out.append((present, reports))
+    return out
+
+
+def mnd_aggregate(mode: str, th: int, round_reports, truth):
+    """(server lists, present sets, confusion) for an MND mode.
+
+    `local_mad` keeps no server list: each vehicle's own list is scored
+    against the other vehicles present, summed over vehicle-rounds.
+    """
+    if mode == "local_mad":
+        confusion = Confusion()
+        for present, reports in round_reports:
+            for rep in reports:
+                confusion = confusion + metrics.mnd_confusion(
+                    [rep.suspected], truth, [present - {rep.reporter}])
+        return [], [], confusion
+    th = 1 if mode == "fl_aggregate" else th
+    lists = [fed_mnd.aggregate(reports, th) for _, reports in round_reports]
+    present_sets = [present for present, _ in round_reports]
+    return lists, present_sets, metrics.mnd_confusion(lists, truth, present_sets)
+
+
+def score(manifest: RunManifest, truth, per_vehicle, flags, t_split, mnd_result):
+    """(report, predictions): the onset confusion over the seconds from the
+    split on, pooled and macro-averaged over vehicles, the first-second rate
+    and the MND confusion, with the flags and lists they follow from."""
+    lists, present_sets, mnd_conf = mnd_result
     pooled = Confusion()
     per_node = []
-    for v, (secs, x, y) in per_vehicle.items():
-        _, flags = decisions[v]
+    for v, (secs, _, y) in per_vehicle.items():
         test = secs >= t_split
-        yt, ft = y[test], flags[test]
+        yt, ft = y[test], flags[v][test]
         c = Confusion(
             tp=int(((yt == 1) & ft).sum()),
             fn=int(((yt == 1) & ~ft).sum()),
@@ -192,77 +242,7 @@ def _run_onset(manifest: RunManifest, per_vehicle, truth):
         pooled = pooled + c
         if c.total():
             per_node.append(metrics.score(c))
-    return decisions, pooled, metrics.macro_average(per_node), t_split
-
-
-def _alert_rounds(truth):
-    rounds = []
-    for ws, we in truth.attack_windows:
-        if we <= ws:
-            continue
-        n = int(math.ceil((we - ws) / ALERT_INTERVAL_S))
-        for j in range(n):
-            t0 = ws + j * ALERT_INTERVAL_S
-            rounds.append((t0, t0 + ALERT_INTERVAL_S))
-    return rounds
-
-
-def _run_mnd(manifest: RunManifest, events, truth):
-    """MAD detection over alert intervals anchored at attack-window starts.
-
-    Vehicles present for a whole interval act as reporters; the server
-    aggregates per the configured mode.  Returns (lists, present sets, confusion).
-    """
-    params = mnd.MadParams(b=manifest.mad_b, ce=manifest.mad_ce)
-    lists: list[set[int]] = []
-    present_sets: list[set[int]] = []
-    local_confusion = Confusion()
-    for t0, t1 in _alert_rounds(truth):
-        present = {v for v, (a, b) in truth.presence.items() if a <= t0 and b >= t1}
-        if not present:
-            continue
-        counts = preprocess.receiver_counts(events.between(t0, t1), (t0, t1))
-        reports = [mnd.detect(counts[v], params) for v in sorted(present) if v in counts]
-        if manifest.mnd_mode == "local_mad":
-            # Each vehicle keeps only its own list; macro over vehicle-rounds.
-            for rep in reports:
-                others = present - {rep.reporter}
-                local_confusion = local_confusion + metrics.mnd_confusion(
-                    [rep.suspected], truth, [others]
-                )
-            continue
-        th = 1 if manifest.mnd_mode == "fl_aggregate" else manifest.th
-        listed = fed_mnd.aggregate(reports, th)
-        lists.append(listed)
-        present_sets.append(present)
-    if manifest.mnd_mode == "local_mad":
-        return [], [], local_confusion
-    return lists, present_sets, metrics.mnd_confusion(lists, truth, present_sets)
-
-
-def run_pipeline(manifest: RunManifest) -> dict:
-    """Execute the full run and write report.json / timing.json / predictions.json."""
-    out_dir = Path(manifest.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    events, truth = _load_scenario(manifest)
-
-    t0 = time.perf_counter()
-    per_vehicle = _preprocess_all(events, truth, manifest.lags)
-    t_pre = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    decisions, pooled, macro, t_split = _run_onset(manifest, per_vehicle, truth)
-    t_onset = time.perf_counter() - t0
-
-    onset_flags = {v: set(secs[flags].tolist()) for v, (secs, flags) in decisions.items()}
-    fsr = metrics.first_second_rate(onset_flags, truth)
-
-    t0 = time.perf_counter()
-    lists, present_sets, mnd_conf = _run_mnd(manifest, events, truth)
-    t_mnd = time.perf_counter() - t0
-
-    onset_report = metrics.score(pooled)
-    mnd_report = metrics.score(mnd_conf)
+    onset_flags = {v: set(secs[flags[v]].tolist()) for v, (secs, _, _) in per_vehicle.items()}
     report = {
         "scenario": Path(manifest.scenario_path).name,
         "method": manifest.method,
@@ -270,17 +250,13 @@ def run_pipeline(manifest: RunManifest) -> dict:
         "th": manifest.th,
         "seed": manifest.seed,
         "split_second": t_split,
-        "onset": onset_report.metrics_dict(),
-        "onset_macro": macro.metrics_dict(),
+        "onset": metrics.score(pooled).metrics_dict(),
+        "onset_macro": metrics.macro_average(per_node).metrics_dict(),
         "onset_confusion": asdict(pooled),
-        "first_second_rate": fsr,
-        "mnd": mnd_report.metrics_dict(),
+        "first_second_rate": metrics.first_second_rate(onset_flags, truth),
+        "mnd": metrics.score(mnd_conf).metrics_dict(),
         "mnd_confusion": asdict(mnd_conf),
     }
-    write_report(out_dir / "report.json", report)
-    with open(out_dir / "timing.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"preprocess_s": t_pre, "onset_train_s": t_onset, "mnd_s": t_mnd},
-                            indent=1, sort_keys=True) + "\n")
     predictions = {
         "onset_flags": {str(v): sorted(s) for v, s in onset_flags.items()},
         "onset_confusion": asdict(pooled),
@@ -288,11 +264,45 @@ def run_pipeline(manifest: RunManifest) -> dict:
         "mnd_present": [sorted(s) for s in present_sets],
         "split_second": t_split,
     }
+    return report, predictions
+
+
+def write(output_dir, report: dict, predictions: dict) -> None:
+    """Write report.json and predictions.json into `output_dir`."""
+    out_dir = Path(output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_report(out_dir / "report.json", report)
     with open(out_dir / "predictions.json", "w", encoding="utf-8") as fh:
         # Streamed: json.dumps would hold every token of the output at once,
         # 0.6 MB more peak memory for a 51 KB file of 10k flagged seconds.
         json.dump(predictions, fh, sort_keys=True)
         fh.write("\n")
+
+
+def run_pipeline(manifest: RunManifest) -> dict:
+    """Run the stages in order, timing each; write report.json,
+    predictions.json and timing.json, and return the report."""
+    timing = {}
+
+    def timed(stage, *args):
+        t0 = time.perf_counter()
+        result = stage(*args)
+        timing[f"{stage.__name__}_s"] = time.perf_counter() - t0
+        return result
+
+    events, truth = timed(load, manifest.scenario_path, manifest.truth_path)
+    per_vehicle = timed(features, events, truth, manifest.lags)
+    decide, t_split = timed(onset_fit, manifest, per_vehicle)
+    flags = timed(onset_decide, decide, per_vehicle)
+    rounds = timed(alert_rounds, truth)
+    params = mnd.MadParams(b=manifest.mad_b, ce=manifest.mad_ce)
+    round_reports = timed(mnd_reports, events, truth, rounds, params)
+    mnd_result = timed(mnd_aggregate, manifest.mnd_mode, manifest.th, round_reports, truth)
+    del round_reports  # 0.75 MB on dense-pulsed; score's objects reuse it
+    report, predictions = timed(score, manifest, truth, per_vehicle, flags, t_split, mnd_result)
+    timed(write, manifest.output_dir, report, predictions)
+    with open(Path(manifest.output_dir) / "timing.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(timing, indent=1) + "\n")
     return report
 
 

@@ -174,8 +174,7 @@ def test_criterion_4_federated_protocol():
         clients.append(fed_onset.FedClient(cid=cid, x=x, y=y))
     transcript = []
     model = fed_onset.run_training(clients, gbdt.GbdtConfig(trees_per_client=2),
-                                   HeadConfig(filters=2, epochs=1),
-                                   fed_onset.FedConfig(rounds=10), transcript=transcript)
+                                   HeadConfig(filters=2, epochs=1), 10, transcript=transcript)
     uploads = {}
     weight_rounds = set()
     for line in transcript:
@@ -316,7 +315,7 @@ def test_criterion_10_serialization_roundtrips(tmp_path):
                and np.array_equal(w2.dense, w.dense)
                and w2.dense_bias == w.dense_bias)
     # Protocol messages.
-    pline = fed_onset.encode_message("WEIGHTS_UPDATE", 2, 3, 1,
+    pline = fed_onset.encode_message("WEIGHTS_UPDATE", 2, 3,
                                      {"weights": head.weights_to_dict(w),
                                       "sample_count": 12})
     msg = fed_onset.decode_message(pline)

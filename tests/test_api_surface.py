@@ -98,8 +98,8 @@ def _exported_code():
 
 
 def _cli_runs(tmp: Path):
-    """Every subcommand on a small scenario: both onset paths and all three
-    MND modes."""
+    """Every subcommand on a small scenario: every onset method and every MND
+    mode."""
     from advent.cli import main
 
     config = tmp / "scenario.json"
@@ -115,7 +115,7 @@ def _cli_runs(tmp: Path):
     small = tmp / "small.json"
     small.write_text(json.dumps({"rounds": 2, "epochs": 2, "trees_per_client": 2}))
     for method, mode in (("centralized", "fl_aggregate"), ("federated_smote", "fl_threshold"),
-                         ("centralized", "local_mad")):
+                         ("centralized", "local_mad"), ("federated", "fl_aggregate")):
         out = tmp / "runs" / f"{method}-{mode}"
         assert main(["run", "--config", str(small), "--scenario", events, "--out", str(out),
                      "--method", method, "--mnd-mode", mode, "--seed", "1"]) == 0

@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from advent import runner, scenario
@@ -102,6 +104,35 @@ def test_preprocess_csvs_match_windowize_arrays(scenario_dir, tmp_path):
         assert any(b",1\n" in data for data in expected.values())
 
 
+def test_preprocess_exports_the_rows_a_run_trains_on(scenario_dir, tmp_path, monkeypatch):
+    # Without --truth, both commands take the truth.json sidecar next to the
+    # CSV, whose presence differs from the one the CSV's annotations show.
+    events = str(scenario_dir / "events.csv")
+    seen = []
+    features = runner.features
+
+    def recording_features(*args):
+        seen.append(features(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(runner, "features", recording_features)
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(_run_manifest(scenario_dir, tmp_path / "run")))
+    assert main(["run", "--config", str(mpath)]) == 0
+    out = tmp_path / "feat"
+    assert main(["preprocess", "--events", events, "--out", str(out)]) == 0
+    trained = seen[0]
+    assert sorted(p.name for p in out.glob("vehicle_*.csv")) == sorted(
+        f"vehicle_{v}.csv" for v in trained)
+    for v, (secs, x, y) in trained.items():
+        data = np.loadtxt(out / f"vehicle_{v}.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(data[:, 0], secs) and np.array_equal(data[:, -1], y)
+        assert np.array_equal(data[:, 1:-1], x)
+    # The CSV's annotations alone give other rows, so the rule is what is tested.
+    observed = features(*scenario.ingest(events), 10)
+    assert {v: len(r[0]) for v, r in observed.items()} != {v: len(r[0]) for v, r in trained.items()}
+
+
 def test_preprocess_missing_truth_exit1(tmp_path, capsys):
     ev = tmp_path / "plain.csv"
     ev.write_text("time_s,sender,receiver\n1.0,1,2\n")
@@ -142,11 +173,17 @@ def test_run_rejects_lags_below_one(scenario_dir, tmp_path, capsys):
     ({"method": 3}, "method must be a string, got 3"),
     ({"truth_path": 7}, "truth_path must be a string or null, got 7"),
     ({"scenario_path": None}, "missing manifest field 'scenario_path'"),
+    ({"rounds": 0}, "rounds must be >= 1, got 0"),
+    ({"th": 0}, "th must be >= 1, got 0"),
+    ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
 ], ids=["unknown", "str-int", "bool-int", "str-float", "float-int", "int-str",
-        "int-path", "missing"])
+        "int-path", "missing", "zero-rounds", "zero-th", "large-train-fraction"])
 def test_run_rejects_bad_manifest_fields(scenario_dir, tmp_path, capsys, change, message):
+    # Rejected with the manifest, before the scenario is read: the events
+    # path does not exist, and the error names the field, not the file.
     out = tmp_path / "o"
-    manifest = dict(_run_manifest(scenario_dir, out), **change)
+    manifest = {**_run_manifest(scenario_dir, out), "scenario_path": str(tmp_path / "nope.csv"),
+                **change}
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps({k: v for k, v in manifest.items() if v is not None}))
     rc = main(["run", "--config", str(mpath)])
@@ -166,7 +203,11 @@ def test_run_writes_reports(scenario_dir, tmp_path, capsys):
     rep = runner.load_report(out / "report.json")
     assert rep["method"] == "centralized"
     assert set(rep["onset"]) == {"dr", "far", "fnr", "precision", "recall", "f1"}
-    assert (out / "timing.json").exists()
+    stages = ("load", "features", "onset_fit", "onset_decide", "alert_rounds", "mnd_reports",
+              "mnd_aggregate", "score", "write")
+    timing = json.loads((out / "timing.json").read_text())
+    assert list(timing) == [f"{stage}_s" for stage in stages]
+    assert all(isinstance(s, float) and s >= 0 for s in timing.values())
     assert (out / "predictions.json").exists()
     # stdout carries the report JSON
     assert '"onset"' in capsys.readouterr().out
@@ -216,6 +257,9 @@ def test_report_aggregates_runs(scenario_dir, tmp_path, capsys):
     assert "comparison.csv" in out
     lines = (root / "comparison.csv").read_text().splitlines()
     assert lines[0].startswith("scenario,method,mnd_mode,seed")
+    # The timing columns are the keys of the runs' timing.json files.
+    timing = json.loads((root / "s1" / "timing.json").read_text())
+    assert lines[0].endswith("mnd_f1," + ",".join(timing))
     assert len(lines) == 3
 
 
@@ -234,6 +278,20 @@ def test_manifest_validation():
             RunManifest(scenario_path="x", output_dir="y", lags=lags)
     with pytest.raises(ValueError, match="th must be an integer"):
         RunManifest(scenario_path="x", output_dir="y", th=False)
+    for change, message in [
+        ({"rounds": 0}, "rounds must be >= 1, got 0"),
+        ({"rounds": -2}, "rounds must be >= 1, got -2"),
+        ({"th": 0}, "th must be >= 1, got 0"),
+        ({"train_fraction": 0}, "train_fraction must be in (0, 1), got 0"),
+        ({"train_fraction": 1.0}, "train_fraction must be in (0, 1), got 1.0"),
+        ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
+        ({"train_fraction": -0.2}, "train_fraction must be in (0, 1), got -0.2"),
+        ({"train_fraction": float("nan")}, "train_fraction must be in (0, 1), got nan"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunManifest(scenario_path="x", output_dir="y", **change)
+    edge = RunManifest(scenario_path="x", output_dir="y", rounds=1, th=1, train_fraction=0.01)
+    assert (edge.rounds, edge.th, edge.train_fraction) == (1, 1, 0.01)
     # An int is a valid float; the value is kept as given.
     m = RunManifest(scenario_path="x", output_dir="y", learning_rate=1, target_ratio=5)
     assert m.head_config().learning_rate == 1 and m.target_ratio == 5

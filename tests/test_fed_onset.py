@@ -8,8 +8,6 @@ from advent import fed_onset, gbdt, head
 from advent.fed_onset import (
     MESSAGE_TYPES,
     FedClient,
-    FedConfig,
-    NotReadyError,
     ProtocolError,
     decode_message,
     detect_onset_batch,
@@ -41,24 +39,27 @@ def _weights(rng, f=2, k=3, t=2):
 
 
 def test_message_roundtrip_and_unknown_type():
-    line = encode_message("WEIGHTS_UPDATE", 3, 5, 1, {"sample_count": 42})
+    line = encode_message("WEIGHTS_UPDATE", 3, 5, {"sample_count": 42})
     msg = decode_message(line)
-    assert (msg["type"], msg["cid"], msg["round"], msg["model_version"]) == (
-        "WEIGHTS_UPDATE", 3, 5, 1)
-    assert msg["payload"] == {"sample_count": 42}
+    assert msg == {"type": "WEIGHTS_UPDATE", "cid": 3, "round": 5,
+                   "payload": {"sample_count": 42}}
     assert "\n" not in line  # one JSON object per line on the wire
     with pytest.raises(ValueError):
-        encode_message("BOGUS", 1, 0, 0, {})
+        encode_message("BOGUS", 1, 0, {})
     with pytest.raises(ProtocolError):
         decode_message(json.dumps({"type": "BOGUS"}))
 
 
-def test_fed_config_rejects_no_rounds():
-    with pytest.raises(ValueError, match="rounds"):
-        FedConfig(rounds=0)
-    with pytest.raises(ValueError, match="rounds"):
-        FedConfig(rounds=-1)
-    assert FedConfig(rounds=1).rounds == 1
+def test_run_training_rejects_no_rounds():
+    cfgs = (gbdt.GbdtConfig(trees_per_client=2), HeadConfig(filters=2, epochs=1))
+    for rounds in (0, -1):
+        with pytest.raises(ValueError, match="rounds"):
+            run_training(_clients(2, rows=30), *cfgs, rounds)
+    # One round is round 0 alone: trees and the initial head, no weight round.
+    transcript = []
+    run_training(_clients(2, rows=30), *cfgs, 1, transcript=transcript)
+    assert [decode_message(line)["type"] for line in transcript] == [
+        "TREES_UPLOAD", "TREES_UPLOAD", "GLOBAL_ENSEMBLE"]
 
 
 def test_round0_sorts_by_cid():
@@ -175,7 +176,7 @@ def test_run_training_round_count_and_transcript():
         cs,
         gbdt.GbdtConfig(trees_per_client=2),
         HeadConfig(filters=2, epochs=2),
-        FedConfig(rounds=10),
+        10,
         transcript=transcript,
     )
     counts = {}
@@ -186,17 +187,14 @@ def test_run_training_round_count_and_transcript():
     assert counts["GLOBAL_ENSEMBLE"] == 1
     assert counts["WEIGHTS_BROADCAST"] == 9
     assert counts["WEIGHTS_UPDATE"] == 27
-    assert model.round == 9
-    assert model.complete
-    assert model.model_version == 1
+    assert len(model.ensembles) == 3
 
 
 def test_run_training_sends_every_message_type():
     # A run with one weight round puts every protocol message type on the
     # wire and nothing else; keeping the transcript changes no weight.
     cs = _clients(2, rows=30)
-    cfgs = (gbdt.GbdtConfig(trees_per_client=2), HeadConfig(filters=2, epochs=1),
-            FedConfig(rounds=2))
+    cfgs = (gbdt.GbdtConfig(trees_per_client=2), HeadConfig(filters=2, epochs=1), 2)
     transcript = []
     kept = run_training(cs, *cfgs, transcript=transcript)
     assert transcript and all("\n" not in line for line in transcript)
@@ -209,7 +207,7 @@ def test_run_training_trees_fixed_after_round0():
     cs = _clients(2, rows=30)
     transcript = []
     model = run_training(cs, gbdt.GbdtConfig(trees_per_client=2),
-                         HeadConfig(filters=2, epochs=1), FedConfig(rounds=4),
+                         HeadConfig(filters=2, epochs=1), 4,
                          transcript=transcript)
     uploaded = {}
     for line in transcript:
@@ -229,7 +227,7 @@ def test_run_training_uploads_lone_fits():
     cs.append(FedClient(cid=5, x=cs[1].x[:1], y=np.ones(1)))
     cfg = gbdt.GbdtConfig(trees_per_client=3)
     transcript = []
-    run_training(cs, cfg, HeadConfig(filters=2, epochs=1), FedConfig(rounds=2),
+    run_training(cs, cfg, HeadConfig(filters=2, epochs=1), 2,
                  transcript=transcript)
     uploads = [decode_message(line) for line in transcript]
     uploads = [(m["cid"], m["payload"]) for m in uploads if m["type"] == "TREES_UPLOAD"]
@@ -239,9 +237,9 @@ def test_run_training_uploads_lone_fits():
 
 def test_run_training_deterministic():
     m1 = run_training(_clients(2, rows=30), gbdt.GbdtConfig(trees_per_client=2),
-                      HeadConfig(filters=2, epochs=2, rng_seed=5), FedConfig(rounds=3))
+                      HeadConfig(filters=2, epochs=2, rng_seed=5), 3)
     m2 = run_training(_clients(2, rows=30), gbdt.GbdtConfig(trees_per_client=2),
-                      HeadConfig(filters=2, epochs=2, rng_seed=5), FedConfig(rounds=3))
+                      HeadConfig(filters=2, epochs=2, rng_seed=5), 3)
     assert m1.head.allclose(m2.head, atol=0)
 
 
@@ -264,7 +262,7 @@ def test_run_training_matches_per_client_loop(monkeypatch):
     monkeypatch.setattr(head, "train_round", recording_train_round)
     transcript = []
     model = run_training(clients, gbdt.GbdtConfig(trees_per_client=2), head_cfg,
-                         FedConfig(rounds=4), transcript=transcript)
+                         4, transcript=transcript)
     picks = {}
     for line in transcript:
         msg = decode_message(line)
@@ -302,22 +300,17 @@ def test_run_training_matches_per_client_loop(monkeypatch):
 
 def test_run_training_no_clients():
     with pytest.raises(ProtocolError, match="stalled"):
-        run_training([], gbdt.GbdtConfig(), HeadConfig(), FedConfig())
+        run_training([], gbdt.GbdtConfig(), HeadConfig(), 10)
 
 
-def test_detect_onset_threshold_and_not_ready():
+def test_detect_onset_threshold():
     cs = _clients(2, rows=60, seed=7)
     model = run_training(cs, gbdt.GbdtConfig(trees_per_client=2),
-                         HeadConfig(filters=2, epochs=20), FedConfig(rounds=3))
+                         HeadConfig(filters=2, epochs=20), 3)
     x = np.stack([np.full(10, 9.0), np.full(10, 1.0)])
     assert detect_onset_batch(model, x).tolist() == [True, False]
     assert detect_onset_batch(model, x[::-1]).tolist() == [False, True]
     assert detect_onset_batch(model, x[1:]).tolist() == [False]
-    model.round, model.total_rounds = 0, 5
-    with pytest.raises(NotReadyError):
-        detect_onset_batch(model, x)
-    with pytest.raises(NotReadyError):
-        detect_onset_batch(model, x[:1])
 
 
 def test_detect_onset_tie_goes_normal():
@@ -326,6 +319,6 @@ def test_detect_onset_tie_goes_normal():
     ens = gbdt.train(c.x, c.y, gbdt.GbdtConfig(trees_per_client=2), client=1)
     w = HeadWeights(conv_kernels=np.zeros((2, 2)), conv_bias=np.zeros(2),
                     dense=np.zeros(2), dense_bias=0.0)
-    model = fed_onset.GlobalModel(ensembles=[ens], head=w, round=0, total_rounds=1)
+    model = fed_onset.GlobalModel(ensembles=[ens], head=w)
     assert detect_onset_batch(model, np.ones((1, 10))).tolist() == [False]
     assert head.forward_batch(w, gbdt.per_tree_output_matrix([ens], np.ones((1, 10))))[0] == 0.5

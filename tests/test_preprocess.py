@@ -138,7 +138,7 @@ def test_receiver_counts_match_interval_counts_sparse_rounds():
         normal_rate_pps=0.5, flood_rate_pps=8.0, neighbor_degree=3, rng_seed=5,
     )
     events, truth = scenario.generate(config)
-    rounds = runner._alert_rounds(truth)
+    rounds = runner.alert_rounds(truth)
     assert len(rounds) >= 6
     reporters = silent = partial = 0
     for t0, t1 in rounds:
