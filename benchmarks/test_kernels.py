@@ -45,7 +45,7 @@ def test_head_step(benchmark, k):
     y = (rng.random(ROWS) > 0.5).astype(np.float64)
     cfg = head.HeadConfig(filters=FILTERS, epochs=EPOCHS, batch_size=BATCH)
     w = head.init(k, T, cfg)
-    table = head.with_bias_tap(w, rng.normal(size=(ROWS, k * T)))
+    table = rng.normal(size=(ROWS, k * T))
     out = benchmark(head.train_round, w, table, np.arange(ROWS), y, [(0, ROWS)], [0], cfg)
     _record_per_step(benchmark, "step", EPOCHS * math.ceil(ROWS / BATCH))
     assert np.isfinite(out[0].dense).all()
@@ -73,12 +73,12 @@ def test_head_round(benchmark, ids_from):
     cfg = head.HeadConfig(filters=FILTERS, epochs=EPOCHS, batch_size=BATCH)
     w = head.init(k, T, cfg)
     if ids_from == "all-distinct":
-        table, ids = head.with_bias_tap(w, rng.normal(size=(n, k * T))), np.arange(n)
+        table, ids = rng.normal(size=(n, k * T)), np.arange(n)
     elif ids_from == "6-row-table":
-        table = head.with_bias_tap(w, rng.normal(size=(6, k * T)))
+        table = rng.normal(size=(6, k * T))
         ids = rng.integers(0, 6, size=n)
     else:
-        table = head.with_bias_tap(w, rng.normal(size=(5000, k * T)))
+        table = rng.normal(size=(5000, k * T))
         ids = np.concatenate([rng.choice(rng.choice(5000, 25, replace=False), size)
                               for size in sizes])
     y = (rng.random(n) > 0.5).astype(np.float64)

@@ -16,13 +16,10 @@ __all__ = ["BalanceConfig", "smote_arrays"]
 
 log = logging.getLogger(__name__)
 
-# Reference normal/malicious ratio of the best-performing dataset family.
-DEFAULT_TARGET_RATIO = 294.12
-
-
 @dataclass(frozen=True)
 class BalanceConfig:
-    target_ratio: float = DEFAULT_TARGET_RATIO
+    # Reference normal/malicious ratio of the best-performing dataset family.
+    target_ratio: float = 294.12
     k_neighbors: int = 5
 
     def __post_init__(self):

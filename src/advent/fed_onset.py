@@ -15,7 +15,6 @@ across vehicles confirms them.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ __all__ = [
     "run_training",
     "detect_onset_batch",
 ]
-
-log = logging.getLogger(__name__)
 
 MESSAGE_TYPES = (
     "TREES_UPLOAD",
@@ -206,15 +203,14 @@ def run_training(
         [gbdt.ensemble_to_dict(e) for e in model.ensembles]))["payload"]
     broadcast_ensembles = [gbdt.ensemble_from_dict(d) for d in broadcast]
     del broadcast  # before the table build, where a large run's memory peaks
-    # Each client evaluates the broadcast trees on its own rows, bias-tapped
-    # for the head once for all rounds.  A row's bytes key it into one
-    # shared table of distinct rows, so every client keeps one table id per
-    # row and no (N, K*T) matrix is built.
+    # Each client evaluates the broadcast trees on its own rows once for all
+    # rounds.  A row's bytes key it into one shared table of distinct rows,
+    # so every client keeps one table id per row and no (N, K*T) matrix is
+    # built.
     distinct: dict[bytes, int] = {}
     ids = []
     for c in clients:
-        v = gbdt.per_tree_output_matrix(broadcast_ensembles, c.x)
-        for row in head.with_bias_tap(model.head, v):
+        for row in gbdt.per_tree_output_matrix(broadcast_ensembles, c.x):
             ids.append(distinct.setdefault(row.tobytes(), len(distinct)))
     table = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(len(distinct), -1)
     del distinct

@@ -44,7 +44,6 @@ import numpy as np
 
 __all__ = [
     "GbdtConfig",
-    "Tree",
     "LocalEnsemble",
     "train",
     "train_clients",
@@ -80,24 +79,19 @@ class GbdtConfig:
             raise ValueError("lambda_l2 must be >= 0")
 
 
-@dataclass
-class Tree:
-    root: int  # index of the tree's root in its ensemble's node arrays
-    max_depth: int
-
-
 @dataclass(eq=False)
 class LocalEnsemble:
     """Trees as flat node arrays shared by the whole ensemble.
 
-    Node i is a leaf iff left[i] == right[i] == i; value[i] is then its
-    pre-shrinkage log-odds step.  Otherwise a row goes to left[i] when
-    x[feature[i]] < threshold[i] and to right[i] when not.  A leaf has
-    feature 0, so stepping a row on from its leaf keeps it there.
+    trees[t] is the index of tree t's root.  Node i is a leaf iff left[i]
+    == right[i] == i; value[i] is then its pre-shrinkage log-odds step.
+    Otherwise a row goes to left[i] when x[feature[i]] < threshold[i] and
+    to right[i] when not.  A leaf has feature 0, so stepping a row on from
+    its leaf keeps it there.
     """
 
     client: int
-    trees: list[Tree]
+    trees: list[int]
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -342,11 +336,11 @@ def _write_preorder(nodes, kids, i) -> int:
     return j
 
 
-def _ensemble(client, nodes, roots, max_depths, base_score, shrinkage) -> LocalEnsemble:
+def _ensemble(client, nodes, roots, base_score, shrinkage) -> LocalEnsemble:
     feature, threshold, left, right, value = zip(*nodes) if nodes else ((),) * 5
     return LocalEnsemble(
         client=client,
-        trees=[Tree(root=r, max_depth=d) for r, d in zip(roots, max_depths)],
+        trees=list(roots),
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.intp),
@@ -381,7 +375,6 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
     """
     if not len(xs) == len(ys) == len(clients):
         raise ValueError("need one x and one y per client")
-    depths = [config.max_depth] * config.trees_per_client
     out: list = [None] * len(clients)
     fits = []  # (index, x, y, base score) of each client with both classes
     for i, (x, y, client) in enumerate(zip(xs, ys, clients)):
@@ -399,8 +392,7 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
         if prevalence <= 0.0 or prevalence >= 1.0:
             base = _MAX_LOG_ODDS if prevalence >= 1.0 else -_MAX_LOG_ODDS
             nodes = [(0, 0.0, t, t, 0.0) for t in range(config.trees_per_client)]
-            out[i] = _ensemble(client, nodes, range(len(nodes)), depths, base,
-                               config.shrinkage)
+            out[i] = _ensemble(client, nodes, range(len(nodes)), base, config.shrinkage)
         else:
             fits.append((i, x, y, float(np.log(prevalence / (1.0 - prevalence)))))
     if not fits:
@@ -433,7 +425,7 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
             roots[c].append(_write_preorder(nodes[c], kids, c))
         margins += config.shrinkage * leaf_of_row
     for c, (i, _, _, base) in enumerate(fits):
-        out[i] = _ensemble(clients[i], nodes[c], roots[c], depths, base, config.shrinkage)
+        out[i] = _ensemble(clients[i], nodes[c], roots[c], base, config.shrinkage)
     return out
 
 
@@ -450,7 +442,7 @@ def _leaf_values(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
         raise ValueError("feature rows must be a 2-D array")
     n, n_features = x.shape
     offsets = np.cumsum([0] + [len(e.left) for e in ensembles[:-1]])
-    roots = np.array([t.root + o for e, o in zip(ensembles, offsets) for t in e.trees],
+    roots = np.array([r + o for e, o in zip(ensembles, offsets) for r in e.trees],
                      dtype=np.intp)
     feature = np.concatenate([e.feature for e in ensembles])
     threshold = np.concatenate([e.threshold for e in ensembles])
@@ -548,19 +540,15 @@ def ensemble_to_dict(ensemble: LocalEnsemble) -> dict:
         "client": ensemble.client,
         "base_score": ensemble.base_score,
         "shrinkage": ensemble.shrinkage,
-        "trees": [
-            {"max_depth": t.max_depth, "root": _node_to_dict(ensemble, t.root)}
-            for t in ensemble.trees
-        ],
+        "trees": [{"root": _node_to_dict(ensemble, r)} for r in ensemble.trees],
     }
 
 
 def ensemble_from_dict(d: dict) -> LocalEnsemble:
     nodes: list = []
     roots = [_node_from_dict(nodes, t["root"]) for t in d["trees"]]
-    return _ensemble(int(d["client"]), nodes, roots,
-                     [int(t["max_depth"]) for t in d["trees"]],
-                     float(d["base_score"]), float(d["shrinkage"]))
+    return _ensemble(int(d["client"]), nodes, roots, float(d["base_score"]),
+                     float(d["shrinkage"]))
 
 
 def ensemble_to_json(ensemble: LocalEnsemble) -> str:

@@ -17,28 +17,30 @@ every gradient follows from the one mat-vec u:
     dK = D·u,  dD = kernels·uᵀ + conv_bias·s,  dconv_bias = s·ΣD,  ddense_bias = s.
 
 Inference evaluates this form on (N, K*T) tree vectors and never builds
-the F*K activations.  Training works on bias-tapped rows (`with_bias_tap`):
-a 1 after each client's T outputs.  With A = [kernels | conv_bias] (F, T+1)
-the constant conv_bias·ΣD then enters z through Dᵀ·A, and u over the tapped
-rows gives dA = D·u (kernels and conv_bias at once), dD = A·uᵀ, and s, the
-dense-bias gradient, as any client's tap entry of u.
+the F*K activations.  Training takes the same vectors and taps them
+itself (`_with_bias_tap`): a 1 after each client's T outputs.  With A =
+[kernels | conv_bias] (F, T+1) the constant conv_bias·ΣD then enters z
+through Dᵀ·A, and u over the tapped rows gives dA = D·u (kernels and
+conv_bias at once), dD = A·uᵀ, and s, the dense-bias gradient, as any
+client's tap entry of u.
 
 Clients train locally with mini-batch SGD on binary cross-entropy.
 `train_round` runs all clients of a FedAvg round as one stacked SGD run,
 each client with its own shuffles and batches, so every step is one batched
-computation over the clients.  Its rows are a table of distinct tapped
-vectors plus one table id per row: depth-3 trees send most per-second
-feature rows to the same leaves, so a batch of 64 rows holds only a few
-distinct vectors.  Once per epoch, every row of every batch gets the key
-(batch, table id), and the keys are coded in one pass; two bincounts then
-give each distinct row of a batch its row count cnt and positive count pos,
-both already scaled by lr / (rows of the batch).  Each step gathers the
-distinct rows of every active client's batch, takes dz = cnt·p - pos on
-them (the summed dz of the batch rows each one stands for) before the one
-u mat-vec, and subtracts the gradient.  `train_on_matrix` is the
-one-client case, each row its own table row.  The wire format and FedAvg
-still carry and average the factors (`conv_kernels`, `conv_bias`, `dense`,
-`dense_bias`), never W_eff.
+computation over the clients.  Its rows are a table of distinct tree
+vectors plus one table id per row, and each block of clients trains on the
+table rows it uses, tapped: depth-3 trees send most per-second feature rows
+to the same leaves, so a batch of 64 rows holds only a few distinct
+vectors.  Once per epoch, every row of every
+batch gets the key (batch, table id), and the keys are coded in one pass;
+two bincounts then give each distinct row of a batch its row count cnt and
+positive count pos, both already scaled by lr / (rows of the batch).  Each
+step gathers the distinct rows of every active client's batch, takes dz =
+cnt·p - pos on them (the summed dz of the batch rows each one stands for)
+before the one u mat-vec, and subtracts the gradient.  `train_on_matrix`
+is the one-client case, each row its own table row.  The wire format and
+FedAvg still carry and average the factors (`conv_kernels`, `conv_bias`,
+`dense`, `dense_bias`), never W_eff.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "gradients",
     "train_on_matrix",
     "train_round",
-    "with_bias_tap",
     "weights_to_dict",
     "weights_from_dict",
     "weights_to_json",
@@ -174,8 +175,8 @@ def forward_batch(w: HeadWeights, v: np.ndarray) -> np.ndarray:
 _ROUND_BLOCK_VALUES = 1 << 20
 
 
-def with_bias_tap(w: HeadWeights, v: np.ndarray) -> np.ndarray:
-    """(N, K*T) tree vectors as the (N, K*(T+1)) rows `train_round` trains
+def _with_bias_tap(w: HeadWeights, v: np.ndarray) -> np.ndarray:
+    """(N, K*T) tree vectors as the (N, K*(T+1)) rows training computes
     on: each client's T outputs followed by a 1."""
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     _check_width(w, v)
@@ -234,7 +235,7 @@ def _backward(params, vd, cnt, pos, grads) -> np.ndarray:
 
 def gradients(w: HeadWeights, v: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy loss and its gradients over a batch."""
-    v = with_bias_tap(w, v)
+    v = _with_bias_tap(w, v)
     y = np.asarray(y, dtype=np.float64)
     theta = _pack(w)[None]
     grad = np.empty_like(theta)
@@ -253,34 +254,29 @@ def train_on_matrix(w: HeadWeights, v: np.ndarray, y: np.ndarray, config: HeadCo
     The one-client case of `train_round`, with every row of v its own table
     row, shuffled by config.rng_seed.
     """
-    table = with_bias_tap(w, v)
-    return train_round(w, table, np.arange(len(table)), y, [(0, len(table))],
-                       [config.rng_seed], config)[0]
+    return train_round(w, v, np.arange(len(v)), y, [(0, len(v))], [config.rng_seed],
+                       config)[0]
 
 
 def train_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray, spans,
                 seeds, config: HeadConfig) -> list[HeadWeights]:
     """Mini-batch SGD on BCE for every client of a FedAvg round at once.
 
-    Training row i is the bias-tapped tree vector table[ids[i]] (see
-    `with_bias_tap`) with label y[i]; rows that share an id are trained on
-    as one.  Client j starts from `w` and trains on rows spans[j] =
-    (start, stop) of `ids` and `y`, shuffled each epoch by its own
-    default_rng(seeds[j]) into batches of config.batch_size, the last one
-    short, exactly as a lone run would (config.rng_seed is not used).  So
+    Training row i is the (K*T) tree vector table[ids[i]] with label y[i]; rows
+    that share an id are trained on as one.  Client j starts from `w` and trains
+    on rows spans[j] = (start, stop) of `ids` and `y`, shuffled each epoch by
+    its own default_rng(seeds[j]) into batches of config.batch_size, the last
+    one short, exactly as a lone run would (config.rng_seed is not used).  So
     each result equals that client's lone run on the expanded rows up to
-    summation order.  Returns one HeadWeights per span, in span order; `w`
-    is not modified.
+    summation order.  Returns one HeadWeights per span, in span order; `w` is
+    not modified.
     """
     table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise ValueError(f"expected a 2-D table of tree vectors, got shape {table.shape}")
+    _check_width(w, table)
     ids = np.asarray(ids)
     y = np.asarray(y, dtype=np.float64)
-    k, t = w.n_clients, w.kernel_size
-    if table.ndim != 2 or table.shape[1] != k * (t + 1):
-        raise ValueError(f"expected bias-tapped tree vectors of length {k * (t + 1)}, "
-                         f"got shape {table.shape}")
-    if not (table.reshape(len(table), k, t + 1)[:, :, t] == 1.0).all():
-        raise ValueError("every client's tree outputs in the table must end in a bias tap of 1")
     if ids.ndim != 1 or not (ids.dtype.kind in "iu" or len(ids) == 0):
         raise ValueError("ids must be a 1-D integer array")
     ids = ids.astype(np.intp, copy=False)
@@ -298,10 +294,21 @@ def train_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarra
     # Sorted by batch count, descending, the clients still training at any
     # step are a prefix of their block.
     order = sorted(range(len(spans)), key=lambda i: -steps[i])
-    per_block = max(1, _ROUND_BLOCK_VALUES // (bs * table.shape[1]))
+    width = w.n_clients * (w.kernel_size + 1)  # of a tapped row
+    per_block = max(1, _ROUND_BLOCK_VALUES // (bs * width))
     out: list[HeadWeights | None] = [None] * len(spans)
     for block in np.array_split(order, -(-len(order) // per_block)):
-        theta = _train_block(w, table, ids, y, [spans[i] for i in block],
+        # A block trains on the table rows its clients use, tapped 64 at a
+        # time, so neither a tapped copy of the whole table nor an untapped
+        # copy of the block's rows is held.  Its row ids become positions
+        # among those rows, in the same order.
+        rows = np.concatenate([np.arange(*spans[i]) for i in block])
+        used, local = np.unique(ids[rows], return_inverse=True)
+        tapped = np.empty((len(used), width))
+        for lo in range(0, len(used), 64):
+            tapped[lo:lo + 64] = _with_bias_tap(w, table[used[lo:lo + 64]])
+        bounds = np.cumsum([0] + [spans[i][1] - spans[i][0] for i in block]).tolist()
+        theta = _train_block(w, tapped, local, y[rows], list(zip(bounds, bounds[1:])),
                              [seeds[i] for i in block], config)
         for i, row in zip(block, theta):
             out[i] = _unpack(w, row)

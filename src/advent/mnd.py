@@ -2,13 +2,14 @@
 
 Each vehicle compares per-neighbor inbound counts against a MAD-based
 rejection band; senders exceeding the upper bound are reported as suspected.
-Only the upper bound triggers suspicion (the attack model is flooding); the
-lower bound is computed for the stats but never flags anyone.
+Only the upper bound triggers suspicion (the attack model is flooding), so
+`detect` never computes the lower bound.  A report holds only what the
+server aggregates: the reporter and the ids it suspects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .preprocess import NeighborCounts
 
@@ -39,9 +40,7 @@ class MadParams:
 @dataclass
 class SuspicionReport:
     reporter: int
-    interval: tuple[float, float]
-    suspected: set[int] = field(default_factory=set)
-    stats: dict[str, float] = field(default_factory=dict)  # median, mad, upper_tr
+    suspected: set[int]
 
 
 def _median(values: list[float]) -> float:
@@ -82,19 +81,8 @@ def detect(counts: NeighborCounts, params: MadParams = MadParams()) -> Suspicion
     senders = sorted(counts.per_sender)
     values = [float(counts.per_sender[s]) for s in senders]
     if len(values) < 2:
-        stats = {}
-        if values:
-            stats = {"median": values[0], "mad": 0.0, "upper_tr": values[0]}
-        return SuspicionReport(reporter=counts.vehicle, interval=counts.interval,
-                               suspected=set(), stats=stats)
-    m = _median(values)
-    scale = mad(values, params.b)
-    upper = m + params.ce * scale
+        return SuspicionReport(reporter=counts.vehicle, suspected=set())
+    upper = _median(values) + params.ce * mad(values, params.b)
     suspected = {s for s, v in zip(senders, values) if v > upper}
-    return SuspicionReport(
-        reporter=counts.vehicle,
-        interval=counts.interval,
-        suspected=suspected,
-        stats={"median": m, "mad": scale, "upper_tr": upper},
-    )
+    return SuspicionReport(reporter=counts.vehicle, suspected=suspected)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fed_mnd, fed_onset, gbdt, metrics, mnd, preprocess, scenario
-from .balance import DEFAULT_TARGET_RATIO, BalanceConfig, smote_arrays
+from .balance import BalanceConfig, smote_arrays
 from .gbdt import GbdtConfig
 from .head import HeadConfig
 from .metrics import Confusion
@@ -53,19 +53,16 @@ class RunManifest:
     lags: int = preprocess.DEFAULT_LAGS
     train_fraction: float = 0.7
     rounds: int = 10
-    trees_per_client: int = 10
-    max_depth: int = 3
-    shrinkage: float = 0.3
-    lambda_l2: float = 1.0
-    min_samples_leaf: int = 1
-    filters: int = 4
-    learning_rate: float = 0.1
-    epochs: int = 100
-    batch_size: int = 64
-    target_ratio: float = DEFAULT_TARGET_RATIO
-    k_neighbors: int = 5
-    mad_b: float = mnd.CONSISTENCY_B
-    mad_ce: float = mnd.EXCLUSION_CE
+    trees_per_client: int = GbdtConfig.trees_per_client
+    max_depth: int = GbdtConfig.max_depth
+    shrinkage: float = GbdtConfig.shrinkage
+    lambda_l2: float = GbdtConfig.lambda_l2
+    min_samples_leaf: int = GbdtConfig.min_samples_leaf
+    filters: int = HeadConfig.filters
+    learning_rate: float = HeadConfig.learning_rate
+    epochs: int = HeadConfig.epochs
+    batch_size: int = HeadConfig.batch_size
+    target_ratio: float = BalanceConfig.target_ratio
 
     def __post_init__(self):
         for f in fields(self):
@@ -81,6 +78,10 @@ class RunManifest:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction!r}")
+        # The stage configs check their own fields, before any input is read.
+        self.gbdt_config()
+        self.head_config()
+        BalanceConfig(target_ratio=self.target_ratio)
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunManifest":
@@ -161,7 +162,7 @@ def onset_fit(manifest: RunManifest, per_vehicle):
         return (lambda rows: gbdt.predict_margin_batch(model, rows) > 0.0), t_split
     smote = None
     if manifest.method == "federated_smote":
-        smote = BalanceConfig(target_ratio=manifest.target_ratio, k_neighbors=manifest.k_neighbors)
+        smote = BalanceConfig(target_ratio=manifest.target_ratio)
     clients = []
     for v, (secs, x, y) in per_vehicle.items():
         mask = secs < t_split
@@ -295,10 +296,9 @@ def run_pipeline(manifest: RunManifest) -> dict:
     decide, t_split = timed(onset_fit, manifest, per_vehicle)
     flags = timed(onset_decide, decide, per_vehicle)
     rounds = timed(alert_rounds, truth)
-    params = mnd.MadParams(b=manifest.mad_b, ce=manifest.mad_ce)
-    round_reports = timed(mnd_reports, events, truth, rounds, params)
+    round_reports = timed(mnd_reports, events, truth, rounds, mnd.MadParams())
     mnd_result = timed(mnd_aggregate, manifest.mnd_mode, manifest.th, round_reports, truth)
-    del round_reports  # 0.75 MB on dense-pulsed; score's objects reuse it
+    del round_reports  # 0.44 MB on dense-pulsed; score's objects reuse it
     report, predictions = timed(score, manifest, truth, per_vehicle, flags, t_split, mnd_result)
     timed(write, manifest.output_dir, report, predictions)
     with open(Path(manifest.output_dir) / "timing.json", "w", encoding="utf-8") as fh:

@@ -104,7 +104,7 @@ def test_criterion_2_gbdt_split_oracle():
         g, h = logistic_gh(np.full(n, base), y)
         expected = brute_force_split(x, g, h, cfg)
         ens = gbdt.train(x, y, cfg)
-        root = ens.trees[0].root
+        root = ens.trees[0]
         if expected is None:
             ok = ens.left[root] == root
         else:

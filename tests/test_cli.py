@@ -176,8 +176,13 @@ def test_run_rejects_lags_below_one(scenario_dir, tmp_path, capsys):
     ({"rounds": 0}, "rounds must be >= 1, got 0"),
     ({"th": 0}, "th must be >= 1, got 0"),
     ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
+    ({"max_depth": 0}, "max_depth must be >= 1"),
+    ({"epochs": -1}, "epochs must be >= 0"),
+    ({"target_ratio": 0.5}, "target_ratio must be >= 1"),
+    ({"mad_b": 1.0}, "unknown manifest field 'mad_b'"),
 ], ids=["unknown", "str-int", "bool-int", "str-float", "float-int", "int-str",
-        "int-path", "missing", "zero-rounds", "zero-th", "large-train-fraction"])
+        "int-path", "missing", "zero-rounds", "zero-th", "large-train-fraction",
+        "zero-max-depth", "negative-epochs", "small-target-ratio", "removed-mad-b"])
 def test_run_rejects_bad_manifest_fields(scenario_dir, tmp_path, capsys, change, message):
     # Rejected with the manifest, before the scenario is read: the events
     # path does not exist, and the error names the field, not the file.

@@ -7,7 +7,7 @@ from advent.mnd import SuspicionReport
 
 
 def _rep(reporter, suspected):
-    return SuspicionReport(reporter=reporter, interval=(0.0, 10.0), suspected=set(suspected))
+    return SuspicionReport(reporter=reporter, suspected=set(suspected))
 
 
 def test_aggregate_distinct_reporters():

@@ -274,14 +274,13 @@ def test_run_training_matches_per_client_loop(monkeypatch):
     # each client's rows rebuilt from it are its own tree outputs, bitwise.
     table, ids = calls[0]
     assert len(calls) == 3 and all(c[0] is table and c[1] is ids for c in calls)
-    k, t = len(clients), 2
-    outputs = table.reshape(len(table), k, t + 1)[:, :, :t].reshape(len(table), k * t)
-    assert len({row.tobytes() for row in outputs}) == len(table) < len(ids)
+    assert table.shape[1] == len(clients) * 2
+    assert len({row.tobytes() for row in table}) == len(table) < len(ids)
     matrices = {c.cid: gbdt.per_tree_output_matrix(model.ensembles, c.x) for c in clients}
     start = 0
     for c in clients:
         stop = start + len(c.y)
-        rebuilt = outputs[ids[start:stop]]
+        rebuilt = table[ids[start:stop]]
         assert rebuilt.shape == matrices[c.cid].shape
         assert rebuilt.tobytes() == matrices[c.cid].tobytes()
         start = stop

@@ -152,7 +152,7 @@ def reference_train(x, y, cfg, client=0) -> dict:
     for _ in range(cfg.trees_per_client):
         g, h = logistic_gh(margins, y)
         root = _argsort_build_node(x, g, h, 0, cfg)
-        trees.append({"max_depth": cfg.max_depth, "root": root})
+        trees.append({"root": root})
         margins += cfg.shrinkage * np.array([walk(root, row) for row in x])
     return {"client": client, "base_score": base, "shrinkage": cfg.shrinkage, "trees": trees}
 
@@ -240,7 +240,7 @@ def recursive_train(x, y, cfg, client=0) -> str:
         g, h = logistic_gh(margins, y)
         roots.append(_recursive_build_node(nodes, rows, codes, values, g, h, 0, cfg, leaf_of_row))
         margins += cfg.shrinkage * leaf_of_row
-    ens = gbdt._ensemble(client, nodes, roots, [cfg.max_depth] * len(roots), base, cfg.shrinkage)
+    ens = gbdt._ensemble(client, nodes, roots, base, cfg.shrinkage)
     return ensemble_to_json(ens)
 
 
@@ -273,7 +273,7 @@ def test_separable_1d_split():
     y = (x[:, 0] >= 5.0).astype(float)
     cfg = GbdtConfig(trees_per_client=1, max_depth=1)
     ens = train(x, y, cfg)
-    root = ens.trees[0].root
+    root = ens.trees[0]
     assert ens.feature[root] == 0
     assert x[y == 0, 0].max() <= ens.threshold[root] <= x[y == 1, 0].min()
 
@@ -366,7 +366,7 @@ def test_root_split_matches_brute_force():
         g, h = logistic_gh(np.full(n, base), y)
         expected = brute_force_split(x, g, h, cfg)
         ens = train(x, y, cfg)
-        root = ens.trees[0].root
+        root = ens.trees[0]
         if expected is None:
             assert _is_leaf(ens, root)
         else:
@@ -394,9 +394,9 @@ def test_every_node_matches_brute_force(max_depth):
                          min_samples_leaf=int(rng.integers(1, 4)))
         ens = train(x, y, cfg)
         margins = np.full(n, ens.base_score)
-        for tree, column in zip(ens.trees, per_tree_output_matrix([ens], x).T):
+        for root, column in zip(ens.trees, per_tree_output_matrix([ens], x).T):
             g, h = logistic_gh(margins, y)
-            stack = [(tree.root, np.arange(n), 0)]
+            stack = [(root, np.arange(n), 0)]
             while stack:
                 i, rows, depth = stack.pop()
                 expected = None
@@ -518,7 +518,7 @@ def test_matches_recursive_reference_trainer(name, entries, monkeypatch):
     ens = train(x, y, cfg, client=3)
     assert ensemble_to_json(ens) == recursive_train(x, y, cfg, client=3)
     internal = ens.left != np.arange(len(ens.left))
-    depths = [_leaf_depths(ens, t.root) for t in ens.trees]
+    depths = [_leaf_depths(ens, root) for root in ens.trees]
     if name == "mixed-depths":
         assert any(len(set(d)) > 1 for d in depths)
     if name.startswith("depth"):
@@ -758,7 +758,7 @@ def _check_train_clients(xs, ys, cfg, cids):
         else:  # the single-class fallback: single zero leaves
             assert ens.base_score == (15.0 if y.mean() else -15.0)
             assert len(ens.trees) == cfg.trees_per_client and not ens.value.any()
-            assert all(_is_leaf(ens, t.root) for t in ens.trees)
+            assert all(_is_leaf(ens, root) for root in ens.trees)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1012,6 +1012,19 @@ def test_serialization_roundtrip_exact():
     d = json.loads(s)
     root = d["trees"][0]["root"]
     assert set(root) <= {"f", "t", "l", "r", "v"}
+
+
+def test_tree_dict_holds_only_its_root():
+    # A tree's depth bound is the config's, so the wire carries no max_depth;
+    # a tree dict that still has one loads as before.
+    x = np.random.default_rng(7).random((40, 10))
+    ens = train(x, (x[:, 0] > 0.5).astype(float), GbdtConfig(trees_per_client=3), client=2)
+    d = ensemble_to_dict(ens)
+    assert [set(t) for t in d["trees"]] == [{"root"}] * 3
+    old = dict(d, trees=[dict(t, max_depth=3) for t in d["trees"]])
+    back = ensemble_from_dict(old)
+    assert ensemble_to_dict(back) == d
+    assert np.array_equal(predict_margin_batch(back, x), predict_margin_batch(ens, x))
 
 
 def test_output_matrix_matches_vector_api():

@@ -18,7 +18,6 @@ from advent.head import (
     train_round,
     weights_from_json,
     weights_to_json,
-    with_bias_tap,
 )
 
 
@@ -276,7 +275,7 @@ def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epoc
     cfg = HeadConfig(filters=f, epochs=epochs, batch_size=8, learning_rate=0.3, rng_seed=999)
     w = init(k, t, cfg)
     snapshot = w.copy()
-    out = train_round(w, with_bias_tap(w, v), np.arange(80), y, spans, seeds, cfg)
+    out = train_round(w, v, np.arange(80), y, spans, seeds, cfg)
     assert w.allclose(snapshot, rtol=0, atol=0)  # input left untouched
     assert len(out) == len(spans)
     for (a, b), seed, got in zip(spans, seeds, out):
@@ -328,7 +327,7 @@ def test_train_round_on_repeated_ids_matches_expanded_sgd(monkeypatch, block_val
         y[43:62] = np.arange(19) % 3 == 0
         y[62:73] = 0
         sorted_sides.clear()
-        out = train_round(w, with_bias_tap(w, rows), ids, y, spans, seeds, cfg)
+        out = train_round(w, rows, ids, y, spans, seeds, cfg)
         assert any(sorted_sides) == (table_rows > 3 and epochs > 0)
         assert len(out) == len(spans)
         for (a, b), seed, got in zip(spans, seeds, out):
@@ -363,9 +362,26 @@ def test_train_round_matches_expanded_sgd_property(data):
     w = init(k, t, cfg)
     block_values = data.draw(st.sampled_from([1, 50, 300, head._ROUND_BLOCK_VALUES]))
     with mock.patch.object(head, "_ROUND_BLOCK_VALUES", block_values):
-        out = train_round(w, with_bias_tap(w, rows), ids, y, spans, seeds, cfg)
+        out = train_round(w, rows, ids, y, spans, seeds, cfg)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
+        assert got.allclose(ref, rtol=0, atol=1e-12)
+
+
+def test_train_round_block_over_many_table_rows():
+    # One block that uses more table rows than are tapped at a time (64):
+    # 150 distinct rows in shuffled id order, split over two clients.
+    rng = np.random.default_rng(4)
+    k, t = 2, 3
+    cfg = HeadConfig(filters=2, epochs=2, batch_size=16, learning_rate=0.3)
+    w = init(k, t, cfg)
+    v = rng.normal(size=(150, k * t))
+    y = (rng.random(150) > 0.5).astype(float)
+    ids = rng.permutation(150)
+    spans, seeds = [(0, 90), (90, 150)], [3, 8]
+    out = train_round(w, v, ids, y, spans, seeds, cfg)
+    for (a, b), seed, got in zip(spans, seeds, out):
+        ref = sgd_with_gradients(w, v[ids[a:b]], y[a:b], seed, cfg)
         assert got.allclose(ref, rtol=0, atol=1e-12)
 
 
@@ -373,25 +389,25 @@ def test_with_bias_tap_layout():
     w = init(2, 3, HeadConfig(filters=2))
     v = np.arange(12.0).reshape(2, 6)
     expected = [[0, 1, 2, 1, 3, 4, 5, 1], [6, 7, 8, 1, 9, 10, 11, 1]]
-    np.testing.assert_array_equal(with_bias_tap(w, v), expected)
+    np.testing.assert_array_equal(head._with_bias_tap(w, v), expected)
     with pytest.raises(ValueError, match="length 6"):
-        with_bias_tap(w, np.zeros((2, 5)))
+        head._with_bias_tap(w, np.zeros((2, 5)))
 
 
 def test_train_round_rejects_bad_spans_and_seeds():
     cfg = HeadConfig(filters=2)
     w = init(2, 3, cfg)
-    table, y = with_bias_tap(w, np.zeros((4, 6))), np.zeros(10)
+    table, y = np.zeros((4, 6)), np.zeros(10)
     ids = np.arange(10) % 4
     for spans in ([(5, 5)], [(4, 2)], [(-1, 3)], [(8, 11)]):
         with pytest.raises(ValueError, match="span"):
             train_round(w, table, ids, y, spans, [0], cfg)
-    with pytest.raises(ValueError, match="length 8"):
-        train_round(w, np.zeros((4, 6)), ids, y, [(0, 10)], [0], cfg)
-    untapped = table.copy()
-    untapped[2, 7] = 0.5
-    with pytest.raises(ValueError, match="bias tap"):
-        train_round(w, untapped, ids, y, [(0, 10)], [0], cfg)
+    # Rows of the wrong width: the tapped width, or one value short.
+    for wrong in (np.ones((4, 8)), np.zeros((4, 5))):
+        with pytest.raises(ValueError, match="length 6"):
+            train_round(w, wrong, ids, y, [(0, 10)], [0], cfg)
+    with pytest.raises(ValueError, match="2-D"):
+        train_round(w, np.zeros(6), ids, y, [(0, 10)], [0], cfg)
     with pytest.raises(ValueError, match="seeds"):
         train_round(w, table, ids, y, [(0, 5), (5, 10)], [0], cfg)
     with pytest.raises(ValueError, match="labels"):

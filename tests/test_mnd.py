@@ -49,9 +49,19 @@ def _counts(per_sender, vehicle=0, interval=(0.0, 10.0)):
 
 
 def test_detect_flags_flooder():
-    rep = detect(_counts({1: 10, 2: 11, 3: 9, 4: 10, 5: 250}))
+    per_sender = {1: 10, 2: 11, 3: 9, 4: 10, 5: 250}
+    rep = detect(_counts(per_sender))
     assert rep.suspected == {5}
-    assert rep.stats["upper_tr"] == pytest.approx(rep.stats["median"] + 3.0 * rep.stats["mad"])
+    _, hi = rejection_bounds(per_sender.values())
+    assert rep.suspected == {s for s, v in per_sender.items() if v > hi}
+
+
+def test_detect_sender_at_upper_bound_not_flagged():
+    # median 3 and MAD 1, so the upper bound is exactly 5.
+    params = MadParams(b=1.0, ce=2.0)
+    assert rejection_bounds([1, 2, 3, 4, 5], params)[1] == 5.0
+    assert detect(_counts({1: 1, 2: 2, 3: 3, 4: 4, 5: 5}), params).suspected == set()
+    assert detect(_counts({1: 1, 2: 2, 3: 3, 4: 4, 5: 6}), params).suspected == {5}
 
 
 def test_detect_lower_outlier_not_flagged():
@@ -70,7 +80,8 @@ def test_detect_fewer_than_two_neighbors():
     assert detect(_counts({})).suspected == set()
     solo = detect(_counts({3: 500}))
     assert solo.suspected == set()
-    assert solo.stats["median"] == 500.0
+    # A lone sender sits exactly at its own upper bound.
+    assert rejection_bounds([500.0])[1] == 500.0
 
 
 def test_detect_two_floooders():
