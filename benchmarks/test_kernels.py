@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from advent import gbdt, head, scenario
+from advent import fed_onset, gbdt, head, scenario
 
 T, FILTERS, BATCH, ROWS, EPOCHS = 10, 4, 64, 640, 5
 
@@ -99,6 +99,87 @@ def _count_rows(rng, n):
     rate = np.where(y == 1, rng.uniform(5.0, 50.0, n), rng.uniform(0.5, 4.0, n))
     x = rng.poisson(rate[:, None], (n, 10)).astype(np.float64)
     return x, y
+
+def _fed_s_clients(rng):
+    """12 clients of 250-750 rows shaped like fed-s's for its forest: attack
+    seconds raise lag 0, overlapping normal counts, and the other lags carry
+    nothing, so, as on fed-s, every tree splits on lag 0 alone and the rows
+    fall into 6 threshold codes."""
+    clients = []
+    for n in rng.integers(250, 751, size=12):
+        y = (rng.random(n) < 0.2).astype(np.float64)
+        x = np.ones((n, 10))
+        x[:, 0] = np.where(y == 1, rng.integers(4, 30, n), rng.integers(0, 8, n))
+        clients.append((x, y))
+    return clients
+
+
+def _fed_s_forest(rng):
+    clients = _fed_s_clients(rng)
+    ensembles = gbdt.train_clients([x for x, _ in clients], [y for _, y in clients],
+                                   gbdt.GbdtConfig(trees_per_client=T), range(12))
+    return ensembles, clients
+
+
+@pytest.mark.parametrize("shape", ["fed-s", "L"])
+def test_tree_table(benchmark, shape):
+    """The head's table build in `fed_onset.run_training`: threshold codes of
+    every training row, one walk per distinct code, equal vectors merged.
+
+    fed-s: 12 clients of 250-750 rows in 6 threshold codes.  L:
+    ROADMAP L's forest, 265 clients x 10 trees of depth 3 where 157 clients
+    have no positives, so 1,570 of the 2,650 trees are single leaves, over
+    40 rows per client (L has 336).  Records the distinct codes and table
+    rows."""
+    rng = np.random.default_rng(6)
+    if shape == "fed-s":
+        ensembles, clients = _fed_s_forest(rng)
+        xs = [x for x, _ in clients]
+    else:
+        clients = []
+        for c in range(265):
+            x, y = _count_rows(rng, 336)
+            clients.append((x, y if c < 108 else np.zeros_like(y)))
+        ensembles = gbdt.train_clients([x for x, _ in clients], [y for _, y in clients],
+                                       gbdt.GbdtConfig(trees_per_client=T), range(265))
+        xs = [x[:40] for x, _ in clients]
+    table, ids = benchmark.pedantic(fed_onset._tree_table, (ensembles, xs), rounds=3)
+    codes = gbdt.threshold_codes(ensembles, np.concatenate(xs))
+    benchmark.extra_info["rows"] = len(ids)
+    benchmark.extra_info["distinct_codes"] = len(set(codes.tolist()))
+    benchmark.extra_info["table_rows"] = len(table)
+    assert table.shape[1] == len(ensembles) * T and len(table) <= len(ids)
+
+
+def test_head_rounds_fed_s(benchmark):
+    """Nine FedAvg rounds of the head at fed-s's shape, as `run_training`
+    runs them: one `plan_round`, then one `train_round` a round, 30 epochs,
+    on the table of a fed-s-like forest.  Records `client_step_us`."""
+    rng = np.random.default_rng(6)
+    ensembles, clients = _fed_s_forest(rng)
+    table, ids = fed_onset._tree_table(ensembles, [x for x, _ in clients])
+    y = np.concatenate([y for _, y in clients])
+    sizes = [len(y) for _, y in clients]
+    bounds = np.cumsum([0] + sizes)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    cfg = head.HeadConfig(filters=FILTERS, epochs=30, batch_size=BATCH)
+    w0 = head.init(12, T, cfg)
+
+    def rounds():
+        plan = head.plan_round(w0, table, ids, y, spans, cfg)
+        w = w0
+        for r in range(1, 10):
+            out = head.train_round(w, table, ids, y, spans, [c * 1009 + r for c in range(12)],
+                                   cfg, plan)
+            w = fed_onset.fedavg([(c, o, n) for c, (o, n) in enumerate(zip(out, sizes))])
+        return w
+
+    w = benchmark.pedantic(rounds, rounds=3)
+    _record_per_step(benchmark, "client_step",
+                     9 * 30 * sum(math.ceil(size / BATCH) for size in sizes))
+    benchmark.extra_info["table_rows"] = len(table)
+    assert np.isfinite(w.dense).all()
+
 
 
 @pytest.fixture(scope="module")

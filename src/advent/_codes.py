@@ -1,5 +1,5 @@
-"""Dense integer codes of int64 keys, shared by the scenario writer and the
-head's batch grouping."""
+"""Dense integer codes of int64 keys, shared by the scenario writer, the
+head's batch grouping and the threshold codes of the head's table."""
 
 from __future__ import annotations
 

@@ -7,14 +7,12 @@ drops to the configured target.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["BalanceConfig", "smote_arrays"]
 
-log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class BalanceConfig:
@@ -35,13 +33,14 @@ def smote_arrays(
     """Array-level SMOTE; returns (x, y) with synthetic minority rows appended.
 
     Original rows are returned unmodified at their original positions.
+    With fewer than 2 minority rows there is no segment to draw on, and the
+    rows pass through as given.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_min = int((y == 1).sum())
     n_maj = int((y == 0).sum())
     if n_min < 2:
-        log.warning("smote: fewer than 2 minority rows; passing data through")
         return x, y
     target_min = int(np.ceil(n_maj / config.target_ratio))
     n_new = target_min - n_min

@@ -32,7 +32,10 @@ node blocks, and only the split nodes' histograms are kept for the next
 level.  The root level's row counts are the same for every tree and are
 counted once.  An ensemble keeps its trees as flat node arrays, so
 prediction walks every tree at once, one vectorized step per level; a tree
-whose root is a leaf is not walked.
+whose root is a leaf is not walked.  `threshold_codes` keys each row by which
+side of every split threshold of a forest it falls on, per feature (the
+threshold order of QuickScorer, Lucchese et al., SIGIR 2015), so rows with
+equal keys reach the same leaves and only one of them needs the walk.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._codes import dense_codes
+
 __all__ = [
     "GbdtConfig",
     "LocalEnsemble",
@@ -49,6 +54,7 @@ __all__ = [
     "train_clients",
     "predict_margin_batch",
     "per_tree_output_matrix",
+    "threshold_codes",
     "ensemble_to_dict",
     "ensemble_from_dict",
     "ensemble_to_json",
@@ -506,6 +512,48 @@ def per_tree_output_matrix(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.
     out = _leaf_values(ordered, x)
     out *= np.array([e.shrinkage for e in ordered for _ in e.trees])
     return out
+
+
+# Threshold codes combine into one int64 key while their radix product stays
+# below this; past it the keys are re-densified first.
+_MAX_KEY_RADIX = 1 << 62
+
+
+def threshold_codes(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
+    """One int64 key per row of x; rows with equal keys reach the same leaf
+    in every tree of the ensembles.
+
+    A row's code on a feature is the number of the forest's distinct split
+    thresholds on that feature at or below its value, so `x < t` is decided
+    by the code for every such threshold t; NaN sorts past every cut and
+    goes right, as the walk sends it.  The codes combine mixed-radix, and
+    the keys are re-densified whenever the radix product would pass 2**62.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("feature rows must be a 2-D array")
+    ensembles = _check_uniform(ensembles)
+    feature = np.concatenate([e.feature for e in ensembles])
+    threshold = np.concatenate([e.threshold for e in ensembles])
+    internal = np.concatenate([e.left != np.arange(len(e.left)) for e in ensembles])
+    feature, threshold = feature[internal], threshold[internal]
+    if len(feature) and not 0 <= feature.min() <= feature.max() < x.shape[1]:
+        raise ValueError(f"trees split on features outside the {x.shape[1]} given")
+    keys = np.zeros(len(x), dtype=np.int64)
+    radix = 1
+    for f in range(x.shape[1]):
+        # A NaN threshold sends every row right, whatever its code.
+        cuts = np.sort(threshold[(feature == f) & ~np.isnan(threshold)])
+        if not len(cuts):
+            continue
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+        if radix * (len(cuts) + 1) > _MAX_KEY_RADIX and len(keys):
+            distinct, keys = dense_codes(keys)
+            keys, radix = keys.astype(np.int64, copy=False), len(distinct)
+        keys *= len(cuts) + 1
+        keys += np.searchsorted(cuts, x[:, f], side="right")
+        radix *= len(cuts) + 1
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -29,18 +29,23 @@ Clients train locally with mini-batch SGD on binary cross-entropy.
 each client with its own shuffles and batches, so every step is one batched
 computation over the clients.  Its rows are a table of distinct tree
 vectors plus one table id per row, and each block of clients trains on the
-table rows it uses, tapped: depth-3 trees send most per-second feature rows
-to the same leaves, so a batch of 64 rows holds only a few distinct
-vectors.  Once per epoch, every row of every
-batch gets the key (batch, table id), and the keys are coded in one pass;
-two bincounts then give each distinct row of a batch its row count cnt and
-positive count pos, both already scaled by lr / (rows of the batch).  Each
-step gathers the distinct rows of every active client's batch, takes dz =
-cnt·p - pos on them (the summed dz of the batch rows each one stands for)
-before the one u mat-vec, and subtracts the gradient.  `train_on_matrix`
-is the one-client case, each row its own table row.  The wire format and
-FedAvg still carry and average the factors (`conv_kernels`, `conv_bias`,
-`dense`, `dense_bias`), never W_eff.
+table rows it uses, tapped once per round: depth-3 trees send most
+per-second feature rows to the same leaves, so a batch of 64 rows holds
+only a few distinct vectors.  `plan_round` lays out the blocks once for
+all rounds on the same rows: each block's clients, the table rows it uses,
+its rows' local ids and labels, and each epoch position's batch key and
+weight lr / (rows of the batch).  A round draws each client's shuffles for
+several epochs with one `permuted` call, the same draws as that many
+rng.permutation calls, and those epochs run as one: every row of every
+batch gets the key (batch, table id), the keys are coded in one pass, and
+two bincounts give each distinct row of a batch its row count cnt and
+positive count pos, already scaled.  Each step gathers the distinct rows of
+every active client's batch, takes dz = cnt·p - pos on them (the summed dz
+of the batch rows each one stands for) in the buffer of p, before the one u
+mat-vec, and subtracts the gradient.  `train_on_matrix` is the one-client
+case, each row its own table row.  The wire format and FedAvg still carry
+and average the factors (`conv_kernels`, `conv_bias`, `dense`,
+`dense_bias`), never W_eff.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ __all__ = [
     "forward_batch",
     "gradients",
     "train_on_matrix",
+    "plan_round",
     "train_round",
     "weights_to_dict",
     "weights_from_dict",
@@ -139,10 +145,10 @@ def init(k: int, t: int, config: HeadConfig) -> HeadWeights:
 
 
 def _sigmoid(z):
-    """1 / (1 + exp(-max(z, -500))), in one buffer: per-call cost dominates
-    a training step's small arrays.  Capping z at 500 as well would change
-    nothing, since 1 + exp(-500) rounds to 1."""
-    e = np.maximum(z, -500.0)
+    """1 / (1 + exp(-max(z, -500))), in z's own buffer: per-call cost
+    dominates a training step's small arrays.  Capping z at 500 as well
+    would change nothing, since 1 + exp(-500) rounds to 1."""
+    e = np.maximum(z, -500.0, out=z)
     np.negative(e, out=e)
     np.exp(e, out=e)
     e += 1.0
@@ -173,6 +179,10 @@ def forward_batch(w: HeadWeights, v: np.ndarray) -> np.ndarray:
 # Clients of a round train in blocks whose batch buffer holds at most about
 # this many float64 values (8 MB).
 _ROUND_BLOCK_VALUES = 1 << 20
+
+# A block draws its shuffles, and codes their rows, for as many epochs at a
+# time as keep each such array to about this many values.
+_EPOCH_GROUP_VALUES = 1 << 14
 
 
 def _with_bias_tap(w: HeadWeights, v: np.ndarray) -> np.ndarray:
@@ -207,42 +217,51 @@ def _unpack(w: HeadWeights, row: np.ndarray) -> HeadWeights:
                        dense=d[0].flatten(), dense_bias=float(dense_bias[0]))
 
 
-def _backward(params, vd, cnt, pos, grads) -> np.ndarray:
-    """Write each client's gradient over its batch into the `_layout` views
-    `grads`; return the (m, n) probabilities of the distinct rows.
+def _step_views(w: HeadWeights, theta: np.ndarray, grad: np.ndarray) -> tuple:
+    """What a step of the m clients with stacked `_pack` rows theta (m, P)
+    computes with: theta, grad (their gradients), the `_layout` views A, D,
+    Dᵀ and the dense-bias column of theta, an (m, K, T+1) buffer for
+    W_eff = Dᵀ·A and its (m, K*(T+1), 1) view, and the `_layout` views of
+    grad."""
+    a, d, dense_bias = _layout(w, theta)
+    a_eff = np.empty((len(theta), d.shape[2], a.shape[2]))
+    return (theta, grad, a, d, d.transpose(0, 2, 1), dense_bias[:, None], a_eff,
+            a_eff.reshape(len(theta), -1, 1), *_layout(w, grad))
+
+
+def _step(s: tuple, vd: np.ndarray, cnt: np.ndarray, pos: np.ndarray) -> None:
+    """Write each client's gradient over its batch into the gradient views
+    of the `_step_views` s.
 
     vd is (m, n, K*(T+1)): n bias-tapped rows per client, the distinct rows
     of its batch.  Row i of client c stands for cnt[c, i] batch rows, of
     which pos[c, i] are positive, each count scaled by the step's weight
     (1 / batch rows for the mean BCE).  A pad row has both counts 0.
     """
-    a, d, dense_bias = params
-    g_a, g_d, g_db = grads
+    _, _, a, d, d_t, dense_bias, a_eff, a_col, g_a, g_d, g_db = s
     m, n, _ = vd.shape
-    a_eff = np.matmul(d.transpose(0, 2, 1), a)
-    z = np.matmul(vd, a_eff.reshape(m, -1, 1)).reshape(m, n)
-    z += dense_bias[:, None]
-    p = _sigmoid(z)
-    # dz summed over the batch rows of each distinct row.
-    dz = cnt * p
+    np.matmul(d_t, a, out=a_eff)
+    z = np.matmul(vd, a_col).reshape(m, n)
+    z += dense_bias
+    # dz = cnt·p - pos, summed over the batch rows of each distinct row, in
+    # the buffer of p.
+    dz = _sigmoid(z)
+    dz *= cnt
     dz -= pos
     u = np.matmul(dz.reshape(m, 1, n), vd).reshape(m, d.shape[2], -1)
     np.matmul(d, u, out=g_a)
     np.matmul(a, u.transpose(0, 2, 1), out=g_d)
     g_db[:] = u[:, 0, -1]
-    return p
 
 
 def gradients(w: HeadWeights, v: np.ndarray, y: np.ndarray):
     """Mean binary cross-entropy loss and its gradients over a batch."""
-    v = _with_bias_tap(w, v)
+    p = forward_batch(w, v)
     y = np.asarray(y, dtype=np.float64)
     theta = _pack(w)[None]
-    grad = np.empty_like(theta)
-    grads = _layout(w, grad)
-    p = _backward(_layout(w, theta), v[None], np.full((1, len(v)), 1 / len(v)),
-                  y[None] / len(v), grads)[0]
-    g_a, g_d, g_db = grads
+    s = _step_views(w, theta, np.empty_like(theta))
+    _step(s, _with_bias_tap(w, v)[None], np.full((1, len(p)), 1 / len(p)), y[None] / len(p))
+    g_a, g_d, g_db = s[-3:]
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
     return loss, (g_a[0, :, :-1], g_a[0, :, -1], g_d[0].ravel(), float(g_db[0]))
@@ -258,23 +277,39 @@ def train_on_matrix(w: HeadWeights, v: np.ndarray, y: np.ndarray, config: HeadCo
                        config)[0]
 
 
-def train_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray, spans,
-                seeds, config: HeadConfig) -> list[HeadWeights]:
-    """Mini-batch SGD on BCE for every client of a FedAvg round at once.
-
-    Training row i is the (K*T) tree vector table[ids[i]] with label y[i]; rows
-    that share an id are trained on as one.  Client j starts from `w` and trains
-    on rows spans[j] = (start, stop) of `ids` and `y`, shuffled each epoch by
-    its own default_rng(seeds[j]) into batches of config.batch_size, the last
-    one short, exactly as a lone run would (config.rng_seed is not used).  So
-    each result equals that client's lone run on the expanded rows up to
-    summation order.  Returns one HeadWeights per span, in span order; `w` is
-    not modified.
-    """
+def _checked_table(w: HeadWeights, table) -> np.ndarray:
+    """The table as float64 rows of w's tree-vector width."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
         raise ValueError(f"expected a 2-D table of tree vectors, got shape {table.shape}")
     _check_width(w, table)
+    return table
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Clients of a round that train as one stacked run, and the rows they
+    train on, as `plan_round` lays them out."""
+
+    clients: list[int]  # their span indices, by batch count, descending
+    used: np.ndarray  # the table rows their rows use, ascending
+    local: np.ndarray  # each of their rows' position in `used`
+    y: np.ndarray  # each of their rows' label
+    spans: list[tuple[int, int]]  # each client's (start, stop) among their rows
+    batch_keys: np.ndarray  # batch · len(used) of each epoch position
+    weight: np.ndarray  # lr / (rows of its batch) of each epoch position
+    active: list[int]  # clients still training at each step
+
+
+def plan_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray, spans,
+               config: HeadConfig) -> tuple:
+    """The blocks of clients `train_round` trains these rows in, laid out
+    once for every round on the same rows.
+
+    The arguments are those of `train_round`; only the shapes of `w` and
+    `table` count.  The plan holds integers and labels, not tree vectors.
+    """
+    table = _checked_table(w, table)
     ids = np.asarray(ids)
     y = np.asarray(y, dtype=np.float64)
     if ids.ndim != 1 or not (ids.dtype.kind in "iu" or len(ids) == 0):
@@ -284,92 +319,134 @@ def train_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarra
         raise ValueError(f"every id must be a row of the {len(table)}-row table")
     if len(y) != len(ids):
         raise ValueError(f"got {len(ids)} row ids but {len(y)} labels")
-    if len(seeds) != len(spans):
-        raise ValueError(f"got {len(spans)} spans but {len(seeds)} seeds")
     spans = [(int(a), int(b)) for a, b in spans]
     if not all(0 <= a < b <= len(ids) for a, b in spans):
         raise ValueError("every span must be a non-empty row range of ids")
-    bs = config.batch_size
+    bs, lr = config.batch_size, config.learning_rate
     steps = [-(-(b - a) // bs) for a, b in spans]
     # Sorted by batch count, descending, the clients still training at any
     # step are a prefix of their block.
     order = sorted(range(len(spans)), key=lambda i: -steps[i])
     width = w.n_clients * (w.kernel_size + 1)  # of a tapped row
     per_block = max(1, _ROUND_BLOCK_VALUES // (bs * width))
-    out: list[HeadWeights | None] = [None] * len(spans)
+    blocks = []
     for block in np.array_split(order, -(-len(order) // per_block)):
-        # A block trains on the table rows its clients use, tapped 64 at a
-        # time, so neither a tapped copy of the whole table nor an untapped
-        # copy of the block's rows is held.  Its row ids become positions
-        # among those rows, in the same order.
-        rows = np.concatenate([np.arange(*spans[i]) for i in block])
+        clients = block.tolist()
+        rows = np.concatenate([np.arange(*spans[i]) for i in clients])
+        # The block's row ids become positions among the table rows it uses,
+        # in the same order.
         used, local = np.unique(ids[rows], return_inverse=True)
-        tapped = np.empty((len(used), width))
-        for lo in range(0, len(used), 64):
-            tapped[lo:lo + 64] = _with_bias_tap(w, table[used[lo:lo + 64]])
-        bounds = np.cumsum([0] + [spans[i][1] - spans[i][0] for i in block]).tolist()
-        theta = _train_block(w, tapped, local, y[rows], list(zip(bounds, bounds[1:])),
-                             [seeds[i] for i in block], config)
-        for i, row in zip(block, theta):
+        sizes = np.array([spans[i][1] - spans[i][0] for i in clients])
+        bounds = np.cumsum([0, *sizes]).tolist()
+        n_steps = steps[clients[0]]
+        active = (np.array([steps[i] for i in clients])[None, :]
+                  > np.arange(n_steps)[:, None]).sum(axis=1).tolist()
+        # Batches are numbered step-major, b = step·C + client, and position
+        # q of client c's epoch lies in batch (q // bs)·C + c.  Its row with
+        # local id i has key b·len(used) + i, so the distinct keys of an
+        # epoch are its (batch, distinct row) pairs, in batch order.
+        batch = np.concatenate([np.arange(size) // bs * len(clients) + c
+                                for c, size in enumerate(sizes)])
+        # Each row weighs lr / (rows of its batch), so that the counts come
+        # out scaled for the step.  A batch past a client's last has no rows
+        # and is never looked up.
+        rows_per_batch = np.minimum(sizes - np.arange(n_steps)[:, None] * bs, bs)
+        weight = (lr / rows_per_batch.ravel().clip(min=1))[batch]
+        blocks.append(_Block(clients=clients, used=used, local=local, y=y[rows],
+                             spans=list(zip(bounds, bounds[1:])), batch_keys=batch * len(used),
+                             weight=weight, active=active))
+    return tuple(blocks)
+
+
+def train_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray, spans,
+                seeds, config: HeadConfig, plan=None) -> list[HeadWeights]:
+    """Mini-batch SGD on BCE for every client of a FedAvg round at once.
+
+    Training row i is the (K*T) tree vector table[ids[i]] with label y[i]; rows
+    that share an id are trained on as one.  Client j starts from `w` and trains
+    on rows spans[j] = (start, stop) of `ids` and `y`, shuffled each epoch by
+    its own default_rng(seeds[j]) into batches of config.batch_size, the last
+    one short, exactly as a lone run would (config.rng_seed is not used).  So
+    each result equals that client's lone run on the expanded rows up to
+    summation order.  Returns one HeadWeights per span, in span order; `w` is
+    not modified.  `plan` is `plan_round` of the same arguments, which a
+    caller that trains many rounds on the same rows builds once; it is built
+    here when not given.
+    """
+    table = _checked_table(w, table)
+    if plan is None:
+        plan = plan_round(w, table, ids, y, spans, config)
+    out: list[HeadWeights | None] = [None] * sum(len(b.clients) for b in plan)
+    if len(seeds) != len(out):
+        raise ValueError(f"got {len(out)} spans but {len(seeds)} seeds")
+    for block in plan:
+        theta = _train_block(w, table, block, [seeds[i] for i in block.clients], config)
+        for i, row in zip(block.clients, theta):
             out[i] = _unpack(w, row)
     return out
 
 
-def _train_block(w, table, ids, y, spans, seeds, config) -> np.ndarray:
-    """Stacked SGD for clients sorted by batch count, descending; returns
-    their (C, P) `_pack` rows."""
-    bs, lr = config.batch_size, config.learning_rate
-    n_clients, n_table = len(spans), len(table)
-    starts = np.array([a for a, _ in spans])
-    sizes = np.array([b - a for a, b in spans])
-    steps = -(-sizes // bs)
-    n_steps = steps[0]
+def _train_block(w, table, block: _Block, seeds, config) -> np.ndarray:
+    """Stacked SGD for the clients of one block; returns their (C, P)
+    `_pack` rows."""
+    bs, width = config.batch_size, w.n_clients * (w.kernel_size + 1)
+    n_clients, n_used, n_steps = len(block.spans), len(block.used), len(block.active)
+    # The block's table rows are tapped 64 at a time, so neither a tapped
+    # copy of the whole table nor an untapped copy of the block's rows is
+    # held.
+    tapped = np.empty((n_used, width))
+    for lo in range(0, n_used, 64):
+        tapped[lo:lo + 64] = _with_bias_tap(w, table[block.used[lo:lo + 64]])
     theta = np.tile(_pack(w), (n_clients, 1))
     grad = np.empty_like(theta)
-    active = (steps[None, :] > np.arange(n_steps)[:, None]).sum(axis=1).tolist()
-    views = {m: (theta[:m], grad[:m], _layout(w, theta[:m]), _layout(w, grad[:m]))
-             for m in set(active)}
-    # Batches are numbered step-major, b = step·C + client, and position q of
-    # client c's epoch lies in batch (q // bs)·C + c.  Its row with table id
-    # i has key b·len(table) + i, so the distinct keys of an epoch are its
-    # (batch, distinct row) pairs, in batch order.
-    batch = np.concatenate([np.arange(size) // bs * n_clients + c for c, size in enumerate(sizes)])
-    batch_keys = batch * n_table
-    # Each row weighs lr / (rows of its batch), so that the counts below
-    # come out scaled for the step.  A batch past a client's last has no
-    # rows and is never looked up.
-    rows = np.minimum(sizes - np.arange(n_steps)[:, None] * bs, bs)
-    weight = (lr / rows.ravel().clip(min=1))[batch]
-    v_buf = np.empty(n_clients * bs * table.shape[1])
-    rngs = [np.random.default_rng(s) for s in seeds]
-    for _ in range(config.epochs):
-        order = np.concatenate([start + rng.permutation(size)
-                                for rng, start, size in zip(rngs, starts, sizes)])
-        distinct, codes = dense_codes(batch_keys + ids[order])
-        b_of = distinct // n_table
-        per_batch = np.bincount(b_of, minlength=n_steps * n_clients)
-        n_distinct = per_batch.reshape(n_steps, n_clients).max(axis=1)
-        width = int(n_distinct.max())
-        # The r-th distinct row of batch b goes to slot b·width + r of the
-        # packed (steps, C, width) arrays; a slot left empty counts 0 rows.
+    views = {m: _step_views(w, theta[:m], grad[:m]) for m in set(block.active)}
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n_rows, n_batches = len(block.local), n_steps * n_clients
+    group = max(1, min(config.epochs, _EPOCH_GROUP_VALUES // n_rows))
+    weight = np.tile(block.weight, group)
+    v_buf = np.empty(n_clients * bs * width)
+    for e0 in range(0, config.epochs, group):
+        g = min(group, config.epochs - e0)
+        # Row e of a client's columns becomes the block positions of its rows
+        # in epoch e's order: one `permuted` call per client draws the same
+        # as g successive rng.permutation calls.
+        order = np.empty((g, n_rows), dtype=np.intp)
+        order[:] = np.arange(n_rows)
+        for (a, b), rng in zip(block.spans, rngs):
+            own = order[:, a:b]
+            rng.permuted(own, axis=1, out=own)
+        # The g epochs run as one of g·steps steps: batch b of epoch e is
+        # batch e·n_batches + b, and its row with local id i has key
+        # (e·n_batches + b)·len(used) + i.
+        keys = block.local.take(order)
+        keys += block.batch_keys
+        keys += (np.arange(g) * (n_batches * n_used))[:, None]
+        distinct, codes = dense_codes(keys.reshape(-1))
+        b_of = distinct // n_used
+        per_batch = np.bincount(b_of, minlength=g * n_batches)
+        n_distinct = per_batch.reshape(g * n_steps, n_clients).max(axis=1)
+        most = int(n_distinct.max())
+        # The r-th distinct row of batch b goes to slot b·most + r of the
+        # packed (steps, C, most) arrays; a slot left empty counts 0 rows.
         first = np.cumsum(per_batch) - per_batch
-        slot = (np.arange(len(per_batch)) * width - first)[b_of] + np.arange(len(distinct))
-        shape = (n_steps, n_clients, width)
+        slot = (np.arange(g * n_batches) * most - first)[b_of] + np.arange(len(distinct))
+        shape = (g * n_steps, n_clients, most)
         table_ids = np.zeros(shape, dtype=np.intp)
-        table_ids.reshape(-1)[slot] = distinct - b_of * n_table
+        table_ids.reshape(-1)[slot] = distinct - b_of * n_used
         # Row count and positive count per (batch, distinct row).
         row_slot = slot[codes]
-        cnts = np.bincount(row_slot, weights=weight, minlength=table_ids.size).reshape(shape)
-        poss = np.bincount(row_slot, weights=y[order] * weight,
+        cnts = np.bincount(row_slot, weights=weight[:g * n_rows],
                            minlength=table_ids.size).reshape(shape)
-        for j, (m, n) in enumerate(zip(active, n_distinct.tolist())):
-            th, g, params, grads = views[m]
-            vd = v_buf[: m * n * table.shape[1]].reshape(m, n, -1)
+        poss = np.bincount(row_slot, weights=(block.y.take(order) * block.weight).reshape(-1),
+                           minlength=table_ids.size).reshape(shape)
+        for j, (m, n) in enumerate(zip(block.active * g, n_distinct.tolist())):
+            s = views[m]
+            vd = v_buf[: m * n * width].reshape(m, n, width)
             # Every id is a valid row, so mode="clip" never clips; it spares
             # the extra copy mode="raise" makes when `out` is given.
-            table.take(table_ids[j, :m, :n], axis=0, out=vd, mode="clip")
-            _backward(params, vd, cnts[j, :m, :n], poss[j, :m, :n], grads)
-            th -= g
+            tapped.take(table_ids[j, :m, :n], axis=0, out=vd, mode="clip")
+            _step(s, vd, cnts[j, :m, :n], poss[j, :m, :n])
+            np.subtract(s[0], s[1], out=s[0])  # theta -= grad
     return theta
 
 

@@ -13,6 +13,7 @@ seed; wall-clock timings go only to timing.json.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import numbers
 import time
@@ -29,6 +30,8 @@ from .metrics import Confusion
 from .preprocess import ALERT_INTERVAL_S
 
 __all__ = ["RunManifest", "load", "features", "run_pipeline", "write_report", "load_report"]
+
+log = logging.getLogger(__name__)
 
 METHODS = ("centralized", "federated", "federated_smote")
 MND_MODES = ("local_mad", "fl_aggregate", "fl_threshold")
@@ -164,14 +167,19 @@ def onset_fit(manifest: RunManifest, per_vehicle):
     if manifest.method == "federated_smote":
         smote = BalanceConfig(target_ratio=manifest.target_ratio)
     clients = []
+    passed = 0  # clients SMOTE passes through: fewer than 2 minority rows
     for v, (secs, x, y) in per_vehicle.items():
         mask = secs < t_split
         cx, cy = x[mask], y[mask]
         if len(cx) == 0:
             continue
         if smote is not None:
+            passed += int((cy == 1).sum()) < 2
             cx, cy = smote_arrays(cx, cy, smote, seed=manifest.seed * 7919 + v)
         clients.append(fed_onset.FedClient(cid=v, x=cx, y=cy.astype(np.float64)))
+    if passed:
+        log.warning("smote: %d of %d clients have fewer than 2 minority rows; passed through",
+                    passed, len(clients))
     model = fed_onset.run_training(clients, gcfg, manifest.head_config(), manifest.rounds)
     return (lambda rows: fed_onset.detect_onset_batch(model, rows)), t_split
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advent import fed_onset, runner
 from advent.balance import BalanceConfig, smote_arrays
 
 
@@ -70,12 +71,68 @@ def test_already_balanced_passthrough():
     assert x2 is x and y2 is y
 
 
-def test_fewer_than_two_minority_warns(caplog):
-    x, y = _data(50, 1)
-    with caplog.at_level(logging.WARNING):
-        x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=2.0), seed=0)
-    assert len(x2) == len(x)
-    assert any("minority" in r.message for r in caplog.records)
+def test_fewer_than_two_minority_passes_through_silently(caplog):
+    # The run counts these clients and logs once (test_onset_fit_logs_one_smote_line).
+    for n_min in (0, 1):
+        x, y = _data(50, n_min)
+        with caplog.at_level(logging.DEBUG):
+            x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=2.0), seed=0)
+        assert np.array_equal(x2, x) and np.array_equal(y2, y)
+        assert caplog.records == []
+
+
+def test_onset_fit_logs_one_smote_line(caplog, monkeypatch, tmp_path):
+    # Five vehicles: two with no attack row, one with one, one with two (the
+    # fewest SMOTE draws on) and one with nine.  Every client's rows reach
+    # training as SMOTE leaves them.
+    rng = np.random.default_rng(3)
+    per_vehicle, minority = {}, {1: 0, 2: 1, 3: 2, 4: 0, 5: 9}
+    for v, n_min in minority.items():
+        secs = np.arange(100)
+        y = np.zeros(100, dtype=np.int64)
+        y[rng.choice(60, n_min, replace=False)] = 1
+        per_vehicle[v] = (secs, rng.poisson(3.0, (100, 4)).astype(float) + 20 * y[:, None], y)
+    # A sixth vehicle arrives after the split: it has no training row and is
+    # no client.
+    per_vehicle[6] = (np.arange(200, 230), np.ones((30, 4)), np.ones(30, dtype=np.int64))
+    manifest = runner.RunManifest(scenario_path="unused.csv", output_dir=str(tmp_path),
+                                  method="federated_smote", target_ratio=5.0, rounds=2,
+                                  epochs=1, trees_per_client=2)
+    seen = []
+    run_training = fed_onset.run_training
+
+    def recording(clients, *args):
+        seen.extend(clients)
+        return run_training(clients, *args)
+
+    monkeypatch.setattr(fed_onset, "run_training", recording)
+    with caplog.at_level(logging.DEBUG):
+        _, t_split = runner.onset_fit(manifest, per_vehicle)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("advent.runner", "WARNING",
+         "smote: 3 of 5 clients have fewer than 2 minority rows; passed through")]
+    assert [c.cid for c in seen] == [1, 2, 3, 4, 5]
+    for c in seen:
+        secs, x, y = per_vehicle[c.cid]
+        train = secs < t_split
+        expected = smote_arrays(x[train], y[train], BalanceConfig(target_ratio=5.0),
+                                seed=manifest.seed * 7919 + c.cid)
+        assert np.array_equal(c.x, expected[0]) and np.array_equal(c.y, expected[1])
+        assert (len(c.x) > train.sum()) == (minority[c.cid] >= 2)
+
+
+def test_onset_fit_without_passed_clients_logs_nothing(caplog, tmp_path):
+    rng = np.random.default_rng(4)
+    y = np.zeros(100, dtype=np.int64)
+    y[:30:3] = 1
+    per_vehicle = {v: (np.arange(100), rng.poisson(3.0, (100, 4)).astype(float) + 20 * y[:, None],
+                       y) for v in (1, 2)}
+    manifest = runner.RunManifest(scenario_path="unused.csv", output_dir=str(tmp_path),
+                                  method="federated_smote", target_ratio=5.0, rounds=2,
+                                  epochs=1, trees_per_client=2)
+    with caplog.at_level(logging.DEBUG):
+        runner.onset_fit(manifest, per_vehicle)
+    assert caplog.records == []
 
 
 def test_deterministic_per_seed():

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advent import fed_onset, gbdt, head
 from advent.fed_onset import (
@@ -297,6 +300,27 @@ def test_run_training_matches_per_client_loop(monkeypatch):
     assert model.head.allclose(w, rtol=0, atol=1e-12)
 
 
+def test_run_training_plans_the_head_once(monkeypatch):
+    # The head's blocks are laid out once per run and every round trains on
+    # that one plan.
+    plans, used = [], []
+    plan_round, train_round = head.plan_round, head.train_round
+
+    def recording_plan(*args):
+        plans.append(plan_round(*args))
+        return plans[-1]
+
+    def recording_train(*args):
+        used.append(args[7])
+        return train_round(*args)
+
+    monkeypatch.setattr(head, "plan_round", recording_plan)
+    monkeypatch.setattr(head, "train_round", recording_train)
+    run_training(_clients(3, rows=40), gbdt.GbdtConfig(trees_per_client=2),
+                 HeadConfig(filters=2, epochs=2), 4)
+    assert len(plans) == 1 and len(used) == 3 and all(p is plans[0] for p in used)
+
+
 def test_run_training_no_clients():
     with pytest.raises(ProtocolError, match="stalled"):
         run_training([], gbdt.GbdtConfig(), HeadConfig(), 10)
@@ -321,3 +345,92 @@ def test_detect_onset_tie_goes_normal():
     model = fed_onset.GlobalModel(ensembles=[ens], head=w)
     assert detect_onset_batch(model, np.ones((1, 10))).tolist() == [False]
     assert head.forward_batch(w, gbdt.per_tree_output_matrix([ens], np.ones((1, 10))))[0] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# The head's table, built from distinct threshold codes
+
+# Thresholds, and feature values that sit exactly on them or between them.
+_CUTS = [-2.0, -0.5, 0.0, 1.0, 1.5]
+_VALUES = _CUTS + [-0.0, 0.7, 2.5, -7.0, np.nan, np.inf, -np.inf]
+
+
+def _byte_keyed_table(ensembles, xs):
+    """Oracle: every client's tree vectors keyed by their bytes into one
+    table of distinct rows, ids in order of first appearance."""
+    distinct, ids = {}, []
+    for x in xs:
+        for row in gbdt.per_tree_output_matrix(ensembles, x):
+            ids.append(distinct.setdefault(row.tobytes(), len(distinct)))
+    table = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(len(distinct), -1)
+    return table, np.array(ids, dtype=np.intp)
+
+
+def _tree_dicts(depth):
+    """Wire-format trees on 3 features whose leaves share a few values,
+    -0.0 and 0.0 among them."""
+    leaf = st.builds(lambda v: {"v": v}, st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.25]))
+    if depth == 0:
+        return leaf
+    return st.one_of(leaf, st.builds(lambda f, t, left, right: {"f": f, "t": t, "l": left,
+                                                                "r": right},
+                                     st.integers(0, 2), st.sampled_from(_CUTS),
+                                     _tree_dicts(depth - 1), _tree_dicts(depth - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tree_table_matches_byte_keyed_build(data):
+    # Forests of single leaves, of zero clients (every tree one 0.0 leaf)
+    # and of split trees, over rows with NaN, ±inf and values exactly at a
+    # threshold.  Small chunks grow the table over many chunks, and a
+    # constant hash sends every vector down the equality checks.
+    t = data.draw(st.integers(1, 3))
+    ensembles = []
+    for cid in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            trees = [{"v": 0.0}] * t
+        else:
+            trees = [data.draw(_tree_dicts(3)) for _ in range(t)]
+        ensembles.append(gbdt.ensemble_from_dict({
+            "client": cid, "base_score": 0.0, "shrinkage": data.draw(st.sampled_from([0.3, 1.0])),
+            "trees": [{"root": tree} for tree in trees]}))
+    xs = [np.array(data.draw(st.lists(st.lists(st.sampled_from(_VALUES), min_size=3, max_size=3),
+                                      min_size=1, max_size=12)))
+          for _ in range(data.draw(st.integers(1, 3)))]
+    chunk_values = data.draw(st.sampled_from([1, 7, fed_onset._TABLE_CHUNK_VALUES]))
+    constant_hash = data.draw(st.booleans())
+    with mock.patch.object(fed_onset, "_TABLE_CHUNK_VALUES", chunk_values):
+        if constant_hash:
+            with mock.patch.object(fed_onset, "_row_hashes", lambda bits: np.zeros(len(bits))):
+                table, ids = fed_onset._tree_table(ensembles, xs)
+        else:
+            table, ids = fed_onset._tree_table(ensembles, xs)
+    expected_table, expected_ids = _byte_keyed_table(ensembles, xs)
+    assert table.dtype == np.float64 and table.shape == expected_table.shape
+    assert table.tobytes() == expected_table.tobytes()
+    np.testing.assert_array_equal(ids, expected_ids)
+
+
+def test_tree_table_walks_one_row_per_threshold_code(monkeypatch):
+    # Two features split at 1.0 and 2.0 on feature 0 only: 30 rows fall in
+    # three codes, so the trees walk three rows; -0.0 leaves stay apart
+    # from 0.0 ones.
+    ens = gbdt.ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 1.0, "trees": [
+        {"root": {"f": 0, "t": 1.0, "l": {"v": -0.0}, "r": {"f": 0, "t": 2.0, "l": {"v": 0.0},
+                                                               "r": {"v": 0.5}}}}]})
+    rng = np.random.default_rng(0)
+    xs = [np.column_stack([rng.choice([0.5, 1.0, 1.5, 2.0, 9.0], 15), rng.random(15)])
+          for _ in range(2)]
+    walked = []
+    walk = gbdt.per_tree_output_matrix
+
+    def counting(ensembles, x):
+        walked.append(len(x))
+        return walk(ensembles, x)
+
+    monkeypatch.setattr(gbdt, "per_tree_output_matrix", counting)
+    table, ids = fed_onset._tree_table([ens], xs)
+    assert walked == [3]
+    assert table.tobytes() == _byte_keyed_table([ens], xs)[0].tobytes()
+    assert [np.signbit(v) for v in table[:, 0] if v == 0.0] in ([True, False], [False, True])

@@ -385,6 +385,92 @@ def test_train_round_block_over_many_table_rows():
         assert got.allclose(ref, rtol=0, atol=1e-12)
 
 
+def test_permuted_rows_match_successive_permutations():
+    # `_train_block` draws a client's shuffles for a group of epochs with one
+    # `permuted` call on its columns of a (group, rows) intp buffer, group
+    # after group from the same generator.  That must draw what successive
+    # rng.permutation calls would, or every shuffle, and so every trained
+    # weight, moves.  The columns beside the client's stay as they were.
+    # int32 buffers draw the same.
+    for dtype in (np.intp, np.int32):
+        for size in (1, 2, 3, 8, 63, 64, 65, 257, 1000, 4999):
+            for seed in (0, 7, 2**32 - 1):
+                rng = np.random.default_rng(seed)
+                drawn = []
+                for group in (2, 3):
+                    buf = np.empty((group, size + 9), dtype=dtype)
+                    buf[:] = np.arange(size + 9)
+                    own = buf[:, 5:5 + size]
+                    rng.permuted(own, axis=1, out=own)
+                    drawn.extend(own - 5)
+                    np.testing.assert_array_equal(buf[:, :5], np.tile(np.arange(5), (group, 1)))
+                    np.testing.assert_array_equal(
+                        buf[:, 5 + size:], np.tile(np.arange(5 + size, 9 + size), (group, 1)))
+                rng = np.random.default_rng(seed)
+                np.testing.assert_array_equal(drawn, [rng.permutation(size) for _ in range(5)])
+
+
+def _packed_bytes(weights):
+    return b"".join(head._pack(w).tobytes() for w in weights)
+
+
+def test_plan_reused_over_rounds_matches_fresh_plans(monkeypatch):
+    # One plan over three rounds, as run_training uses it, against a plan
+    # built afresh in every round: the weights agree bit for bit, and the
+    # plan's arrays are left as they were.  A small block budget gives
+    # several blocks.
+    monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", 200)
+    rng = np.random.default_rng(9)
+    f, k, t = 2, 3, 2
+    cfg = HeadConfig(filters=f, epochs=4, batch_size=8, learning_rate=0.4)
+    table = rng.normal(size=(7, k * t))
+    sizes = [30, 9, 17, 1, 24]
+    bounds = np.cumsum([0] + sizes)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    ids = rng.integers(0, 7, size=bounds[-1])
+    y = (rng.random(bounds[-1]) > 0.6).astype(float)
+    w = init(k, t, cfg)
+    plan = head.plan_round(w, table, ids, y, spans, cfg)
+    assert len(plan) > 1
+    arrays = [(a, a.copy()) for block in plan for a in vars(block).values()
+              if isinstance(a, np.ndarray)]
+    for r in range(3):
+        seeds = [r * 100 + i for i in range(len(spans))]
+        reused = train_round(w, table, ids, y, spans, seeds, cfg, plan)
+        fresh = train_round(w, table, ids, y, spans, seeds, cfg)
+        assert _packed_bytes(reused) == _packed_bytes(fresh)
+        assert not reused[0].allclose(w, rtol=0, atol=0)
+        w = HeadWeights(*(np.mean([getattr(o, name) for o in reused], axis=0)
+                          for name in ("conv_kernels", "conv_bias", "dense", "dense_bias")))
+    assert all(np.array_equal(a, before) for a, before in arrays)
+
+
+@pytest.mark.parametrize("group_values", [1, 40, 100, 10**9])
+def test_epoch_groups_leave_weights_bitwise_unchanged(monkeypatch, group_values):
+    # A block draws and codes its shuffles for as many epochs at a time as
+    # `_EPOCH_GROUP_VALUES` allows.  The small block budget gives blocks of
+    # 74 and 16 rows, so the 7 epochs run one at a time, in groups of 2 or
+    # of 6 with a short last group, or all at once.  The weights are the
+    # same, bit for bit, and match SGD on the expanded rows.
+    rng = np.random.default_rng(15)
+    f, k, t = 2, 2, 3
+    cfg = HeadConfig(filters=f, epochs=7, batch_size=4, learning_rate=0.3)
+    table = rng.normal(size=(5, k * t))
+    spans = [(0, 13), (13, 14), (14, 30), (30, 45), (45, 90)]
+    ids = rng.integers(0, 5, size=90)
+    y = (rng.random(90) > 0.5).astype(float)
+    seeds = [4, 9, 1, 16, 25]
+    w = init(k, t, cfg)
+    monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", 100)
+    reference = train_round(w, table, ids, y, spans, seeds, cfg)
+    monkeypatch.setattr(head, "_EPOCH_GROUP_VALUES", group_values)
+    out = train_round(w, table, ids, y, spans, seeds, cfg)
+    assert _packed_bytes(out) == _packed_bytes(reference)
+    for (a, b), seed, got in zip(spans, seeds, out):
+        ref = sgd_with_gradients(w, table[ids[a:b]], y[a:b], seed, cfg)
+        assert got.allclose(ref, rtol=0, atol=1e-12)
+
+
 def test_with_bias_tap_layout():
     w = init(2, 3, HeadConfig(filters=2))
     v = np.arange(12.0).reshape(2, 6)
