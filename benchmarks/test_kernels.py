@@ -36,9 +36,9 @@ def _record_per_step(benchmark, name, steps):
 def test_head_step(benchmark, k):
     """One head SGD step at K clients x T trees, batch 64, every row distinct.
 
-    Timed as a one-client `train_round` over EPOCHS epochs of ROWS rows and
-    divided by the step count, like the benchmark's traced `head.step_us`,
-    so the per-epoch shuffle is included.  K=12 is the fed-s workload's
+    Timed as `train_on_matrix`, a one-client round over EPOCHS epochs of
+    ROWS rows, and divided by the step count, like the benchmark's traced
+    `head.step_us`, so the per-epoch shuffle is included.  K=12 is the fed-s workload's
     shape; K=360 is ROADMAP's workload L (`ScenarioConfig()` defaults).
     """
     rng = np.random.default_rng(0)
@@ -46,15 +46,16 @@ def test_head_step(benchmark, k):
     cfg = head.HeadConfig(filters=FILTERS, epochs=EPOCHS, batch_size=BATCH)
     w = head.init(k, T, cfg)
     table = rng.normal(size=(ROWS, k * T))
-    out = benchmark(head.train_round, w, table, np.arange(ROWS), y, [(0, ROWS)], [0], cfg)
+    out = benchmark(head.train_on_matrix, w, table, y, cfg)
     _record_per_step(benchmark, "step", EPOCHS * math.ceil(ROWS / BATCH))
-    assert np.isfinite(out[0].dense).all()
+    assert np.isfinite(out.dense).all()
 
 
 @pytest.mark.parametrize("ids_from", ["6-row-table", "all-distinct", "L-like"])
 def test_head_round(benchmark, ids_from):
     """One FedAvg round of the head at the fed-s shape: 12 clients of
-    250-750 rows, K=12 x T=10, batch 64, EPOCHS epochs, as one `train_round`.
+    250-750 rows, K=12 x T=10, batch 64, EPOCHS epochs, as one `plan_round`
+    and one `train_round`.
 
     The rows are drawn from a 6-row table, as fed-s's depth-3 trees give
     about 6 distinct tree vectors; or are all distinct, the worst case; or,
@@ -83,7 +84,8 @@ def test_head_round(benchmark, ids_from):
                               for size in sizes])
     y = (rng.random(n) > 0.5).astype(np.float64)
     spans = list(zip(bounds[:-1], bounds[1:]))
-    out = benchmark(head.train_round, w, table, ids, y, spans, list(range(k)), cfg)
+    out = benchmark(lambda: head.train_round(w, head.plan_round(w, table, ids, y, spans, cfg),
+                                             list(range(k))))
     _record_per_step(benchmark, "client_step",
                      EPOCHS * sum(math.ceil(size / BATCH) for size in sizes))
     assert all(np.isfinite(o.dense).all() for o in out)
@@ -169,8 +171,7 @@ def test_head_rounds_fed_s(benchmark):
         plan = head.plan_round(w0, table, ids, y, spans, cfg)
         w = w0
         for r in range(1, 10):
-            out = head.train_round(w, table, ids, y, spans, [c * 1009 + r for c in range(12)],
-                                   cfg, plan)
+            out = head.train_round(w, plan, [c * 1009 + r for c in range(12)])
             w = fed_onset.fedavg([(c, o, n) for c, (o, n) in enumerate(zip(out, sizes))])
         return w
 

@@ -36,15 +36,15 @@ def _load_config(path) -> dict:
 
 
 def cmd_generate(args) -> int:
-    cfg_data = _load_config(args.config)
-    if args.seed is not None:
-        cfg_data["rng_seed"] = args.seed
-    if "concurrent_range" in cfg_data:
-        cfg_data["concurrent_range"] = tuple(cfg_data["concurrent_range"])
     try:
+        cfg_data = _load_config(args.config)
+        if args.seed is not None:
+            cfg_data["rng_seed"] = args.seed
+        if "concurrent_range" in cfg_data:
+            cfg_data["concurrent_range"] = tuple(cfg_data["concurrent_range"])
         config = scenario.ScenarioConfig(**cfg_data)
         events, truth = scenario.generate(config)
-    except (scenario.ConfigError, TypeError) as exc:
+    except (json.JSONDecodeError, OSError, scenario.ConfigError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)

@@ -285,9 +285,7 @@ def run_training(
         w_global = head.weights_from_dict(_send(transcript, encode_message(
             "WEIGHTS_BROADCAST", None, r, head.weights_to_dict(model.head)))["payload"])
         trained = head.train_round(
-            w_global, table, ids, labels, spans,
-            [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients], head_config,
-            plan)
+            w_global, plan, [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients])
         updates: list[tuple[int, HeadWeights, int]] = []
         for c, w_new in zip(clients, trained):
             msg = _send(transcript, encode_message(

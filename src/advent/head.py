@@ -31,10 +31,11 @@ computation over the clients.  Its rows are a table of distinct tree
 vectors plus one table id per row, and each block of clients trains on the
 table rows it uses, tapped once per round: depth-3 trees send most
 per-second feature rows to the same leaves, so a batch of 64 rows holds
-only a few distinct vectors.  `plan_round` lays out the blocks once for
-all rounds on the same rows: each block's clients, the table rows it uses,
-its rows' local ids and labels, and each epoch position's batch key and
-weight lr / (rows of the batch).  A round draws each client's shuffles for
+only a few distinct vectors.  `plan_round` checks the table, ids, labels
+and spans once and lays out, for all rounds on the same rows, each block's
+clients, the table rows it uses, its rows' local ids and labels, and each
+epoch position's batch key and weight lr / (rows of the batch);
+`train_round` takes only that plan.  A round draws each client's shuffles for
 several epochs with one `permuted` call, the same draws as that many
 rng.permutation calls, and those epochs run as one: every row of every
 batch gets the key (batch, table id), the keys are coded in one pass, and
@@ -273,17 +274,8 @@ def train_on_matrix(w: HeadWeights, v: np.ndarray, y: np.ndarray, config: HeadCo
     The one-client case of `train_round`, with every row of v its own table
     row, shuffled by config.rng_seed.
     """
-    return train_round(w, v, np.arange(len(v)), y, [(0, len(v))], [config.rng_seed],
-                       config)[0]
-
-
-def _checked_table(w: HeadWeights, table) -> np.ndarray:
-    """The table as float64 rows of w's tree-vector width."""
-    table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValueError(f"expected a 2-D table of tree vectors, got shape {table.shape}")
-    _check_width(w, table)
-    return table
+    plan = plan_round(w, v, np.arange(len(v)), y, [(0, len(v))], config)
+    return train_round(w, plan, [config.rng_seed])[0]
 
 
 @dataclass(frozen=True)
@@ -301,15 +293,29 @@ class _Block:
     active: list[int]  # clients still training at each step
 
 
-def plan_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray, spans,
-               config: HeadConfig) -> tuple:
-    """The blocks of clients `train_round` trains these rows in, laid out
-    once for every round on the same rows.
+@dataclass(frozen=True)
+class _Plan:
+    """What `train_round` trains on, as `plan_round` checks and lays it out."""
 
-    The arguments are those of `train_round`; only the shapes of `w` and
-    `table` count.  The plan holds integers and labels, not tree vectors.
+    table: np.ndarray  # (rows, K*T) float64 tree vectors
+    config: HeadConfig
+    blocks: tuple[_Block, ...]
+
+
+def plan_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray, spans,
+               config: HeadConfig) -> _Plan:
+    """Check a round's rows and lay out the blocks of clients `train_round`
+    trains them in, once for every round on the same rows.
+
+    Training row i is the (K*T) tree vector table[ids[i]] with label y[i];
+    rows that share an id are trained on as one.  Client j trains on rows
+    spans[j] = (start, stop) of `ids` and `y`.  Only the shapes of `w`
+    count.  The blocks hold integers and labels, not tree vectors.
     """
-    table = _checked_table(w, table)
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise ValueError(f"expected a 2-D table of tree vectors, got shape {table.shape}")
+    _check_width(w, table)
     ids = np.asarray(ids)
     y = np.asarray(y, dtype=np.float64)
     if ids.ndim != 1 or not (ids.dtype.kind in "iu" or len(ids) == 0):
@@ -320,8 +326,8 @@ def plan_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray
     if len(y) != len(ids):
         raise ValueError(f"got {len(ids)} row ids but {len(y)} labels")
     spans = [(int(a), int(b)) for a, b in spans]
-    if not all(0 <= a < b <= len(ids) for a, b in spans):
-        raise ValueError("every span must be a non-empty row range of ids")
+    if not spans or not all(0 <= a < b <= len(ids) for a, b in spans):
+        raise ValueError("spans must be one or more non-empty row ranges of ids")
     bs, lr = config.batch_size, config.learning_rate
     steps = [-(-(b - a) // bs) for a, b in spans]
     # Sorted by batch count, descending, the clients still training at any
@@ -355,32 +361,27 @@ def plan_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray
         blocks.append(_Block(clients=clients, used=used, local=local, y=y[rows],
                              spans=list(zip(bounds, bounds[1:])), batch_keys=batch * len(used),
                              weight=weight, active=active))
-    return tuple(blocks)
+    return _Plan(table=table, config=config, blocks=tuple(blocks))
 
 
-def train_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray, spans,
-                seeds, config: HeadConfig, plan=None) -> list[HeadWeights]:
-    """Mini-batch SGD on BCE for every client of a FedAvg round at once.
+def train_round(w: HeadWeights, plan: _Plan, seeds) -> list[HeadWeights]:
+    """Mini-batch SGD on BCE for every client of a FedAvg round at once, on
+    the rows of `plan` (`plan_round`'s).
 
-    Training row i is the (K*T) tree vector table[ids[i]] with label y[i]; rows
-    that share an id are trained on as one.  Client j starts from `w` and trains
-    on rows spans[j] = (start, stop) of `ids` and `y`, shuffled each epoch by
-    its own default_rng(seeds[j]) into batches of config.batch_size, the last
-    one short, exactly as a lone run would (config.rng_seed is not used).  So
-    each result equals that client's lone run on the expanded rows up to
-    summation order.  Returns one HeadWeights per span, in span order; `w` is
-    not modified.  `plan` is `plan_round` of the same arguments, which a
-    caller that trains many rounds on the same rows builds once; it is built
-    here when not given.
+    Client j starts from `w` and trains on its span's rows, shuffled each
+    epoch by its own default_rng(seeds[j]) into batches of the plan's
+    batch_size, the last one short, exactly as a lone run would (the plan's
+    rng_seed is not used).  So each result equals that client's lone run on
+    the expanded rows up to summation order.  Returns one HeadWeights per
+    span, in span order; `w` is not modified.
     """
-    table = _checked_table(w, table)
-    if plan is None:
-        plan = plan_round(w, table, ids, y, spans, config)
-    out: list[HeadWeights | None] = [None] * sum(len(b.clients) for b in plan)
+    _check_width(w, plan.table)
+    out: list[HeadWeights | None] = [None] * sum(len(b.clients) for b in plan.blocks)
     if len(seeds) != len(out):
         raise ValueError(f"got {len(out)} spans but {len(seeds)} seeds")
-    for block in plan:
-        theta = _train_block(w, table, block, [seeds[i] for i in block.clients], config)
+    for block in plan.blocks:
+        theta = _train_block(w, plan.table, block, [seeds[i] for i in block.clients],
+                             plan.config)
         for i, row in zip(block.clients, theta):
             out[i] = _unpack(w, row)
     return out

@@ -1,8 +1,9 @@
 """Per-vehicle feature construction.
 
-Two views of a vehicle's inbound traffic: per-second count series windowed
-into lagged feature rows for onset detection, and per-neighbor counts over
-fixed intervals for the MAD-based node detector.
+Two views of the inbound traffic: each vehicle's per-second count series,
+windowed into lagged feature rows for onset detection, and, for the
+MAD-based node detector, every receiver's per-sender counts over one alert
+round's events (`interval_counts`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from .scenario import EventStream, GroundTruth
 
-NORMAL_INTERVAL_S = 60.0
 ALERT_INTERVAL_S = 10.0
 DEFAULT_LAGS = 10
 
@@ -23,8 +23,6 @@ __all__ = [
     "build_count_series",
     "windowize_arrays",
     "interval_counts",
-    "receiver_counts",
-    "NORMAL_INTERVAL_S",
     "ALERT_INTERVAL_S",
     "DEFAULT_LAGS",
 ]
@@ -42,7 +40,6 @@ class CountSeries:
 @dataclass
 class NeighborCounts:
     vehicle: int
-    interval: tuple[float, float]
     per_sender: dict[int, int] = field(default_factory=dict)
 
 
@@ -92,55 +89,8 @@ def windowize_arrays(
     return seconds, x, labels
 
 
-def interval_counts(
-    events: EventStream,
-    vehicle: int,
-    mode: str = "normal",
-    *,
-    normal_interval_s: float = NORMAL_INTERVAL_S,
-    alert_interval_s: float = ALERT_INTERVAL_S,
-    anchor_s: float | None = None,
-) -> list[NeighborCounts]:
-    """Per-sender inbound counts over consecutive fixed-length intervals.
-
-    Intervals are anchored at the vehicle's first observed second unless an
-    explicit anchor is given (the runner anchors alert intervals at attack
-    window starts).
-    """
-    if mode == "normal":
-        length = normal_interval_s
-    elif mode == "alert":
-        length = alert_interval_s
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    inbound = events.inbound(vehicle)
-    if len(inbound) == 0:
-        return []
-    if anchor_s is None:
-        anchor_s = float(np.floor(inbound.times.min()))
-    idx = np.floor((inbound.times - anchor_s) / length).astype(np.int64)
-    keep = idx >= 0
-    idx = idx[keep]
-    senders = inbound.senders[keep]
-    if len(idx) == 0:
-        return []
-    out: list[NeighborCounts] = []
-    for i in np.unique(idx):
-        mask = idx == i
-        uniq, cnt = np.unique(senders[mask], return_counts=True)
-        start = anchor_s + float(i) * length
-        out.append(
-            NeighborCounts(
-                vehicle=vehicle,
-                interval=(start, start + length),
-                per_sender=dict(zip(uniq.tolist(), cnt.tolist())),
-            )
-        )
-    return out
-
-
-def receiver_counts(events: EventStream, interval: tuple[float, float]) -> dict[int, NeighborCounts]:
-    """Per-sender counts of all of `events`, keyed by receiver, each over `interval`.
+def interval_counts(events: EventStream) -> dict[int, NeighborCounts]:
+    """Per-sender counts of all of `events` (one round's), keyed by receiver.
 
     One pass over the stream serves every receiver: the (receiver, sender)
     pairs are coded and counted at once, and each receiver takes its run of
@@ -156,7 +106,6 @@ def receiver_counts(events: EventStream, interval: tuple[float, float]) -> dict[
     sender_ids = senders[pair_sender].tolist()
     cnt = cnt.tolist()
     return {
-        v: NeighborCounts(vehicle=v, interval=interval,
-                          per_sender=dict(zip(sender_ids[lo:hi], cnt[lo:hi])))
+        v: NeighborCounts(vehicle=v, per_sender=dict(zip(sender_ids[lo:hi], cnt[lo:hi])))
         for v, lo, hi in zip(receivers.tolist(), bounds[:-1], bounds[1:])
     }

@@ -207,7 +207,7 @@ def mnd_reports(events, truth, rounds, params: mnd.MadParams):
         present = {v for v, (a, b) in truth.presence.items() if a <= t0 and b >= t1}
         if not present:
             continue
-        counts = preprocess.receiver_counts(events.between(t0, t1), (t0, t1))
+        counts = preprocess.interval_counts(events.between(t0, t1))
         reports = [mnd.detect(counts[v], params) for v in sorted(present) if v in counts]
         out.append((present, reports))
     return out

@@ -65,6 +65,8 @@ class ScenarioConfig:
             raise ConfigError("attack_duration_s must be <= attack_spacing_s")
         if self.flood_rate_pps <= self.normal_rate_pps:
             raise ConfigError("flood_rate_pps must be > normal_rate_pps")
+        if len(self.concurrent_range) != 2:
+            raise ConfigError("concurrent_range must be two values [min, max]")
         if self.concurrent_range[0] > self.concurrent_range[1]:
             raise ConfigError("concurrent_range.min must be <= concurrent_range.max")
         if self.total_vehicles < 1:

@@ -1,12 +1,15 @@
-"""Tooling checks on names other code looks up by string, and on reach.
+"""Tooling checks on names other code looks up by string, on reach, and on
+runtime dependencies.
 
 Every name an advent module exports must exist, and so must every function
 the benchmark tracer (perfbench/tracer.py) wraps: a traced function that is
 deleted or renamed would otherwise only drop its per-layer metrics from a
 traced benchmark result.  Every exported function and method must also be
-called by some CLI run, or be allowlisted with the reason it stays.
+called by some CLI run, or be allowlisted with the reason it stays.  The
+package imports nothing beyond numpy and the standard library.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -53,10 +56,23 @@ def test_every_tracer_target_exists():
     assert missing == []
 
 
+def test_imports_only_numpy_and_the_standard_library():
+    package = Path(advent.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "advent"}
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                found.update((path.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module))
+    assert ("head.py", "numpy") in found
+    assert sorted((f, m) for f, m in found if m.split(".")[0] not in allowed) == []
+
+
 # Exported functions and methods that no CLI run calls, each with the reason
 # it stays.  Anything else exported must be reached by `_cli_runs`.
 UNREACHED_ALLOWED = {
-    "preprocess.interval_counts": "tracer target (perfbench/tracer.py)",
     "head.train_on_matrix": "tracer target (perfbench/tracer.py)",
     "preprocess.CountSeries.total": "tracer counter hook of build_count_series",
     "head.gradients": "oracle: the analytic gradients the tests check SGD against",

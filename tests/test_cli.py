@@ -53,6 +53,27 @@ def test_generate_bad_config_exit1(tmp_path, capsys):
     assert "attacker_fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"duration_s": 600,', "line 1"),
+    ('{"concurrent_range": [4]}', "concurrent_range"),
+    ('{"concurrent_range": [4, 8, 9]}', "concurrent_range"),
+], ids=["bad-json", "one-value-range", "three-value-range"])
+def test_generate_unreadable_config_exit1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_generate_missing_config_exit1(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    rc = main(["generate", "--config", str(missing), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and "nope.json" in err
+
+
 def test_generate_seed_flag_overrides_config(tmp_path, scenario_dir):
     cfg = scenario_dir / "config.json"
     d1, d2 = tmp_path / "s9a", tmp_path / "s9b"

@@ -256,13 +256,13 @@ def test_run_training_matches_per_client_loop(monkeypatch):
         clients.append(FedClient(cid=cid, x=x, y=(x[:, 0] > 5).astype(float)))
     head_cfg = HeadConfig(filters=2, epochs=3, batch_size=16, learning_rate=0.3, rng_seed=5)
     calls = []
-    train_round = head.train_round
+    plan_round = head.plan_round
 
-    def recording_train_round(w, table, ids, *args):
+    def recording_plan_round(w, table, ids, *args):
         calls.append((table, ids))
-        return train_round(w, table, ids, *args)
+        return plan_round(w, table, ids, *args)
 
-    monkeypatch.setattr(head, "train_round", recording_train_round)
+    monkeypatch.setattr(head, "plan_round", recording_plan_round)
     transcript = []
     model = run_training(clients, gbdt.GbdtConfig(trees_per_client=2), head_cfg,
                          4, transcript=transcript)
@@ -273,10 +273,10 @@ def test_run_training_matches_per_client_loop(monkeypatch):
             picks.setdefault(msg["round"], []).append(msg["cid"])
     assert picks == {r: [3, 5, 8, 9] for r in (1, 2, 3)}
 
-    # Every round trains on one table of pairwise byte-distinct rows, and
-    # each client's rows rebuilt from it are its own tree outputs, bitwise.
-    table, ids = calls[0]
-    assert len(calls) == 3 and all(c[0] is table and c[1] is ids for c in calls)
+    # Every round trains on the plan of one table of pairwise byte-distinct
+    # rows, and each client's rows rebuilt from it are its own tree outputs,
+    # bitwise.
+    [(table, ids)] = calls
     assert table.shape[1] == len(clients) * 2
     assert len({row.tobytes() for row in table}) == len(table) < len(ids)
     matrices = {c.cid: gbdt.per_tree_output_matrix(model.ensembles, c.x) for c in clients}
@@ -310,9 +310,9 @@ def test_run_training_plans_the_head_once(monkeypatch):
         plans.append(plan_round(*args))
         return plans[-1]
 
-    def recording_train(*args):
-        used.append(args[7])
-        return train_round(*args)
+    def recording_train(w, plan, seeds):
+        used.append(plan)
+        return train_round(w, plan, seeds)
 
     monkeypatch.setattr(head, "plan_round", recording_plan)
     monkeypatch.setattr(head, "train_round", recording_train)

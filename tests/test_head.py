@@ -257,6 +257,11 @@ def sgd_with_gradients(w, v, y, seed, cfg):
     return ref
 
 
+def planned_round(w, table, ids, y, spans, seeds, cfg):
+    """One `train_round` on a plan of these rows built for it alone."""
+    return train_round(w, head.plan_round(w, table, ids, y, spans, cfg), seeds)
+
+
 @pytest.mark.parametrize("block_values", [None, 1, 300])
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epochs):
@@ -275,7 +280,7 @@ def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epoc
     cfg = HeadConfig(filters=f, epochs=epochs, batch_size=8, learning_rate=0.3, rng_seed=999)
     w = init(k, t, cfg)
     snapshot = w.copy()
-    out = train_round(w, v, np.arange(80), y, spans, seeds, cfg)
+    out = planned_round(w, v, np.arange(80), y, spans, seeds, cfg)
     assert w.allclose(snapshot, rtol=0, atol=0)  # input left untouched
     assert len(out) == len(spans)
     for (a, b), seed, got in zip(spans, seeds, out):
@@ -327,7 +332,7 @@ def test_train_round_on_repeated_ids_matches_expanded_sgd(monkeypatch, block_val
         y[43:62] = np.arange(19) % 3 == 0
         y[62:73] = 0
         sorted_sides.clear()
-        out = train_round(w, rows, ids, y, spans, seeds, cfg)
+        out = planned_round(w, rows, ids, y, spans, seeds, cfg)
         assert any(sorted_sides) == (table_rows > 3 and epochs > 0)
         assert len(out) == len(spans)
         for (a, b), seed, got in zip(spans, seeds, out):
@@ -362,7 +367,7 @@ def test_train_round_matches_expanded_sgd_property(data):
     w = init(k, t, cfg)
     block_values = data.draw(st.sampled_from([1, 50, 300, head._ROUND_BLOCK_VALUES]))
     with mock.patch.object(head, "_ROUND_BLOCK_VALUES", block_values):
-        out = train_round(w, rows, ids, y, spans, seeds, cfg)
+        out = planned_round(w, rows, ids, y, spans, seeds, cfg)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
         assert got.allclose(ref, rtol=0, atol=1e-12)
@@ -379,7 +384,7 @@ def test_train_round_block_over_many_table_rows():
     y = (rng.random(150) > 0.5).astype(float)
     ids = rng.permutation(150)
     spans, seeds = [(0, 90), (90, 150)], [3, 8]
-    out = train_round(w, v, ids, y, spans, seeds, cfg)
+    out = planned_round(w, v, ids, y, spans, seeds, cfg)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, v[ids[a:b]], y[a:b], seed, cfg)
         assert got.allclose(ref, rtol=0, atol=1e-12)
@@ -431,13 +436,13 @@ def test_plan_reused_over_rounds_matches_fresh_plans(monkeypatch):
     y = (rng.random(bounds[-1]) > 0.6).astype(float)
     w = init(k, t, cfg)
     plan = head.plan_round(w, table, ids, y, spans, cfg)
-    assert len(plan) > 1
-    arrays = [(a, a.copy()) for block in plan for a in vars(block).values()
+    assert len(plan.blocks) > 1
+    arrays = [(a, a.copy()) for block in plan.blocks for a in vars(block).values()
               if isinstance(a, np.ndarray)]
     for r in range(3):
         seeds = [r * 100 + i for i in range(len(spans))]
-        reused = train_round(w, table, ids, y, spans, seeds, cfg, plan)
-        fresh = train_round(w, table, ids, y, spans, seeds, cfg)
+        reused = train_round(w, plan, seeds)
+        fresh = planned_round(w, table, ids, y, spans, seeds, cfg)
         assert _packed_bytes(reused) == _packed_bytes(fresh)
         assert not reused[0].allclose(w, rtol=0, atol=0)
         w = HeadWeights(*(np.mean([getattr(o, name) for o in reused], axis=0)
@@ -462,9 +467,9 @@ def test_epoch_groups_leave_weights_bitwise_unchanged(monkeypatch, group_values)
     seeds = [4, 9, 1, 16, 25]
     w = init(k, t, cfg)
     monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", 100)
-    reference = train_round(w, table, ids, y, spans, seeds, cfg)
+    reference = planned_round(w, table, ids, y, spans, seeds, cfg)
     monkeypatch.setattr(head, "_EPOCH_GROUP_VALUES", group_values)
-    out = train_round(w, table, ids, y, spans, seeds, cfg)
+    out = planned_round(w, table, ids, y, spans, seeds, cfg)
     assert _packed_bytes(out) == _packed_bytes(reference)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, table[ids[a:b]], y[a:b], seed, cfg)
@@ -487,26 +492,37 @@ def test_train_round_rejects_bad_spans_and_seeds():
     ids = np.arange(10) % 4
     for spans in ([(5, 5)], [(4, 2)], [(-1, 3)], [(8, 11)]):
         with pytest.raises(ValueError, match="span"):
-            train_round(w, table, ids, y, spans, [0], cfg)
+            head.plan_round(w, table, ids, y, spans, cfg)
     # Rows of the wrong width: the tapped width, or one value short.
     for wrong in (np.ones((4, 8)), np.zeros((4, 5))):
         with pytest.raises(ValueError, match="length 6"):
-            train_round(w, wrong, ids, y, [(0, 10)], [0], cfg)
+            head.plan_round(w, wrong, ids, y, [(0, 10)], cfg)
     with pytest.raises(ValueError, match="2-D"):
-        train_round(w, np.zeros(6), ids, y, [(0, 10)], [0], cfg)
-    with pytest.raises(ValueError, match="seeds"):
-        train_round(w, table, ids, y, [(0, 5), (5, 10)], [0], cfg)
+        head.plan_round(w, np.zeros(6), ids, y, [(0, 10)], cfg)
     with pytest.raises(ValueError, match="labels"):
-        train_round(w, table, ids, y[:9], [(0, 9)], [0], cfg)
+        head.plan_round(w, table, ids, y[:9], [(0, 9)], cfg)
     for bad in (-1, 4):
         out_of_range = ids.copy()
         out_of_range[6] = bad
         with pytest.raises(ValueError, match="4-row table"):
-            train_round(w, table, out_of_range, y, [(0, 10)], [0], cfg)
+            head.plan_round(w, table, out_of_range, y, [(0, 10)], cfg)
     with pytest.raises(ValueError, match="integer"):
-        train_round(w, table, ids.astype(float), y, [(0, 10)], [0], cfg)
+        head.plan_round(w, table, ids.astype(float), y, [(0, 10)], cfg)
+    plan = head.plan_round(w, table, ids, y, [(0, 5), (5, 10)], cfg)
+    with pytest.raises(ValueError, match="seeds"):
+        train_round(w, plan, [0])
+    # Weights of another width than the plan's table.
+    with pytest.raises(ValueError, match="length 9"):
+        train_round(init(3, 3, cfg), plan, [0, 1])
     with pytest.raises(ValueError, match="span"):
         train_on_matrix(w, np.zeros((0, 6)), np.zeros(0), cfg)
+
+
+def test_plan_round_rejects_no_spans():
+    cfg = HeadConfig(filters=2)
+    w = init(2, 3, cfg)
+    with pytest.raises(ValueError, match="spans"):
+        head.plan_round(w, np.zeros((4, 6)), np.zeros(0, dtype=int), np.zeros(0), [], cfg)
 
 
 def test_weights_json_roundtrip_exact():

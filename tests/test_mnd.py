@@ -44,8 +44,8 @@ def test_rejection_bounds_hand_computed():
     assert (lo, hi) == (1.0, 5.0)
 
 
-def _counts(per_sender, vehicle=0, interval=(0.0, 10.0)):
-    return NeighborCounts(vehicle=vehicle, interval=interval, per_sender=dict(per_sender))
+def _counts(per_sender, vehicle=0):
+    return NeighborCounts(vehicle=vehicle, per_sender=dict(per_sender))
 
 
 def test_detect_flags_flooder():

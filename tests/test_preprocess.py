@@ -2,9 +2,9 @@ import numpy as np
 
 from advent import preprocess, runner, scenario
 from advent.preprocess import (
+    NeighborCounts,
     build_count_series,
     interval_counts,
-    receiver_counts,
     windowize_arrays,
 )
 from advent.scenario import EventStream, GroundTruth
@@ -99,39 +99,49 @@ def test_windowize_consecutive_shift(small_scenario):
         assert np.array_equal(x[i, 1:], x[i - 1, :-1])
 
 
-def test_interval_counts_normal_single_interval():
-    ev = _stream([(t + 0.5, 2, 1) for t in range(60)])
-    out = interval_counts(ev, 1, "normal")
-    assert len(out) == 1
-    assert out[0].per_sender == {2: 60}
-    assert out[0].interval == (0.0, 60.0)
-
-
-def test_interval_counts_alert_six_intervals():
-    ev = _stream([(t + 0.5, 2, 1) for t in range(60)])
-    out = interval_counts(ev, 1, "alert")
-    assert len(out) == 6
-    assert all(iv.per_sender == {2: 10} for iv in out)
+def _tally(events, t0=-np.inf, t1=np.inf):
+    """Oracle: receiver -> sender -> count, tallied per event in Python, of
+    the events with t0 <= time < t1."""
+    out = {}
+    for t, s, r in zip(events.times.tolist(), events.senders.tolist(),
+                       events.receivers.tolist()):
+        if t0 <= t < t1:
+            per_sender = out.setdefault(r, {})
+            per_sender[s] = per_sender.get(s, 0) + 1
+    return out
 
 
 def test_interval_counts_per_sender():
-    ev = _stream([(i, 5, 1) for i in [0.1, 1.2, 3.3, 7.7, 9.9]])
-    out = interval_counts(ev, 1, "alert")
-    assert out[0].per_sender == {5: 5}
+    ev = _stream([(0.1, 5, 1), (1.2, 5, 1), (3.3, 6, 1), (7.7, 5, 1), (9.9, 6, 1)])
+    assert interval_counts(ev) == {1: NeighborCounts(vehicle=1, per_sender={5: 3, 6: 2})}
+
+
+def test_interval_counts_two_receivers_one_pass():
+    # Vehicle 2 only sends, so it has no entry; 4 both sends and receives.
+    ev = _stream([(0.5, 2, 1), (0.6, 300, 4), (1.0, 2, 4), (1.5, 2, 1),
+                  (2.0, 4, 1), (2.5, 1, 4), (3.0, 300, 4)])
+    out = interval_counts(ev)
+    assert out == {1: NeighborCounts(vehicle=1, per_sender={2: 2, 4: 1}),
+                   4: NeighborCounts(vehicle=4, per_sender={300: 2, 2: 1, 1: 1})}
+    assert {v: c.per_sender for v, c in out.items()} == _tally(ev)
+
+
+def test_interval_counts_empty_stream():
+    assert interval_counts(_stream([])) == {}
 
 
 def test_interval_totals_match_count_series(small_scenario):
     events, truth = small_scenario
-    v = int(events.receivers[0])
-    total = build_count_series(events, v).total()
-    assert sum(sum(iv.per_sender.values()) for iv in interval_counts(events, v, "alert")) == total
-    assert sum(sum(iv.per_sender.values()) for iv in interval_counts(events, v, "normal")) == total
+    counts = interval_counts(events)
+    assert set(counts) == set(events.receivers.tolist())
+    for v, c in counts.items():
+        assert sum(c.per_sender.values()) == build_count_series(events, v).total()
 
 
-def test_receiver_counts_match_interval_counts_sparse_rounds():
-    # Oracle: the per-vehicle interval_counts call the MND rounds used to
-    # make, on a sparse topology where not every present vehicle hears
-    # every other one, across several alert rounds.
+def test_interval_counts_match_event_tally_sparse_rounds():
+    # Oracle: a per-event tally of each MND round's events, on a sparse
+    # topology where not every present vehicle hears every other one,
+    # across several alert rounds.
     config = scenario.ScenarioConfig(
         duration_s=600, total_vehicles=30, concurrent_range=(12, 18), arrival_interval_s=20,
         attacker_fraction=0.2, attack_count=3, attack_spacing_s=150, attack_duration_s=25,
@@ -142,19 +152,14 @@ def test_receiver_counts_match_interval_counts_sparse_rounds():
     assert len(rounds) >= 6
     reporters = silent = partial = 0
     for t0, t1 in rounds:
-        chunk = events.between(t0, t1)
-        counts = receiver_counts(chunk, (t0, t1))
+        counts = interval_counts(events.between(t0, t1))
+        assert {v: c.per_sender for v, c in counts.items()} == _tally(events, t0, t1)
+        assert all(c.vehicle == v for v, c in counts.items())
         present = {v for v, (a, b) in truth.presence.items() if a <= t0 and b >= t1}
         for v in present:
-            expected = interval_counts(chunk, v, "alert", anchor_s=t0)
-            if not expected:
-                assert v not in counts
+            if v not in counts:
                 silent += 1
                 continue
-            assert counts[v] == expected[0]
             reporters += 1
             partial += len(counts[v].per_sender) < len(present) - 1
-        assert set(counts) == set(chunk.receivers.tolist())
     assert reporters > 50 and partial > 0 and silent > 0
-    assert receiver_counts(_stream([]), (0.0, 10.0)) == {}
-
