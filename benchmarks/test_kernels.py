@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from advent import fed_onset, gbdt, head, scenario
+from advent import fed_onset, gbdt, head, mnd, preprocess, runner, scenario
 
 T, FILTERS, BATCH, ROWS, EPOCHS = 10, 4, 64, 640, 5
 
@@ -291,13 +291,47 @@ def test_generate(benchmark):
     assert len(events) > 0 and truth.attackers
 
 
+@pytest.fixture(scope="module")
+def central_l():
+    """The central-l workload's events and ground truth at seed 1."""
+    return scenario.generate(CENTRAL_L)
+
+
 @pytest.mark.parametrize("annotated", [True, False], ids=["annotated", "plain"])
-def test_write_events_csv(benchmark, tmp_path, annotated):
+def test_write_events_csv(benchmark, tmp_path, central_l, annotated):
     """The event-log CSV at the central-l shape; float repr of the times is
     most of it."""
-    events, truth = scenario.generate(CENTRAL_L)
+    events, truth = central_l
     path = tmp_path / "events.csv"
     benchmark.pedantic(scenario.write_events_csv, (path, events, truth if annotated else None),
                        rounds=5)
     benchmark.extra_info["bytes"] = path.stat().st_size
     assert path.stat().st_size > 0
+
+
+def test_count_series(benchmark, central_l):
+    """Every vehicle's per-second counts and lagged rows at the central-l
+    shape, as the pipeline's features stage makes them: one
+    `build_count_series` and one `windowize_arrays` call."""
+    events, truth = central_l
+
+    def features():
+        return preprocess.windowize_arrays(preprocess.build_count_series(events, truth), truth)
+
+    secs, x, _ = benchmark.pedantic(features, rounds=5)
+    benchmark.extra_info["events"] = len(events)
+    benchmark.extra_info["rows"] = len(secs)
+    assert x.shape == (len(secs), preprocess.DEFAULT_LAGS)
+
+
+def test_mnd_round(benchmark, central_l):
+    """One MND round at the central-l shape: the first alert round's
+    per-sender counts and every receiver's MAD band, one `interval_counts`
+    and one `mnd.detect` call."""
+    events, truth = central_l
+    t0, t1 = runner.alert_rounds(truth)[0]
+    round_events = events.between(t0, t1)
+    detection = benchmark(lambda: mnd.detect(preprocess.interval_counts(round_events)))
+    benchmark.extra_info["events"] = len(round_events)
+    benchmark.extra_info["reporters"] = len(detection.reports)
+    assert len(detection.suspected) > 0

@@ -1,5 +1,6 @@
 """Dense integer codes of int64 keys, shared by the scenario writer, the
-head's batch grouping and the threshold codes of the head's table."""
+per-vehicle counts, the head's batch grouping and the threshold codes of the
+head's table."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ def dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     span = int(keys.max()) - lo + 1
     if span > len(keys):
         return np.unique(keys, return_inverse=True)
+    keys = keys - lo
     seen = np.zeros(span, dtype=bool)
-    seen[keys - lo] = True
+    seen[keys] = True
     slot = np.cumsum(seen) - 1
-    return np.flatnonzero(seen) + lo, slot[keys - lo]
+    return np.flatnonzero(seen) + lo, slot[keys]

@@ -3,19 +3,23 @@
 Each vehicle compares per-neighbor inbound counts against a MAD-based
 rejection band; senders exceeding the upper bound are reported as suspected.
 Only the upper bound triggers suspicion (the attack model is flooding), so
-`detect` never computes the lower bound.  A report holds only what the
-server aggregates: the reporter and the ids it suspects.
+`detect` never computes the lower bound.  `detect` takes a whole round's
+counts and finds every receiver's band at once.  A report holds only what
+the server aggregates: the reporter and the ids it suspects.  `mad` and
+`rejection_bounds` are the one-vehicle forms that the tests check `detect`
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .preprocess import NeighborCounts
+import numpy as np
 
 __all__ = [
     "MadParams",
     "SuspicionReport",
+    "RoundDetection",
     "mad",
     "rejection_bounds",
     "detect",
@@ -71,18 +75,47 @@ def rejection_bounds(values, params: MadParams = MadParams()) -> tuple[float, fl
     return (m - spread, m + spread)
 
 
-def detect(counts: NeighborCounts, params: MadParams = MadParams()) -> SuspicionReport:
-    """Flag senders whose count strictly exceeds the upper rejection bound.
+def _group_medians(values: np.ndarray, group: np.ndarray, starts: np.ndarray,
+                   sizes: np.ndarray) -> np.ndarray:
+    """`_median` of each group's values; `group` is sorted and `starts` and
+    `sizes` give each group's run of it.  An odd group's middle value v is
+    taken as 0.5 * (v + v), which is v exactly."""
+    s = values[np.lexsort((values, group))]
+    return 0.5 * (s[starts + (sizes - 1) // 2] + s[starts + sizes // 2])
 
-    With fewer than two neighbors no detection is possible; the report is
-    empty rather than an error since sparse neighborhoods are normal right
-    after a vehicle joins.
+
+@dataclass
+class RoundDetection:
+    """One round's detection: a report per receiver, in receiver order, and
+    every flagged sender, in the same order."""
+
+    reports: list[SuspicionReport]
+    suspected: np.ndarray
+
+
+def detect(counts, params: MadParams = MadParams()) -> RoundDetection:
+    """Flag, for every receiver of a round, the senders whose count strictly
+    exceeds its upper rejection bound.
+
+    `counts` holds parallel (receiver, sender, count) arrays sorted by
+    receiver, then sender, as `preprocess.interval_counts` returns them.
+    The bands take `_median`'s float operations in the same order as
+    `rejection_bounds`, so they equal it bit for bit.  A receiver with a
+    single sender flags nothing: the sender sits exactly at its own upper
+    bound, so sparse neighbourhoods right after a vehicle joins report
+    empty lists rather than errors.
     """
-    senders = sorted(counts.per_sender)
-    values = [float(counts.per_sender[s]) for s in senders]
-    if len(values) < 2:
-        return SuspicionReport(reporter=counts.vehicle, suspected=set())
-    upper = _median(values) + params.ce * mad(values, params.b)
-    suspected = {s for s, v in zip(senders, values) if v > upper}
-    return SuspicionReport(reporter=counts.vehicle, suspected=suspected)
-
+    receivers, senders, n = counts
+    reporters, starts, sizes = np.unique(receivers, return_index=True, return_counts=True)
+    group = np.repeat(np.arange(len(starts)), sizes)
+    values = n.astype(np.float64)
+    median = _group_medians(values, group, starts, sizes)
+    spread = params.b * _group_medians(np.abs(values - median[group]), group, starts, sizes)
+    flagged = values > (median + params.ce * spread)[group]
+    suspected = senders[flagged]
+    # Each reporter's run of the flagged pairs, which are in receiver order.
+    cut = np.searchsorted(receivers[flagged], reporters).tolist() + [len(suspected)]
+    ids = suspected.tolist()
+    reports = [SuspicionReport(reporter=r, suspected=set(ids[lo:hi]))
+               for r, lo, hi in zip(reporters.tolist(), cut[:-1], cut[1:])]
+    return RoundDetection(reports, suspected)

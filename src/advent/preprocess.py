@@ -1,17 +1,21 @@
 """Per-vehicle feature construction.
 
-Two views of the inbound traffic: each vehicle's per-second count series,
+Two views of the inbound traffic: every vehicle's per-second count series,
 windowed into lagged feature rows for onset detection, and, for the
 MAD-based node detector, every receiver's per-sender counts over one alert
-round's events (`interval_counts`).
+round's events (`interval_counts`).  Each is built in one pass over the
+event arrays, for all vehicles at once; its memory grows with the events and
+the present seconds, never with the id values or the time span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from ._codes import dense_codes
 from .scenario import EventStream, GroundTruth
 
 ALERT_INTERVAL_S = 10.0
@@ -19,7 +23,6 @@ DEFAULT_LAGS = 10
 
 __all__ = [
     "CountSeries",
-    "NeighborCounts",
     "build_count_series",
     "windowize_arrays",
     "interval_counts",
@@ -30,82 +33,87 @@ __all__ = [
 
 @dataclass
 class CountSeries:
-    vehicle: int
-    counts: dict[int, int] = field(default_factory=dict)
+    """Every vehicle's inbound packets per present second, laid end to end.
+
+    Vehicle `vehicles[i]` is present for the seconds `first[i]` up to
+    `first[i] + bounds[i + 1] - bounds[i]`, and `counts[bounds[i]:bounds[i + 1]]`
+    holds its counts for those seconds, in order.
+    """
+
+    vehicles: np.ndarray
+    first: np.ndarray
+    bounds: np.ndarray
+    counts: np.ndarray
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
 
-@dataclass
-class NeighborCounts:
-    vehicle: int
-    per_sender: dict[int, int] = field(default_factory=dict)
-
-
-def build_count_series(events: EventStream, vehicle: int) -> CountSeries:
-    """Per-second inbound packet counts; seconds with no traffic are absent."""
-    inbound = events.inbound(vehicle)
-    if len(inbound) == 0:
-        return CountSeries(vehicle=vehicle)
-    secs = np.floor(inbound.times).astype(np.int64)
-    uniq, cnt = np.unique(secs, return_counts=True)
-    return CountSeries(vehicle=vehicle, counts=dict(zip(uniq.tolist(), cnt.tolist())))
-
-
-def _presence_seconds(truth: GroundTruth, vehicle: int) -> tuple[int, int]:
-    enter, exit_ = truth.presence[vehicle]
-    first = int(np.floor(enter))
-    last = int(np.ceil(exit_))  # exclusive
-    return first, last
+def build_count_series(events: EventStream, truth: GroundTruth) -> CountSeries:
+    """Per-second inbound packet counts of every vehicle in `truth.presence`,
+    over the seconds floor(enter) up to ceil(exit) (exclusive).  Events
+    outside their receiver's present seconds, or to a receiver with no
+    presence entry, are not counted."""
+    vehicles = np.array(sorted(truth.presence), dtype=np.int64)
+    spans = np.array([truth.presence[v] for v in vehicles.tolist()], dtype=np.float64)
+    enter, exit_ = spans.reshape(-1, 2).T
+    first, last = np.floor(enter).astype(np.int64), np.ceil(exit_).astype(np.int64)
+    bounds = np.concatenate([[0], np.cumsum(np.maximum(last - first, 0))])
+    if len(events) == 0 or len(vehicles) == 0:
+        return CountSeries(vehicles, first, bounds, np.zeros(bounds[-1], dtype=np.int64))
+    # Each receiver's row of `vehicles`; a receiver with no presence entry
+    # takes the row past the end, whose run of the buffer is empty.
+    ids, code = dense_codes(events.receivers)
+    row = np.searchsorted(vehicles, ids)
+    row[vehicles.take(row, mode="clip") != ids] = len(vehicles)
+    lo, hi = np.append(bounds[:-1], 0)[row], np.append(bounds[1:], 0)[row]
+    # Each event's slot: its second's offset from its receiver's first
+    # second, plus the start of the receiver's run.
+    slot = np.floor(events.times).astype(np.int64)
+    slot += (lo - np.append(first, 0)[row])[code]
+    slot = slot[(slot >= lo[code]) & (slot < hi[code])]
+    return CountSeries(vehicles, first, bounds, np.bincount(slot, minlength=bounds[-1]))
 
 
 def windowize_arrays(
     series: CountSeries, truth: GroundTruth, a: int = DEFAULT_LAGS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One row per present second: (seconds, features (n, a), labels (n,)).
+    """One row per present second of every vehicle, in the order of
+    `series`: (seconds, features (n, a), labels (n,)).
 
-    Row i holds [Count(t), Count(t-1), ..., Count(t-(a-1))] for t = seconds[i].
-    Its label is 1 whenever t falls in any attack window while the vehicle is
-    present, regardless of whether flood traffic reached it.
+    Row i holds [Count(t), Count(t-1), ..., Count(t-(a-1))] for t = seconds[i];
+    lags before the vehicle's first second are zero.  Its label is 1 whenever
+    t falls in any attack window while the vehicle is present, regardless of
+    whether flood traffic reached it.
     """
     if a < 1:
         raise ValueError("a must be >= 1")
-    first, last = _presence_seconds(truth, series.vehicle)
-    n = last - first
-    if n <= 0:
-        return np.empty(0, dtype=int), np.empty((0, a)), np.empty(0, dtype=int)
-    counts = np.zeros(n, dtype=np.float64)
-    for t, c in series.counts.items():
-        if first <= t < last:
-            counts[t - first] = c
-    # Lags before the vehicle's first second are zero-padded.
-    padded = np.concatenate([np.zeros(a - 1), counts])
-    x = np.stack([padded[a - 1 - lag : a - 1 - lag + n] for lag in range(a)], axis=1)
-    seconds = np.arange(first, last)
-    labels = np.zeros(n, dtype=np.int64)
+    lengths = np.diff(series.bounds)
+    seconds = np.arange(len(series.counts)) + np.repeat(series.first - series.bounds[:-1],
+                                                         lengths)
+    # Window j of the padded buffer ends at count j - 1.
+    padded = np.concatenate([np.zeros(a), series.counts])
+    x = sliding_window_view(padded, a)[1:, ::-1].copy()
+    # Zero the lags that reach back past a vehicle's first second: (k, lag)
+    # for its k-th second and every lag > k.
+    k, lag = np.nonzero(np.triu(np.ones((a, a), dtype=bool), 1))
+    inside = k < lengths[:, None]
+    x[(series.bounds[:-1, None] + k)[inside], np.broadcast_to(lag, inside.shape)[inside]] = 0.0
+    labels = np.zeros(len(seconds), dtype=np.int64)
     for ws, we in truth.attack_windows:
         labels[(seconds >= ws) & (seconds < we)] = 1
     return seconds, x, labels
 
 
-def interval_counts(events: EventStream) -> dict[int, NeighborCounts]:
-    """Per-sender counts of all of `events` (one round's), keyed by receiver.
-
-    One pass over the stream serves every receiver: the (receiver, sender)
-    pairs are coded and counted at once, and each receiver takes its run of
-    the sorted pairs.  Receivers with no events have no entry.
-    """
+def interval_counts(events: EventStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sender counts of all of `events` (one round's): parallel
+    (receiver, sender, count) arrays, one entry per pair that exchanged a
+    packet, sorted by receiver, then sender."""
     if len(events) == 0:
-        return {}
-    receivers, r_code = np.unique(events.receivers, return_inverse=True)
-    senders, s_code = np.unique(events.senders, return_inverse=True)
-    pairs, cnt = np.unique(r_code * len(senders) + s_code, return_counts=True)
-    pair_receiver, pair_sender = np.divmod(pairs, len(senders))
-    bounds = np.searchsorted(pair_receiver, np.arange(len(receivers) + 1)).tolist()
-    sender_ids = senders[pair_sender].tolist()
-    cnt = cnt.tolist()
-    return {
-        v: NeighborCounts(vehicle=v, per_sender=dict(zip(sender_ids[lo:hi], cnt[lo:hi])))
-        for v, lo, hi in zip(receivers.tolist(), bounds[:-1], bounds[1:])
-    }
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    n = len(events)
+    ids, code = dense_codes(np.concatenate([events.receivers, events.senders]))
+    pairs, pair_code = dense_codes(code[:n] * len(ids) + code[n:])
+    r, s = np.divmod(pairs, len(ids))
+    return ids[r], ids[s], np.bincount(pair_code)

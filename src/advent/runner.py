@@ -138,13 +138,11 @@ def load(scenario_path, truth_path=None):
 def features(events, truth, lags):
     """Vehicle -> (seconds, lagged count features, labels), for every vehicle
     with at least one row, in vehicle order."""
-    per_vehicle = {}
-    for v in sorted(truth.presence):
-        series = preprocess.build_count_series(events, v)
-        secs, x, y = preprocess.windowize_arrays(series, truth, lags)
-        if len(secs):
-            per_vehicle[v] = (secs, x, y)
-    return per_vehicle
+    series = preprocess.build_count_series(events, truth)
+    secs, x, y = preprocess.windowize_arrays(series, truth, lags)
+    bounds = series.bounds.tolist()
+    return {v: (secs[lo:hi], x[lo:hi], y[lo:hi])
+            for v, lo, hi in zip(series.vehicles.tolist(), bounds[:-1], bounds[1:]) if hi > lo}
 
 
 def onset_fit(manifest: RunManifest, per_vehicle):
@@ -202,14 +200,17 @@ def alert_rounds(truth):
 def mnd_reports(events, truth, rounds, params: mnd.MadParams):
     """Per round with a vehicle present for the whole of it: (present set,
     the SuspicionReport of each present vehicle that heard a packet)."""
+    ids = np.array(sorted(truth.presence), dtype=np.int64)
+    enter, exit_ = np.array([truth.presence[v] for v in ids.tolist()]).reshape(-1, 2).T
     out = []
     for t0, t1 in rounds:
-        present = {v for v, (a, b) in truth.presence.items() if a <= t0 and b >= t1}
-        if not present:
+        present = ids[(enter <= t0) & (exit_ >= t1)]
+        if not len(present):
             continue
-        counts = preprocess.interval_counts(events.between(t0, t1))
-        reports = [mnd.detect(counts[v], params) for v in sorted(present) if v in counts]
-        out.append((present, reports))
+        receivers, senders, counts = preprocess.interval_counts(events.between(t0, t1))
+        keep = present.take(np.searchsorted(present, receivers), mode="clip") == receivers
+        detection = mnd.detect((receivers[keep], senders[keep], counts[keep]), params)
+        out.append((set(present.tolist()), detection.reports))
     return out
 
 
@@ -217,15 +218,27 @@ def mnd_aggregate(mode: str, th: int, round_reports, truth):
     """(server lists, present sets, confusion) for an MND mode.
 
     `local_mad` keeps no server list: each vehicle's own list is scored
-    against the other vehicles present, summed over vehicle-rounds.
+    against the other vehicles present, summed over vehicle-rounds, from
+    the sizes of its sets.  Every reporter is present in its round, as
+    `mnd_reports` makes them.
     """
     if mode == "local_mad":
-        confusion = Confusion()
+        c = Confusion()
         for present, reports in round_reports:
+            present_attackers = len(present & truth.attackers)
             for rep in reports:
-                confusion = confusion + metrics.mnd_confusion(
-                    [rep.suspected], truth, [present - {rep.reporter}])
-        return [], [], confusion
+                # The attackers present besides the reporter, and the other
+                # present vehicles the report lists.
+                bad = present_attackers - (rep.reporter in truth.attackers)
+                listed = rep.suspected & present
+                listed.discard(rep.reporter)
+                tp = len(listed & truth.attackers)
+                fp = len(listed) - tp
+                c.tp += tp
+                c.fp += fp
+                c.fn += bad - tp
+                c.tn += len(present) - 1 - bad - fp
+        return [], [], c
     th = 1 if mode == "fl_aggregate" else th
     lists = [fed_mnd.aggregate(reports, th) for _, reports in round_reports]
     present_sets = [present for present, _ in round_reports]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +40,20 @@ class ParseError(ValueError):
     """Raised when an event-log file cannot be parsed."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# ScenarioConfig field annotation -> (the values it accepts, how an error
+# names them).  A bool is never accepted; an int is, where a float is expected.
+_FIELD_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "tuple[int, int]": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
+                        and all(map(_is_int, v)), "two integers [min, max]"),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     duration_s: int = 3600
@@ -55,6 +70,11 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            accepts, kind = _FIELD_CHECKS[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be > 0")
         if not (0.0 <= self.attacker_fraction <= 1.0):
@@ -65,8 +85,6 @@ class ScenarioConfig:
             raise ConfigError("attack_duration_s must be <= attack_spacing_s")
         if self.flood_rate_pps <= self.normal_rate_pps:
             raise ConfigError("flood_rate_pps must be > normal_rate_pps")
-        if len(self.concurrent_range) != 2:
-            raise ConfigError("concurrent_range must be two values [min, max]")
         if self.concurrent_range[0] > self.concurrent_range[1]:
             raise ConfigError("concurrent_range.min must be <= concurrent_range.max")
         if self.total_vehicles < 1:
@@ -92,11 +110,7 @@ def _group_order(ids: np.ndarray) -> np.ndarray:
 
 
 class EventStream:
-    """Time-sorted packet events held as parallel numpy arrays.
-
-    The arrays are treated as read-only: ``inbound`` caches a receiver-grouped
-    index over them on first use.
-    """
+    """Time-sorted packet events held as parallel numpy arrays."""
 
     def __init__(self, times, senders, receivers):
         self.times = np.asarray(times, dtype=np.float64)
@@ -104,7 +118,6 @@ class EventStream:
         self.receivers = np.asarray(receivers, dtype=np.int64)
         if not (len(self.times) == len(self.senders) == len(self.receivers)):
             raise ValueError("event arrays must have equal length")
-        self._by_receiver: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -126,16 +139,6 @@ class EventStream:
                                     self.times[sub]))]
         t[at] = self.times[order[at]]  # a -0.0 tied with 0.0 moves with its row
         return EventStream(t, self.senders[order], self.receivers[order])
-
-    def inbound(self, vehicle: int) -> "EventStream":
-        """Events received by `vehicle`, in stream order."""
-        if self._by_receiver is None:
-            # A stable sort keeps each receiver's events in stream order.
-            order = _group_order(self.receivers)
-            self._by_receiver = (order, self.receivers[order])
-        order, keys = self._by_receiver
-        idx = order[np.searchsorted(keys, vehicle, "left"):np.searchsorted(keys, vehicle, "right")]
-        return EventStream(self.times[idx], self.senders[idx], self.receivers[idx])
 
     def between(self, start_s: float, end_s: float) -> "EventStream":
         """Events with start_s <= time < end_s, as views of this stream."""

@@ -76,6 +76,7 @@ UNREACHED_ALLOWED = {
     "head.train_on_matrix": "tracer target (perfbench/tracer.py)",
     "preprocess.CountSeries.total": "tracer counter hook of build_count_series",
     "head.gradients": "oracle: the analytic gradients the tests check SGD against",
+    "mnd.mad": "oracle: the one-vehicle MAD that the tests check detect's grouped bands against",
     "mnd.rejection_bounds": "oracle: the MAD band the acceptance tests check",
     "gbdt.ensemble_to_json": "canonical form: ensemble round trips in the tests",
     "gbdt.ensemble_from_json": "canonical form: ensemble round trips in the tests",

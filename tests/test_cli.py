@@ -6,8 +6,9 @@ import pytest
 
 from advent import runner, scenario
 from advent.cli import main
-from advent.preprocess import build_count_series, windowize_arrays
 from advent.runner import RunManifest
+
+from test_preprocess import reference_windows
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,22 @@ def test_generate_unreadable_config_exit1(tmp_path, capsys, text, message):
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"duration_s": "600"}', "error: duration_s must be an integer, got '600'"),
+    ('{"total_vehicles": 2.5}', "error: total_vehicles must be an integer, got 2.5"),
+    ('{"concurrent_range": ["a", "b"]}',
+     "error: concurrent_range must be two integers [min, max], got ('a', 'b')"),
+    ('{"rng_seed": true}', "error: rng_seed must be an integer, got True"),
+    ('{"flood_rate_pps": "30"}', "error: flood_rate_pps must be a number, got '30'"),
+], ids=["str-duration", "float-vehicles", "str-range", "bool-seed", "str-rate"])
+def test_generate_badly_typed_config_exit1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1 and capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_generate_missing_config_exit1(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     rc = main(["generate", "--config", str(missing), "--out", str(tmp_path / "o")])
@@ -95,9 +112,10 @@ def test_preprocess_writes_per_vehicle_csvs(scenario_dir, tmp_path):
 
 
 def test_preprocess_csvs_match_windowize_arrays(scenario_dir, tmp_path):
-    # Reference: a per-row writer over windowize_arrays, one file per present
-    # vehicle with at least one row.  Vehicle 999 is present for no whole
-    # second, so it has no rows and gets no file.
+    # Reference: a per-row writer over per-vehicle windows built in Python
+    # from a per-event tally, one file per present vehicle with at least one
+    # row.  Vehicle 999 is present for no whole second, so it has no rows and
+    # gets no file.
     events, _ = scenario.ingest(scenario_dir / "events.csv")
     truth = scenario.load_ground_truth(scenario_dir / "truth.json")
     truth.presence[999] = (100.0, 100.0)
@@ -109,10 +127,7 @@ def test_preprocess_csvs_match_windowize_arrays(scenario_dir, tmp_path):
                    "--truth", str(truth_path), "--lags", str(lags), "--out", str(out)])
         assert rc == 0
         expected = {}
-        for v in sorted(truth.presence):
-            secs, x, y = windowize_arrays(build_count_series(events, v), truth, lags)
-            if len(secs) == 0:
-                continue
+        for v, (secs, x, y) in reference_windows(events, truth, lags).items():
             lines = ["t," + ",".join(f"f{i}" for i in range(lags)) + ",label"]
             for i in range(len(secs)):
                 feats = ",".join(repr(float(f)) for f in x[i])

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from advent import runner
 from advent.metrics import (
     Confusion,
     EvalReport,
@@ -10,6 +13,7 @@ from advent.metrics import (
     mnd_confusion,
     score,
 )
+from advent.mnd import SuspicionReport
 from advent.scenario import GroundTruth
 
 
@@ -69,6 +73,34 @@ def test_mnd_confusion_validation():
         mnd_confusion([set()], truth, [])
     with pytest.raises(ValueError):
         mnd_confusion([set()], None, [set()])
+
+
+IDS = st.integers(0, 12)
+
+
+@st.composite
+def _rounds(draw):
+    """MND rounds as mnd_reports returns them: each present vehicle may
+    report, and a report may name anyone, present or not, attacker or not,
+    the reporter too."""
+    rounds = []
+    for present in draw(st.lists(st.sets(IDS, min_size=1), max_size=6)):
+        reporters = draw(st.lists(st.sampled_from(sorted(present)), unique=True))
+        rounds.append((present, [SuspicionReport(r, draw(st.sets(IDS))) for r in reporters]))
+    return rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rounds(), st.sets(IDS))
+def test_local_mad_set_sizes_match_per_report_confusion(rounds, attackers):
+    # Oracle: each report scored with mnd_confusion against the other
+    # vehicles present, summed over reports.
+    truth = _truth(attackers, {})
+    want = Confusion()
+    for present, reports in rounds:
+        for rep in reports:
+            want = want + mnd_confusion([rep.suspected], truth, [present - {rep.reporter}])
+    assert runner.mnd_aggregate("local_mad", 2, rounds, truth) == ([], [], want)
 
 
 def test_first_second_rate():

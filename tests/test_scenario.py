@@ -308,21 +308,6 @@ def test_sorted_matches_lexsort_property(rows, base):
     assert events.receivers.tolist() == r[order].tolist()
 
 
-@pytest.mark.parametrize("base", [0, -3, 1 << 40])
-def test_inbound_matches_mask(base):
-    rng = np.random.default_rng(3)
-    times = rng.random(200) * 10
-    senders = base + rng.integers(0, 6, 200)
-    receivers = base + rng.integers(0, 6, 200)
-    events = EventStream(times, senders, receivers)
-    for v in range(base - 1, base + 7):
-        inbound = events.inbound(v)
-        mask = receivers == v
-        assert inbound.times.tolist() == times[mask].tolist()
-        assert inbound.senders.tolist() == senders[mask].tolist()
-        assert inbound.receivers.tolist() == receivers[mask].tolist()
-
-
 def test_between_matches_mask():
     # Ties, and events exactly on window edges: start is inclusive, end exclusive.
     times = np.array([0.0, 1.0, 1.0, 1.0, 1.5, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0])
