@@ -117,40 +117,62 @@ def _fed_s_clients(rng):
 
 
 def _fed_s_forest(rng):
+    """A fed-s-like compiled forest and the clients it was fitted on."""
     clients = _fed_s_clients(rng)
     ensembles = gbdt.train_clients([x for x, _ in clients], [y for _, y in clients],
                                    gbdt.GbdtConfig(trees_per_client=T), range(12))
-    return ensembles, clients
+    return gbdt.compile_forest(ensembles), clients
+
+
+@pytest.fixture(scope="module")
+def l_forest():
+    """ROADMAP L's compiled forest and the clients it was fitted on: 265
+    clients of 336 rows x 10 trees of depth 3 where 157 clients have no
+    positives, so 1,570 of the 2,650 trees are single leaves."""
+    rng = np.random.default_rng(6)
+    clients = []
+    for c in range(265):
+        x, y = _count_rows(rng, 336)
+        clients.append((x, y if c < 108 else np.zeros_like(y)))
+    ensembles = gbdt.train_clients([x for x, _ in clients], [y for _, y in clients],
+                                   gbdt.GbdtConfig(trees_per_client=T), range(265))
+    return gbdt.compile_forest(ensembles), clients
 
 
 @pytest.mark.parametrize("shape", ["fed-s", "L"])
-def test_tree_table(benchmark, shape):
+def test_tree_table(benchmark, shape, request):
     """The head's table build in `fed_onset.run_training`: threshold codes of
     every training row, one walk per distinct code, equal vectors merged.
 
-    fed-s: 12 clients of 250-750 rows in 6 threshold codes.  L:
-    ROADMAP L's forest, 265 clients x 10 trees of depth 3 where 157 clients
-    have no positives, so 1,570 of the 2,650 trees are single leaves, over
-    40 rows per client (L has 336).  Records the distinct codes and table
-    rows."""
-    rng = np.random.default_rng(6)
+    fed-s: 12 clients of 250-750 rows in 6 threshold codes.  L: the
+    `l_forest` over 40 rows per client (L has 336).  Records the distinct
+    codes and table rows."""
     if shape == "fed-s":
-        ensembles, clients = _fed_s_forest(rng)
+        forest, clients = _fed_s_forest(np.random.default_rng(6))
         xs = [x for x, _ in clients]
     else:
-        clients = []
-        for c in range(265):
-            x, y = _count_rows(rng, 336)
-            clients.append((x, y if c < 108 else np.zeros_like(y)))
-        ensembles = gbdt.train_clients([x for x, _ in clients], [y for _, y in clients],
-                                       gbdt.GbdtConfig(trees_per_client=T), range(265))
+        forest, clients = request.getfixturevalue("l_forest")
         xs = [x[:40] for x, _ in clients]
-    table, ids = benchmark.pedantic(fed_onset._tree_table, (ensembles, xs), rounds=3)
-    codes = gbdt.threshold_codes(ensembles, np.concatenate(xs))
+    table, ids = benchmark.pedantic(fed_onset._tree_table, (forest, xs), rounds=3)
+    codes = gbdt.threshold_codes(forest, np.concatenate(xs))
     benchmark.extra_info["rows"] = len(ids)
     benchmark.extra_info["distinct_codes"] = len(set(codes.tolist()))
     benchmark.extra_info["table_rows"] = len(table)
-    assert table.shape[1] == len(ensembles) * T and len(table) <= len(ids)
+    assert table.shape[1] == len(clients) * T and len(table) <= len(ids)
+
+
+@pytest.mark.parametrize("rows", [1, 600], ids=["vehicle-second", "600-rows"])
+def test_detect_onset_batch(benchmark, l_forest, rows):
+    """Federated onset decisions at L's shape: the `l_forest` and a head of
+    265 clients x 10 trees, on one vehicle-second and on 600 rows drawn from
+    every client.  Records `row_us`, the median call time per row."""
+    forest, clients = l_forest
+    model = fed_onset.GlobalModel(forest=forest, head=head.init(len(clients), T, head.HeadConfig()))
+    x = np.concatenate([x[:3] for x, _ in clients])[:rows]
+    flags = benchmark(fed_onset.detect_onset_batch, model, x)
+    if benchmark.stats is not None:
+        benchmark.extra_info["row_us"] = 1e6 * benchmark.stats.stats.median / rows
+    assert flags.shape == (rows,) and flags.dtype == bool
 
 
 def test_head_rounds_fed_s(benchmark):
@@ -158,8 +180,8 @@ def test_head_rounds_fed_s(benchmark):
     runs them: one `plan_round`, then one `train_round` a round, 30 epochs,
     on the table of a fed-s-like forest.  Records `client_step_us`."""
     rng = np.random.default_rng(6)
-    ensembles, clients = _fed_s_forest(rng)
-    table, ids = fed_onset._tree_table(ensembles, [x for x, _ in clients])
+    forest, clients = _fed_s_forest(rng)
+    table, ids = fed_onset._tree_table(forest, [x for x, _ in clients])
     y = np.concatenate([y for _, y in clients])
     sizes = [len(y) for _, y in clients]
     bounds = np.cumsum([0] + sizes)
@@ -273,14 +295,15 @@ def test_gbdt_predict_margin_batch(benchmark, dense_pulsed_fit):
 
 
 def test_gbdt_per_tree_output_matrix(benchmark):
-    """Tree apply for the head: K=12 clients x 10 trees over 600 rows (fed-s shape)."""
+    """Tree apply for the head: a compiled forest of K=12 clients x 10 trees
+    over 600 rows (fed-s shape)."""
     rng = np.random.default_rng(1)
     ensembles = []
     for cid in range(12):
         x, y = _count_rows(rng, 500)
         ensembles.append(gbdt.train(x, y, gbdt.GbdtConfig(trees_per_client=T), client=cid))
     probe, _ = _count_rows(rng, 600)
-    out = benchmark(gbdt.per_tree_output_matrix, ensembles, probe)
+    out = benchmark(gbdt.per_tree_output_matrix, gbdt.compile_forest(ensembles), probe)
     assert out.shape == (600, 12 * T)
 
 

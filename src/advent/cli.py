@@ -61,7 +61,7 @@ def cmd_preprocess(args) -> int:
         return 1
     try:
         per_vehicle = runner.features(*runner.load(args.events, args.truth), args.lags)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)
@@ -97,7 +97,7 @@ def cmd_run(args) -> int:
     try:
         manifest = _manifest_from_args(args)
         report = runner.run_pipeline(manifest)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(report, indent=1, sort_keys=True))
@@ -118,7 +118,16 @@ def cmd_report(args) -> int:
         return 1
     rows = []
     for path in sorted(out_dir.rglob("report.json")):
-        rep = runner.load_report(path)
+        try:
+            rep = runner.load_report(path)
+            onset, mnd = rep["onset"], rep["mnd"]
+            scores = {"onset_dr": onset["dr"], "onset_far": onset["far"],
+                      "onset_fnr": onset["fnr"], "onset_f1": onset["f1"],
+                      "mnd_dr": mnd["dr"], "mnd_far": mnd["far"], "mnd_f1": mnd["f1"]}
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            why = f"no {exc} entry" if isinstance(exc, KeyError) else exc
+            print(f"error: {path} is not a run report: {why}", file=sys.stderr)
+            return 1
         tpath = path.with_name("timing.json")
         timing = json.loads(tpath.read_text(encoding="utf-8")) if tpath.exists() else {}
         rows.append({
@@ -126,14 +135,8 @@ def cmd_report(args) -> int:
             "method": rep.get("method", ""),
             "mnd_mode": rep.get("mnd_mode", ""),
             "seed": rep.get("seed", ""),
-            "onset_dr": rep["onset"]["dr"],
-            "onset_far": rep["onset"]["far"],
-            "onset_fnr": rep["onset"]["fnr"],
-            "onset_f1": rep["onset"]["f1"],
             "first_second_rate": rep.get("first_second_rate", math.nan),
-            "mnd_dr": rep["mnd"]["dr"],
-            "mnd_far": rep["mnd"]["far"],
-            "mnd_f1": rep["mnd"]["f1"],
+            **scores,
             **timing,
         })
     if not rows:

@@ -1,15 +1,18 @@
 """Federated attack-onset protocol: round-0 tree aggregation, weight rounds
 and onset inference.
 
-Round 0 collects each client's tree ensemble, sorts them by client id, and
-initializes the convolutional head.  The ensembles stay fixed afterwards;
-rounds 1..R-1 broadcast the head weights, run client updates, and FedAvg the
-results.  `run_training` always runs every round, so the model it returns
-is the final one and holds only the ensembles and the head.  The work that
-does not change between weight rounds is done once per run: the head's
+Round 0 collects each client's tree ensemble, sorts them by client id,
+checks that they hold equally many trees, and initializes the convolutional
+head.  The trees stay fixed afterwards: once the GLOBAL_ENSEMBLE broadcast
+is decoded, its ensembles are compiled into one forest
+(`gbdt.compile_forest`), and that forest is all that walks the trees from
+then on.  Rounds 1..R-1 broadcast the head weights, run client updates, and
+FedAvg the results.  `run_training` always runs every round, so the model it
+returns is the final one and holds only the forest and the head.  The work
+that does not change between weight rounds is done once per run: the head's
 table of distinct tree vectors, built from the clients' distinct threshold
-codes (`gbdt.threshold_codes`) so that the trees walk one row per code, and
-the head's plan of client blocks (`head.plan_round`).  Every message
+codes (`gbdt.threshold_codes`) so that the forest walks one row per code,
+and the head's plan of client blocks (`head.plan_round`).  Every message
 is encoded as one JSON line and decoded by its receiver in process; the
 lines are kept only in a transcript the caller passes, and the same bytes
 round-trip through files.  Each vehicle's onset flags are its own: no quorum
@@ -55,7 +58,7 @@ class ProtocolError(RuntimeError):
 
 @dataclass
 class GlobalModel:
-    ensembles: list[LocalEnsemble]  # sorted ascending by client id
+    forest: LocalEnsemble  # every client's trees, in client order (gbdt.compile_forest)
     head: HeadWeights
 
 
@@ -113,29 +116,29 @@ def _row_hashes(bits: np.ndarray) -> np.ndarray:
     return bits @ (mix * 2 + 1)
 
 
-def _tree_table(ensembles: list[LocalEnsemble], xs: list[np.ndarray]):
+def _tree_table(forest: LocalEnsemble, xs: list[np.ndarray]):
     """The distinct (K*T) tree vectors of the clients' feature rows xs, in
     order of first appearance, and each row's table id, in client order.
 
     Rows with equal `gbdt.threshold_codes` reach the same leaves, so the
-    trees walk one row per distinct code, its first, in bounded chunks.
+    forest walks one row per distinct code, its first, in bounded chunks.
     Vectors equal bit for bit, -0.0 apart from 0.0, then share a table row:
     each is keyed by a hash of its bits and checked against the table rows
     of that hash, and the table grows a chunk at a time.
     """
     x = np.concatenate(xs)
-    _, code = dense_codes(gbdt.threshold_codes(ensembles, x))
+    _, code = dense_codes(gbdt.threshold_codes(forest, x))
     order = np.argsort(code, kind="stable")
     code_sorted = code[order]
     firsts = np.sort(order[np.concatenate(([True], code_sorted[1:] != code_sorted[:-1]))])
-    width = sum(len(e.trees) for e in ensembles)
+    width = len(forest.trees)
     table = np.empty((0, width))
     n = 0  # filled rows of `table`; the rest is room for a chunk's new rows
     tid = np.empty(len(firsts), dtype=np.intp)  # table row of each code, by its first row
     rows_of: dict[int, list[int]] = {}  # hash -> the table rows with it
     chunk = max(1, _TABLE_CHUNK_VALUES // max(1, width))
     for lo in range(0, len(firsts), chunk):
-        vectors = gbdt.per_tree_output_matrix(ensembles, x[firsts[lo:lo + chunk]])
+        vectors = gbdt.per_tree_output_matrix(forest, x[firsts[lo:lo + chunk]])
         bits = vectors.view(np.uint64)
         hashes = _row_hashes(bits).tolist()
         # Most vectors equal the first table row of their hash.  The rest are
@@ -171,12 +174,13 @@ def _tree_table(ensembles: list[LocalEnsemble], xs: list[np.ndarray]):
 def round0_aggregate(
     submissions: list[tuple[int, LocalEnsemble]],
     head_config: HeadConfig = HeadConfig(),
-) -> GlobalModel:
-    """Sort submitted ensembles by client id and initialize the head.
+) -> tuple[list[LocalEnsemble], HeadWeights]:
+    """The submitted ensembles sorted by client id, and the initial head.
 
-    Every ensemble must hold only finite leaf values, thresholds and base
-    score, and a shrinkage in (0, 1]: the wire format's JSON accepts NaN and
-    Infinity, which would otherwise pass straight into the head's table.
+    Every ensemble must hold as many trees as the others, and only finite
+    leaf values, thresholds and base score, and a shrinkage in (0, 1]: the
+    wire format's JSON accepts NaN and Infinity, which would otherwise pass
+    straight into the head's table.
     """
     if not submissions:
         raise ProtocolError("round 0 requires at least one submission")
@@ -194,12 +198,9 @@ def round0_aggregate(
         if not 0.0 < ens.shrinkage <= 1.0:
             raise ProtocolError(f"client {cid}: shrinkage outside (0, 1]")
     ordered = [ens for _, ens in sorted(submissions, key=lambda s: s[0])]
-    t = len(ordered[0].trees)
-    for ens in ordered:
-        if len(ens.trees) != t:
-            raise ProtocolError("clients submitted differing tree counts")
-    w = head.init(k=len(ordered), t=t, config=head_config)
-    return GlobalModel(ensembles=ordered, head=w)
+    if len({len(ens.trees) for ens in ordered}) > 1:
+        raise ProtocolError("clients submitted differing tree counts")
+    return ordered, head.init(k=len(ordered), t=len(ordered[0].trees), config=head_config)
 
 
 def fedavg(updates: list[tuple[int, HeadWeights, int]]) -> HeadWeights:
@@ -268,13 +269,13 @@ def run_training(
         msg = _send(transcript, encode_message("TREES_UPLOAD", c.cid, 0,
                                                gbdt.ensemble_to_dict(ens)))
         submissions.append((msg["cid"], gbdt.ensemble_from_dict(msg["payload"])))
-    model = round0_aggregate(submissions, head_config)
+    ordered, w = round0_aggregate(submissions, head_config)
     broadcast = _send(transcript, encode_message(
-        "GLOBAL_ENSEMBLE", None, 0,
-        [gbdt.ensemble_to_dict(e) for e in model.ensembles]))["payload"]
-    broadcast_ensembles = [gbdt.ensemble_from_dict(d) for d in broadcast]
+        "GLOBAL_ENSEMBLE", None, 0, [gbdt.ensemble_to_dict(e) for e in ordered]))["payload"]
+    model = GlobalModel(
+        forest=gbdt.compile_forest([gbdt.ensemble_from_dict(d) for d in broadcast]), head=w)
     del broadcast  # before the table build, where a large run's memory peaks
-    table, ids = _tree_table(broadcast_ensembles, [c.x for c in clients])
+    table, ids = _tree_table(model.forest, [c.x for c in clients])
     labels = np.concatenate([c.y for c in clients])
     bounds = np.cumsum([0] + [len(c.y) for c in clients]).tolist()
     spans = list(zip(bounds, bounds[1:]))
@@ -303,7 +304,7 @@ def run_training(
 
 def detect_onset_batch(model: GlobalModel, x: np.ndarray) -> np.ndarray:
     """Boolean attack decisions (p > 0.5, so a tie goes normal) for a batch of feature rows."""
-    v = gbdt.per_tree_output_matrix(model.ensembles, x)
+    v = gbdt.per_tree_output_matrix(model.forest, x)
     p = head.forward_batch(model.head, v)
     return p > 0.5
 

@@ -30,18 +30,21 @@ partition are computed for many nodes at once; a level whose search would
 need more than `_HIST_ENTRIES` (feature, node, bin) entries is searched in
 node blocks, and only the split nodes' histograms are kept for the next
 level.  The root level's row counts are the same for every tree and are
-counted once.  An ensemble keeps its trees as flat node arrays, so
-prediction walks every tree at once, one vectorized step per level; a tree
-whose root is a leaf is not walked.  `threshold_codes` keys each row by which
-side of every split threshold of a forest it falls on, per feature (the
-threshold order of QuickScorer, Lucchese et al., SIGIR 2015), so rows with
-equal keys reach the same leaves and only one of them needs the walk.
+counted once.  An ensemble keeps its trees as flat node arrays and its
+depth, so prediction walks every tree at once, one vectorized step per
+level; a tree whose root is a leaf is not walked.  `compile_forest` lays
+many ensembles end to end as one ensemble, each leaf scaled by its own
+shrinkage, once: the federated table build and every federated decision
+walk that one forest.  `threshold_codes` keys each row by which side of
+every split threshold of a forest it falls on, per feature (the threshold
+order of QuickScorer, Lucchese et al., SIGIR 2015), so rows with equal keys
+reach the same leaves and only one of them needs the walk.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +55,7 @@ __all__ = [
     "LocalEnsemble",
     "train",
     "train_clients",
+    "compile_forest",
     "predict_margin_batch",
     "per_tree_output_matrix",
     "threshold_codes",
@@ -93,11 +97,12 @@ class LocalEnsemble:
     == right[i] == i; value[i] is then its pre-shrinkage log-odds step.
     Otherwise a row goes to left[i] when x[feature[i]] < threshold[i] and
     to right[i] when not.  A leaf has feature 0, so stepping a row on from
-    its leaf keeps it there.
+    its leaf keeps it there.  `depth`, that of the deepest leaf, is found
+    once when the ensemble is made: every walk takes that many steps.
     """
 
     client: int
-    trees: list[int]
+    trees: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -105,6 +110,15 @@ class LocalEnsemble:
     value: np.ndarray
     base_score: float = 0.0
     shrinkage: float = 0.3
+    depth: int = field(init=False)
+
+    def __post_init__(self):
+        self.trees = np.asarray(self.trees, dtype=np.intp)
+        internal = self.left != np.arange(len(self.left))
+        self.depth, level = 0, self.trees
+        while len(level := level[internal[level]]):
+            self.depth += 1
+            level = np.concatenate([self.left[level], self.right[level]])
 
 
 def _sigmoid(z):
@@ -346,7 +360,7 @@ def _ensemble(client, nodes, roots, base_score, shrinkage) -> LocalEnsemble:
     feature, threshold, left, right, value = zip(*nodes) if nodes else ((),) * 5
     return LocalEnsemble(
         client=client,
-        trees=list(roots),
+        trees=roots,
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.intp),
@@ -435,59 +449,53 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
     return out
 
 
-def _leaf_values(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
-    """(n_rows, n_trees) pre-shrinkage leaf value of each row in each tree.
+def compile_forest(ensembles: list[LocalEnsemble]) -> LocalEnsemble:
+    """The ensembles' trees end to end, in the order given, as one ensemble.
 
-    The ensembles' node arrays are stacked into one forest, and a block of
-    rows steps down every tree whose root splits at once, one vectorized step
-    per level.  The blocks bound the walk's temporaries however many rows and
-    trees there are.
+    Each leaf value is scaled by its own ensemble's shrinkage here, so the
+    forest's shrinkage is 1; its client is -1 and its base score 0.
+    """
+    offsets = np.cumsum([0] + [len(e.left) for e in ensembles[:-1]])
+    parts = [(e.trees + o, e.feature, e.threshold, e.left + o, e.right + o, e.value * e.shrinkage)
+             for e, o in zip(ensembles, offsets)]
+    return LocalEnsemble(-1, *map(np.concatenate, zip(*parts)), base_score=0.0, shrinkage=1.0)
+
+
+def _leaf_values(e: LocalEnsemble, x: np.ndarray) -> np.ndarray:
+    """(n_rows, n_trees) leaf value of each row in each tree of the ensemble.
+
+    A block of rows steps down every tree whose root splits at once, one
+    vectorized step per level.  The blocks bound the walk's temporaries
+    however many rows and trees there are.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("feature rows must be a 2-D array")
     n, n_features = x.shape
-    offsets = np.cumsum([0] + [len(e.left) for e in ensembles[:-1]])
-    roots = np.array([r + o for e, o in zip(ensembles, offsets) for r in e.trees],
-                     dtype=np.intp)
-    feature = np.concatenate([e.feature for e in ensembles])
-    threshold = np.concatenate([e.threshold for e in ensembles])
-    left = np.concatenate([e.left + o for e, o in zip(ensembles, offsets)])
-    right = np.concatenate([e.right + o for e, o in zip(ensembles, offsets)])
-    value = np.concatenate([e.value for e in ensembles])
-    internal = left != np.arange(len(left))
-    if internal.any() and not 0 <= feature[internal].min() <= feature[internal].max() < n_features:
+    # Leaves have feature 0, so every node's feature is checked at once.
+    if e.depth and not 0 <= e.feature.min() <= e.feature.max() < n_features:
         raise ValueError(f"trees split on features outside the {n_features} given")
+    roots = e.trees
     out = np.empty((n, len(roots)))
     # A tree whose root is a leaf gives every row its value.
-    splits = internal[roots]
-    if splits.all():
-        columns = slice(None)
-    else:
-        out[:, ~splits] = value[roots[~splits]]
-        columns = np.flatnonzero(splits)
-        roots = roots[splits]
-    depth = 0  # of the deepest leaf
-    level = roots
-    while len(level):
-        depth += 1
-        level = np.concatenate([left[level], right[level]])
-        level = level[internal[level]]
+    splits = e.left[roots] != roots
+    out[:, ~splits] = e.value[roots[~splits]]
+    columns, roots = np.flatnonzero(splits), roots[splits]
     block = max(1, _WALK_BLOCK_NODES // max(1, len(roots)))
     row_start = (np.arange(min(n, block)) * n_features)[:, None]
     for lo in range(0, n, block):
         rows = x[lo:lo + block]
         flat = rows.ravel()
         node = np.broadcast_to(roots, (len(rows), len(roots)))
-        for _ in range(depth):
-            goes_left = flat[row_start[:len(node)] + feature[node]] < threshold[node]
-            node = np.where(goes_left, left[node], right[node])
-        out[lo:lo + block, columns] = value[node]
+        for _ in range(e.depth):
+            goes_left = flat[row_start[:len(node)] + e.feature[node]] < e.threshold[node]
+            node = np.where(goes_left, e.left[node], e.right[node])
+        out[lo:lo + block, columns] = e.value[node]
     return out
 
 
 def predict_margin_batch(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
-    steps = _leaf_values([ensemble], x)
+    steps = _leaf_values(ensemble, x)
     steps *= ensemble.shrinkage
     total = np.full(len(steps), ensemble.base_score)
     for column in steps.T:  # in tree order, so the sum is bitwise stable
@@ -495,22 +503,11 @@ def predict_margin_batch(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _check_uniform(ensembles: list[LocalEnsemble]) -> list[LocalEnsemble]:
-    if not ensembles:
-        raise ValueError("need at least one ensemble")
-    ordered = sorted(ensembles, key=lambda e: e.client)
-    t = len(ordered[0].trees)
-    for e in ordered:
-        if len(e.trees) != t:
-            raise ValueError("ragged ensembles: differing tree counts")
-    return ordered
-
-
-def per_tree_output_matrix(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
-    """(n_rows, K*T) shrinkage-scaled per-tree outputs in (client, tree) order."""
-    ordered = _check_uniform(ensembles)
-    out = _leaf_values(ordered, x)
-    out *= np.array([e.shrinkage for e in ordered for _ in e.trees])
+def per_tree_output_matrix(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
+    """(n_rows, n_trees) shrinkage-scaled output of each tree, in tree order
+    (a compiled forest's leaves carry their shrinkage, and its own is 1)."""
+    out = _leaf_values(ensemble, x)
+    out *= ensemble.shrinkage
     return out
 
 
@@ -519,9 +516,9 @@ def per_tree_output_matrix(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.
 _MAX_KEY_RADIX = 1 << 62
 
 
-def threshold_codes(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray:
+def threshold_codes(forest: LocalEnsemble, x: np.ndarray) -> np.ndarray:
     """One int64 key per row of x; rows with equal keys reach the same leaf
-    in every tree of the ensembles.
+    in every tree of the forest.
 
     A row's code on a feature is the number of the forest's distinct split
     thresholds on that feature at or below its value, so `x < t` is decided
@@ -532,11 +529,8 @@ def threshold_codes(ensembles: list[LocalEnsemble], x: np.ndarray) -> np.ndarray
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("feature rows must be a 2-D array")
-    ensembles = _check_uniform(ensembles)
-    feature = np.concatenate([e.feature for e in ensembles])
-    threshold = np.concatenate([e.threshold for e in ensembles])
-    internal = np.concatenate([e.left != np.arange(len(e.left)) for e in ensembles])
-    feature, threshold = feature[internal], threshold[internal]
+    internal = forest.left != np.arange(len(forest.left))
+    feature, threshold = forest.feature[internal], forest.threshold[internal]
     if len(feature) and not 0 <= feature.min() <= feature.max() < x.shape[1]:
         raise ValueError(f"trees split on features outside the {x.shape[1]} given")
     keys = np.zeros(len(x), dtype=np.int64)

@@ -115,7 +115,7 @@ def test_criterion_2_gbdt_split_oracle():
             ens = gbdt.train(x, y, gbdt.GbdtConfig(trees_per_client=6))
             margins = np.full(n, ens.base_score)
             prev = np.inf
-            for column in gbdt.per_tree_output_matrix([ens], x).T:
+            for column in gbdt.per_tree_output_matrix(ens, x).T:
                 margins += column
                 p = 1.0 / (1.0 + np.exp(-margins))
                 loss = float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
@@ -183,10 +183,10 @@ def test_criterion_4_federated_protocol():
             uploads[msg["cid"]] = json.dumps(msg["payload"], sort_keys=True)
         elif msg["type"] == "WEIGHTS_BROADCAST":
             weight_rounds.add(msg["round"])
-    trees_ok = all(
-        json.dumps(gbdt.ensemble_to_dict(e), sort_keys=True) == uploads[e.client]
-        for e in model.ensembles
-    )
+    # The model's forest is the round-0 uploads' in client order, bit for bit.
+    uploaded = gbdt.compile_forest([gbdt.ensemble_from_json(uploads[c]) for c in sorted(uploads)])
+    trees_ok = all(getattr(model.forest, a).tobytes() == getattr(uploaded, a).tobytes()
+                   for a in ("trees", "feature", "threshold", "left", "right", "value"))
     rounds_ok = weight_rounds == set(range(1, 10))
     _verdict(4, f"fedavg invariances ({perm_ok}, {idem_ok}), trees bit-identical "
                 f"({trees_ok}), 9 weight rounds for R=10 ({rounds_ok})",

@@ -309,6 +309,50 @@ def test_report_empty_dir_exit1(tmp_path, capsys):
     assert "no report.json" in capsys.readouterr().err
 
 
+def _one_error_line(capsys, path) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    return err
+
+
+def test_run_scenario_directory_exit1(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["run", "--scenario", str(tmp_path), "--out", str(out), "--seed", "1"])
+    assert rc == 1
+    _one_error_line(capsys, tmp_path)
+    assert not out.exists()
+
+
+def test_preprocess_events_directory_exit1(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["preprocess", "--events", str(tmp_path), "--out", str(out)])
+    assert rc == 1
+    _one_error_line(capsys, tmp_path)
+    assert not out.exists()
+
+
+_GOOD_REPORT = {"onset": {"dr": 1.0, "far": 0.0, "fnr": 0.0, "f1": 1.0},
+                "mnd": {"dr": 1.0, "far": 0.0, "f1": 1.0}}
+
+
+@pytest.mark.parametrize("text, why", [
+    (json.dumps({"method": "centralized", "mnd": _GOOD_REPORT["mnd"]}), "no 'onset' entry"),
+    (json.dumps({"onset": _GOOD_REPORT["onset"]}), "no 'mnd' entry"),
+    ("not json\n", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["no-onset", "no-mnd", "not-json"])
+def test_report_rejects_what_is_not_a_run_report(tmp_path, capsys, text, why):
+    # One line names the file; nothing is tabulated, good reports beside it
+    # included.
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "report.json").write_text(json.dumps(_GOOD_REPORT))
+    bad = tmp_path / "b" / "report.json"
+    bad.parent.mkdir()
+    bad.write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys, bad) == f"error: {bad} is not a run report: {why}\n"
+    assert not (tmp_path / "comparison.csv").exists()
+
+
 def test_manifest_validation():
     with pytest.raises(ValueError, match="method"):
         RunManifest(scenario_path="x", output_dir="y", method="bogus")

@@ -69,10 +69,23 @@ def test_round0_sorts_by_cid():
     cs = _clients(3)
     subs = [(c.cid, gbdt.train(c.x, c.y, gbdt.GbdtConfig(trees_per_client=2), client=c.cid))
             for c in cs]
-    model = round0_aggregate(list(reversed(subs)), HeadConfig(filters=2))
-    assert [e.client for e in model.ensembles] == [1, 2, 3]
-    assert model.head.kernel_size == 2
-    assert model.head.n_clients == 3
+    ordered, w = round0_aggregate(list(reversed(subs)), HeadConfig(filters=2))
+    assert [e.client for e in ordered] == [1, 2, 3]
+    assert w.kernel_size == 2
+    assert w.n_clients == 3
+
+
+def test_round0_rejects_differing_tree_counts():
+    # Round 0 is the one place that checks tree counts: the head's taps
+    # assume T trees per client.
+    cs = _clients(2)
+    subs = [(c.cid, gbdt.train(c.x, c.y, gbdt.GbdtConfig(trees_per_client=t), client=c.cid))
+            for c, t in zip(cs, (2, 3))]
+    with pytest.raises(ProtocolError, match="differing tree counts"):
+        round0_aggregate(subs)
+    with pytest.raises(ProtocolError, match="differing tree counts"):
+        round0_aggregate(subs[::-1])
+    assert len(round0_aggregate(subs[1:])[0]) == 1
 
 
 def test_round0_duplicate_cid_rejected():
@@ -190,7 +203,7 @@ def test_run_training_round_count_and_transcript():
     assert counts["GLOBAL_ENSEMBLE"] == 1
     assert counts["WEIGHTS_BROADCAST"] == 9
     assert counts["WEIGHTS_UPDATE"] == 27
-    assert len(model.ensembles) == 3
+    assert model.head.n_clients == 3 and len(model.forest.trees) == 3 * 2
 
 
 def test_run_training_sends_every_message_type():
@@ -217,9 +230,14 @@ def test_run_training_trees_fixed_after_round0():
         msg = decode_message(line)
         if msg["type"] == "TREES_UPLOAD":
             uploaded[msg["cid"]] = msg["payload"]
-    # The final model's ensembles are bit-identical to the round-0 uploads.
-    for ens in model.ensembles:
-        assert gbdt.ensemble_to_dict(ens) == uploaded[ens.client]
+    # The final model's forest is the round-0 uploads' in client order, bit
+    # for bit, and it is the model's only copy of the trees.
+    expected = gbdt.compile_forest([gbdt.ensemble_from_dict(uploaded[cid])
+                                    for cid in sorted(uploaded)])
+    for name in ("trees", "feature", "threshold", "left", "right", "value"):
+        assert getattr(model.forest, name).tobytes() == getattr(expected, name).tobytes()
+    assert model.forest.depth == expected.depth
+    assert [f.name for f in dataclasses.fields(model)] == ["forest", "head"]
 
 
 def test_run_training_uploads_lone_fits():
@@ -279,7 +297,7 @@ def test_run_training_matches_per_client_loop(monkeypatch):
     [(table, ids)] = calls
     assert table.shape[1] == len(clients) * 2
     assert len({row.tobytes() for row in table}) == len(table) < len(ids)
-    matrices = {c.cid: gbdt.per_tree_output_matrix(model.ensembles, c.x) for c in clients}
+    matrices = {c.cid: gbdt.per_tree_output_matrix(model.forest, c.x) for c in clients}
     start = 0
     for c in clients:
         stop = start + len(c.y)
@@ -342,9 +360,9 @@ def test_detect_onset_tie_goes_normal():
     ens = gbdt.train(c.x, c.y, gbdt.GbdtConfig(trees_per_client=2), client=1)
     w = HeadWeights(conv_kernels=np.zeros((2, 2)), conv_bias=np.zeros(2),
                     dense=np.zeros(2), dense_bias=0.0)
-    model = fed_onset.GlobalModel(ensembles=[ens], head=w)
+    model = fed_onset.GlobalModel(forest=gbdt.compile_forest([ens]), head=w)
     assert detect_onset_batch(model, np.ones((1, 10))).tolist() == [False]
-    assert head.forward_batch(w, gbdt.per_tree_output_matrix([ens], np.ones((1, 10))))[0] == 0.5
+    assert head.forward_batch(w, gbdt.per_tree_output_matrix(ens, np.ones((1, 10))))[0] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +374,12 @@ _VALUES = _CUTS + [-0.0, 0.7, 2.5, -7.0, np.nan, np.inf, -np.inf]
 
 
 def _byte_keyed_table(ensembles, xs):
-    """Oracle: every client's tree vectors keyed by their bytes into one
-    table of distinct rows, ids in order of first appearance."""
+    """Oracle: every client's tree vectors, each ensemble walked on its own,
+    keyed by their bytes into one table of distinct rows, ids in order of
+    first appearance."""
     distinct, ids = {}, []
     for x in xs:
-        for row in gbdt.per_tree_output_matrix(ensembles, x):
+        for row in np.hstack([gbdt.per_tree_output_matrix(e, x) for e in ensembles]):
             ids.append(distinct.setdefault(row.tobytes(), len(distinct)))
     table = np.frombuffer(b"".join(distinct), dtype=np.float64).reshape(len(distinct), -1)
     return table, np.array(ids, dtype=np.intp)
@@ -403,9 +422,9 @@ def test_tree_table_matches_byte_keyed_build(data):
     with mock.patch.object(fed_onset, "_TABLE_CHUNK_VALUES", chunk_values):
         if constant_hash:
             with mock.patch.object(fed_onset, "_row_hashes", lambda bits: np.zeros(len(bits))):
-                table, ids = fed_onset._tree_table(ensembles, xs)
+                table, ids = fed_onset._tree_table(gbdt.compile_forest(ensembles), xs)
         else:
-            table, ids = fed_onset._tree_table(ensembles, xs)
+            table, ids = fed_onset._tree_table(gbdt.compile_forest(ensembles), xs)
     expected_table, expected_ids = _byte_keyed_table(ensembles, xs)
     assert table.dtype == np.float64 and table.shape == expected_table.shape
     assert table.tobytes() == expected_table.tobytes()
@@ -425,12 +444,42 @@ def test_tree_table_walks_one_row_per_threshold_code(monkeypatch):
     walked = []
     walk = gbdt.per_tree_output_matrix
 
-    def counting(ensembles, x):
+    def counting(forest, x):
         walked.append(len(x))
-        return walk(ensembles, x)
+        return walk(forest, x)
 
     monkeypatch.setattr(gbdt, "per_tree_output_matrix", counting)
-    table, ids = fed_onset._tree_table([ens], xs)
+    table, ids = fed_onset._tree_table(gbdt.compile_forest([ens]), xs)
     assert walked == [3]
     assert table.tobytes() == _byte_keyed_table([ens], xs)[0].tobytes()
     assert [np.signbit(v) for v in table[:, 0] if v == 0.0] in ([True, False], [False, True])
+
+
+def test_pipeline_compiles_the_forest_once(small_scenario_dir, tmp_path, monkeypatch):
+    # One federated run builds one forest, and each of its decisions equals
+    # the final head over every ensemble walked on its own.
+    from advent import runner
+
+    built, decided = [], []
+    compile_forest, detect = gbdt.compile_forest, fed_onset.detect_onset_batch
+
+    def counting(ensembles):
+        built.append(list(ensembles))
+        return compile_forest(ensembles)
+
+    def recording(model, x):
+        decided.append((model.head, x, detect(model, x)))
+        return decided[-1][2]
+
+    monkeypatch.setattr(gbdt, "compile_forest", counting)
+    monkeypatch.setattr(fed_onset, "detect_onset_batch", recording)
+    runner.run_pipeline(runner.RunManifest(
+        scenario_path=str(small_scenario_dir / "events.csv"), output_dir=str(tmp_path / "run"),
+        method="federated", seed=1, rounds=2, epochs=2, trees_per_client=2))
+    [ensembles] = built
+    clients = [e.client for e in ensembles]
+    assert len(clients) > 1 and clients == sorted(clients)
+    assert len(decided) > 1 and sum(len(x) for _, x, _ in decided) > 100
+    for w, x, flags in decided:
+        v = np.hstack([gbdt.per_tree_output_matrix(e, x) for e in ensembles])
+        np.testing.assert_array_equal(flags, head.forward_batch(w, v) > 0.5)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from advent import gbdt
 from advent.gbdt import (
     GbdtConfig,
+    compile_forest,
     ensemble_from_dict,
     ensemble_from_json,
     ensemble_to_dict,
@@ -310,7 +311,7 @@ def test_predict_dimension_error():
         with pytest.raises(ValueError):
             predict_margin_batch(ens, x)
         with pytest.raises(ValueError):
-            per_tree_output_matrix([ens], x)
+            per_tree_output_matrix(compile_forest([ens]), x)
     split_on_neg = dict(split_on_4, f=-1)
     ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 0.3,
                               "trees": [{"max_depth": 1, "root": split_on_neg}]})
@@ -346,7 +347,7 @@ def test_training_loss_non_increasing_per_round():
     ens = train(x, y, cfg)
     margins = np.full(len(y), ens.base_score)
     losses = []
-    for column in per_tree_output_matrix([ens], x).T:
+    for column in per_tree_output_matrix(ens, x).T:
         margins += column
         p = 1.0 / (1.0 + np.exp(-margins))
         losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
@@ -395,7 +396,7 @@ def test_every_node_matches_brute_force(max_depth):
                          min_samples_leaf=int(rng.integers(1, 4)))
         ens = train(x, y, cfg)
         margins = np.full(n, ens.base_score)
-        for root, column in zip(ens.trees, per_tree_output_matrix([ens], x).T):
+        for root, column in zip(ens.trees, per_tree_output_matrix(ens, x).T):
             g, h = logistic_gh(margins, y)
             stack = [(root, np.arange(n), 0)]
             while stack:
@@ -942,7 +943,7 @@ def test_apply_matches_json_walk(block, monkeypatch):
     probe = rng.poisson(3.0, (80, 6)).astype(float)
     probe[:10] += 0.5
     for forest in (ensembles, ensembles[3::2]):
-        matrix = per_tree_output_matrix(forest[::-1], probe)
+        matrix = per_tree_output_matrix(compile_forest(forest), probe)
         assert matrix.shape == (80, 4 * len(forest)) and matrix.flags.c_contiguous
         col = 0
         for e in forest:
@@ -955,36 +956,60 @@ def test_apply_matches_json_walk(block, monkeypatch):
             assert np.array_equal(predict_margin_batch(e, probe[:0]), np.empty(0))
 
 
+def _json_depth(node: dict) -> int:
+    return 0 if "v" in node else 1 + max(_json_depth(node["l"]), _json_depth(node["r"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_compiled_forest_matches_per_ensemble_walk(data):
+    # The compiled forest's tree outputs equal, bit for bit, each ensemble's
+    # own walk scaled by its own shrinkage, and a per-row walk of the
+    # wire-format trees.  Forests mix single-leaf trees, zero clients (every
+    # tree one 0.0 leaf), trees of several depths, -0.0 leaves and a
+    # shrinkage per client; small walk blocks take one row or a few.
+    cuts = [-1.0, 0.0, 0.5, 2.0]
+
+    def tree(depth):
+        if depth == 0 or data.draw(st.integers(0, 3)) == 0:
+            return {"v": data.draw(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0]))}
+        return {"f": data.draw(st.integers(0, 2)), "t": data.draw(st.sampled_from(cuts)),
+                "l": tree(depth - 1), "r": tree(depth - 1)}
+
+    ensembles = []
+    for client in range(data.draw(st.integers(1, 5))):
+        n_trees = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            trees = [{"v": 0.0}] * n_trees
+        else:
+            depth = data.draw(st.integers(0, 4))
+            trees = [tree(depth) for _ in range(n_trees)]
+        ensembles.append(ensemble_from_dict({
+            "client": client, "base_score": 0.0,
+            "shrinkage": data.draw(st.sampled_from([0.1, 0.3, 0.7, 1.0])),
+            "trees": [{"root": t} for t in trees]}))
+    values = cuts + [-0.0, 0.25, 1.0, 3.0, -7.0]
+    x = np.array(data.draw(st.lists(st.lists(st.sampled_from(values), min_size=3, max_size=3),
+                                    min_size=1, max_size=20)))
+    forest = compile_forest(ensembles)
+    with mock.patch.object(gbdt, "_WALK_BLOCK_NODES", data.draw(st.sampled_from([1, 7, 1 << 15]))):
+        matrix = per_tree_output_matrix(forest, x)
+        own = np.hstack([per_tree_output_matrix(e, x) for e in ensembles])
+    assert matrix.tobytes() == own.tobytes()
+    dicts = [ensemble_to_dict(e) for e in ensembles]
+    expected = [[d["shrinkage"] * walk(t["root"], row) for d in dicts for t in d["trees"]]
+                for row in x]
+    assert matrix.tobytes() == np.array(expected).reshape(matrix.shape).tobytes()
+    assert forest.depth == max(_json_depth(t["root"]) for d in dicts for t in d["trees"])
+
+
 def test_per_tree_outputs_single():
     x = np.random.default_rng(2).random((30, 10))
     y = (x[:, 0] > 0.5).astype(float)
     ens = train(x, y, GbdtConfig(trees_per_client=1), client=4)
-    v = per_tree_output_matrix([ens], x[:1])
+    v = per_tree_output_matrix(compile_forest([ens]), x[:1])
     assert v.shape == (1, 1)
     assert v[0, 0] == pytest.approx(predict_margin_batch(ens, x[:1])[0] - ens.base_score)
-
-
-def test_per_tree_outputs_ordering_and_permutation():
-    rng = np.random.default_rng(3)
-    x = rng.random((40, 10))
-    y = (x[:, 1] > 0.5).astype(float)
-    cfg = GbdtConfig(trees_per_client=3)
-    e1 = train(x[:20], y[:20], cfg, client=1)
-    e2 = train(x[20:], y[20:], cfg, client=2)
-    row = x[5:6]
-    v = per_tree_output_matrix([e2, e1], row)
-    assert v.shape == (1, 6)
-    assert np.array_equal(v, per_tree_output_matrix([e1, e2], row))
-    assert np.allclose(v[:, :3], per_tree_output_matrix([e1], row))
-
-
-def test_per_tree_outputs_ragged_rejected():
-    x = np.random.default_rng(4).random((20, 10))
-    y = (x[:, 0] > 0.5).astype(float)
-    e1 = train(x, y, GbdtConfig(trees_per_client=2), client=1)
-    e2 = train(x, y, GbdtConfig(trees_per_client=3), client=2)
-    with pytest.raises(ValueError):
-        per_tree_output_matrix([e1, e2], x[:1])
 
 
 def test_row_order_invariance():
@@ -1032,11 +1057,12 @@ def test_output_matrix_matches_vector_api():
     rng = np.random.default_rng(8)
     x = rng.random((25, 10))
     y = (x[:, 0] > 0.5).astype(float)
-    es = [train(x, y, GbdtConfig(trees_per_client=2), client=c) for c in (1, 2)]
-    mat = per_tree_output_matrix(es, x)
+    forest = compile_forest([train(x, y, GbdtConfig(trees_per_client=2), client=c)
+                             for c in (1, 2)])
+    mat = per_tree_output_matrix(forest, x)
     assert mat.shape == (25, 4)
     for i in (0, 7, 24):
-        assert np.array_equal(mat[i], per_tree_output_matrix(es, x[i:i + 1])[0])
+        assert np.array_equal(mat[i], per_tree_output_matrix(forest, x[i:i + 1])[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -1068,12 +1094,12 @@ def test_threshold_codes_partition_rows_by_threshold_side(data):
                                              max_size=n_features), min_size=1, max_size=30)))
     cap = data.draw(st.sampled_from([2, 3, 10, gbdt._MAX_KEY_RADIX]))
     with mock.patch.object(gbdt, "_MAX_KEY_RADIX", cap):
-        keys = gbdt.threshold_codes(ensembles, x)
+        keys = gbdt.threshold_codes(compile_forest(ensembles), x)
     assert keys.dtype == np.int64 and keys.shape == (len(x),)
     splits = [(f, thr) for e in ensembles for i, (f, thr) in enumerate(zip(e.feature, e.threshold))
               if e.left[i] != i]
     sides = [tuple(bool(row[f] < thr) for f, thr in splits) for row in x]
-    vectors = per_tree_output_matrix(ensembles, x)
+    vectors = per_tree_output_matrix(compile_forest(ensembles), x)
     for i in range(len(x)):
         for j in range(len(x)):
             assert (keys[i] == keys[j]) == (sides[i] == sides[j])
@@ -1086,8 +1112,8 @@ def test_threshold_codes_rejects_features_outside_rows():
                               "trees": [{"root": {"f": 2, "t": 1.0, "l": {"v": 0.0},
                                                   "r": {"v": 1.0}}}]})
     with pytest.raises(ValueError, match="outside the 2 given"):
-        gbdt.threshold_codes([ens], np.zeros((3, 2)))
-    assert gbdt.threshold_codes([ens], np.zeros((0, 3))).shape == (0,)
+        gbdt.threshold_codes(compile_forest([ens]), np.zeros((3, 2)))
+    assert gbdt.threshold_codes(compile_forest([ens]), np.zeros((0, 3))).shape == (0,)
 
 
 def test_threshold_codes_past_the_int64_radix():
@@ -1099,6 +1125,6 @@ def test_threshold_codes_past_the_int64_radix():
         {"root": {"f": f, "t": 0.5, "l": {"v": 0.0}, "r": {"v": 1.0}}} for f in range(70)]})
     x = np.zeros((512, 70))
     x[:, :8] = (np.arange(512)[:, None] >> np.arange(8)) & 1
-    keys = gbdt.threshold_codes([ens], x)
+    keys = gbdt.threshold_codes(compile_forest([ens]), x)
     assert len(set(keys.tolist())) == 256
     np.testing.assert_array_equal(keys[:256], keys[256:])
