@@ -10,6 +10,7 @@ steps per call) in the benchmark's `extra_info`.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,35 @@ def test_write_events_csv(benchmark, tmp_path, central_l, annotated):
                        rounds=5)
     benchmark.extra_info["bytes"] = path.stat().st_size
     assert path.stat().st_size > 0
+
+
+@pytest.fixture(scope="module")
+def central_l_csv(tmp_path_factory, central_l):
+    """The central-l workload's annotated event log."""
+    path = tmp_path_factory.mktemp("central_l") / "events.csv"
+    scenario.write_events_csv(path, *central_l)
+    return path
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["truth", "annotations"])
+def test_ingest(benchmark, central_l, central_l_csv, given):
+    """The annotated central-l log read back, checked against its truth as
+    `runner.load` reads it with a truth file, or with the truth rebuilt from
+    the annotations.  Records one call's tracemalloc peak next to the parsed
+    rows plus their column copies, in MB."""
+    args = (central_l_csv, central_l[1] if given else None)
+    events, _ = benchmark.pedantic(scenario.ingest, args, rounds=5)
+    tracemalloc.start()
+    try:
+        scenario.ingest(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["events"] = len(events)
+    benchmark.extra_info["peak_mb"] = peak / 1e6
+    benchmark.extra_info["rows_and_copies_mb"] = len(events) * (
+        scenario._ANNOT_DTYPE.itemsize + 24) / 1e6
+    assert len(events) == len(central_l[0])
 
 
 def test_count_series(benchmark, central_l):

@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -123,19 +124,28 @@ def cmd_report(args) -> int:
             onset, mnd = rep["onset"], rep["mnd"]
             scores = {"onset_dr": onset["dr"], "onset_far": onset["far"],
                       "onset_fnr": onset["fnr"], "onset_f1": onset["f1"],
+                      "first_second_rate": rep.get("first_second_rate", math.nan),
                       "mnd_dr": mnd["dr"], "mnd_far": mnd["far"], "mnd_f1": mnd["f1"]}
+            for name, value in scores.items():
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{name} is not a number, got {value!r}")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             why = f"no {exc} entry" if isinstance(exc, KeyError) else exc
             print(f"error: {path} is not a run report: {why}", file=sys.stderr)
             return 1
         tpath = path.with_name("timing.json")
-        timing = json.loads(tpath.read_text(encoding="utf-8")) if tpath.exists() else {}
+        try:
+            timing = json.loads(tpath.read_text(encoding="utf-8")) if tpath.exists() else {}
+            if not isinstance(timing, dict):
+                raise ValueError(f"not a JSON object, got {type(timing).__name__}")
+        except (OSError, ValueError) as exc:
+            print(f"error: {tpath} is not a timing file: {exc}", file=sys.stderr)
+            return 1
         rows.append({
             "scenario": rep.get("scenario", ""),
             "method": rep.get("method", ""),
             "mnd_mode": rep.get("mnd_mode", ""),
             "seed": rep.get("seed", ""),
-            "first_second_rate": rep.get("first_second_rate", math.nan),
             **scores,
             **timing,
         })

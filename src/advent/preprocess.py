@@ -4,8 +4,9 @@ Two views of the inbound traffic: every vehicle's per-second count series,
 windowed into lagged feature rows for onset detection, and, for the
 MAD-based node detector, every receiver's per-sender counts over one alert
 round's events (`interval_counts`).  Each is built in one pass over the
-event arrays, for all vehicles at once; its memory grows with the events and
-the present seconds, never with the id values or the time span.
+event arrays, for all vehicles at once; its memory never grows with the id
+values or the time span.  The count series bins a bounded chunk of events at
+a time, so its temporaries do not grow with the log either.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .scenario import EventStream, GroundTruth
 
 ALERT_INTERVAL_S = 10.0
 DEFAULT_LAGS = 10
+# Events binned per step of build_count_series.
+_COUNT_EVENTS = 1 << 16
 
 __all__ = [
     "CountSeries",
@@ -53,26 +56,30 @@ def build_count_series(events: EventStream, truth: GroundTruth) -> CountSeries:
     """Per-second inbound packet counts of every vehicle in `truth.presence`,
     over the seconds floor(enter) up to ceil(exit) (exclusive).  Events
     outside their receiver's present seconds, or to a receiver with no
-    presence entry, are not counted."""
+    presence entry, are not counted.  The events are binned _COUNT_EVENTS
+    at a time, so no temporary grows with the log."""
     vehicles = np.array(sorted(truth.presence), dtype=np.int64)
     spans = np.array([truth.presence[v] for v in vehicles.tolist()], dtype=np.float64)
     enter, exit_ = spans.reshape(-1, 2).T
     first, last = np.floor(enter).astype(np.int64), np.ceil(exit_).astype(np.int64)
     bounds = np.concatenate([[0], np.cumsum(np.maximum(last - first, 0))])
-    if len(events) == 0 or len(vehicles) == 0:
-        return CountSeries(vehicles, first, bounds, np.zeros(bounds[-1], dtype=np.int64))
-    # Each receiver's row of `vehicles`; a receiver with no presence entry
-    # takes the row past the end, whose run of the buffer is empty.
-    ids, code = dense_codes(events.receivers)
-    row = np.searchsorted(vehicles, ids)
-    row[vehicles.take(row, mode="clip") != ids] = len(vehicles)
-    lo, hi = np.append(bounds[:-1], 0)[row], np.append(bounds[1:], 0)[row]
-    # Each event's slot: its second's offset from its receiver's first
-    # second, plus the start of the receiver's run.
-    slot = np.floor(events.times).astype(np.int64)
-    slot += (lo - np.append(first, 0)[row])[code]
-    slot = slot[(slot >= lo[code]) & (slot < hi[code])]
-    return CountSeries(vehicles, first, bounds, np.bincount(slot, minlength=bounds[-1]))
+    counts = np.zeros(bounds[-1], dtype=np.int64)
+    if len(vehicles) == 0:
+        return CountSeries(vehicles, first, bounds, counts)
+    # Per row of `vehicles`, and for the row past the end that a receiver
+    # with no presence entry takes: the start and end of its run of the
+    # buffer (empty past the end) and its seconds' offset into the buffer.
+    lo, hi = np.append(bounds[:-1], 0), np.append(bounds[1:], 0)
+    offset = lo - np.append(first, 0)
+    for start in range(0, len(events), _COUNT_EVENTS):
+        ids, code = dense_codes(events.receivers[start:start + _COUNT_EVENTS])
+        row = np.searchsorted(vehicles, ids)
+        row[vehicles.take(row, mode="clip") != ids] = len(vehicles)
+        slot = np.floor(events.times[start:start + _COUNT_EVENTS]).astype(np.int64)
+        slot += offset[row][code]
+        counts += np.bincount(slot[(slot >= lo[row][code]) & (slot < hi[row][code])],
+                              minlength=len(counts))
+    return CountSeries(vehicles, first, bounds, counts)
 
 
 def windowize_arrays(

@@ -121,15 +121,17 @@ class RunManifest:
 
 
 def load(scenario_path, truth_path=None):
-    """Ingest the events and the ground truth: from `truth_path`, else from a
-    truth.json sidecar next to the CSV, else from the CSV's annotations."""
-    events, truth = scenario.ingest(scenario_path)
+    """Ingest the events and the ground truth.  The truth is read first: from
+    `truth_path`, else from a truth.json sidecar next to the CSV.  The CSV's
+    annotations, when present, are checked against it, and a row that
+    disagrees is rejected with its line number.  With neither file, the
+    truth is rebuilt from the CSV's annotations."""
     if truth_path is None:
         sidecar = Path(scenario_path).with_name("truth.json")
         if sidecar.exists():
             truth_path = sidecar
-    if truth_path is not None:
-        truth = scenario.load_ground_truth(truth_path)
+    truth = None if truth_path is None else scenario.load_ground_truth(truth_path)
+    events, truth = scenario.ingest(scenario_path, truth)
     if truth is None:
         raise ValueError("ground truth required: annotated CSV or truth.json sidecar")
     return events, truth

@@ -353,6 +353,63 @@ def test_report_rejects_what_is_not_a_run_report(tmp_path, capsys, text, why):
     assert not (tmp_path / "comparison.csv").exists()
 
 
+@pytest.mark.parametrize("text, why", [
+    ("not json\n", "Expecting value: line 1 column 1 (char 0)"),
+    ("[1.5]\n", "not a JSON object, got list"),
+], ids=["not-json", "not-object"])
+def test_report_rejects_a_bad_timing_file(tmp_path, capsys, text, why):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "report.json").write_text(json.dumps(_GOOD_REPORT))
+    bad = tmp_path / "a" / "timing.json"
+    bad.write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys, bad) == f"error: {bad} is not a timing file: {why}\n"
+    assert not (tmp_path / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("change, why", [
+    ({"first_second_rate": "all"}, "first_second_rate is not a number, got 'all'"),
+    ({"onset": dict(_GOOD_REPORT["onset"], f1="high")}, "onset_f1 is not a number, got 'high'"),
+    ({"mnd": dict(_GOOD_REPORT["mnd"], dr=None)}, "mnd_dr is not a number, got None"),
+], ids=["first_second_rate", "onset", "mnd"])
+def test_report_rejects_a_score_that_is_not_a_number(tmp_path, capsys, change, why):
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(dict(_GOOD_REPORT, **change)))
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys, bad) == f"error: {bad} is not a run report: {why}\n"
+    assert not (tmp_path / "comparison.csv").exists()
+
+
+def test_run_rejects_a_sidecar_the_annotations_disagree_with(scenario_dir, tmp_path, capsys):
+    # The sidecar leaves out one attacker; the first line it sends on names
+    # the disagreement.
+    events = tmp_path / "events.csv"
+    events.write_bytes((scenario_dir / "events.csv").read_bytes())
+    truth = scenario.load_ground_truth(scenario_dir / "truth.json")
+    dropped = min(truth.attackers)
+    truth.attackers.discard(dropped)
+    scenario.write_ground_truth(tmp_path / "truth.json", truth)
+    lines = events.read_text().splitlines()
+    line = 1 + next(i for i, text in enumerate(lines[1:], 1) if text.split(",")[1] == str(dropped))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(events), "--out", str(out), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: is_attacker_sender must match the ground truth's attackers, got 1\n")
+    assert not out.exists()
+
+
+def test_load_rebuilds_the_truth_only_without_a_truth_file(scenario_dir, tmp_path):
+    events = tmp_path / "events.csv"
+    events.write_bytes((scenario_dir / "events.csv").read_bytes())
+    _, rebuilt = scenario.ingest(events)
+    assert runner.load(events)[1] == rebuilt
+    given = scenario.load_ground_truth(scenario_dir / "truth.json")
+    assert given != rebuilt
+    assert runner.load(events, scenario_dir / "truth.json")[1] == given
+    scenario.write_ground_truth(tmp_path / "truth.json", given)
+    assert runner.load(events)[1] == given
+
+
 def test_manifest_validation():
     with pytest.raises(ValueError, match="method"):
         RunManifest(scenario_path="x", output_dir="y", method="bogus")

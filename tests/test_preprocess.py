@@ -97,6 +97,24 @@ def test_count_series_matches_event_tally(small_scenario):
     assert cs.total() == len(events)
 
 
+def test_count_series_matches_event_tally_in_small_chunks(small_scenario, monkeypatch):
+    # Events binned 7 at a time, so a vehicle's seconds straddle the chunks;
+    # vehicle 0 has no presence entry, so chunks also hold events it drops.
+    events, truth = small_scenario
+    truth = _truth({v: span for v, span in truth.presence.items() if v != 0})
+    whole = build_count_series(events, truth)
+    monkeypatch.setattr(preprocess, "_COUNT_EVENTS", 7)
+    cs = build_count_series(events, truth)
+    assert cs.counts.tolist() == whole.counts.tolist()
+    for v, (enter, exit_) in truth.presence.items():
+        tally = {}
+        for t, r in zip(events.times.tolist(), events.receivers.tolist()):
+            if r == v and math.floor(enter) <= int(t) < math.ceil(exit_):
+                tally[int(t)] = tally.get(int(t), 0) + 1
+        assert _counts_of(cs, v) == tally
+    assert 0 < cs.total() < len(events)
+
+
 @pytest.mark.parametrize("base", [0, -3, 1 << 40])
 def test_count_series_match_receiver_mask(base):
     # Each vehicle counts exactly the events whose receiver is it, with ids

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -187,6 +188,93 @@ def test_ingest_header_only(tmp_path, header):
         assert truth == GroundTruth()
     else:
         assert truth is None
+
+
+# A log annotated from _TRUTH: the row at 4.0, exactly at the window's end,
+# is not in the window.
+_TRUTH = GroundTruth(attackers={1}, attack_windows=[(2.0, 4.0)])
+_AGREEING = ["1.0,1,2,1,0", "2.0,3,1,0,1", "3.5,1,3,1,1", "4.0,2,1,0,0", "5.0,1,2,1,0"]
+
+
+def _flip(row, field):
+    cells = row.split(",")
+    cells[field] = str(1 - int(cells[field]))
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("blanks", [0, 3])
+@pytest.mark.parametrize("field, name, got", [
+    (3, "is_attacker_sender", "must match the ground truth's attackers"),
+    (4, "attack_active", "must match the ground truth's attack windows"),
+], ids=["attacker", "active"])
+@pytest.mark.parametrize("index", range(len(_AGREEING)))
+def test_ingest_rejects_flags_that_disagree_with_the_truth(tmp_path, index, field, name, got,
+                                                           blanks):
+    # Blank lines before the flipped row still count in its line number.
+    lines = list(_AGREEING)
+    lines[index] = _flip(lines[index], field)
+    lines[index:index] = [""] * blanks
+    path = tmp_path / "log.csv"
+    path.write_text(ANNOT + "\n".join(lines) + "\n")
+    flag = lines[index + blanks].split(",")[field]
+    with pytest.raises(ParseError, match=f"^line {2 + index + blanks}: {name} {got}, got {flag}$"):
+        scenario.ingest(path, _TRUTH)
+
+
+def test_ingest_checks_flags_against_the_truth(tmp_path, small_scenario, monkeypatch):
+    path = tmp_path / "log.csv"
+    path.write_text(ANNOT + "\n".join(_AGREEING) + "\n")
+    events, truth = scenario.ingest(path, _TRUTH)
+    # The given truth is returned as it is; presence is not compared.
+    assert truth is _TRUTH and truth.presence == {}
+    assert events.times.tolist() == [1.0, 2.0, 3.5, 4.0, 5.0]
+    # A truth attacker that never sends a packet agrees with every row.
+    silent = GroundTruth(attackers={1, 9}, attack_windows=_TRUTH.attack_windows)
+    assert scenario.ingest(path, silent)[1] is silent
+    # The value rules come first: self-sends inside the window whose
+    # attacker or active flag disagrees.
+    for row in ("2.0,3,3,0,0", "2.0,1,1,0,1"):
+        path.write_text(ANNOT + f"1.0,1,2,1,0\n{row}\n")
+        with pytest.raises(ParseError, match="^line 3: receiver must differ from sender, got "):
+            scenario.ingest(path, _TRUTH)
+    # A plain log is not checked against a truth.
+    path.write_text(BASE + "2.5,7,8\n")
+    assert scenario.ingest(path, _TRUTH)[1] is _TRUTH
+    # Rows checked 7 at a time: a disagreement deep in the log is found.
+    events, truth = small_scenario
+    scenario.write_events_csv(path, events, truth)
+    monkeypatch.setattr(scenario, "_CHECK_ROWS", 7)
+    assert len(scenario.ingest(path, truth)[0]) == len(events)
+    lines = path.read_text().splitlines(keepends=True)
+    deep = next(i for i in range(len(lines) // 2, len(lines)) if lines[i].endswith(",1\n"))
+    lines[deep] = lines[deep][:-2] + "0\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match=f"^line {deep + 1}: attack_active must match "):
+        scenario.ingest(path, truth)
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["truth", "annotations"])
+def test_ingest_peaks_at_the_parse(tmp_path, given):
+    # The parsed rows and their column copies are alive together for a
+    # moment; nothing after the parse may need more.  Rebuilding a truth
+    # also copies the two int8 flag columns out before the rows go.
+    events, truth = scenario.generate(ScenarioConfig(
+        duration_s=140, concurrent_range=(12, 12), attack_count=2, attack_spacing_s=60,
+        attack_duration_s=15, rng_seed=3))
+    assert len(events) > 90_000
+    path = tmp_path / "events.csv"
+    scenario.write_events_csv(path, events, truth)
+    tracemalloc.start()
+    try:
+        got, got_truth = scenario.ingest(path, truth) if given else scenario.ingest(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(events) * scenario._ANNOT_DTYPE.itemsize
+    copies = len(events) * (24 if given else 26)
+    assert peak <= 1.1 * (rows + copies)
+    assert len(got) == len(events)
+    assert got_truth is truth if given else got_truth.attackers <= truth.attackers
 
 
 def _reference_csv(stream, truth):
