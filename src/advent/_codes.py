@@ -1,4 +1,4 @@
-"""Dense integer codes of int64 keys, shared by the scenario writer, the
+"""Dense integer codes of integer keys, shared by the scenario writer, the
 per-vehicle counts, the head's batch grouping and the threshold codes of the
 head's table."""
 
@@ -10,9 +10,9 @@ __all__ = ["dense_codes"]
 
 
 def dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of a non-empty int64 array and each key's
-    index among them.  A table over the keys' range replaces the sort when
-    that range is no longer than the array."""
+    """The sorted distinct values of a non-empty integer array, in its dtype,
+    and each key's index among them.  A table over the keys' range replaces
+    the sort when that range is no longer than the array."""
     lo = int(keys.min())
     span = int(keys.max()) - lo + 1
     if span > len(keys):
@@ -21,4 +21,4 @@ def dense_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     seen = np.zeros(span, dtype=bool)
     seen[keys] = True
     slot = np.cumsum(seen) - 1
-    return np.flatnonzero(seen) + lo, slot[keys]
+    return (np.flatnonzero(seen) + lo).astype(keys.dtype, copy=False), slot[keys]

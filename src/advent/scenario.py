@@ -44,11 +44,15 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # ScenarioConfig field annotation -> (the values it accepts, how an error
 # names them).  A bool is never accepted; an int is, where a float is expected.
 _FIELD_CHECKS = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "float": (_is_number, "a number"),
     "tuple[int, int]": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
                         and all(map(_is_int, v)), "two integers [min, max]"),
 }
@@ -97,20 +101,32 @@ class ScenarioConfig:
             raise ConfigError("neighbor_degree must be >= 0")
 
 
-def _narrow(ids: np.ndarray) -> np.ndarray:
-    """`ids` as uint16 when they all fit, which numpy sorts much faster."""
-    if len(ids) and ids.min() >= 0 and ids.max() <= np.iinfo(np.uint16).max:
-        return ids.astype(np.uint16)
-    return ids
+_ID_DTYPES = (np.uint8, np.uint16)
+
+
+def _narrow(senders, receivers) -> tuple[np.ndarray, np.ndarray]:
+    """Both id arrays, contiguous, in the narrowest of uint8 and uint16 that
+    holds every id of either, else in int64."""
+    ids = [a if a.dtype in _ID_DTYPES else np.asarray(a, dtype=np.int64)
+           for a in map(np.asarray, (senders, receivers))]
+    lo = min((int(a.min()) for a in ids if len(a)), default=0)
+    hi = max((int(a.max()) for a in ids if len(a)), default=0)
+    dtype = next((d for d in _ID_DTYPES if lo >= 0 and hi <= np.iinfo(d).max), np.int64)
+    return tuple(np.ascontiguousarray(a, dtype=dtype) for a in ids)
 
 
 class EventStream:
-    """Time-sorted packet events held as parallel numpy arrays."""
+    """Time-sorted packet events held as parallel numpy arrays.
+
+    The ids are held in the narrowest of uint8 and uint16 that holds every
+    sender and receiver, and in int64 when one is negative or above 65,535.
+    A caller widens them (``.astype(np.int64)``) before arithmetic that
+    could leave that range.
+    """
 
     def __init__(self, times, senders, receivers):
         self.times = np.asarray(times, dtype=np.float64)
-        self.senders = np.asarray(senders, dtype=np.int64)
-        self.receivers = np.asarray(receivers, dtype=np.int64)
+        self.senders, self.receivers = _narrow(senders, receivers)
         if not (len(self.times) == len(self.senders) == len(self.receivers)):
             raise ValueError("event arrays must have equal length")
 
@@ -120,8 +136,19 @@ class EventStream:
     def sorted(self) -> "EventStream":
         """The events in (time, sender, receiver) order; rows equal on all
         three keep their order, as under np.lexsort((receivers, senders, times))."""
-        order = np.argsort(self.times)
-        t = self.times[order]
+        out = EventStream(self.times, self.senders, self.receivers)
+        out._sort()
+        return out
+
+    def _sort(self) -> None:
+        """Sort this stream's events as `sorted` orders them.  Each field's
+        sorted copy replaces its array before the next one is made, so a
+        stream that holds the only references frees each unsorted array as
+        it goes."""
+        # The order in the narrowest type that holds its indices: below 2^32
+        # events, half the size of the times.
+        order = np.argsort(self.times).astype(np.min_scalar_type(len(self)))
+        self.times = t = self.times[order]
         # np.argsort leaves each run of tied times in no set order, so the
         # rows of those runs, taken in their first order, are sorted again.
         eq = t[1:] == t[:-1]
@@ -129,14 +156,17 @@ class EventStream:
         tied[1:] = eq
         tied[:-1] |= eq
         at = np.flatnonzero(tied)
-        sub = np.sort(order[at])
-        order[at] = sub[np.lexsort((_narrow(self.receivers[sub]), _narrow(self.senders[sub]),
-                                    self.times[sub]))]
-        t[at] = self.times[order[at]]  # a -0.0 tied with 0.0 moves with its row
-        return EventStream(t, self.senders[order], self.receivers[order])
+        first = np.argsort(order[at])
+        sub, sub_t = order[at][first], t[at][first]
+        resort = np.lexsort((self.receivers[sub], self.senders[sub], sub_t))
+        order[at] = sub[resort]
+        t[at] = sub_t[resort]  # a -0.0 tied with 0.0 moves with its row
+        self.senders = self.senders[order]
+        self.receivers = self.receivers[order]
 
     def between(self, start_s: float, end_s: float) -> "EventStream":
-        """Events with start_s <= time < end_s, as views of this stream."""
+        """Events with start_s <= time < end_s, as views of this stream (ids
+        that fit a narrower type than the stream's are copied to it)."""
         lo, hi = np.searchsorted(self.times, [start_s, end_s])
         return EventStream(self.times[lo:hi], self.senders[lo:hi], self.receivers[lo:hi])
 
@@ -156,11 +186,45 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
+        """The inverse of `to_dict`; a ValueError names the first field that
+        does not have its form."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a ground truth must be a JSON object, got {type(d).__name__}")
+        attackers = _field(d, "attackers", list)
+        for i, v in enumerate(attackers):
+            if not _is_int(v):
+                raise ValueError(f"attackers[{i}] must be an integer, got {v!r}")
+        windows = _field(d, "attack_windows", list)
+        presence = _field(d, "presence", dict)
+        spans = {}
+        for v, span in presence.items():
+            try:
+                key = int(v)
+            except ValueError:
+                raise ValueError(f"presence key {v!r} must be an integer") from None
+            spans[key] = _pair(span, f"presence[{v!r}]")
         return cls(
-            attackers=set(d.get("attackers", [])),
-            attack_windows=[(float(s), float(e)) for s, e in d.get("attack_windows", [])],
-            presence={int(v): (float(a), float(b)) for v, (a, b) in d.get("presence", {}).items()},
+            attackers=set(attackers),
+            attack_windows=[_pair(w, f"attack_windows[{i}]") for i, w in enumerate(windows)],
+            presence=spans,
         )
+
+
+def _field(d: dict, name: str, kind: type):
+    """`d[name]`, empty when absent; a ValueError unless it is a `kind`."""
+    value = d.get(name, kind())
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a JSON {'array' if kind is list else 'object'}, "
+                         f"got {value!r}")
+    return value
+
+
+def _pair(value, name: str) -> tuple[float, float]:
+    """`value` as a (float, float) pair; a ValueError names it otherwise."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_number, value))):
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
+    return float(value[0]), float(value[1])
 
 
 def _attack_windows(config: ScenarioConfig) -> list[tuple[float, float]]:
@@ -274,16 +338,21 @@ def generate(config: ScenarioConfig) -> tuple[EventStream, GroundTruth]:
 _BASE_HEADER = ["time_s", "sender", "receiver"]
 _ANNOT_HEADER = _BASE_HEADER + ["is_attacker_sender", "attack_active"]
 _FLAGS = _ANNOT_HEADER[3:]
-_BASE_DTYPE = np.dtype([("time_s", "f8"), ("sender", "i8"), ("receiver", "i8")])
-_ANNOT_DTYPE = np.dtype(_BASE_DTYPE.descr + [(name, "i1") for name in _FLAGS])
 # Lines parsed per np.loadtxt call while a rejected log is searched for its
 # first bad line.
 _RESCAN_LINES = 4096
-# Rows checked per step of the value rules.
-_CHECK_ROWS = 1 << 16
+# Rows checked per step of the value rules.  Their temporaries take some
+# 20 B a row, more than a 14 B parsed row.
+_CHECK_ROWS = 1 << 14
 # Lines joined per write.  Joined whole, the body of a 3.2M-event log took
 # the writer's peak memory from 341 MB to 803 MB.
 _WRITE_LINES = 1 << 16
+
+
+def _row_dtype(cols: list[str], ids: str) -> np.dtype:
+    """A parsed row of a log with header `cols`, its ids of numpy type `ids`."""
+    return np.dtype([("time_s", "f8"), ("sender", ids), ("receiver", ids)]
+                    + [(name, "i1") for name in cols[3:]])
 
 
 def _line_tails(stream: EventStream, truth: GroundTruth | None) -> tuple[np.ndarray, np.ndarray]:
@@ -332,8 +401,13 @@ def write_ground_truth(path, truth: GroundTruth) -> None:
 
 
 def load_ground_truth(path) -> GroundTruth:
+    """Read a truth file; a ValueError names the file, and the field when
+    the JSON does not have `GroundTruth.to_dict`'s form."""
     with open(path, "r", encoding="utf-8") as fh:
-        return GroundTruth.from_dict(json.load(fh))
+        try:
+            return GroundTruth.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_rows(source, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
@@ -425,8 +499,6 @@ def _presence(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> dict[int, tuple[fl
     if len(t) == 0:
         return spans
     for col in (s, r):
-        # Narrowed ids radix-sort faster and their gathered keys are smaller.
-        col = _narrow(col)
         order = np.argsort(col, kind="stable")
         keys = col[order]
         # Groups are in time order, so their ends hold the first and last time.
@@ -501,34 +573,35 @@ def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundT
     if not header.strip():
         return EventStream([], [], []), truth
     cols = [c.strip() for c in header.strip().split(",")]
-    if cols == _ANNOT_HEADER:
-        dtype = _ANNOT_DTYPE
-    elif cols == _BASE_HEADER:
-        dtype = _BASE_DTYPE
-    else:
+    if cols not in (_ANNOT_HEADER, _BASE_HEADER):
         raise ParseError(f"line 1: unrecognized header {cols!r}")
 
+    # Ids are parsed as uint16 first.  A log with an id outside 0..65,535,
+    # or with a bad row, is parsed again with int64 ids, and the error of
+    # that parse names the bad line.
+    wide = _row_dtype(cols, "i8")
     try:
-        rows = _load_rows(path, dtype, skiprows=1)
-    except ValueError as exc:
-        raise _locate(path, dtype, str(exc), truth) from None
+        rows = _load_rows(path, _row_dtype(cols, "u2"), skiprows=1)
+    except ValueError:
+        try:
+            rows = _load_rows(path, wide, skiprows=1)
+        except ValueError as exc:
+            raise _locate(path, wide, str(exc), truth) from None
     reason = _value_error(rows, truth)
     if reason is not None:
-        raise _locate(path, dtype, reason, truth)
+        raise _locate(path, wide, reason, truth)
 
     # Contiguous copies: strided field views slow every later kernel.  The
     # parsed rows go before anything else is built.
-    t, s, r = (np.ascontiguousarray(rows[name]) for name in _BASE_HEADER)
-    rebuild = truth is None and dtype is _ANNOT_DTYPE
+    stream = EventStream(np.ascontiguousarray(rows["time_s"]), rows["sender"], rows["receiver"])
+    rebuild = truth is None and cols == _ANNOT_HEADER
     flags = [np.ascontiguousarray(rows[name]) for name in _FLAGS] if rebuild else []
     del rows
     if rebuild:
-        attackers, windows = _flag_labels(t, s, *flags)
+        attackers, windows = _flag_labels(stream.times, stream.senders, *flags)
         del flags
-    stream = EventStream(t, s, r)
-    del t, s, r
     if not _in_order(stream.times, stream.senders, stream.receivers):
-        stream = stream.sorted()
+        stream._sort()
     if rebuild:
         truth = GroundTruth(attackers=attackers, attack_windows=windows,
                             presence=_presence(stream.times, stream.senders, stream.receivers))

@@ -398,6 +398,32 @@ def test_run_rejects_a_sidecar_the_annotations_disagree_with(scenario_dir, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, why", [
+    ("[1, 2]", "a ground truth must be a JSON object, got list"),
+    ('{"attack_windows": [[300, 325, 1]]}',
+     "attack_windows[0] must be a pair of numbers, got [300, 325, 1]"),
+    ('{"attack_windows": [[300, 325], 7]}', "attack_windows[1] must be a pair of numbers, got 7"),
+    ('{"attackers": [0, "1"]}', "attackers[1] must be an integer, got '1'"),
+    ('{"presence": {"x": [0, 1]}}', "presence key 'x' must be an integer"),
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+], ids=["list", "triple_window", "number_window", "string_attacker", "bad_presence_key",
+        "not_json"])
+@pytest.mark.parametrize("command", ["run", "preprocess"])
+def test_commands_name_the_field_of_a_bad_truth_file(scenario_dir, tmp_path, capsys, command,
+                                                     text, why):
+    # The truth.json sidecar next to the CSV is read before the CSV.
+    events = tmp_path / "events.csv"
+    events.write_bytes((scenario_dir / "events.csv").read_bytes())
+    truth = tmp_path / "truth.json"
+    truth.write_text(text)
+    out = tmp_path / "o"
+    argv = {"run": ["run", "--scenario", str(events), "--out", str(out), "--seed", "1"],
+            "preprocess": ["preprocess", "--events", str(events), "--out", str(out)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {truth}: {why}\n"
+    assert not out.exists()
+
+
 def test_load_rebuilds_the_truth_only_without_a_truth_file(scenario_dir, tmp_path):
     events = tmp_path / "events.csv"
     events.write_bytes((scenario_dir / "events.csv").read_bytes())

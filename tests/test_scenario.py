@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from advent.scenario import ConfigError, EventStream, GroundTruth, ParseError, S
 
 BASE = "time_s,sender,receiver\n"
 ANNOT = "time_s,sender,receiver,is_attacker_sender,attack_active\n"
+INT64 = np.iinfo(np.int64)
 
 
 def test_config_invariants_rejected():
@@ -176,6 +178,70 @@ def test_ingest_rejects_bad_line(tmp_path, text, line):
         scenario.ingest(path)
 
 
+@pytest.mark.parametrize("text, times, senders, receivers", [
+    (BASE + "2.0,-5,2\n1.0,3,-1\n", [1.0, 2.0], [3, -5], [-1, 2]),
+    (ANNOT + "1.0,70000,2,1,0\n1.0,4,70000,0,0\n", [1.0, 1.0], [4, 70000], [70000, 2]),
+    (BASE + "1.0,65536,0\n", [1.0], [65536], [0]),
+    (BASE + "1.0,-9223372036854775808,9223372036854775807\n", [1.0], [INT64.min], [INT64.max]),
+], ids=["negative", "past_uint16", "uint16_max_plus_1", "int64_extremes"])
+def test_ingest_keeps_wide_ids_in_int64(tmp_path, text, times, senders, receivers):
+    # Ids that no uint16 holds are parsed again as int64 and kept so.
+    path = tmp_path / "log.csv"
+    path.write_text(text)
+    events, _ = scenario.ingest(path)
+    assert events.senders.dtype == events.receivers.dtype == np.int64
+    assert events.times.tolist() == times
+    assert events.senders.tolist() == senders
+    assert events.receivers.tolist() == receivers
+
+
+@pytest.mark.parametrize("first", ["1.0,5,2", "1.0,-5,2", "1.0,70000,2"],
+                         ids=["narrow", "negative", "past_uint16"])
+@pytest.mark.parametrize("bad, line, why", [
+    ("3.0,4,x", 3, "could not convert string 'x' to int64"),
+    ("3.0,1,1.5", 3, "could not convert string '1.5' to int64"),
+    ("3.0,99999999999999999999,1", 3,
+     "could not convert string '99999999999999999999' to int64"),
+    ("\n3.0,7,7", 4, "receiver must differ from sender, got 7"),
+    ("3.0,1,2,3", 3, "the dtype passed requires 3 columns but 4 were found"),
+    ("-3.0,1,2", 3, "time_s must be finite and >= 0, got -3.0"),
+], ids=["not_a_number", "float_id", "past_int64", "self_send_after_blank", "extra_field",
+        "negative_time"])
+def test_ingest_names_a_bad_line_at_any_id_width(tmp_path, first, bad, line, why):
+    # The message a bad row gets does not depend on the width of the ids.
+    path = tmp_path / "log.csv"
+    path.write_text(BASE + f"{first}\n{bad}\n")
+    with pytest.raises(ParseError, match=f"^line {line}: {re.escape(why)}$"):
+        scenario.ingest(path)
+    path.write_text(ANNOT + f"{first},0,0\n{bad},0,2\n")
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        scenario.ingest(path)
+
+
+_ID = (st.sampled_from([0, 255, 256, 65535, 65536, -1, INT64.min, INT64.max])
+       | st.integers(0, 300) | st.integers(0, 70000) | st.integers(INT64.min, INT64.max))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(st.tuples(_ID, _ID).filter(lambda p: p[0] != p[1]), max_size=12),
+       annotated=st.booleans())
+def test_csv_roundtrip_keeps_ids_in_the_narrowest_dtype(tmp_path, pairs, annotated):
+    s = np.array([p[0] for p in pairs], dtype=np.int64)
+    r = np.array([p[1] for p in pairs], dtype=np.int64)
+    stream = EventStream(np.arange(len(pairs), dtype=np.float64), s, r)
+    path = tmp_path / "log.csv"
+    scenario.write_events_csv(path, stream, GroundTruth() if annotated else None)
+    events, _ = scenario.ingest(path)
+    ids = s.tolist() + r.tolist()
+    want = next((d for d in (np.uint8, np.uint16)
+                 if all(0 <= v <= np.iinfo(d).max for v in ids)), np.int64)
+    for got in (stream, events):
+        assert got.senders.dtype == got.receivers.dtype == want
+        assert got.senders.tolist() == s.tolist()
+        assert got.receivers.tolist() == r.tolist()
+
+
 @pytest.mark.parametrize("header", [BASE, ANNOT, BASE + "\n\n"])
 def test_ingest_header_only(tmp_path, header):
     path = tmp_path / "log.csv"
@@ -253,28 +319,48 @@ def test_ingest_checks_flags_against_the_truth(tmp_path, small_scenario, monkeyp
         scenario.ingest(path, truth)
 
 
-@pytest.mark.parametrize("given", [True, False], ids=["truth", "annotations"])
-def test_ingest_peaks_at_the_parse(tmp_path, given):
-    # The parsed rows and their column copies are alive together for a
-    # moment; nothing after the parse may need more.  Rebuilding a truth
-    # also copies the two int8 flag columns out before the rows go.
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("given, shift", [(True, 0), (False, 0), (True, 1000), (False, 1000)],
+                         ids=["truth", "annotations", "truth-uint16", "annotations-uint16"])
+def test_ingest_peaks_at_the_parse(tmp_path, given, shift):
+    # The parsed rows (14 B: a float64 time, two uint16 ids and two int8
+    # flags) and their column copies (the time and two ids of the stream's
+    # width) are alive together for a moment; nothing after the parse may
+    # need more.  Rebuilding a truth also copies the two flag columns out
+    # before the rows go.  Sorting the same log shuffled adds nothing to the
+    # peak.  Ids shifted by 1000 are held as uint16.
     events, truth = scenario.generate(ScenarioConfig(
         duration_s=140, concurrent_range=(12, 12), attack_count=2, attack_spacing_s=60,
         attack_duration_s=15, rng_seed=3))
     assert len(events) > 90_000
-    path = tmp_path / "events.csv"
-    scenario.write_events_csv(path, events, truth)
-    tracemalloc.start()
-    try:
-        got, got_truth = scenario.ingest(path, truth) if given else scenario.ingest(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    rows = len(events) * scenario._ANNOT_DTYPE.itemsize
-    copies = len(events) * (24 if given else 26)
-    assert peak <= 1.1 * (rows + copies)
-    assert len(got) == len(events)
-    assert got_truth is truth if given else got_truth.attackers <= truth.attackers
+    senders = events.senders.astype(np.int64) + shift
+    receivers = events.receivers.astype(np.int64) + shift
+    truth = GroundTruth(attackers={v + shift for v in truth.attackers},
+                        attack_windows=truth.attack_windows)
+    width = np.dtype(np.uint16 if shift else np.uint8)
+    rows = len(events) * 14
+    copies = len(events) * (8 + 2 * width.itemsize + (0 if given else 2))
+    peaks = []
+    for order in (slice(None), np.random.default_rng(5).permutation(len(events))):
+        path = tmp_path / "events.csv"
+        scenario.write_events_csv(path, EventStream(events.times[order], senders[order],
+                                                    receivers[order]), truth)
+        (got, got_truth), peak = _traced_peak(scenario.ingest, path, truth if given else None)
+        peaks.append(peak)
+        assert got.senders.dtype == got.receivers.dtype == width
+        assert peak <= 1.1 * (rows + copies)
+        assert got.times.tobytes() == events.times.tobytes()
+        assert got.senders.tolist() == senders.tolist()
+        assert got.receivers.tolist() == receivers.tolist()
+        assert got_truth is truth if given else got_truth.attackers <= truth.attackers
+    assert peaks[1] <= 1.01 * peaks[0]
 
 
 def _reference_csv(stream, truth):
@@ -304,9 +390,9 @@ def test_csv_bytes_match_reference_writer(tmp_path, small_scenario, monkeypatch)
              (EventStream([15.5], [-7], [1 << 40]), None)]
     # Ids shifted negative, past 2^32, or spread over all of int64: the ids'
     # range is then short (a table) or far longer than the log (a sort).
+    senders, receivers = events.senders.astype(np.int64), events.receivers.astype(np.int64)
     for base, spread in [(-50, 1), (1 << 40, 1), (-(1 << 35), 1 << 30), (0, big.max // 16)]:
-        shifted = EventStream(events.times, base + events.senders * spread,
-                              base + events.receivers * spread)
+        shifted = EventStream(events.times, base + senders * spread, base + receivers * spread)
         attackers = {base + v * spread for v in truth.attackers}
         cases += [(shifted, GroundTruth(attackers=attackers,
                                         attack_windows=truth.attack_windows)),
