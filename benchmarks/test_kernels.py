@@ -10,6 +10,7 @@ steps per call) in the benchmark's `extra_info`.
 """
 
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -346,7 +347,11 @@ def test_ingest(benchmark, central_l, central_l_csv, given):
     """The annotated central-l log read back, checked against its truth as
     `runner.load` reads it with a truth file, or with the truth rebuilt from
     the annotations.  Records one call's tracemalloc peak next to the parsed
-    rows plus their column copies, in MB."""
+    rows plus their column copies, in MB.  That peak is this process's only:
+    the log is parsed in `parts`, all but the first in forked workers, so
+    the largest `ru_maxrss` of any child reaped so far is recorded next to
+    it (`workers_maxrss_mb`, pages shared with this process included; 0.0
+    with one part)."""
     args = (central_l_csv, central_l[1] if given else None)
     events, _ = benchmark.pedantic(scenario.ingest, args, rounds=5)
     tracemalloc.start()
@@ -355,8 +360,12 @@ def test_ingest(benchmark, central_l, central_l_csv, given):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    start = len(central_l_csv.read_bytes().split(b"\n", 1)[0]) + 1
     benchmark.extra_info["events"] = len(events)
     benchmark.extra_info["id_dtype"] = str(events.senders.dtype)
+    benchmark.extra_info["parts"] = len(scenario._parts(central_l_csv, start))
+    benchmark.extra_info["workers_maxrss_mb"] = (
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
     benchmark.extra_info["peak_mb"] = peak / 1e6
     # 14 B parsed rows; the time and both ids copied out, and without a
     # truth the two flags.

@@ -8,9 +8,13 @@ recorded event logs in the same CSV format.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import numbers
+import os
+import signal
+import traceback
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -102,6 +106,8 @@ class ScenarioConfig:
 
 
 _ID_DTYPES = (np.uint8, np.uint16)
+# Events merged per step when a stream is sorted.
+_MERGE_ROWS = 1 << 12
 
 
 def _narrow(senders, receivers) -> tuple[np.ndarray, np.ndarray]:
@@ -136,33 +142,72 @@ class EventStream:
     def sorted(self) -> "EventStream":
         """The events in (time, sender, receiver) order; rows equal on all
         three keep their order, as under np.lexsort((receivers, senders, times))."""
-        out = EventStream(self.times, self.senders, self.receivers)
+        out = EventStream(self.times.copy(), self.senders.copy(), self.receivers.copy())
         out._sort()
         return out
 
     def _sort(self) -> None:
-        """Sort this stream's events as `sorted` orders them.  Each field's
-        sorted copy replaces its array before the next one is made, so a
-        stream that holds the only references frees each unsorted array as
-        it goes."""
-        # The order in the narrowest type that holds its indices: below 2^32
-        # events, half the size of the times.
-        order = np.argsort(self.times).astype(np.min_scalar_type(len(self)))
-        self.times = t = self.times[order]
-        # np.argsort leaves each run of tied times in no set order, so the
-        # rows of those runs, taken in their first order, are sorted again.
+        """Sort this stream's events as `sorted` orders them, in place.
+
+        Each half is sorted on its own.  The halves' ids are merged into new
+        arrays by where each time falls in the other half, the times are
+        sorted in place where the halves overlap, and the ids of each run of
+        tied times are sorted by sender and receiver.  Beside the stream,
+        half an order, or a copy of the ids and a byte per event, are alive
+        at most.  Rows equal on all three keys cannot be told apart, except
+        by a -0.0 tied with 0.0: times that hold a -0.0 are lexsorted whole,
+        so that each keeps its row.
+        """
+        t = self.times
+        if np.signbit(t[t == 0]).any():
+            order = np.lexsort((self.receivers, self.senders, t))
+            self.times, self.senders, self.receivers = (
+                t[order], self.senders[order], self.receivers[order])
+            return
+        h = len(t) // 2
+        for half in (slice(None, h), slice(h, None)):
+            order = np.argsort(t[half])
+            t[half].sort()
+            for ids in (self.senders, self.receivers):
+                ids[half] = ids[half][order]
+            del order
+        # The halves' ids are merged.  First-half events before the second
+        # half's first time, and second-half events after the first half's
+        # last time, keep their slots.  In between, each first-half event
+        # goes before its equals in the second half, and the second half's
+        # events fill the other slots in order.
+        lo, hi = 0, len(t)
+        if h:
+            lo = int(np.searchsorted(t[:h], t[h]))
+            hi = h + int(np.searchsorted(t[h:], t[h - 1], "right"))
+        ids = self.senders, self.receivers
+        merged = ids[0].copy(), ids[1].copy()
+        first = np.zeros(hi - lo, dtype=bool)
+        for start in range(lo, h, _MERGE_ROWS):
+            block = slice(start, min(start + _MERGE_ROWS, h))
+            to = np.searchsorted(t[h:hi], t[block])
+            to += np.arange(block.start, block.stop)
+            first[to - lo] = True
+            for out, src in zip(merged, ids):
+                out[to] = src[block]
+        taken = h
+        for start in range(0, hi - lo, _MERGE_ROWS):
+            to = np.flatnonzero(~first[start:start + _MERGE_ROWS])
+            to += lo + start
+            for out, src in zip(merged, ids):
+                out[to] = src[taken:taken + len(to)]
+            taken += len(to)
+        self.senders, self.receivers = merged
+        del ids, merged, first
+        t[lo:hi].sort()
         eq = t[1:] == t[:-1]
         tied = np.zeros(len(t), dtype=bool)
         tied[1:] = eq
         tied[:-1] |= eq
         at = np.flatnonzero(tied)
-        first = np.argsort(order[at])
-        sub, sub_t = order[at][first], t[at][first]
-        resort = np.lexsort((self.receivers[sub], self.senders[sub], sub_t))
-        order[at] = sub[resort]
-        t[at] = sub_t[resort]  # a -0.0 tied with 0.0 moves with its row
-        self.senders = self.senders[order]
-        self.receivers = self.receivers[order]
+        s, r = self.senders, self.receivers
+        resort = np.lexsort((r[at], s[at], t[at]))
+        s[at], r[at] = s[at][resort], r[at][resort]
 
     def between(self, start_s: float, end_s: float) -> "EventStream":
         """Events with start_s <= time < end_s, as views of this stream (ids
@@ -344,6 +389,9 @@ _RESCAN_LINES = 4096
 # Rows checked per step of the value rules.  Their temporaries take some
 # 20 B a row, more than a 14 B parsed row.
 _CHECK_ROWS = 1 << 14
+# Bytes of a log's body per parse part, at least: a smaller part gains less
+# than a forked worker costs.
+_MIN_PART_BYTES = 1 << 20
 # Lines joined per write.  Joined whole, the body of a 3.2M-event log took
 # the writer's peak memory from 341 MB to 803 MB.
 _WRITE_LINES = 1 << 16
@@ -410,13 +458,14 @@ def load_ground_truth(path) -> GroundTruth:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_rows(source, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
+def _load_rows(source, dtype: np.dtype, skiprows: int = 0, max_rows: int | None = None
+               ) -> np.ndarray:
     """Parse event rows from a path or a list of lines; raises ValueError."""
     with warnings.catch_warnings():
         # A body with no rows is an empty log, not a reason to warn.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(source, dtype=dtype, delimiter=",", skiprows=skiprows,
-                          comments=None, encoding="utf-8", ndmin=1)
+                          max_rows=max_rows, comments=None, encoding="utf-8", ndmin=1)
 
 
 def _value_error(rows: np.ndarray, truth: GroundTruth | None) -> str | None:
@@ -457,8 +506,21 @@ def _value_error(rows: np.ndarray, truth: GroundTruth | None) -> str | None:
     return None
 
 
+def _decode_error(text: str) -> str | None:
+    """Why `text`, read with errors="surrogateescape", is not UTF-8, or None."""
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    return None
+
+
 def _line_error(lines: list[str], dtype: np.dtype, truth: GroundTruth | None) -> str | None:
-    """Why `lines` are rejected, or None when they parse and pass every rule."""
+    """Why `lines` are rejected, or None when they are UTF-8, parse and pass
+    every rule."""
+    why = _decode_error("".join(lines))
+    if why is not None:
+        return why
     try:
         rows = _load_rows(lines, dtype)
     except ValueError as exc:
@@ -469,8 +531,10 @@ def _line_error(lines: list[str], dtype: np.dtype, truth: GroundTruth | None) ->
 
 def _locate(path, dtype: np.dtype, reason: str, truth: GroundTruth | None) -> ParseError:
     """Name the first bad line of a rejected log by parsing it again, a chunk
-    of lines at a time and then line by line inside the first bad chunk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    of lines at a time and then line by line inside the first bad chunk.
+    Bytes that are not UTF-8 are kept as surrogates, so they fail only
+    their own line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         fh.readline()
         lineno = 2
         while chunk := list(itertools.islice(fh, _RESCAN_LINES)):
@@ -485,30 +549,36 @@ def _locate(path, dtype: np.dtype, reason: str, truth: GroundTruth | None) -> Pa
 
 def _in_order(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> bool:
     """Whether the rows already follow (time, sender, receiver) order."""
-    dt = np.diff(t)
-    if (dt < 0).any():
+    if (t[1:] < t[:-1]).any():
         return False
-    tie = np.flatnonzero(dt == 0)
+    tie = np.flatnonzero(t[1:] == t[:-1])
     s0, s1 = s[tie], s[tie + 1]
     return not ((s1 < s0) | ((s1 == s0) & (r[tie + 1] < r[tie]))).any()
 
 
 def _presence(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> dict[int, tuple[float, float]]:
-    """Each id's first and last observation as sender or receiver; `t` is sorted."""
-    spans: dict[int, tuple[float, float]] = {}
+    """Each id's first and last time as sender or receiver, for finite times.
+
+    The times are folded, _CHECK_ROWS events at a time, into a table of
+    earliest and latest times over the ids: indexed by the ids themselves
+    when they are narrow, by their dense codes when they are int64.
+    """
     if len(t) == 0:
-        return spans
+        return {}
+    if s.dtype in _ID_DTYPES:
+        ids = np.arange(int(max(s.max(), r.max())) + 1)
+    else:
+        ids, codes = dense_codes(np.concatenate([s, r]))
+        s, r = codes[:len(t)], codes[len(t):]
+    first = np.full(len(ids), np.inf)
+    last = np.full(len(ids), -np.inf)
     for col in (s, r):
-        order = np.argsort(col, kind="stable")
-        keys = col[order]
-        # Groups are in time order, so their ends hold the first and last time.
-        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        ends = np.append(starts[1:], len(keys)) - 1
-        for v, a, b in zip(keys[starts].tolist(), t[order[starts]].tolist(),
-                           t[order[ends]].tolist()):
-            lo, hi = spans.get(v, (a, b))
-            spans[v] = (min(lo, a), max(hi, b))
-    return dict(sorted(spans.items()))
+        for lo in range(0, len(t), _CHECK_ROWS):
+            block = slice(lo, lo + _CHECK_ROWS)
+            np.minimum.at(first, col[block], t[block])
+            np.maximum.at(last, col[block], t[block])
+    seen = np.flatnonzero(first <= last)
+    return dict(zip(ids[seen].tolist(), zip(first[seen].tolist(), last[seen].tolist())))
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -522,11 +592,17 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 
 def _flag_labels(t, s, attacker_flag, active_flag) -> tuple[set[int], list[tuple[float, float]]]:
-    """Attackers from the sender flag; windows from runs of flagged seconds."""
-    attackers = set(_distinct(s[attacker_flag == 1]).tolist())
+    """Attackers from the sender flag; windows from runs of flagged seconds.
+    The distinct senders and seconds are taken _CHECK_ROWS events at a time."""
+    senders, secs = [s[:0]], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(t), _CHECK_ROWS):
+        block = slice(lo, lo + _CHECK_ROWS)
+        senders.append(_distinct(s[block][attacker_flag[block] == 1]))
+        secs.append(_distinct(np.floor(t[block][active_flag[block] == 1]).astype(np.int64)))
+    attackers = set(_distinct(np.concatenate(senders)).tolist())
 
     windows: list[tuple[float, float]] = []
-    secs = _distinct(np.floor(t[active_flag == 1]).astype(np.int64))
+    secs = _distinct(np.concatenate(secs))
     if len(secs):
         # Runs of consecutive flagged seconds; each becomes [first, last + 1).
         breaks = np.flatnonzero(np.diff(secs) != 1)
@@ -534,6 +610,153 @@ def _flag_labels(t, s, attacker_flag, active_flag) -> tuple[set[int], list[tuple
         ends = secs[np.concatenate([breaks, [len(secs) - 1]])] + 1
         windows = [(float(a), float(b)) for a, b in zip(starts.tolist(), ends.tolist())]
     return attackers, windows
+
+
+def _cores() -> int:
+    """The cores this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _part_count(body_bytes: int, cores: int) -> int:
+    """How many parts a log body of `body_bytes` is parsed in: one per core,
+    each of _MIN_PART_BYTES at least."""
+    return max(1, min(cores, body_bytes // _MIN_PART_BYTES))
+
+
+def _parts(path, start: int) -> list[tuple[int, int | None]]:
+    """The parts of the log body that starts at byte `start`, as np.loadtxt's
+    (skiprows, max_rows) of each: the last part reads to the end.
+
+    Cuts fall at line ends, and one binary pass counts the lines before
+    each.  np.loadtxt's max_rows does not count empty lines, and it ends a
+    line at a ``\\r`` too, so a body with either before the last cut is one
+    part.
+    """
+    end = os.path.getsize(path)
+    count = _part_count(end - start, _cores())
+    whole = [(1, None)]
+    if count < 2:
+        return whole
+    with open(path, "rb") as fh:
+        cuts = set()
+        for k in range(1, count):
+            # The cut ends the line that holds the byte before this target.
+            pos = start + (end - start) * k // count - 1
+            fh.seek(pos)
+            while buf := fh.read(1 << 12):
+                if (i := buf.find(b"\n")) >= 0:
+                    cuts.add(pos + i + 1)
+                    break
+                pos += len(buf)
+        # From the header's newline on, so that an empty first row shows.
+        pos, ended, lines, skips = start - 1, False, 0, [1]
+        fh.seek(pos)
+        for cut in sorted(c for c in cuts if c < end):
+            while pos < cut:
+                block = fh.read(min(1 << 16, cut - pos))
+                ends = np.frombuffer(block, dtype=np.uint8) == ord("\n")
+                if (not block or b"\r" in block or (ended and ends[0])
+                        or (ends[1:] & ends[:-1]).any()):
+                    return whole
+                lines += int(np.count_nonzero(ends))
+                pos, ended = pos + len(block), bool(ends[-1])
+            skips.append(lines)
+    return [(a, b - a) for a, b in zip(skips, skips[1:])] + [(skips[-1], None)]
+
+
+def _part(path, dtype: np.dtype, skiprows: int, max_rows: int | None,
+          truth: GroundTruth | None) -> np.ndarray | None:
+    """One part's rows, or None when one of them is bad or breaks a value rule."""
+    try:
+        rows = _load_rows(path, dtype, skiprows, max_rows)
+    except ValueError:
+        return None
+    return None if _value_error(rows, truth) is not None else rows
+
+
+def _fork_part(path, dtype: np.dtype, part: tuple[int, int | None], truth: GroundTruth | None,
+               names: list[str]) -> tuple[int, io.FileIO]:
+    """Start a worker that parses one part and sends through a pipe its row
+    count (-1 when the part is rejected), then each column of `names` in
+    turn.  Returns the worker's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                rows = _part(path, dtype, *part, truth)
+                pipe.write(np.int64(-1 if rows is None else len(rows)).tobytes())
+                for name in names if rows is not None else ():
+                    for lo in range(0, len(rows), _CHECK_ROWS):
+                        pipe.write(np.ascontiguousarray(rows[name][lo:lo + _CHECK_ROWS]))
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb", buffering=0)
+
+
+def _parse_parts(path, dtype: np.dtype, parts: list[tuple[int, int | None]],
+                 truth: GroundTruth | None, names: list[str]) -> dict[str, np.ndarray] | None:
+    """The columns `names` of a log parsed in `parts`, or None when a part is
+    rejected.  Part 0 is parsed here while a forked worker parses each other
+    part; a worker's columns are read straight into the joined columns.
+    Every worker is killed and reaped before this returns or raises."""
+    workers = {}
+    try:
+        for part in parts[1:]:
+            pid, pipe = _fork_part(path, dtype, part, truth, names)
+            workers[pid] = pipe
+        rows = _part(path, dtype, *parts[0], truth)
+        if rows is None:
+            return None
+        sizes = [len(rows)]
+        for pid in list(workers):
+            size = np.zeros(1, dtype=np.int64)
+            _receive(workers, pid, size)
+            if size[0] < 0:
+                return None
+            sizes.append(int(size[0]))
+        bounds = np.cumsum([0] + sizes).tolist()
+        columns = {name: np.empty(bounds[-1], dtype=dtype[name]) for name in names}
+        for name in names:
+            columns[name][:len(rows)] = rows[name]
+        del rows
+        for pid, lo, hi in zip(list(workers), bounds[1:], bounds[2:]):
+            for name in names:
+                _receive(workers, pid, columns[name][lo:hi])
+        return columns
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _receive(workers: dict, pid: int, out: np.ndarray) -> None:
+    """Fill `out` from worker `pid`'s pipe.  A worker that ends first is
+    reaped and dropped from `workers`, and a ChildProcessError names its
+    exit status."""
+    view = memoryview(out).cast("B")
+    while view:
+        got = workers[pid].readinto(view)
+        if not got:
+            workers.pop(pid).close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise ChildProcessError(f"an ingest worker ended with exit status {status} "
+                                    "before it sent its part of the log")
+        view = view[got:]
 
 
 def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundTruth | None]:
@@ -554,8 +777,19 @@ def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundT
 
     Nothing else is accepted: no ``_`` digit separators, no ``3.0`` as an
     id, no quotes, and no comments (a line starting with ``#`` is a bad
-    row, as is a line holding only whitespace).  A ParseError names the
-    first bad line.
+    row, as is a line holding only whitespace, and so is a line that is not
+    UTF-8).  A ParseError names the first bad line.
+
+    Parts.  The body is cut at line ends into one part per core this
+    process may run on (``os.sched_getaffinity``), each of at least
+    _MIN_PART_BYTES.  The first part is parsed here and every other one in
+    a forked worker, all with the same np.loadtxt call and value rules; no
+    worker outlives the call.  One core, a small log, a platform without
+    ``os.fork``, or an empty line or a ``\\r`` before the last cut makes one
+    part, parsed here.  When any part is rejected, the whole log is parsed
+    again in one part, so the events and every error are those of a 1-part
+    parse.  A worker that ends without sending its part raises
+    ChildProcessError.
 
     Given a `truth`, it is returned as the log's ground truth.  The
     annotation columns, when present, are checked against it: each row's
@@ -568,33 +802,23 @@ def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundT
     runs of flagged seconds, presence from each vehicle's first/last
     observation.  A plain log given no truth has none.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header = fh.readline()
+    why = _decode_error(header)
+    if why is not None:
+        raise ParseError(f"line 1: {why}")
     if not header.strip():
         return EventStream([], [], []), truth
     cols = [c.strip() for c in header.strip().split(",")]
     if cols not in (_ANNOT_HEADER, _BASE_HEADER):
         raise ParseError(f"line 1: unrecognized header {cols!r}")
 
-    # Ids are parsed as uint16 first.  A log with an id outside 0..65,535,
-    # or with a bad row, is parsed again with int64 ids, and the error of
-    # that parse names the bad line.
-    wide = _row_dtype(cols, "i8")
-    try:
-        rows = _load_rows(path, _row_dtype(cols, "u2"), skiprows=1)
-    except ValueError:
-        try:
-            rows = _load_rows(path, wide, skiprows=1)
-        except ValueError as exc:
-            raise _locate(path, wide, str(exc), truth) from None
-    reason = _value_error(rows, truth)
-    if reason is not None:
-        raise _locate(path, wide, reason, truth)
-
+    rebuild = truth is None and cols == _ANNOT_HEADER
+    rows = _parse(path, len(header.encode("utf-8", "surrogateescape")), cols, truth,
+                  _BASE_HEADER + (_FLAGS if rebuild else []))
     # Contiguous copies: strided field views slow every later kernel.  The
     # parsed rows go before anything else is built.
     stream = EventStream(np.ascontiguousarray(rows["time_s"]), rows["sender"], rows["receiver"])
-    rebuild = truth is None and cols == _ANNOT_HEADER
     flags = [np.ascontiguousarray(rows[name]) for name in _FLAGS] if rebuild else []
     del rows
     if rebuild:
@@ -606,3 +830,28 @@ def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundT
         truth = GroundTruth(attackers=attackers, attack_windows=windows,
                             presence=_presence(stream.times, stream.senders, stream.receivers))
     return stream, truth
+
+
+def _parse(path, start: int, cols: list[str], truth: GroundTruth | None, names: list[str]):
+    """The rows of the log whose body starts at byte `start`: their columns
+    `names` by name, from a structured array or from one contiguous array
+    each.  Ids are parsed as uint16 in `_parts`' parts.  When a part is
+    rejected, or an id is outside 0..65,535, the whole body is parsed again
+    in one part with int64 ids, and a ParseError names its first bad line."""
+    narrow = _row_dtype(cols, "u2")
+    parts = _parts(path, start)
+    if len(parts) > 1:
+        rows = _parse_parts(path, narrow, parts, truth, names)
+    else:
+        rows = _part(path, narrow, *parts[0], truth)
+    if rows is not None:
+        return rows
+    wide = _row_dtype(cols, "i8")
+    try:
+        rows = _load_rows(path, wide, skiprows=1)
+    except ValueError as exc:
+        raise _locate(path, wide, str(exc), truth) from None
+    reason = _value_error(rows, truth)
+    if reason is not None:
+        raise _locate(path, wide, reason, truth)
+    return rows

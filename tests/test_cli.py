@@ -424,6 +424,19 @@ def test_commands_name_the_field_of_a_bad_truth_file(scenario_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "preprocess"])
+def test_commands_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, command):
+    events = tmp_path / "events.csv"
+    events.write_bytes(b"time_s,sender,receiver\n1.0,1,2\n\xff\xfe,3,4\n")
+    out = tmp_path / "o"
+    argv = {"run": ["run", "--scenario", str(events), "--out", str(out), "--seed", "1"],
+            "preprocess": ["preprocess", "--events", str(events), "--out", str(out)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: line 3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+    assert not out.exists()
+
+
 def test_load_rebuilds_the_truth_only_without_a_truth_file(scenario_dir, tmp_path):
     events = tmp_path / "events.csv"
     events.write_bytes((scenario_dir / "events.csv").read_bytes())

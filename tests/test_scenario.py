@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -361,6 +362,222 @@ def test_ingest_peaks_at_the_parse(tmp_path, given, shift):
         assert got.receivers.tolist() == receivers.tolist()
         assert got_truth is truth if given else got_truth.attackers <= truth.attackers
     assert peaks[1] <= 1.01 * peaks[0]
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set how many cores ingest sees, with no minimum part size, so that
+    even a small log is cut into one part per core."""
+    monkeypatch.setattr(scenario, "_MIN_PART_BYTES", 1)
+
+    def use(count):
+        monkeypatch.setattr(scenario, "_cores", lambda: count)
+    return use
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _body_start(path):
+    return len(Path(path).read_bytes().split(b"\n", 1)[0]) + 1
+
+
+def _ingest_or_error(path, truth=None):
+    """What ingest gives: the events' arrays and the truth, or the error."""
+    try:
+        events, got = scenario.ingest(path, truth)
+    except ValueError as exc:
+        result = (type(exc), str(exc))
+    else:
+        result = (events.times.tobytes(), events.senders.dtype, events.senders.tobytes(),
+                  events.receivers.tobytes(), got)
+    _no_child_left()
+    return result
+
+
+def test_part_count_is_capped_by_the_cores_and_the_part_size(tmp_path, monkeypatch):
+    mb = scenario._MIN_PART_BYTES
+    assert scenario._part_count(10 ** 12, 64) == 64
+    assert scenario._part_count(5 * mb + mb // 2, 64) == 5
+    assert scenario._part_count(mb - 1, 64) == 1
+    assert scenario._part_count(0, 64) == 1
+    assert scenario._part_count(10 ** 12, 1) == 1
+    # Planning parts at 64 cores starts no process.
+    monkeypatch.setattr(os, "fork", None)
+    monkeypatch.setattr(scenario, "_cores", lambda: 64)
+    monkeypatch.setattr(scenario, "_MIN_PART_BYTES", 100)
+    path = tmp_path / "log.csv"
+    path.write_text(BASE + "".join(f"{i}.25,1,2\n" for i in range(1000)))
+    parts = scenario._parts(path, len(BASE))
+    assert len(parts) == 64
+    assert parts[0][0] == 1 and parts[-1][1] is None
+    assert sum(rows for _, rows in parts[:-1]) == parts[-1][0] - 1
+    assert all(a + rows == b for (a, rows), (b, _) in zip(parts, parts[1:]))
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+@pytest.mark.parametrize("kind", ["plain", "annotated", "given"])
+@pytest.mark.parametrize("shift", [0, 1000], ids=["uint8", "uint16"])
+def test_parts_give_the_one_part_events_and_truth(tmp_path, small_scenario, cores, count,
+                                                  shuffled, kind, shift):
+    events, truth = small_scenario
+    order = (np.random.default_rng(2).permutation(len(events)) if shuffled
+             else slice(None))
+    truth = GroundTruth(attackers={v + shift for v in truth.attackers},
+                        attack_windows=truth.attack_windows)
+    stream = EventStream(events.times[order], events.senders[order].astype(np.int64) + shift,
+                         events.receivers[order].astype(np.int64) + shift)
+    path = tmp_path / "events.csv"
+    scenario.write_events_csv(path, stream, None if kind == "plain" else truth)
+    given = truth if kind == "given" else None
+    cores(1)
+    want = _ingest_or_error(path, given)
+    cores(count)
+    assert len(scenario._parts(path, _body_start(path))) == count
+    assert _ingest_or_error(path, given) == want
+    assert want[1] == (np.uint16 if shift else np.uint8)
+
+
+def _fixed_width_log(lines=24):
+    """A log whose rows all have one length, so that a row replaced by
+    another of that length leaves every cut where it was."""
+    return [f"{i}.5,{1 + i % 3},{4 + i % 2}".ljust(12) for i in range(lines)]
+
+
+@pytest.mark.parametrize("bad", [
+    "x.5,1,2", "3.5,1,2,0", "-3.5,1,2", "3.5,7,7", "3.5,70000,2", "3.5,2,-1", "3.5, 1, 2",
+], ids=["not_a_number", "extra_field", "negative_time", "self_send", "past_uint16",
+        "negative_id", "padded"])
+def test_a_row_at_any_part_edge_gives_the_one_part_result(tmp_path, cores, bad):
+    path = tmp_path / "log.csv"
+    rows = _fixed_width_log()
+    path.write_text(BASE + "\n".join(rows) + "\n")
+    cores(3)
+    parts = scenario._parts(path, len(BASE))
+    assert len(parts) == 3
+    # The first and last row of every part: the rows on both sides of a cut.
+    edges = {skip + 1 for skip, _ in parts} | {skip for skip, _ in parts[1:]} | {len(rows) + 1}
+    for line in sorted(edges):
+        changed = list(rows)
+        changed[line - 2] = bad.ljust(12)
+        path.write_text(BASE + "\n".join(changed) + "\n")
+        assert scenario._parts(path, len(BASE)) == parts
+        cores(1)
+        want = _ingest_or_error(path)
+        cores(3)
+        assert _ingest_or_error(path) == want
+        if want[0] is ParseError:
+            assert want[1].startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("index", [0, 11, 23])
+def test_a_flag_that_disagrees_with_the_truth_in_any_part_is_named(tmp_path, cores, index):
+    path = tmp_path / "log.csv"
+    truth = GroundTruth(attackers={1}, attack_windows=[(5.0, 15.0)])
+    rows = [f"{i}.5,{1 + i % 3},{4 + i % 2},{int(i % 3 == 0)},{int(5 <= i < 15)}"
+            for i in range(24)]
+    rows[index] = _flip(rows[index], 3)
+    path.write_text(ANNOT + "\n".join(rows) + "\n")
+    cores(3)
+    with pytest.raises(ParseError, match=f"^line {index + 2}: is_attacker_sender must match "):
+        scenario.ingest(path, truth)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("text, cut", [
+    (BASE + "\n".join(_fixed_width_log()) + "\n", True),
+    (BASE + "\n".join(_fixed_width_log()), True),
+    (BASE + "\n".join(_fixed_width_log()) + "\n\n\n", True),
+    (BASE + "\n" + "\n".join(_fixed_width_log()) + "\n", False),
+    (BASE + "\n".join(_fixed_width_log()[:5] + [""] + _fixed_width_log()[5:]) + "\n", False),
+    ((BASE + "\n".join(_fixed_width_log())).replace("\n", "\r\n") + "\r\n", False),
+    (BASE + "\r".join(_fixed_width_log()) + "\r", False),
+], ids=["plain", "no_final_newline", "empty_lines_after_the_last_cut", "empty_first_row",
+        "empty_row", "crlf", "cr"])
+def test_line_ends_give_the_one_part_result(tmp_path, cores, text, cut):
+    # np.loadtxt counts neither empty lines in max_rows nor a \r as a byte of
+    # a row: such a body before the last cut is one part.
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode())
+    cores(1)
+    want = _ingest_or_error(path)
+    cores(3)
+    assert (len(scenario._parts(path, len(BASE))) == 3) == cut
+    assert _ingest_or_error(path) == want
+    assert len(want[0]) == 24 * 8
+
+
+@pytest.mark.parametrize("ending", ["signal", "exit"])
+def test_a_worker_that_ends_without_its_part_raises(tmp_path, small_scenario_dir, cores,
+                                                    monkeypatch, ending):
+    parent = os.getpid()
+    part = scenario._part
+
+    def end_in_worker(*args):
+        if os.getpid() != parent:
+            if ending == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(3)
+        return part(*args)
+
+    monkeypatch.setattr(scenario, "_part", end_in_worker)
+    cores(2)
+    status = -signal.SIGKILL if ending == "signal" else 3
+    with pytest.raises(ChildProcessError, match=f"exit status {status} "):
+        scenario.ingest(small_scenario_dir / "events.csv")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("text, line", [
+    (BASE + "1.0,1,2\n\xff\xfe,3,4\n", 3),
+    (BASE + "".join(f"{i}.5,1,2\n" for i in range(3000)) + "7.5,1,2\xe9\n", 3002),
+    (BASE + "1.0,1,2\nx\n\xff,3,4\n", 3),
+    ("time_s,sender,\xffreceiver\n1.0,1,2\n", 1),
+], ids=["line_3", "deep", "bad_row_first", "header"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, cores, count, text, line):
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.encode("latin-1"))
+    cores(count)
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        scenario.ingest(path)
+    _no_child_left()
+
+
+def test_a_byte_that_is_not_utf8_gets_the_codec_message(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"time_s,sender,receiver\n1.0,1,2\n\xff\xfe,3,4\n")
+    with pytest.raises(ParseError) as err:
+        scenario.ingest(path)
+    assert str(err.value) == (
+        "line 3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+
+
+_TIME = st.sampled_from([0.0, -0.0, 1.5, 2.0]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(st.tuples(_TIME, st.integers(0, 300), st.integers(0, 300)), max_size=50),
+       base=st.sampled_from([0, 1000, -7, 1 << 40]), block=st.sampled_from([1, 3, 1 << 14]))
+def test_presence_matches_a_per_event_loop(events, base, block):
+    t = np.array([e[0] for e in events], dtype=np.float64)
+    stream = EventStream(t, [base + e[1] for e in events], [base + e[2] for e in events])
+    want = {}
+    for ti, s, r in zip(t.tolist(), stream.senders.tolist(), stream.receivers.tolist()):
+        for v in (s, r):
+            a, b = want.get(v, (ti, ti))
+            want[v] = (min(a, ti), max(b, ti))
+    saved = scenario._CHECK_ROWS
+    scenario._CHECK_ROWS = block
+    try:
+        got = scenario._presence(stream.times, stream.senders, stream.receivers)
+    finally:
+        scenario._CHECK_ROWS = saved
+    assert got == want
+    assert list(got) == sorted(want)
 
 
 def _reference_csv(stream, truth):
