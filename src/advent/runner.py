@@ -153,6 +153,9 @@ def onset_fit(manifest: RunManifest, per_vehicle):
     Returns (decide, split second); `decide` maps feature rows to attack
     flags: the GBDT margin > 0, or the federated model's p > 0.5.
     """
+    if not per_vehicle:
+        raise ValueError("no vehicle has a feature row: the ground truth's presence "
+                         "covers no second")
     pooled = np.concatenate([secs for secs, _, _ in per_vehicle.values()])
     pooled.sort()
     t_split = int(pooled[min(len(pooled) - 1, int(manifest.train_fraction * len(pooled)))])
@@ -305,13 +308,15 @@ def write(output_dir, report: dict, predictions: dict) -> None:
 
 def run_pipeline(manifest: RunManifest) -> dict:
     """Run the stages in order, timing each; write report.json,
-    predictions.json and timing.json, and return the report."""
+    predictions.json and timing.json, and return the report.  Each stage's
+    name and seconds are logged at INFO."""
     timing = {}
 
     def timed(stage, *args):
         t0 = time.perf_counter()
         result = stage(*args)
-        timing[f"{stage.__name__}_s"] = time.perf_counter() - t0
+        timing[f"{stage.__name__}_s"] = seconds = time.perf_counter() - t0
+        log.info("%s: %.3f s", stage.__name__, seconds)
         return result
 
     events, truth = timed(load, manifest.scenario_path, manifest.truth_path)

@@ -529,7 +529,7 @@ def _line_error(lines: list[str], dtype: np.dtype, truth: GroundTruth | None) ->
     return _value_error(rows, truth)
 
 
-def _locate(path, dtype: np.dtype, reason: str, truth: GroundTruth | None) -> ParseError:
+def _locate(path, dtype: np.dtype, truth: GroundTruth | None) -> ParseError:
     """Name the first bad line of a rejected log by parsing it again, a chunk
     of lines at a time and then line by line inside the first bad chunk.
     Bytes that are not UTF-8 are kept as surrogates, so they fail only
@@ -544,7 +544,7 @@ def _locate(path, dtype: np.dtype, reason: str, truth: GroundTruth | None) -> Pa
                     if why is not None:
                         return ParseError(f"line {lineno + offset}: {why}")
             lineno += len(chunk)
-    return ParseError(reason)
+    return ParseError("rejected, but no line is rejected on its own")
 
 
 def _in_order(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> bool:
@@ -708,19 +708,21 @@ def _fork_part(path, dtype: np.dtype, part: tuple[int, int | None], truth: Groun
 
 
 def _parse_parts(path, dtype: np.dtype, parts: list[tuple[int, int | None]],
-                 truth: GroundTruth | None, names: list[str]) -> dict[str, np.ndarray] | None:
-    """The columns `names` of a log parsed in `parts`, or None when a part is
-    rejected.  Part 0 is parsed here while a forked worker parses each other
-    part; a worker's columns are read straight into the joined columns.
-    Every worker is killed and reaped before this returns or raises."""
+                 truth: GroundTruth | None, names: list[str]):
+    """The rows of a log parsed in `parts`, or None when a part is rejected.
+    Part 0 is parsed here while a forked worker parses each other part; a
+    worker's columns are read straight into the joined columns `names`.
+    One part's structured rows are returned as they are: a copy into
+    columns would add to the peak.  Every worker is killed and reaped before
+    this returns or raises."""
     workers = {}
     try:
         for part in parts[1:]:
             pid, pipe = _fork_part(path, dtype, part, truth, names)
             workers[pid] = pipe
         rows = _part(path, dtype, *parts[0], truth)
-        if rows is None:
-            return None
+        if rows is None or not workers:
+            return rows
         sizes = [len(rows)]
         for pid in list(workers):
             size = np.zeros(1, dtype=np.int64)
@@ -786,10 +788,11 @@ def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundT
     a forked worker, all with the same np.loadtxt call and value rules; no
     worker outlives the call.  One core, a small log, a platform without
     ``os.fork``, or an empty line or a ``\\r`` before the last cut makes one
-    part, parsed here.  When any part is rejected, the whole log is parsed
-    again in one part, so the events and every error are those of a 1-part
-    parse.  A worker that ends without sending its part raises
-    ChildProcessError.
+    part, parsed here by the same function.  Ids are parsed as uint16; when
+    any part is rejected, the same parts are parsed again with int64 ids,
+    and when one is still rejected, the log is searched for its first bad
+    line.  So the events and every error are those of a 1-part parse.  A
+    worker that ends without sending its part raises ChildProcessError.
 
     Given a `truth`, it is returned as the log's ground truth.  The
     annotation columns, when present, are checked against it: each row's
@@ -833,25 +836,14 @@ def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundT
 
 
 def _parse(path, start: int, cols: list[str], truth: GroundTruth | None, names: list[str]):
-    """The rows of the log whose body starts at byte `start`: their columns
-    `names` by name, from a structured array or from one contiguous array
-    each.  Ids are parsed as uint16 in `_parts`' parts.  When a part is
-    rejected, or an id is outside 0..65,535, the whole body is parsed again
-    in one part with int64 ids, and a ParseError names its first bad line."""
-    narrow = _row_dtype(cols, "u2")
+    """The rows of the log whose body starts at byte `start`, parsed by
+    `_parse_parts` in one plan of `_parts`: uint16 ids first, and int64 ids
+    when that parse is rejected.  Rows come as `_parse_parts` gives them.
+    When both are rejected, a ParseError names the first bad line."""
     parts = _parts(path, start)
-    if len(parts) > 1:
-        rows = _parse_parts(path, narrow, parts, truth, names)
-    else:
-        rows = _part(path, narrow, *parts[0], truth)
-    if rows is not None:
-        return rows
-    wide = _row_dtype(cols, "i8")
-    try:
-        rows = _load_rows(path, wide, skiprows=1)
-    except ValueError as exc:
-        raise _locate(path, wide, str(exc), truth) from None
-    reason = _value_error(rows, truth)
-    if reason is not None:
-        raise _locate(path, wide, reason, truth)
-    return rows
+    for ids in ("u2", "i8"):
+        dtype = _row_dtype(cols, ids)
+        rows = _parse_parts(path, dtype, parts, truth, names)
+        if rows is not None:
+            return rows
+    raise _locate(path, dtype, truth)

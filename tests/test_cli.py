@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 
 import numpy as np
@@ -476,3 +477,41 @@ def test_manifest_validation():
     # An int is a valid float; the value is kept as given.
     m = RunManifest(scenario_path="x", output_dir="y", learning_rate=1, target_ratio=5)
     assert m.head_config().learning_rate == 1 and m.target_ratio == 5
+
+
+@pytest.mark.parametrize("method", ["centralized", "federated"])
+@pytest.mark.parametrize("given", ["header_only", "no_presence"])
+def test_run_rejects_a_log_with_no_feature_row(scenario_dir, tmp_path, capsys, method, given):
+    # A header-only annotated CSV rebuilds an empty truth; a sidecar without
+    # presence leaves every vehicle without a second.
+    events = tmp_path / "events.csv"
+    if given == "header_only":
+        events.write_text("time_s,sender,receiver,is_attacker_sender,attack_active\n")
+    else:
+        events.write_bytes((scenario_dir / "events.csv").read_bytes())
+        truth = scenario.load_ground_truth(scenario_dir / "truth.json")
+        scenario.write_ground_truth(tmp_path / "truth.json", scenario.GroundTruth(
+            attackers=truth.attackers, attack_windows=truth.attack_windows))
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", str(events), "--out", str(out), "--seed", "1",
+            "--method", method]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: no vehicle has a feature row: the ground truth's presence covers no second\n")
+    assert not out.exists()
+
+
+def test_run_logs_each_stage_at_info(scenario_dir, tmp_path, caplog):
+    reports = []
+    for level in (logging.WARNING, logging.INFO):
+        caplog.clear()
+        caplog.set_level(level, logger="advent.runner")
+        out = tmp_path / logging.getLevelName(level)
+        runner.run_pipeline(RunManifest(**_run_manifest(scenario_dir, out)))
+        reports.append((out / "report.json").read_bytes())
+    stages = [re.fullmatch(r"(\w+): \d+\.\d{3} s", record.getMessage())[1]
+              for record in caplog.records
+              if record.name == "advent.runner" and record.levelno == logging.INFO]
+    assert stages == ["load", "features", "onset_fit", "onset_decide", "alert_rounds",
+                      "mnd_reports", "mnd_aggregate", "score", "write"]
+    assert reports[0] == reports[1]

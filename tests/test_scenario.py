@@ -328,15 +328,20 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("given, shift", [(True, 0), (False, 0), (True, 1000), (False, 1000)],
-                         ids=["truth", "annotations", "truth-uint16", "annotations-uint16"])
-def test_ingest_peaks_at_the_parse(tmp_path, given, shift):
+@pytest.mark.parametrize("given, shift, count", [
+    pytest.param(given, shift, count, id=name + suffix)
+    for count, suffix in [(scenario._cores(), ""), (1, "-one_part")]
+    for name, given, shift in [("truth", True, 0), ("annotations", False, 0),
+                               ("truth-uint16", True, 1000), ("annotations-uint16", False, 1000)]])
+def test_ingest_peaks_at_the_parse(tmp_path, monkeypatch, given, shift, count):
     # The parsed rows (14 B: a float64 time, two uint16 ids and two int8
     # flags) and their column copies (the time and two ids of the stream's
     # width) are alive together for a moment; nothing after the parse may
     # need more.  Rebuilding a truth also copies the two flag columns out
     # before the rows go.  Sorting the same log shuffled adds nothing to the
-    # peak.  Ids shifted by 1000 are held as uint16.
+    # peak.  Ids shifted by 1000 are held as uint16.  The log is parsed in
+    # one part per core, and in one part.
+    monkeypatch.setattr(scenario, "_cores", lambda: count)
     events, truth = scenario.generate(ScenarioConfig(
         duration_s=140, concurrent_range=(12, 12), attack_count=2, attack_spacing_s=60,
         attack_duration_s=15, rng_seed=3))
@@ -441,6 +446,48 @@ def test_parts_give_the_one_part_events_and_truth(tmp_path, small_scenario, core
     assert want[1] == (np.uint16 if shift else np.uint8)
 
 
+def _record_parses(monkeypatch):
+    """A list that gets the id dtype and the part count of each
+    `_parse_parts` call."""
+    calls = []
+    parse_parts = scenario._parse_parts
+
+    def record(path, dtype, parts, *args):
+        calls.append((dtype["sender"], len(parts)))
+        return parse_parts(path, dtype, parts, *args)
+    monkeypatch.setattr(scenario, "_parse_parts", record)
+    return calls
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+@pytest.mark.parametrize("kind", ["plain", "annotated", "given"])
+@pytest.mark.parametrize("shift", [70000, -1000], ids=["past_uint16", "negative"])
+def test_parts_give_the_one_part_events_and_truth_at_wide_ids(tmp_path, small_scenario, cores,
+                                                              monkeypatch, count, shuffled, kind,
+                                                              shift):
+    # A uint16 parse is rejected, and the int64 parse runs in the same parts.
+    events, truth = small_scenario
+    order = (np.random.default_rng(2).permutation(len(events)) if shuffled
+             else slice(None))
+    truth = GroundTruth(attackers={v + shift for v in truth.attackers},
+                        attack_windows=truth.attack_windows)
+    stream = EventStream(events.times[order], events.senders[order].astype(np.int64) + shift,
+                         events.receivers[order].astype(np.int64) + shift)
+    path = tmp_path / "events.csv"
+    scenario.write_events_csv(path, stream, None if kind == "plain" else truth)
+    given = truth if kind == "given" else None
+    calls = _record_parses(monkeypatch)
+    cores(1)
+    want = _ingest_or_error(path, given)
+    assert calls == [(np.uint16, 1), (np.int64, 1)]
+    cores(count)
+    calls.clear()
+    assert _ingest_or_error(path, given) == want
+    assert calls == [(np.uint16, count), (np.int64, count)]
+    assert want[1] == np.int64
+
+
 def _fixed_width_log(lines=24):
     """A log whose rows all have one length, so that a row replaced by
     another of that length leaves every cut where it was."""
@@ -471,6 +518,35 @@ def test_a_row_at_any_part_edge_gives_the_one_part_result(tmp_path, cores, bad):
         assert _ingest_or_error(path) == want
         if want[0] is ParseError:
             assert want[1].startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("bad", [
+    "x.5,70001,-4", "3.5,70001,-4,0", "-3.5,70001,-4", "3.5,-7,-7", "3.5,1.5,-4",
+    "3.5,99999999999999999999,-4",
+], ids=["not_a_number", "extra_field", "negative_time", "self_send", "float_id", "past_int64"])
+def test_a_row_at_any_part_edge_of_a_wide_id_log_gives_the_one_part_error(tmp_path, cores,
+                                                                          monkeypatch, bad):
+    path = tmp_path / "log.csv"
+    rows = [f"{i}.5,{70001 + i % 3},{-4 - i % 2}".ljust(32) for i in range(24)]
+    path.write_text(BASE + "\n".join(rows) + "\n")
+    cores(3)
+    parts = scenario._parts(path, len(BASE))
+    assert len(parts) == 3
+    assert _ingest_or_error(path)[1] == np.int64
+    calls = _record_parses(monkeypatch)
+    edges = {skip + 1 for skip, _ in parts} | {skip for skip, _ in parts[1:]} | {len(rows) + 1}
+    for line in sorted(edges):
+        changed = list(rows)
+        changed[line - 2] = bad.ljust(32)
+        path.write_text(BASE + "\n".join(changed) + "\n")
+        assert scenario._parts(path, len(BASE)) == parts
+        cores(1)
+        want = _ingest_or_error(path)
+        cores(3)
+        calls.clear()
+        assert _ingest_or_error(path) == want
+        assert calls == [(np.uint16, 3), (np.int64, 3)]
+        assert want[0] is ParseError and want[1].startswith(f"line {line}: ")
 
 
 @pytest.mark.parametrize("index", [0, 11, 23])
