@@ -2,33 +2,21 @@
 
 Synthetic minority rows are drawn on segments between a minority row and one
 of its k nearest minority neighbors, until the normal-to-malicious ratio
-drops to the configured target.
+drops to the target ratio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["BalanceConfig", "smote_arrays"]
+__all__ = ["K_NEIGHBORS", "smote_arrays"]
 
-
-@dataclass(frozen=True)
-class BalanceConfig:
-    # Reference normal/malicious ratio of the best-performing dataset family.
-    target_ratio: float = 294.12
-    k_neighbors: int = 5
-
-    def __post_init__(self):
-        if self.target_ratio < 1:
-            raise ValueError("target_ratio must be >= 1")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+# Minority neighbours each synthetic row may be drawn towards.
+K_NEIGHBORS = 5
 
 
 def smote_arrays(
-    x: np.ndarray, y: np.ndarray, config: BalanceConfig, seed: int
+    x: np.ndarray, y: np.ndarray, target_ratio: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Array-level SMOTE; returns (x, y) with synthetic minority rows appended.
 
@@ -42,12 +30,12 @@ def smote_arrays(
     n_maj = int((y == 0).sum())
     if n_min < 2:
         return x, y
-    target_min = int(np.ceil(n_maj / config.target_ratio))
+    target_min = int(np.ceil(n_maj / target_ratio))
     n_new = target_min - n_min
     if n_new <= 0:
         return x, y
     minority = x[y == 1]
-    k = min(config.k_neighbors, n_min - 1)
+    k = min(K_NEIGHBORS, n_min - 1)
     # Pairwise distances among minority rows; k nearest excluding self.
     d2 = ((minority[:, None, :] - minority[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import preprocess, runner, scenario
+from . import _config, preprocess, runner, scenario
 
 log = logging.getLogger("advent")
 
@@ -29,29 +29,18 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def cmd_generate(args) -> int:
+    out = Path(args.out)
     try:
-        cfg_data = _load_config(args.config)
-        if args.seed is not None:
-            cfg_data["rng_seed"] = args.seed
-        if "concurrent_range" in cfg_data:
-            cfg_data["concurrent_range"] = tuple(cfg_data["concurrent_range"])
-        config = scenario.ScenarioConfig(**cfg_data)
+        config = _config.read(scenario.ScenarioConfig, args.config, "scenario config",
+                              rng_seed=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
         events, truth = scenario.generate(config)
-    except (json.JSONDecodeError, OSError, scenario.ConfigError, TypeError) as exc:
+        scenario.write_events_csv(out / "events.csv", events, truth)
+        scenario.write_ground_truth(out / "truth.json", truth)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    scenario.write_events_csv(out / "events.csv", events, truth)
-    scenario.write_ground_truth(out / "truth.json", truth)
     print(f"wrote {out / 'events.csv'} ({len(events)} events) and {out / 'truth.json'}")
     return 0
 
@@ -60,19 +49,19 @@ def cmd_preprocess(args) -> int:
     if args.lags < 1:
         print(f"error: --lags must be >= 1, got {args.lags}", file=sys.stderr)
         return 1
+    out = Path(args.out)
+    header = ",".join(["t", *(f"f{i}" for i in range(args.lags)), "label"])
     try:
         per_vehicle = runner.features(*runner.load(args.events, args.truth), args.lags)
+        out.mkdir(parents=True, exist_ok=True)
+        for v, (seconds, x, labels) in per_vehicle.items():
+            with open(out / f"vehicle_{v}.csv", "w", encoding="utf-8") as fh:
+                fh.write(header + "\n")
+                for t, feats, label in zip(seconds.tolist(), x.tolist(), labels.tolist()):
+                    fh.write(f"{t},{','.join(map(repr, feats))},{label}\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = ",".join(["t", *(f"f{i}" for i in range(args.lags)), "label"])
-    for v, (seconds, x, labels) in per_vehicle.items():
-        with open(out / f"vehicle_{v}.csv", "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t, feats, label in zip(seconds.tolist(), x.tolist(), labels.tolist()):
-                fh.write(f"{t},{','.join(map(repr, feats))},{label}\n")
     print(f"wrote per-vehicle feature files to {out}")
     return 0
 
@@ -86,12 +75,10 @@ def _manifest_from_args(args) -> runner.RunManifest:
         "th": args.th,
         "seed": args.seed,
     }
-    if args.config:
-        return runner.RunManifest.from_file(args.config, **overrides)
-    missing = [k for k in ("scenario_path", "output_dir") if overrides.get(k) is None]
-    if missing:
+    missing = [k for k in ("scenario_path", "output_dir") if overrides[k] is None]
+    if missing and not args.config:
         raise ValueError(f"missing required options: {missing}")
-    return runner.RunManifest(**{k: v for k, v in overrides.items() if v is not None})
+    return _config.read(runner.RunManifest, args.config, "manifest", **overrides)
 
 
 def cmd_run(args) -> int:

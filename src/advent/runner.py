@@ -15,15 +15,15 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import fed_mnd, fed_onset, gbdt, metrics, mnd, preprocess, scenario
-from .balance import BalanceConfig, smote_arrays
+from ._config import check_types
+from .balance import smote_arrays
 from .gbdt import GbdtConfig
 from .head import HeadConfig
 from .metrics import Confusion
@@ -35,13 +35,6 @@ log = logging.getLogger(__name__)
 
 METHODS = ("centralized", "federated", "federated_smote")
 MND_MODES = ("local_mad", "fl_aggregate", "fl_threshold")
-
-# RunManifest field annotations: the values each accepts (never a bool) and
-# how an error names them.  An int is accepted where a float is expected.
-_FIELD_TYPES = {"str": str, "str | None": (str, type(None)), "int": numbers.Integral,
-                "float": numbers.Real}
-_TYPE_NAMES = {"str": "a string", "str | None": "a string or null", "int": "an integer",
-               "float": "a number"}
 
 
 @dataclass
@@ -65,13 +58,12 @@ class RunManifest:
     learning_rate: float = HeadConfig.learning_rate
     epochs: int = HeadConfig.epochs
     batch_size: int = HeadConfig.batch_size
-    target_ratio: float = BalanceConfig.target_ratio
+    # SMOTE's normal/malicious target: the reference ratio of the
+    # best-performing dataset family.
+    target_ratio: float = 294.12
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ValueError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}")
+        check_types(self)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.mnd_mode not in MND_MODES:
@@ -84,40 +76,19 @@ class RunManifest:
         # The stage configs check their own fields, before any input is read.
         self.gbdt_config()
         self.head_config()
-        BalanceConfig(target_ratio=self.target_ratio)
+        if self.target_ratio < 1:
+            raise ValueError("target_ratio must be >= 1")
 
-    @classmethod
-    def from_file(cls, path, **overrides) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: a manifest must be a JSON object")
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown manifest field {unknown[0]!r}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
-        if missing:
-            raise ValueError(f"missing manifest field {missing[0]!r}")
-        return cls(**data)
+    def _stage_config(self, cls, **given):
+        """A `cls` from this manifest's fields of the same name, and `given`."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given},
+                   **given)
 
     def gbdt_config(self) -> GbdtConfig:
-        return GbdtConfig(
-            trees_per_client=self.trees_per_client,
-            max_depth=self.max_depth,
-            shrinkage=self.shrinkage,
-            min_samples_leaf=self.min_samples_leaf,
-            lambda_l2=self.lambda_l2,
-        )
+        return self._stage_config(GbdtConfig)
 
     def head_config(self) -> HeadConfig:
-        return HeadConfig(
-            filters=self.filters,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            rng_seed=self.seed,
-        )
+        return self._stage_config(HeadConfig, rng_seed=self.seed)
 
 
 def load(scenario_path, truth_path=None):
@@ -151,7 +122,9 @@ def onset_fit(manifest: RunManifest, per_vehicle):
     """Train the configured method on the seconds before the split second.
 
     Returns (decide, split second); `decide` maps feature rows to attack
-    flags: the GBDT margin > 0, or the federated model's p > 0.5.
+    flags: the GBDT margin > 0, or the federated model's p > 0.5.  Input
+    with no row before the split second is rejected before any method
+    trains.
     """
     if not per_vehicle:
         raise ValueError("no vehicle has a feature row: the ground truth's presence "
@@ -159,6 +132,9 @@ def onset_fit(manifest: RunManifest, per_vehicle):
     pooled = np.concatenate([secs for secs, _, _ in per_vehicle.values()])
     pooled.sort()
     t_split = int(pooled[min(len(pooled) - 1, int(manifest.train_fraction * len(pooled)))])
+    if pooled[0] >= t_split:
+        raise ValueError(f"no feature row falls before the split second {t_split}: "
+                         "nothing to train on")
     del pooled  # one int per row: not to be held through the fit
     gcfg = manifest.gbdt_config()
     if manifest.method == "centralized":
@@ -166,9 +142,6 @@ def onset_fit(manifest: RunManifest, per_vehicle):
         train_y = np.concatenate([y[secs < t_split] for secs, _, y in per_vehicle.values()])
         model = gbdt.train(train_x, train_y, gcfg)
         return (lambda rows: gbdt.predict_margin_batch(model, rows) > 0.0), t_split
-    smote = None
-    if manifest.method == "federated_smote":
-        smote = BalanceConfig(target_ratio=manifest.target_ratio)
     clients = []
     passed = 0  # clients SMOTE passes through: fewer than 2 minority rows
     for v, (secs, x, y) in per_vehicle.items():
@@ -176,9 +149,9 @@ def onset_fit(manifest: RunManifest, per_vehicle):
         cx, cy = x[mask], y[mask]
         if len(cx) == 0:
             continue
-        if smote is not None:
+        if manifest.method == "federated_smote":
             passed += int((cy == 1).sum()) < 2
-            cx, cy = smote_arrays(cx, cy, smote, seed=manifest.seed * 7919 + v)
+            cx, cy = smote_arrays(cx, cy, manifest.target_ratio, seed=manifest.seed * 7919 + v)
         clients.append(fed_onset.FedClient(cid=v, x=cx, y=cy.astype(np.float64)))
     if passed:
         log.warning("smote: %d of %d clients have fewer than 2 minority rows; passed through",

@@ -11,16 +11,16 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import numbers
 import os
 import signal
 import traceback
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._codes import dense_codes
+from ._config import ConfigError, check_types, is_int, is_number
 
 __all__ = [
     "ScenarioConfig",
@@ -36,30 +36,8 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Raised when a scenario configuration violates an invariant."""
-
-
 class ParseError(ValueError):
     """Raised when an event-log file cannot be parsed."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# ScenarioConfig field annotation -> (the values it accepts, how an error
-# names them).  A bool is never accepted; an int is, where a float is expected.
-_FIELD_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
-    "tuple[int, int]": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
-                        and all(map(_is_int, v)), "two integers [min, max]"),
-}
 
 
 @dataclass(frozen=True)
@@ -77,12 +55,8 @@ class ScenarioConfig:
     neighbor_degree: float = 10.0
     rng_seed: int = 0
 
-    def validate(self) -> None:
-        for f in fields(self):
-            accepts, kind = _FIELD_CHECKS[f.type]
-            value = getattr(self, f.name)
-            if not accepts(value):
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+    def __post_init__(self):
+        check_types(self)
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be > 0")
         if not (0.0 <= self.attacker_fraction <= 1.0):
@@ -237,7 +211,7 @@ class GroundTruth:
             raise ValueError(f"a ground truth must be a JSON object, got {type(d).__name__}")
         attackers = _field(d, "attackers", list)
         for i, v in enumerate(attackers):
-            if not _is_int(v):
+            if not is_int(v):
                 raise ValueError(f"attackers[{i}] must be an integer, got {v!r}")
         windows = _field(d, "attack_windows", list)
         presence = _field(d, "presence", dict)
@@ -267,7 +241,7 @@ def _field(d: dict, name: str, kind: type):
 def _pair(value, name: str) -> tuple[float, float]:
     """`value` as a (float, float) pair; a ValueError names it otherwise."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(map(_is_number, value))):
+            and all(map(is_number, value))):
         raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
     return float(value[0]), float(value[1])
 
@@ -291,7 +265,6 @@ def generate(config: ScenarioConfig) -> tuple[EventStream, GroundTruth]:
     Poisson traffic to each neighbor, attackers switching to flood_rate_pps
     inside attack windows.
     """
-    config.validate()
     rng = np.random.default_rng(config.rng_seed)
     dur = float(config.duration_s)
 

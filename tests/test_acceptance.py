@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from advent import cli, fed_onset, gbdt, head, mnd, runner, scenario
-from advent.balance import BalanceConfig, smote_arrays
+from advent.balance import smote_arrays
 from advent.head import HeadConfig, HeadWeights
 
 from test_gbdt import brute_force_split, logistic_gh
@@ -245,7 +245,7 @@ def test_criterion_8_smote_invariants():
         x = np.vstack([rng.normal(0, 1, (n_maj, 10)), rng.normal(8, 1, (n_min, 10))])
         y = np.concatenate([np.zeros(n_maj, dtype=int), np.ones(n_min, dtype=int)])
         ratio = float(rng.uniform(2, 20))
-        x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=ratio), seed=trial)
+        x2, y2 = smote_arrays(x, y, ratio, seed=trial)
         n_min2 = int((y2 == 1).sum())
         if not np.array_equal(x2[: len(x)], x) or int((y2 == 0).sum()) != n_maj:
             ok = False

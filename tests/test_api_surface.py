@@ -5,8 +5,9 @@ Every name an advent module exports must exist, and so must every function
 the benchmark tracer (perfbench/tracer.py) wraps: a traced function that is
 deleted or renamed would otherwise only drop its per-layer metrics from a
 traced benchmark result.  Every exported function and method must also be
-called by some CLI run, or be allowlisted with the reason it stays.  The
-package imports nothing beyond numpy and the standard library.
+called by some CLI run, or be allowlisted with the reason it stays.  Every
+name a module imports is used there or exported.  The package imports
+nothing beyond numpy and the standard library.
 """
 
 import ast
@@ -68,6 +69,33 @@ def test_imports_only_numpy_and_the_standard_library():
                 found.add((path.name, node.module))
     assert ("head.py", "numpy") in found
     assert sorted((f, m) for f, m in found if m.split(".")[0] not in allowed) == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module's imports bind that it neither reads nor lists in
+    its __all__."""
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+                "__all__"]:
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+def test_every_imported_name_is_used_or_exported():
+    # A refactor's leftover import fails here.
+    assert _unused_imports("from __future__ import annotations\nimport json, os.path\n"
+                           "from numbers import Real as R, Integral\n__all__ = ['Integral']\n"
+                           "os.sep\n") == ["R", "json"]
+    package = Path(advent.__file__).parent
+    unused = [(path.name, name) for path in sorted(package.glob("*.py"))
+              for name in _unused_imports(path.read_text(encoding="utf-8"))]
+    assert unused == []
 
 
 # Exported functions and methods that no CLI run calls, each with the reason

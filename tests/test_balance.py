@@ -1,19 +1,11 @@
 import logging
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advent import fed_onset, runner
-from advent.balance import BalanceConfig, smote_arrays
-
-
-def test_config_invariants():
-    with pytest.raises(ValueError):
-        BalanceConfig(target_ratio=0.5)
-    with pytest.raises(ValueError):
-        BalanceConfig(k_neighbors=0)
+from advent.balance import smote_arrays
 
 
 def _data(n_maj, n_min, seed=0, dim=4):
@@ -25,7 +17,7 @@ def _data(n_maj, n_min, seed=0, dim=4):
 
 def test_target_ratio_reached():
     x, y = _data(200, 4)
-    x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=10.0), seed=1)
+    x2, y2 = smote_arrays(x, y, 10.0, seed=1)
     n_min = int((y2 == 1).sum())
     assert n_min == int(np.ceil(200 / 10.0))  # 20
     assert int((y2 == 0).sum()) == 200
@@ -34,7 +26,7 @@ def test_target_ratio_reached():
 
 def test_majority_rows_unchanged_and_prefix_preserved():
     x, y = _data(100, 5)
-    x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=5.0), seed=2)
+    x2, y2 = smote_arrays(x, y, 5.0, seed=2)
     assert np.array_equal(x2[: len(x)], x)
     assert np.array_equal(y2[: len(y)], y)
     assert np.all(y2[len(y):] == 1)
@@ -43,7 +35,7 @@ def test_majority_rows_unchanged_and_prefix_preserved():
 def test_synthetic_rows_on_minority_segments():
     # Each synthetic row must be a convex combination of two minority rows.
     x, y = _data(300, 6, seed=3)
-    x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=10.0), seed=3)
+    x2, y2 = smote_arrays(x, y, 10.0, seed=3)
     minority = x[y == 1]
     for row in x2[len(x):]:
         ok = False
@@ -67,7 +59,7 @@ def test_synthetic_rows_on_minority_segments():
 
 def test_already_balanced_passthrough():
     x, y = _data(50, 25)
-    x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=5.0), seed=0)
+    x2, y2 = smote_arrays(x, y, 5.0, seed=0)
     assert x2 is x and y2 is y
 
 
@@ -76,7 +68,7 @@ def test_fewer_than_two_minority_passes_through_silently(caplog):
     for n_min in (0, 1):
         x, y = _data(50, n_min)
         with caplog.at_level(logging.DEBUG):
-            x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=2.0), seed=0)
+            x2, y2 = smote_arrays(x, y, 2.0, seed=0)
         assert np.array_equal(x2, x) and np.array_equal(y2, y)
         assert caplog.records == []
 
@@ -115,8 +107,7 @@ def test_onset_fit_logs_one_smote_line(caplog, monkeypatch, tmp_path):
     for c in seen:
         secs, x, y = per_vehicle[c.cid]
         train = secs < t_split
-        expected = smote_arrays(x[train], y[train], BalanceConfig(target_ratio=5.0),
-                                seed=manifest.seed * 7919 + c.cid)
+        expected = smote_arrays(x[train], y[train], 5.0, seed=manifest.seed * 7919 + c.cid)
         assert np.array_equal(c.x, expected[0]) and np.array_equal(c.y, expected[1])
         assert (len(c.x) > train.sum()) == (minority[c.cid] >= 2)
 
@@ -137,10 +128,9 @@ def test_onset_fit_without_passed_clients_logs_nothing(caplog, tmp_path):
 
 def test_deterministic_per_seed():
     x, y = _data(200, 4)
-    cfg = BalanceConfig(target_ratio=8.0)
-    a = smote_arrays(x, y, cfg, seed=7)
-    b = smote_arrays(x, y, cfg, seed=7)
-    c = smote_arrays(x, y, cfg, seed=8)
+    a = smote_arrays(x, y, 8.0, seed=7)
+    b = smote_arrays(x, y, 8.0, seed=7)
+    c = smote_arrays(x, y, 8.0, seed=8)
     assert np.array_equal(a[0], b[0])
     assert not np.array_equal(a[0], c[0])
 
@@ -149,7 +139,7 @@ def test_deterministic_per_seed():
 @given(st.integers(20, 120), st.integers(2, 10), st.floats(1.5, 30.0), st.integers(0, 999))
 def test_smote_invariants_property(n_maj, n_min, ratio, seed):
     x, y = _data(n_maj, n_min, seed=seed)
-    x2, y2 = smote_arrays(x, y, BalanceConfig(target_ratio=ratio), seed=seed)
+    x2, y2 = smote_arrays(x, y, ratio, seed=seed)
     n_min2 = int((y2 == 1).sum())
     # Ratio satisfied, majority untouched, minority never shrinks.
     assert (y2 == 0).sum() == n_maj

@@ -1,13 +1,17 @@
 import json
 import logging
+import math
 import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from advent import runner, scenario
 from advent.cli import main
 from advent.runner import RunManifest
+from advent.scenario import ScenarioConfig
 
 from test_preprocess import reference_windows
 
@@ -90,6 +94,36 @@ def test_generate_missing_config_exit1(tmp_path, capsys):
     rc = main(["generate", "--config", str(missing), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: ") and "nope.json" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"durration_s": 600}', "error: unknown scenario config field 'durration_s'"),
+    ("[600, 12]", "error: {cfg}: a scenario config must be a JSON object"),
+    ('{"concurrent_range": 5}', "error: concurrent_range must be two integers [min, max], got 5"),
+], ids=["unknown-field", "array", "int-range"])
+def test_generate_rejects_a_config_the_reader_rejects(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1 and capsys.readouterr().err == message.format(cfg=cfg) + "\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("command", ["generate", "preprocess"])
+def test_an_output_path_under_a_file_is_one_error_line(scenario_dir, tmp_path, capsys,
+                                                       command, sub):
+    # --out names a file, or a directory under one: mkdir fails, as an error.
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    if command == "generate":
+        argv = ["generate", "--config", str(scenario_dir / "config.json"), "--out", str(out)]
+    else:
+        argv = ["preprocess", "--events", str(scenario_dir / "events.csv"), "--out", str(out)]
+    assert main(argv) == 1
+    _one_error_line(capsys, out)
+    assert blocker.read_text() == ""
 
 
 def test_generate_seed_flag_overrides_config(tmp_path, scenario_dir):
@@ -469,6 +503,7 @@ def test_manifest_validation():
         ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
         ({"train_fraction": -0.2}, "train_fraction must be in (0, 1), got -0.2"),
         ({"train_fraction": float("nan")}, "train_fraction must be in (0, 1), got nan"),
+        ({"target_ratio": 0.5}, "target_ratio must be >= 1"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             RunManifest(scenario_path="x", output_dir="y", **change)
@@ -515,3 +550,121 @@ def test_run_logs_each_stage_at_info(scenario_dir, tmp_path, caplog):
     assert stages == ["load", "features", "onset_fit", "onset_decide", "alert_rounds",
                       "mnd_reports", "mnd_aggregate", "score", "write"]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("method", runner.METHODS)
+def test_run_rejects_a_log_with_no_row_before_the_split(tmp_path, capsys, method):
+    # Both vehicles are present for second 0 only, so every feature row is
+    # at the split second and no method has a row to train on.
+    events = tmp_path / "events.csv"
+    events.write_text("time_s,sender,receiver\n0.5,1,2\n0.6,2,1\n")
+    scenario.write_ground_truth(tmp_path / "truth.json", scenario.GroundTruth(
+        presence={1: (0.0, 1.0), 2: (0.0, 1.0)}))
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", str(events), "--out", str(out), "--method", method]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: no feature row falls before the split second 0: nothing to train on\n")
+    assert not out.exists()
+
+
+def _numbers(lo, hi):
+    """An int or a float in [lo, hi]: an int is a valid float field."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+@st.composite
+def _scenario_configs(draw):
+    duration = draw(st.integers(1, 10**6))
+    count = draw(st.integers(0, 10))
+    spacing = draw(_numbers(0, duration / max(count, 1)))
+    normal = draw(_numbers(0, 1e3))
+    lo = draw(st.integers(0, 10**4))
+    try:
+        return ScenarioConfig(
+            duration_s=duration, total_vehicles=draw(st.integers(1, 10**5)),
+            concurrent_range=(lo, draw(st.integers(lo, 2 * 10**4))),
+            arrival_interval_s=draw(_numbers(1e-3, 1e4)),
+            attacker_fraction=draw(_numbers(0, 1)), attack_count=count,
+            attack_spacing_s=spacing, attack_duration_s=draw(_numbers(0, spacing)),
+            normal_rate_pps=normal, flood_rate_pps=normal + draw(_numbers(1, 1e3)),
+            neighbor_degree=draw(_numbers(0, 100)), rng_seed=draw(st.integers(0, 2**64)))
+    except scenario.ConfigError:  # a product or sum rounded past its bound
+        reject()
+
+
+@st.composite
+def _manifests(draw):
+    text = st.text(max_size=12)
+    return RunManifest(
+        scenario_path=draw(text), output_dir=draw(text), truth_path=draw(st.none() | text),
+        method=draw(st.sampled_from(runner.METHODS)),
+        mnd_mode=draw(st.sampled_from(runner.MND_MODES)),
+        th=draw(st.integers(1, 100)), seed=draw(st.integers(-2**63, 2**63)),
+        lags=draw(st.integers(1, 100)),
+        train_fraction=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        rounds=draw(st.integers(1, 100)), trees_per_client=draw(st.integers(1, 100)),
+        max_depth=draw(st.integers(1, 10)),
+        shrinkage=draw(st.just(1) | st.floats(0, 1, exclude_min=True)),
+        lambda_l2=draw(_numbers(0, 1e6)), min_samples_leaf=draw(st.integers(1, 100)),
+        filters=draw(st.integers(1, 64)), learning_rate=draw(_numbers(0, 1e3)),
+        epochs=draw(st.integers(0, 10**4)), batch_size=draw(st.integers(1, 10**4)),
+        target_ratio=draw(_numbers(1, 1e6)))
+
+
+def _read_back(tmp_dir, config):
+    """`config` as `--config` reads it back from `json.dumps(asdict(config))`,
+    caught where its command would start work on it."""
+    path = tmp_dir / "config.json"
+    path.write_text(json.dumps(asdict(config)))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        if isinstance(config, ScenarioConfig):
+            mp.setattr(scenario, "generate", lambda c: seen.append(c) or (
+                scenario.EventStream([], [], []), scenario.GroundTruth()))
+            argv = ["generate", "--config", str(path), "--out", str(tmp_dir / "o")]
+        else:
+            mp.setattr(runner, "run_pipeline", lambda m: seen.append(m) or {})
+            argv = ["run", "--config", str(path)]
+        assert main(argv) == 0
+    return seen[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_scenario_configs() | _manifests())
+def test_a_config_written_as_json_reads_back_equal(tmp_path_factory, config):
+    read = _read_back(tmp_path_factory.mktemp("cfg"), config)
+    assert type(read) is type(config) and read == config
+
+
+# A field's annotation -> how an error names its kind, and JSON values of
+# other kinds.
+_KIND_NAMES = {"int": "an integer", "float": "a number", "str": "a string",
+               "str | None": "a string or null", "tuple[int, int]": "two integers [min, max]"}
+_WRONG_KINDS = {
+    "int": [1.5, "1", True, None, [1, 2]],
+    "float": ["1.5", False, None, {"x": 1}],
+    "str": [7, None, ["a"]],
+    "str | None": [7, True, ["a"]],
+    "tuple[int, int]": [5, "ab", None, [1, 2, 3], [1.0, 2], [True, 2]],
+}
+_WRONG_FIELDS = [(cls, f.name, f.type, value)
+                 for cls in (ScenarioConfig, RunManifest) for f in fields(cls)
+                 for value in _WRONG_KINDS[f.type]]
+
+
+@pytest.mark.parametrize("cls, name, kind, value", _WRONG_FIELDS,
+                         ids=[f"{c.__name__}-{n}-{json.dumps(v)}" for c, n, _, v in _WRONG_FIELDS])
+def test_a_field_of_the_wrong_kind_is_one_error_line(scenario_dir, tmp_path, capsys,
+                                                     cls, name, kind, value):
+    path = tmp_path / "config.json"
+    if cls is ScenarioConfig:
+        path.write_text(json.dumps({name: value}))
+        argv = ["generate", "--config", str(path), "--out", str(tmp_path / "o")]
+    else:
+        path.write_text(json.dumps({**_run_manifest(scenario_dir, tmp_path / "o"), name: value}))
+        argv = ["run", "--config", str(path)]
+    assert main(argv) == 1
+    got = tuple(value) if isinstance(value, list) else value
+    assert capsys.readouterr().err == f"error: {name} must be {_KIND_NAMES[kind]}, got {got!r}\n"
+    assert not (tmp_path / "o").exists()

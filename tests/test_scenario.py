@@ -22,15 +22,15 @@ INT64 = np.iinfo(np.int64)
 
 def test_config_invariants_rejected():
     with pytest.raises(ConfigError, match="duration_s"):
-        ScenarioConfig(duration_s=0).validate()
+        ScenarioConfig(duration_s=0)
     with pytest.raises(ConfigError, match="attacker_fraction"):
-        ScenarioConfig(attacker_fraction=1.5).validate()
+        ScenarioConfig(attacker_fraction=1.5)
     with pytest.raises(ConfigError, match="attack_spacing_s"):
-        ScenarioConfig(attack_count=7, attack_spacing_s=600, duration_s=3600).validate()
+        ScenarioConfig(attack_count=7, attack_spacing_s=600, duration_s=3600)
     with pytest.raises(ConfigError, match="flood_rate_pps"):
-        ScenarioConfig(normal_rate_pps=5, flood_rate_pps=5).validate()
+        ScenarioConfig(normal_rate_pps=5, flood_rate_pps=5)
     with pytest.raises(ConfigError, match="concurrent_range"):
-        ScenarioConfig(concurrent_range=(10, 5)).validate()
+        ScenarioConfig(concurrent_range=(10, 5))
 
 
 def test_generate_rejects_bad_config():
