@@ -141,24 +141,34 @@ def l_forest():
     return gbdt.compile_forest(ensembles), clients
 
 
+def _threshold_code_count(forest, x):
+    """The number of threshold codes among the rows of x: distinct rows of
+    their codes per feature, each the number of the forest's distinct split
+    thresholds on it at or below the row's value."""
+    split = (forest.left != np.arange(len(forest.left))) & ~np.isnan(forest.threshold)
+    codes = [np.searchsorted(np.unique(forest.threshold[split & (forest.feature == f)]), col,
+                             side="right") for f, col in enumerate(x.T)]
+    return len(np.unique(np.column_stack(codes), axis=0))
+
+
 @pytest.mark.parametrize("shape", ["fed-s", "L"])
 def test_tree_table(benchmark, shape, request):
-    """The head's table build in `fed_onset.run_training`: threshold codes of
-    every training row, one walk per distinct code, equal vectors merged.
+    """The head's table build in `fed_onset.run_training`,
+    `gbdt.distinct_outputs`: threshold codes of every training row, one
+    leaf-class walk per distinct code, one float walk per table row.
 
     fed-s: 12 clients of 250-750 rows in 6 threshold codes.  L: the
     `l_forest` over 40 rows per client (L has 336).  Records the distinct
     codes and table rows."""
     if shape == "fed-s":
         forest, clients = _fed_s_forest(np.random.default_rng(6))
-        xs = [x for x, _ in clients]
+        x = np.concatenate([x for x, _ in clients])
     else:
         forest, clients = request.getfixturevalue("l_forest")
-        xs = [x[:40] for x, _ in clients]
-    table, ids = benchmark.pedantic(fed_onset._tree_table, (forest, xs), rounds=3)
-    codes = gbdt.threshold_codes(forest, np.concatenate(xs))
+        x = np.concatenate([x[:40] for x, _ in clients])
+    table, ids = benchmark.pedantic(gbdt.distinct_outputs, (forest, x), rounds=3)
     benchmark.extra_info["rows"] = len(ids)
-    benchmark.extra_info["distinct_codes"] = len(set(codes.tolist()))
+    benchmark.extra_info["distinct_codes"] = _threshold_code_count(forest, x)
     benchmark.extra_info["table_rows"] = len(table)
     assert table.shape[1] == len(clients) * T and len(table) <= len(ids)
 
@@ -183,7 +193,7 @@ def test_head_rounds_fed_s(benchmark):
     on the table of a fed-s-like forest.  Records `client_step_us`."""
     rng = np.random.default_rng(6)
     forest, clients = _fed_s_forest(rng)
-    table, ids = fed_onset._tree_table(forest, [x for x, _ in clients])
+    table, ids = gbdt.distinct_outputs(forest, np.concatenate([x for x, _ in clients]))
     y = np.concatenate([y for _, y in clients])
     sizes = [len(y) for _, y in clients]
     bounds = np.cumsum([0] + sizes)

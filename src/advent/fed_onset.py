@@ -10,9 +10,9 @@ then on.  Rounds 1..R-1 broadcast the head weights, run client updates, and
 FedAvg the results.  `run_training` always runs every round, so the model it
 returns is the final one and holds only the forest and the head.  The work
 that does not change between weight rounds is done once per run: the head's
-table of distinct tree vectors, built from the clients' distinct threshold
-codes (`gbdt.threshold_codes`) so that the forest walks one row per code,
-and the head's plan of client blocks (`head.plan_round`).  Every message
+table of distinct tree vectors over every client's rows
+(`gbdt.distinct_outputs`), and the head's plan of client blocks
+(`head.plan_round`).  Every message
 is encoded as one JSON line and decoded by its receiver in process; the
 lines are kept only in a transcript the caller passes, and the same bytes
 round-trip through files.  Each vehicle's onset flags are its own: no quorum
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gbdt, head
-from ._codes import dense_codes
 from .gbdt import LocalEnsemble
 from .head import HeadConfig, HeadWeights
 
@@ -99,72 +98,6 @@ def _send(transcript: list[str] | None, line: str) -> dict:
     if transcript is not None:
         transcript.append(line)
     return decode_message(line)
-
-
-# ---------------------------------------------------------------------------
-# The head's table of tree vectors
-
-# The trees walk as many distinct codes at a time as give about this many
-# tree outputs (16 MB of float64 values).
-_TABLE_CHUNK_VALUES = 1 << 21
-
-
-def _row_hashes(bits: np.ndarray) -> np.ndarray:
-    """A hash of each row of a 2-D uint64 array: its wrapping dot product
-    with fixed odd multipliers."""
-    mix = np.random.default_rng(0).integers(0, 1 << 62, size=bits.shape[1], dtype=np.uint64)
-    return bits @ (mix * 2 + 1)
-
-
-def _tree_table(forest: LocalEnsemble, xs: list[np.ndarray]):
-    """The distinct (K*T) tree vectors of the clients' feature rows xs, in
-    order of first appearance, and each row's table id, in client order.
-
-    Rows with equal `gbdt.threshold_codes` reach the same leaves, so the
-    forest walks one row per distinct code, its first, in bounded chunks.
-    Vectors equal bit for bit, -0.0 apart from 0.0, then share a table row:
-    each is keyed by a hash of its bits and checked against the table rows
-    of that hash, and the table grows a chunk at a time.
-    """
-    x = np.concatenate(xs)
-    _, code = dense_codes(gbdt.threshold_codes(forest, x))
-    order = np.argsort(code, kind="stable")
-    code_sorted = code[order]
-    firsts = np.sort(order[np.concatenate(([True], code_sorted[1:] != code_sorted[:-1]))])
-    width = len(forest.trees)
-    table = np.empty((0, width))
-    n = 0  # filled rows of `table`; the rest is room for a chunk's new rows
-    tid = np.empty(len(firsts), dtype=np.intp)  # table row of each code, by its first row
-    rows_of: dict[int, list[int]] = {}  # hash -> the table rows with it
-    chunk = max(1, _TABLE_CHUNK_VALUES // max(1, width))
-    for lo in range(0, len(firsts), chunk):
-        vectors = gbdt.per_tree_output_matrix(forest, x[firsts[lo:lo + chunk]])
-        bits = vectors.view(np.uint64)
-        hashes = _row_hashes(bits).tolist()
-        # Most vectors equal the first table row of their hash.  The rest are
-        # new, or share a hash with another vector, and are looked up alone.
-        t = np.array([rows_of.get(h, (-1,))[0] for h in hashes], dtype=np.intp)
-        found = t >= 0
-        found[found] = (table[t[found]].view(np.uint64) == bits[found]).all(axis=1)
-        if n + len(vectors) > len(table):
-            # realloc: the table grows in place or by remapping its pages,
-            # not by a second copy.
-            table.resize((n + len(vectors), width), refcheck=False)
-        for i in np.flatnonzero(~found).tolist():
-            same = rows_of.setdefault(hashes[i], [])
-            equal = [r for r in same if (table[r].view(np.uint64) == bits[i]).all()]
-            if equal:
-                t[i] = equal[0]
-            else:
-                t[i] = n
-                same.append(n)
-                table[n] = vectors[i]
-                n += 1
-        tid[lo:lo + len(vectors)] = t
-    table.resize((n, width), refcheck=False)
-    tid_of_code = np.empty(len(firsts), dtype=np.intp)
-    tid_of_code[code[firsts]] = tid
-    return table, tid_of_code[code]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +208,7 @@ def run_training(
     model = GlobalModel(
         forest=gbdt.compile_forest([gbdt.ensemble_from_dict(d) for d in broadcast]), head=w)
     del broadcast  # before the table build, where a large run's memory peaks
-    table, ids = _tree_table(model.forest, [c.x for c in clients])
+    table, ids = gbdt.distinct_outputs(model.forest, np.concatenate([c.x for c in clients]))
     labels = np.concatenate([c.y for c in clients])
     bounds = np.cumsum([0] + [len(c.y) for c in clients]).tolist()
     spans = list(zip(bounds, bounds[1:]))

@@ -35,10 +35,12 @@ depth, so prediction walks every tree at once, one vectorized step per
 level; a tree whose root is a leaf is not walked.  `compile_forest` lays
 many ensembles end to end as one ensemble, each leaf scaled by its own
 shrinkage, once: the federated table build and every federated decision
-walk that one forest.  `threshold_codes` keys each row by which side of
-every split threshold of a forest it falls on, per feature (the threshold
-order of QuickScorer, Lucchese et al., SIGIR 2015), so rows with equal keys
-reach the same leaves and only one of them needs the walk.
+walk that one forest.  `distinct_outputs` builds the federated head's table
+of distinct tree vectors.  It keys each row by which side of every split
+threshold it falls on, per feature (the threshold order of QuickScorer,
+Lucchese et al., SIGIR 2015), so that rows with equal keys reach the same
+leaves, and walks one row per key.  That walk gives each tree's leaf-value
+class, and only the rows with distinct classes are walked for their floats.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._codes import dense_codes
+from ._codes import distinct
 
 __all__ = [
     "GbdtConfig",
@@ -58,7 +60,7 @@ __all__ = [
     "compile_forest",
     "predict_margin_batch",
     "per_tree_output_matrix",
-    "threshold_codes",
+    "distinct_outputs",
     "ensemble_to_dict",
     "ensemble_from_dict",
     "ensemble_to_json",
@@ -140,6 +142,10 @@ _HIST_ENTRIES = 1 << 16
 
 # Rows walk the trees in blocks of about this many (row, tree) pairs.
 _WALK_BLOCK_NODES = 1 << 15
+
+# `distinct_outputs` walks as many rows at a time for their leaf-value
+# classes as give about this many (row, tree) classes.
+_TABLE_CHUNK_VALUES = 1 << 21
 
 
 def _gain_tol(m: float) -> float:
@@ -461,25 +467,33 @@ def compile_forest(ensembles: list[LocalEnsemble]) -> LocalEnsemble:
     return LocalEnsemble(-1, *map(np.concatenate, zip(*parts)), base_score=0.0, shrinkage=1.0)
 
 
-def _leaf_values(e: LocalEnsemble, x: np.ndarray) -> np.ndarray:
-    """(n_rows, n_trees) leaf value of each row in each tree of the ensemble.
+def _rows(e: LocalEnsemble, x: np.ndarray) -> np.ndarray:
+    """x as a C-contiguous 2-D float64 array, checked to hold every feature
+    the ensemble splits on.  Leaves have feature 0, so every node's feature
+    is checked at once."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("feature rows must be a 2-D array")
+    if e.depth and not 0 <= e.feature.min() <= e.feature.max() < x.shape[1]:
+        raise ValueError(f"trees split on features outside the {x.shape[1]} given")
+    return x
+
+
+def _leaf_values(e: LocalEnsemble, x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(n_rows, n_trees) values[leaf] of each row's leaf in each tree of the
+    ensemble, in the dtype of `values`, which holds one entry per node.
 
     A block of rows steps down every tree whose root splits at once, one
     vectorized step per level.  The blocks bound the walk's temporaries
     however many rows and trees there are.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("feature rows must be a 2-D array")
+    x = _rows(e, x)
     n, n_features = x.shape
-    # Leaves have feature 0, so every node's feature is checked at once.
-    if e.depth and not 0 <= e.feature.min() <= e.feature.max() < n_features:
-        raise ValueError(f"trees split on features outside the {n_features} given")
     roots = e.trees
-    out = np.empty((n, len(roots)))
+    out = np.empty((n, len(roots)), dtype=values.dtype)
     # A tree whose root is a leaf gives every row its value.
     splits = e.left[roots] != roots
-    out[:, ~splits] = e.value[roots[~splits]]
+    out[:, ~splits] = values[roots[~splits]]
     columns, roots = np.flatnonzero(splits), roots[splits]
     block = max(1, _WALK_BLOCK_NODES // max(1, len(roots)))
     row_start = (np.arange(min(n, block)) * n_features)[:, None]
@@ -490,12 +504,12 @@ def _leaf_values(e: LocalEnsemble, x: np.ndarray) -> np.ndarray:
         for _ in range(e.depth):
             goes_left = flat[row_start[:len(node)] + e.feature[node]] < e.threshold[node]
             node = np.where(goes_left, e.left[node], e.right[node])
-        out[lo:lo + block, columns] = e.value[node]
+        out[lo:lo + block, columns] = values[node]
     return out
 
 
 def predict_margin_batch(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
-    steps = _leaf_values(ensemble, x)
+    steps = _leaf_values(ensemble, x, ensemble.value)
     steps *= ensemble.shrinkage
     total = np.full(len(steps), ensemble.base_score)
     for column in steps.T:  # in tree order, so the sum is bitwise stable
@@ -506,48 +520,58 @@ def predict_margin_batch(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
 def per_tree_output_matrix(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
     """(n_rows, n_trees) shrinkage-scaled output of each tree, in tree order
     (a compiled forest's leaves carry their shrinkage, and its own is 1)."""
-    out = _leaf_values(ensemble, x)
+    out = _leaf_values(ensemble, x, ensemble.value)
     out *= ensemble.shrinkage
     return out
 
 
-# Threshold codes combine into one int64 key while their radix product stays
-# below this; past it the keys are re-densified first.
-_MAX_KEY_RADIX = 1 << 62
+def _first_appearance(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of 2-D integer blocks taken end to end, deduplicated on their
+    bytes: the index of each distinct row's first appearance, in order, and
+    each row's index among the distinct rows."""
+    seen: dict[bytes, int] = {}
+    ids = [np.zeros(0, dtype=np.intp)]
+    for keys in blocks:
+        keys = np.ascontiguousarray(keys) if keys.shape[1] else np.zeros((len(keys), 1), np.uint8)
+        rows = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel().tolist()
+        ids.append(np.fromiter((seen.setdefault(r, len(seen)) for r in rows), np.intp, len(rows)))
+    ids = np.concatenate(ids)
+    # A row's first appearance is where the running maximum of the ids first reaches its id.
+    return np.searchsorted(np.maximum.accumulate(ids), np.arange(len(seen))), ids
 
 
-def threshold_codes(forest: LocalEnsemble, x: np.ndarray) -> np.ndarray:
-    """One int64 key per row of x; rows with equal keys reach the same leaf
-    in every tree of the forest.
+def distinct_outputs(forest: LocalEnsemble, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `per_tree_output_matrix(forest, x)`, equal bit
+    for bit (-0.0 apart from 0.0), in order of first appearance, and each
+    row of x's index among them.
 
     A row's code on a feature is the number of the forest's distinct split
-    thresholds on that feature at or below its value, so `x < t` is decided
-    by the code for every such threshold t; NaN sorts past every cut and
-    goes right, as the walk sends it.  The codes combine mixed-radix, and
-    the keys are re-densified whenever the radix product would pass 2**62.
+    thresholds on it at or below its value, so `x < t` is decided by the
+    code for every such threshold t; NaN sorts past every cut and goes
+    right, as the walk sends it.  Rows with equal codes reach the same
+    leaves, so one row per code walks the forest, in bounded chunks, for
+    the class of each tree's leaf: the leaves' output values, coded by
+    their bits.  Rows with equal classes have equal outputs, so only one
+    row per class is walked for its floats.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("feature rows must be a 2-D array")
-    internal = forest.left != np.arange(len(forest.left))
-    feature, threshold = forest.feature[internal], forest.threshold[internal]
-    if len(feature) and not 0 <= feature.min() <= feature.max() < x.shape[1]:
-        raise ValueError(f"trees split on features outside the {x.shape[1]} given")
-    keys = np.zeros(len(x), dtype=np.int64)
-    radix = 1
-    for f in range(x.shape[1]):
-        # A NaN threshold sends every row right, whatever its code.
-        cuts = np.sort(threshold[(feature == f) & ~np.isnan(threshold)])
-        if not len(cuts):
-            continue
-        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-        if radix * (len(cuts) + 1) > _MAX_KEY_RADIX and len(keys):
-            distinct, keys = dense_codes(keys)
-            keys, radix = keys.astype(np.int64, copy=False), len(distinct)
-        keys *= len(cuts) + 1
-        keys += np.searchsorted(cuts, x[:, f], side="right")
-        radix *= len(cuts) + 1
-    return keys
+    x = _rows(forest, x)
+    # A NaN threshold sends every row right, whatever its code.
+    split = (forest.left != np.arange(len(forest.left))) & ~np.isnan(forest.threshold)
+    cuts = {f: distinct(forest.threshold[split & (forest.feature == f)])
+            for f in distinct(forest.feature[split]).tolist()}
+    width = max(map(len, cuts.values()), default=0)
+    codes = np.empty((len(x), len(cuts)), dtype=np.min_scalar_type(width))
+    for j, (f, c) in enumerate(cuts.items()):
+        codes[:, j] = np.searchsorted(c, x[:, f], side="right")
+    firsts, code_ids = _first_appearance([codes])
+    outputs = forest.value * forest.shrinkage
+    bits, classes = np.unique(outputs.view(np.uint64), return_inverse=True)
+    classes = classes.astype(np.min_scalar_type(len(bits) - 1))
+    chunk = max(1, _TABLE_CHUNK_VALUES // max(1, len(forest.trees)))
+    rows, class_ids = _first_appearance(
+        _leaf_values(forest, x[firsts[lo:lo + chunk]], classes)
+        for lo in range(0, len(firsts), chunk))
+    return per_tree_output_matrix(forest, x[firsts[rows]]), class_ids[code_ids]
 
 
 # ---------------------------------------------------------------------------

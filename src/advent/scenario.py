@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._codes import dense_codes
+from ._codes import dense_codes, distinct
 from ._config import ConfigError, check_types, is_int, is_number
 
 __all__ = [
@@ -532,36 +532,39 @@ def _in_order(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> bool:
 def _presence(t: np.ndarray, s: np.ndarray, r: np.ndarray) -> dict[int, tuple[float, float]]:
     """Each id's first and last time as sender or receiver, for finite times.
 
-    The times are folded, _CHECK_ROWS events at a time, into a table of
-    earliest and latest times over the ids: indexed by the ids themselves
-    when they are narrow, by their dense codes when they are int64.
+    The times are folded, _CHECK_ROWS events at a time, into tables of
+    earliest and latest times over the ids.  When the ids span at most
+    twice as many values as there are events, the tables cover that span,
+    and an id's slot is its offset from the smallest.  Otherwise they cover
+    the distinct ids, and an id's slot is found by binary search.  The
+    distinct ids are gathered a block at a time, and the blocks' are merged
+    into them whenever they outnumber them, so no step holds more than
+    about twice the distinct ids and two blocks.
     """
     if len(t) == 0:
         return {}
-    if s.dtype in _ID_DTYPES:
-        ids = np.arange(int(max(s.max(), r.max())) + 1)
+    lo, hi = int(min(s.min(), r.min())), int(max(s.max(), r.max()))
+    dense = hi - lo < 2 * len(t)
+    if dense:
+        ids = np.arange(lo, hi + 1)
     else:
-        ids, codes = dense_codes(np.concatenate([s, r]))
-        s, r = codes[:len(t)], codes[len(t):]
+        ids, pending = s[:0], []
+        for col in (s, r):
+            for b in range(0, len(t), _CHECK_ROWS):
+                pending.append(distinct(col[b:b + _CHECK_ROWS]))
+                if sum(map(len, pending)) > len(ids) + _CHECK_ROWS:
+                    ids, pending = distinct(np.concatenate([ids, *pending])), []
+        ids = distinct(np.concatenate([ids, *pending]))
     first = np.full(len(ids), np.inf)
     last = np.full(len(ids), -np.inf)
     for col in (s, r):
-        for lo in range(0, len(t), _CHECK_ROWS):
-            block = slice(lo, lo + _CHECK_ROWS)
-            np.minimum.at(first, col[block], t[block])
-            np.maximum.at(last, col[block], t[block])
+        for b in range(0, len(t), _CHECK_ROWS):
+            block = slice(b, b + _CHECK_ROWS)
+            slot = col[block] - lo if dense else np.searchsorted(ids, col[block])
+            np.minimum.at(first, slot, t[block])
+            np.maximum.at(last, slot, t[block])
     seen = np.flatnonzero(first <= last)
     return dict(zip(ids[seen].tolist(), zip(first[seen].tolist(), last[seen].tolist())))
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a 1-D array.  Plain np.unique would
-    import numpy.ma, over a megabyte of resident memory."""
-    a = np.sort(a)
-    first = np.empty(len(a), dtype=bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
 
 
 def _flag_labels(t, s, attacker_flag, active_flag) -> tuple[set[int], list[tuple[float, float]]]:
@@ -570,12 +573,12 @@ def _flag_labels(t, s, attacker_flag, active_flag) -> tuple[set[int], list[tuple
     senders, secs = [s[:0]], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(t), _CHECK_ROWS):
         block = slice(lo, lo + _CHECK_ROWS)
-        senders.append(_distinct(s[block][attacker_flag[block] == 1]))
-        secs.append(_distinct(np.floor(t[block][active_flag[block] == 1]).astype(np.int64)))
-    attackers = set(_distinct(np.concatenate(senders)).tolist())
+        senders.append(distinct(s[block][attacker_flag[block] == 1]))
+        secs.append(distinct(np.floor(t[block][active_flag[block] == 1]).astype(np.int64)))
+    attackers = set(distinct(np.concatenate(senders)).tolist())
 
     windows: list[tuple[float, float]] = []
-    secs = _distinct(np.concatenate(secs))
+    secs = distinct(np.concatenate(secs))
     if len(secs):
         # Runs of consecutive flagged seconds; each becomes [first, last + 1).
         breaks = np.flatnonzero(np.diff(secs) != 1)

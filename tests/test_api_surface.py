@@ -6,7 +6,8 @@ the benchmark tracer (perfbench/tracer.py) wraps: a traced function that is
 deleted or renamed would otherwise only drop its per-layer metrics from a
 traced benchmark result.  Every exported function and method must also be
 called by some CLI run, or be allowlisted with the reason it stays.  Every
-name a module imports is used there or exported.  The package imports
+name a module imports is used there or exported, and no module reads
+another's private names.  The package imports
 nothing beyond numpy and the standard library.
 """
 
@@ -96,6 +97,40 @@ def test_every_imported_name_is_used_or_exported():
     unused = [(path.name, name) for path in sorted(package.glob("*.py"))
               for name in _unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def _private_reads(source: str) -> list[str]:
+    """The private names a module reads from other advent modules: `mod._x`
+    on a module it imported from advent, or `from .mod import _x`.  A
+    private module and its public names (`from ._codes import dense_codes`)
+    are not private names."""
+    tree, modules, found = ast.parse(source), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("advent")):
+            for a in node.names:
+                if node.module in (None, "advent"):  # `from . import gbdt` binds a module
+                    modules.add(a.asname or a.name)
+                elif a.name.startswith("_"):
+                    found.append(f"{node.module}.{a.name}")
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name.startswith("advent."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__") and ast.unparse(node.value) in modules):
+            found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert _private_reads("import json\nimport advent.head as h\nfrom . import _config, gbdt\n"
+                          "from ._codes import dense_codes, _span\nfrom .mnd import _band\n"
+                          "json._x, gbdt._leaf_values, gbdt.train, h._step, gbdt.__name__\n"
+                          "self._own, _config.check_types, _config._kind\n") == [
+        "_codes._span", "_config._kind", "gbdt._leaf_values", "h._step", "mnd._band"]
+    package = Path(advent.__file__).parent
+    found = [(path.name, name) for path in sorted(package.glob("*.py"))
+             for name in _private_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 # Exported functions and methods that no CLI run calls, each with the reason

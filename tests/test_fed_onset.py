@@ -366,7 +366,7 @@ def test_detect_onset_tie_goes_normal():
 
 
 # ---------------------------------------------------------------------------
-# The head's table, built from distinct threshold codes
+# The head's table of distinct tree vectors
 
 # Thresholds, and feature values that sit exactly on them or between them.
 _CUTS = [-2.0, -0.5, 0.0, 1.0, 1.5]
@@ -402,8 +402,7 @@ def _tree_dicts(depth):
 def test_tree_table_matches_byte_keyed_build(data):
     # Forests of single leaves, of zero clients (every tree one 0.0 leaf)
     # and of split trees, over rows with NaN, ±inf and values exactly at a
-    # threshold.  Small chunks grow the table over many chunks, and a
-    # constant hash sends every vector down the equality checks.
+    # threshold.  Small chunks walk the leaf-value classes over many chunks.
     t = data.draw(st.integers(1, 3))
     ensembles = []
     for cid in range(data.draw(st.integers(1, 4))):
@@ -417,40 +416,38 @@ def test_tree_table_matches_byte_keyed_build(data):
     xs = [np.array(data.draw(st.lists(st.lists(st.sampled_from(_VALUES), min_size=3, max_size=3),
                                       min_size=1, max_size=12)))
           for _ in range(data.draw(st.integers(1, 3)))]
-    chunk_values = data.draw(st.sampled_from([1, 7, fed_onset._TABLE_CHUNK_VALUES]))
-    constant_hash = data.draw(st.booleans())
-    with mock.patch.object(fed_onset, "_TABLE_CHUNK_VALUES", chunk_values):
-        if constant_hash:
-            with mock.patch.object(fed_onset, "_row_hashes", lambda bits: np.zeros(len(bits))):
-                table, ids = fed_onset._tree_table(gbdt.compile_forest(ensembles), xs)
-        else:
-            table, ids = fed_onset._tree_table(gbdt.compile_forest(ensembles), xs)
+    chunk_values = data.draw(st.sampled_from([1, 7, gbdt._TABLE_CHUNK_VALUES]))
+    with mock.patch.object(gbdt, "_TABLE_CHUNK_VALUES", chunk_values):
+        table, ids = gbdt.distinct_outputs(gbdt.compile_forest(ensembles), np.concatenate(xs))
     expected_table, expected_ids = _byte_keyed_table(ensembles, xs)
     assert table.dtype == np.float64 and table.shape == expected_table.shape
     assert table.tobytes() == expected_table.tobytes()
     np.testing.assert_array_equal(ids, expected_ids)
 
 
-def test_tree_table_walks_one_row_per_threshold_code(monkeypatch):
-    # Two features split at 1.0 and 2.0 on feature 0 only: 30 rows fall in
-    # three codes, so the trees walk three rows; -0.0 leaves stay apart
-    # from 0.0 ones.
+def test_tree_table_walks_floats_only_for_its_rows(monkeypatch):
+    # Feature 0 splits at 1.0 and 2.0 and feature 1 at 0.5, whose two
+    # leaves share a value: 30 rows fall in six threshold codes, which the
+    # trees walk for their leaf-value classes, and in three classes, the
+    # only rows walked for floats.  -0.0 leaves stay apart from 0.0 ones.
     ens = gbdt.ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 1.0, "trees": [
         {"root": {"f": 0, "t": 1.0, "l": {"v": -0.0}, "r": {"f": 0, "t": 2.0, "l": {"v": 0.0},
-                                                               "r": {"v": 0.5}}}}]})
+                                                               "r": {"f": 1, "t": 0.5,
+                                                                     "l": {"v": 0.5},
+                                                                     "r": {"v": 0.5}}}}}]})
     rng = np.random.default_rng(0)
-    xs = [np.column_stack([rng.choice([0.5, 1.0, 1.5, 2.0, 9.0], 15), rng.random(15)])
+    xs = [np.column_stack([rng.choice([0.5, 1.0, 1.5, 2.0, 9.0], 15), rng.choice([0.0, 1.0], 15)])
           for _ in range(2)]
     walked = []
-    walk = gbdt.per_tree_output_matrix
+    walk = gbdt._leaf_values
 
-    def counting(forest, x):
-        walked.append(len(x))
-        return walk(forest, x)
+    def counting(e, x, values):
+        walked.append((len(x), values.dtype))
+        return walk(e, x, values)
 
-    monkeypatch.setattr(gbdt, "per_tree_output_matrix", counting)
-    table, ids = fed_onset._tree_table(gbdt.compile_forest([ens]), xs)
-    assert walked == [3]
+    monkeypatch.setattr(gbdt, "_leaf_values", counting)
+    table, ids = gbdt.distinct_outputs(gbdt.compile_forest([ens]), np.concatenate(xs))
+    assert walked == [(6, np.uint8), (3, np.float64)]
     assert table.tobytes() == _byte_keyed_table([ens], xs)[0].tobytes()
     assert [np.signbit(v) for v in table[:, 0] if v == 0.0] in ([True, False], [False, True])
 

@@ -1067,14 +1067,15 @@ def test_output_matrix_matches_vector_api():
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_threshold_codes_partition_rows_by_threshold_side(data):
-    # Rows get equal keys exactly when every split of the forest sends them
-    # the same way, and rows with equal keys have equal tree vectors; a
-    # forest of single leaves gives every row one key.  The
-    # thresholds repeat across trees and clients, include ±inf and a NaN
-    # (which sends every row right), and the rows hold NaN, ±inf and values
-    # exactly at a threshold.  Small radix caps re-densify the keys between
-    # features.
+def test_distinct_outputs_partition_rows_by_threshold_side(data):
+    # The rows walked for leaf-value classes are one per threshold code:
+    # their sides of the forest's splits are pairwise distinct, and as many
+    # as the rows' distinct sides, so rows fall in one code exactly when
+    # every split sends them the same way.  Rows share an id exactly when
+    # their tree vectors are equal bit for bit; a forest of single leaves
+    # gives every row one code.  The thresholds repeat across trees and
+    # clients, include ±inf and a NaN (which sends every row right), and
+    # the rows hold NaN, ±inf and values exactly at a threshold.
     n_features = data.draw(st.integers(1, 4))
     cuts = [-1.0, 0.0, 0.5, 2.0, np.inf, -np.inf, np.nan]
     values = [-1.0, -0.0, 0.0, 0.5, 0.25, 2.0, 3.0, np.nan, np.inf, -np.inf]
@@ -1092,39 +1093,37 @@ def test_threshold_codes_partition_rows_by_threshold_side(data):
                  for c in range(data.draw(st.integers(1, 3)))]
     x = np.array(data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_features,
                                              max_size=n_features), min_size=1, max_size=30)))
-    cap = data.draw(st.sampled_from([2, 3, 10, gbdt._MAX_KEY_RADIX]))
-    with mock.patch.object(gbdt, "_MAX_KEY_RADIX", cap):
-        keys = gbdt.threshold_codes(compile_forest(ensembles), x)
-    assert keys.dtype == np.int64 and keys.shape == (len(x),)
+    walked = []
+    walk = gbdt._leaf_values
+
+    def spy(e, rows, node_values):
+        if node_values.dtype != np.float64:
+            walked.append(rows.copy())
+        return walk(e, rows, node_values)
+
+    with mock.patch.object(gbdt, "_leaf_values", spy):
+        table, ids = gbdt.distinct_outputs(compile_forest(ensembles), x)
+    assert ids.shape == (len(x),)
     splits = [(f, thr) for e in ensembles for i, (f, thr) in enumerate(zip(e.feature, e.threshold))
               if e.left[i] != i]
-    sides = [tuple(bool(row[f] < thr) for f, thr in splits) for row in x]
+
+    def sides(rows):
+        return [tuple(bool(row[f] < thr) for f, thr in splits) for row in rows]
+
+    walked_sides = sides(np.concatenate(walked))
+    assert len(set(walked_sides)) == len(walked_sides) == len(set(sides(x)))
     vectors = per_tree_output_matrix(compile_forest(ensembles), x)
+    assert table[ids].tobytes() == vectors.tobytes()
     for i in range(len(x)):
         for j in range(len(x)):
-            assert (keys[i] == keys[j]) == (sides[i] == sides[j])
-            if keys[i] == keys[j]:
-                assert vectors[i].tobytes() == vectors[j].tobytes()
+            assert (ids[i] == ids[j]) == (vectors[i].tobytes() == vectors[j].tobytes())
 
 
-def test_threshold_codes_rejects_features_outside_rows():
+def test_distinct_outputs_rejects_features_outside_rows():
     ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 0.3,
                               "trees": [{"root": {"f": 2, "t": 1.0, "l": {"v": 0.0},
                                                   "r": {"v": 1.0}}}]})
     with pytest.raises(ValueError, match="outside the 2 given"):
-        gbdt.threshold_codes(compile_forest([ens]), np.zeros((3, 2)))
-    assert gbdt.threshold_codes(compile_forest([ens]), np.zeros((0, 3))).shape == (0,)
-
-
-def test_threshold_codes_past_the_int64_radix():
-    # 70 features split once each: 2**70 code combinations do not fit in
-    # an int64, so the keys are re-densified on the way.  The rows differ
-    # only on the first 8 features, whose codes would be shifted out of a
-    # key that was not, and on nothing else they are told apart exactly.
-    ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 0.3, "trees": [
-        {"root": {"f": f, "t": 0.5, "l": {"v": 0.0}, "r": {"v": 1.0}}} for f in range(70)]})
-    x = np.zeros((512, 70))
-    x[:, :8] = (np.arange(512)[:, None] >> np.arange(8)) & 1
-    keys = gbdt.threshold_codes(compile_forest([ens]), x)
-    assert len(set(keys.tolist())) == 256
-    np.testing.assert_array_equal(keys[:256], keys[256:])
+        gbdt.distinct_outputs(compile_forest([ens]), np.zeros((3, 2)))
+    table, ids = gbdt.distinct_outputs(compile_forest([ens]), np.zeros((0, 3)))
+    assert table.shape == (0, 1) and ids.shape == (0,)

@@ -656,6 +656,26 @@ def test_presence_matches_a_per_event_loop(events, base, block):
     assert list(got) == sorted(want)
 
 
+@pytest.mark.parametrize("ids", [(1 << 40) + np.arange(60), np.arange(60) << 40],
+                         ids=["small-span", "sparse"])
+def test_presence_of_int64_ids_holds_no_event_sized_array(ids):
+    # 2^18 events among 60 int64 ids, one test over a span of 60 values
+    # and one over 60 ids 2^40 apart.  Folded a block at a time, the traced
+    # peak stays under 1 MB, however many events there are; codes of the
+    # 2^19 ids taken together would be 8 MB and more.
+    rng = np.random.default_rng(3)
+    n = 1 << 18
+    t = np.sort(rng.random(n) * 900.0)
+    s, r = ids[rng.integers(0, 60, n)], ids[rng.integers(0, 60, n)]
+    got, peak = _traced_peak(scenario._presence, t, s, r)
+    assert peak < 1 << 20
+    present = [v for v in ids.tolist() if (s == v).any() or (r == v).any()]
+    assert list(got) == present
+    for v in present:
+        times = t[(s == v) | (r == v)]
+        assert got[v] == (times.min(), times.max())
+
+
 def _reference_csv(stream, truth):
     """Per-line writer: the specification of write_events_csv's bytes."""
     lines = [BASE if truth is None else ANNOT]
