@@ -6,7 +6,8 @@ This directory is outside the `testpaths` of pyproject.toml, so the tier-1
 test run never collects it; `tests/test_benchmarks_run.py` runs it once
 with --benchmark-disable so that an API change cannot leave it broken.  The
 head cases record `step_us` or `client_step_us` (median call time over SGD
-steps per call) in the benchmark's `extra_info`.
+steps per call) and `whole_blocks` of `blocks` (how many of the plan's
+client blocks step whole) in the benchmark's `extra_info`.
 """
 
 import math
@@ -34,6 +35,13 @@ def _record_per_step(benchmark, name, steps):
         benchmark.extra_info[f"{name}_us"] = 1e6 * benchmark.stats.stats.median / steps
 
 
+def _record_layouts(benchmark, plan):
+    """Record how many of the plan's blocks step whole, on all their table
+    rows, and how many blocks there are."""
+    benchmark.extra_info["whole_blocks"] = sum(block.whole for block in plan.blocks)
+    benchmark.extra_info["blocks"] = len(plan.blocks)
+
+
 @pytest.mark.parametrize("k", [12, 360], ids=["fed-s-K12", "L-K360"])
 def test_head_step(benchmark, k):
     """One head SGD step at K clients x T trees, batch 64, every row distinct.
@@ -50,23 +58,27 @@ def test_head_step(benchmark, k):
     table = rng.normal(size=(ROWS, k * T))
     out = benchmark(head.train_on_matrix, w, table, y, cfg)
     _record_per_step(benchmark, "step", EPOCHS * math.ceil(ROWS / BATCH))
+    _record_layouts(benchmark, head.plan_round(w, table, np.arange(ROWS), y, [(0, ROWS)], cfg))
     assert np.isfinite(out.dense).all()
 
 
-@pytest.mark.parametrize("ids_from", ["6-row-table", "all-distinct", "L-like"])
+@pytest.mark.parametrize("ids_from", ["6-row-table", "60-row-table", "all-distinct", "L-like"])
 def test_head_round(benchmark, ids_from):
     """One FedAvg round of the head at the fed-s shape: 12 clients of
     250-750 rows, K=12 x T=10, batch 64, EPOCHS epochs, as one `plan_round`
     and one `train_round`.
 
     The rows are drawn from a 6-row table, as fed-s's depth-3 trees give
-    about 6 distinct tree vectors; or are all distinct, the worst case; or,
+    about 6 distinct tree vectors; or each client draws from its own 5 rows
+    of a 60-row table; or the rows are all distinct, the worst case; or,
     like workload L (6,559 distinct rows of 89,162), each client draws from
-    its own 25 rows of a 5,000-row table.  The 6-row table keeps the
-    (batch, table row) keys of an epoch in a range short enough to code by
-    a table; the other two cases code them by a sort.  Records
-    `client_step_us`, the call time over the clients' summed SGD steps,
-    comparable with `test_head_step`'s `step_us`.
+    its own 25 rows of a 5,000-row table.  The two small tables need no
+    more rows than a batch holds, so their one block steps whole, every
+    client on every table row: the 60-row table is the worst case of that
+    layout, 60 rows computed per client step where a batch has at most 5
+    distinct.  The other two cases gather each batch's distinct rows.
+    Records `client_step_us`, the call time over the clients' summed SGD
+    steps, comparable with `test_head_step`'s `step_us`.
     """
     k = 12
     rng = np.random.default_rng(0)
@@ -80,6 +92,9 @@ def test_head_round(benchmark, ids_from):
     elif ids_from == "6-row-table":
         table = rng.normal(size=(6, k * T))
         ids = rng.integers(0, 6, size=n)
+    elif ids_from == "60-row-table":
+        table = rng.normal(size=(60, k * T))
+        ids = np.concatenate([rng.integers(5 * c, 5 * c + 5, size) for c, size in enumerate(sizes)])
     else:
         table = rng.normal(size=(5000, k * T))
         ids = np.concatenate([rng.choice(rng.choice(5000, 25, replace=False), size)
@@ -90,6 +105,7 @@ def test_head_round(benchmark, ids_from):
                                              list(range(k))))
     _record_per_step(benchmark, "client_step",
                      EPOCHS * sum(math.ceil(size / BATCH) for size in sizes))
+    _record_layouts(benchmark, head.plan_round(w, table, ids, y, spans, cfg))
     assert all(np.isfinite(o.dense).all() for o in out)
 
 
@@ -212,6 +228,7 @@ def test_head_rounds_fed_s(benchmark):
     w = benchmark.pedantic(rounds, rounds=3)
     _record_per_step(benchmark, "client_step",
                      9 * 30 * sum(math.ceil(size / BATCH) for size in sizes))
+    _record_layouts(benchmark, head.plan_round(w0, table, ids, y, spans, cfg))
     benchmark.extra_info["table_rows"] = len(table)
     assert np.isfinite(w.dense).all()
 

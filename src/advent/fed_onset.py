@@ -22,6 +22,7 @@ across vehicles confirms them.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ import numpy as np
 from . import gbdt, head
 from .gbdt import LocalEnsemble
 from .head import HeadConfig, HeadWeights
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ProtocolError",
@@ -213,6 +216,8 @@ def run_training(
     bounds = np.cumsum([0] + [len(c.y) for c in clients]).tolist()
     spans = list(zip(bounds, bounds[1:]))
     plan = head.plan_round(model.head, table, ids, labels, spans, head_config)
+    log.info("head plan: blocks=%d clients=%d table_rows=%d whole_blocks=%d",
+             len(plan.blocks), len(clients), len(table), sum(b.whole for b in plan.blocks))
 
     # Rounds 1..R-1: head-weight averaging.
     for r in range(1, rounds):

@@ -33,25 +33,37 @@ table rows it uses, tapped once per round: depth-3 trees send most
 per-second feature rows to the same leaves, so a batch of 64 rows holds
 only a few distinct vectors.  `plan_round` checks the table, ids, labels
 and spans once and lays out, for all rounds on the same rows, each block's
-clients, the table rows it uses, its rows' local ids and labels, and each
-epoch position's batch key and weight lr / (rows of the batch);
-`train_round` takes only that plan.  A round draws each client's shuffles for
-several epochs with one `permuted` call, the same draws as that many
-rng.permutation calls, and those epochs run as one: every row of every
-batch gets the key (batch, table id), the keys are coded in one pass, and
-two bincounts give each distinct row of a batch its row count cnt and
-positive count pos, already scaled.  Each step gathers the distinct rows of
-every active client's batch, takes dz = cnt·p - pos on them (the summed dz
-of the batch rows each one stands for) in the buffer of p, before the one u
-mat-vec, and subtracts the gradient.  `train_on_matrix` is the one-client
-case, each row its own table row.  The wire format and FedAvg still carry
-and average the factors (`conv_kernels`, `conv_bias`, `dense`,
-`dense_bias`), never W_eff.
+clients, the table rows it uses, its rows' local ids and labels, each
+epoch position's batch key and weight lr / (rows of the batch), and the
+block's layout; `train_round` takes only that plan.  A round draws each
+client's shuffles for several epochs with one `permuted` call, the same
+draws as that many rng.permutation calls, and those epochs run as one:
+every row of every batch gets the key (batch, local id).  Each step takes
+dz = cnt·p - pos on a batch's rows, where cnt is how many of the batch's
+rows a row stands for and pos how many of those are positive, already
+scaled (the summed dz of those rows), in the buffer of p, before the one u
+mat-vec, and subtracts the gradient.  A block steps in one of two layouts,
+chosen by the plan from the number U of table rows the block uses:
+
+- whole, when U is at most the batch size: every step of every active
+  client computes on all U tapped rows, one shared (U, K*(T+1)) array, so
+  z and u are two plain 2-D matmuls and nothing is gathered.  A row's key
+  is already its slot in the (steps, clients, U) counts, which two
+  bincounts fill; a row a batch lacks counts 0.
+- gathered, for larger U: the keys are coded in one pass, the same two
+  bincounts count each distinct row of a batch, and each step gathers the
+  distinct rows of every active client's batch.
+
+Either way a client's step computes on at most batch-size rows.
+`train_on_matrix` is the one-client case, each row its own table row.  The
+wire format and FedAvg still carry and average the factors
+(`conv_kernels`, `conv_bias`, `dense`, `dense_bias`), never W_eff.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +186,9 @@ def forward_batch(w: HeadWeights, v: np.ndarray) -> np.ndarray:
 
 # Training stacks the clients of a round: client c's parameters are row c of
 # a (C, P) buffer, and every numpy call of a step serves all m active clients
-# (np.matmul broadcasts over the leading axis).  A step gathers only the
-# distinct table rows of each active client's batch.
+# (np.matmul broadcasts over the leading axis).  A step computes either on
+# all of its block's table rows or on the distinct table rows of each active
+# client's batch (`_train_block`).
 
 # Clients of a round train in blocks whose batch buffer holds at most about
 # this many float64 values (8 MB).
@@ -222,34 +235,38 @@ def _step_views(w: HeadWeights, theta: np.ndarray, grad: np.ndarray) -> tuple:
     """What a step of the m clients with stacked `_pack` rows theta (m, P)
     computes with: theta, grad (their gradients), the `_layout` views A, D,
     Dᵀ and the dense-bias column of theta, an (m, K, T+1) buffer for
-    W_eff = Dᵀ·A and its (m, K*(T+1), 1) view, and the `_layout` views of
-    grad."""
+    W_eff = Dᵀ·A with its (m, K*(T+1)) and (m, K*(T+1), 1) views, and the
+    `_layout` views of grad."""
     a, d, dense_bias = _layout(w, theta)
     a_eff = np.empty((len(theta), d.shape[2], a.shape[2]))
+    m = len(theta)
     return (theta, grad, a, d, d.transpose(0, 2, 1), dense_bias[:, None], a_eff,
-            a_eff.reshape(len(theta), -1, 1), *_layout(w, grad))
+            a_eff.reshape(m, -1), a_eff.reshape(m, -1, 1), *_layout(w, grad))
 
 
-def _step(s: tuple, vd: np.ndarray, cnt: np.ndarray, pos: np.ndarray) -> None:
+def _step(s: tuple, rows: np.ndarray, cnt: np.ndarray, pos: np.ndarray) -> None:
     """Write each client's gradient over its batch into the gradient views
     of the `_step_views` s.
 
-    vd is (m, n, K*(T+1)): n bias-tapped rows per client, the distinct rows
-    of its batch.  Row i of client c stands for cnt[c, i] batch rows, of
-    which pos[c, i] are positive, each count scaled by the step's weight
-    (1 / batch rows for the mean BCE).  A pad row has both counts 0.
+    rows holds n bias-tapped rows of width K*(T+1): one (n, K*(T+1)) array
+    that every client steps on, or (m, n, K*(T+1)), n rows per client.  Row
+    i of client c stands for cnt[c, i] batch rows, of which pos[c, i] are
+    positive, each count scaled by the step's weight (1 / batch rows for
+    the mean BCE).  A row outside client c's batch has both counts 0.
     """
-    _, _, a, d, d_t, dense_bias, a_eff, a_col, g_a, g_d, g_db = s
-    m, n, _ = vd.shape
+    _, _, a, d, d_t, dense_bias, a_eff, a_flat, a_col, g_a, g_d, g_db = s
+    m = len(a)
     np.matmul(d_t, a, out=a_eff)
-    z = np.matmul(vd, a_col).reshape(m, n)
+    shared = rows.ndim == 2
+    z = a_flat @ rows.T if shared else np.matmul(rows, a_col).reshape(m, -1)
     z += dense_bias
-    # dz = cnt·p - pos, summed over the batch rows of each distinct row, in
-    # the buffer of p.
+    # dz = cnt·p - pos, summed over the batch rows of each row, in the buffer
+    # of p.
     dz = _sigmoid(z)
     dz *= cnt
     dz -= pos
-    u = np.matmul(dz.reshape(m, 1, n), vd).reshape(m, d.shape[2], -1)
+    u = dz @ rows if shared else np.matmul(dz.reshape(m, 1, -1), rows)
+    u = u.reshape(m, d.shape[2], -1)
     np.matmul(d, u, out=g_a)
     np.matmul(a, u.transpose(0, 2, 1), out=g_d)
     g_db[:] = u[:, 0, -1]
@@ -261,7 +278,7 @@ def gradients(w: HeadWeights, v: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=np.float64)
     theta = _pack(w)[None]
     s = _step_views(w, theta, np.empty_like(theta))
-    _step(s, _with_bias_tap(w, v)[None], np.full((1, len(p)), 1 / len(p)), y[None] / len(p))
+    _step(s, _with_bias_tap(w, v), np.full((1, len(p)), 1 / len(p)), y[None] / len(p))
     g_a, g_d, g_db = s[-3:]
     eps = 1e-12
     loss = float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
@@ -291,6 +308,7 @@ class _Block:
     batch_keys: np.ndarray  # batch · len(used) of each epoch position
     weight: np.ndarray  # lr / (rows of its batch) of each epoch position
     active: list[int]  # clients still training at each step
+    whole: bool  # each step computes on all of `used`, not on a batch's rows
 
 
 @dataclass(frozen=True)
@@ -360,7 +378,7 @@ def plan_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray
         weight = (lr / rows_per_batch.ravel().clip(min=1))[batch]
         blocks.append(_Block(clients=clients, used=used, local=local, y=y[rows],
                              spans=list(zip(bounds, bounds[1:])), batch_keys=batch * len(used),
-                             weight=weight, active=active))
+                             weight=weight, active=active, whole=len(used) <= bs))
     return _Plan(table=table, config=config, blocks=tuple(blocks))
 
 
@@ -389,7 +407,15 @@ def train_round(w: HeadWeights, plan: _Plan, seeds) -> list[HeadWeights]:
 
 def _train_block(w, table, block: _Block, seeds, config) -> np.ndarray:
     """Stacked SGD for the clients of one block; returns their (C, P)
-    `_pack` rows."""
+    `_pack` rows.
+
+    A block steps in one of two layouts.  Whole (`block.whole`, no more
+    used table rows than a batch holds): every step of every active client
+    computes on all the block's tapped rows, one shared (U, K*(T+1))
+    array, and a row its batch lacks counts 0.  Gathered (any larger
+    block): every step gathers the distinct rows of each active client's
+    batch.  Either way a client's step computes on at most batch_size rows.
+    """
     bs, width = config.batch_size, w.n_clients * (w.kernel_size + 1)
     n_clients, n_used, n_steps = len(block.spans), len(block.used), len(block.active)
     # The block's table rows are tapped 64 at a time, so neither a tapped
@@ -405,7 +431,7 @@ def _train_block(w, table, block: _Block, seeds, config) -> np.ndarray:
     n_rows, n_batches = len(block.local), n_steps * n_clients
     group = max(1, min(config.epochs, _EPOCH_GROUP_VALUES // n_rows))
     weight = np.tile(block.weight, group)
-    v_buf = np.empty(n_clients * bs * width)
+    v_buf = None if block.whole else np.empty(n_clients * bs * width)
     for e0 in range(0, config.epochs, group):
         g = min(group, config.epochs - e0)
         # Row e of a client's columns becomes the block positions of its rows
@@ -422,31 +448,40 @@ def _train_block(w, table, block: _Block, seeds, config) -> np.ndarray:
         keys = block.local.take(order)
         keys += block.batch_keys
         keys += (np.arange(g) * (n_batches * n_used))[:, None]
-        distinct, codes = dense_codes(keys.reshape(-1))
-        b_of = distinct // n_used
-        per_batch = np.bincount(b_of, minlength=g * n_batches)
-        n_distinct = per_batch.reshape(g * n_steps, n_clients).max(axis=1)
-        most = int(n_distinct.max())
-        # The r-th distinct row of batch b goes to slot b·most + r of the
-        # packed (steps, C, most) arrays; a slot left empty counts 0 rows.
-        first = np.cumsum(per_batch) - per_batch
-        slot = (np.arange(g * n_batches) * most - first)[b_of] + np.arange(len(distinct))
-        shape = (g * n_steps, n_clients, most)
-        table_ids = np.zeros(shape, dtype=np.intp)
-        table_ids.reshape(-1)[slot] = distinct - b_of * n_used
-        # Row count and positive count per (batch, distinct row).
-        row_slot = slot[codes]
+        keys = keys.reshape(-1)
+        if block.whole:
+            # A row's key is its slot in the (steps, C, used) counts.
+            shape, row_slot = (g * n_steps, n_clients, n_used), keys
+            n_rows_of = [n_used] * (g * n_steps)
+        else:
+            distinct, codes = dense_codes(keys)
+            b_of = distinct // n_used
+            per_batch = np.bincount(b_of, minlength=g * n_batches)
+            n_distinct = per_batch.reshape(g * n_steps, n_clients).max(axis=1)
+            most = int(n_distinct.max())
+            # The r-th distinct row of batch b goes to slot b·most + r of the
+            # packed (steps, C, most) arrays; a slot left empty counts 0 rows.
+            first = np.cumsum(per_batch) - per_batch
+            slot = (np.arange(g * n_batches) * most - first)[b_of] + np.arange(len(distinct))
+            shape, row_slot = (g * n_steps, n_clients, most), slot[codes]
+            n_rows_of = n_distinct.tolist()
+            table_ids = np.zeros(shape, dtype=np.intp)
+            table_ids.reshape(-1)[slot] = distinct - b_of * n_used
+        # Row count and positive count per (batch, row).
         cnts = np.bincount(row_slot, weights=weight[:g * n_rows],
-                           minlength=table_ids.size).reshape(shape)
+                           minlength=math.prod(shape)).reshape(shape)
         poss = np.bincount(row_slot, weights=(block.y.take(order) * block.weight).reshape(-1),
-                           minlength=table_ids.size).reshape(shape)
-        for j, (m, n) in enumerate(zip(block.active * g, n_distinct.tolist())):
+                           minlength=math.prod(shape)).reshape(shape)
+        rows = tapped
+        for j, (m, n) in enumerate(zip(block.active * g, n_rows_of)):
             s = views[m]
-            vd = v_buf[: m * n * width].reshape(m, n, width)
-            # Every id is a valid row, so mode="clip" never clips; it spares
-            # the extra copy mode="raise" makes when `out` is given.
-            tapped.take(table_ids[j, :m, :n], axis=0, out=vd, mode="clip")
-            _step(s, vd, cnts[j, :m, :n], poss[j, :m, :n])
+            if not block.whole:
+                rows = v_buf[: m * n * width].reshape(m, n, width)
+                # Every id is a valid row, so mode="clip" never clips; it
+                # spares the extra copy mode="raise" makes when `out` is
+                # given.
+                tapped.take(table_ids[j, :m, :n], axis=0, out=rows, mode="clip")
+            _step(s, rows, cnts[j, :m, :n], poss[j, :m, :n])
             np.subtract(s[0], s[1], out=s[0])  # theta -= grad
     return theta
 

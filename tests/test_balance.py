@@ -100,9 +100,13 @@ def test_onset_fit_logs_one_smote_line(caplog, monkeypatch, tmp_path):
     monkeypatch.setattr(fed_onset, "run_training", recording)
     with caplog.at_level(logging.DEBUG):
         _, t_split = runner.onset_fit(manifest, per_vehicle)
-    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("advent.runner", "WARNING",
-         "smote: 3 of 5 clients have fewer than 2 minority rows; passed through")]
+    # The one SMOTE line, then the federated run's head plan line.
+    smote, plan = caplog.records
+    assert (smote.name, smote.levelname, smote.getMessage()) == (
+        "advent.runner", "WARNING",
+        "smote: 3 of 5 clients have fewer than 2 minority rows; passed through")
+    assert (plan.name, plan.levelname) == ("advent.fed_onset", "INFO")
+    assert plan.getMessage().startswith("head plan: blocks=1 clients=5 ")
     assert [c.cid for c in seen] == [1, 2, 3, 4, 5]
     for c in seen:
         secs, x, y = per_vehicle[c.cid]
@@ -123,7 +127,9 @@ def test_onset_fit_without_passed_clients_logs_nothing(caplog, tmp_path):
                                   epochs=1, trees_per_client=2)
     with caplog.at_level(logging.DEBUG):
         runner.onset_fit(manifest, per_vehicle)
-    assert caplog.records == []
+    # No SMOTE line: only the federated run's head plan line.
+    assert [(r.name, r.levelname, r.getMessage()[:28]) for r in caplog.records] == [
+        ("advent.fed_onset", "INFO", "head plan: blocks=1 clients=")]
 
 
 def test_deterministic_per_seed():

@@ -318,9 +318,9 @@ def test_run_training_matches_per_client_loop(monkeypatch):
     assert model.head.allclose(w, rtol=0, atol=1e-12)
 
 
-def test_run_training_plans_the_head_once(monkeypatch):
+def test_run_training_plans_the_head_once(monkeypatch, caplog):
     # The head's blocks are laid out once per run and every round trains on
-    # that one plan.
+    # that one plan, which one INFO line describes.
     plans, used = [], []
     plan_round, train_round = head.plan_round, head.train_round
 
@@ -334,9 +334,14 @@ def test_run_training_plans_the_head_once(monkeypatch):
 
     monkeypatch.setattr(head, "plan_round", recording_plan)
     monkeypatch.setattr(head, "train_round", recording_train)
+    caplog.set_level("INFO", logger="advent.fed_onset")
     run_training(_clients(3, rows=40), gbdt.GbdtConfig(trees_per_client=2),
                  HeadConfig(filters=2, epochs=2), 4)
     assert len(plans) == 1 and len(used) == 3 and all(p is plans[0] for p in used)
+    plan = plans[0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"head plan: blocks={len(plan.blocks)} clients=3 table_rows={len(plan.table)} "
+        f"whole_blocks={sum(b.whole for b in plan.blocks)}"]
 
 
 def test_run_training_no_clients():

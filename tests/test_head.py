@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advent import head
-from advent._codes import dense_codes
-
 from advent.head import (
     HeadConfig,
     HeadWeights,
@@ -262,6 +260,31 @@ def planned_round(w, table, ids, y, spans, seeds, cfg):
     return train_round(w, head.plan_round(w, table, ids, y, spans, cfg), seeds)
 
 
+def round_with_layouts(w, table, ids, y, spans, seeds, cfg):
+    """`planned_round`, and the layout each block that stepped took, in
+    block order: "whole" when its steps computed on one shared 2-D array of
+    rows, "gathered" when on per-client 3-D rows.  Every block steps in one
+    layout, and it is whole exactly when it uses no more table rows than a
+    batch holds."""
+    taken = []
+    step, train_block = head._step, head._train_block
+
+    def spy_block(w, table, block, seeds, config):
+        assert block.whole == (len(block.used) <= config.batch_size)
+        taken.append(set())
+        return train_block(w, table, block, seeds, config)
+
+    def spy_step(s, rows, cnt, pos):
+        taken[-1].add("whole" if rows.ndim == 2 else "gathered")
+        return step(s, rows, cnt, pos)
+
+    with mock.patch.object(head, "_train_block", spy_block), \
+            mock.patch.object(head, "_step", spy_step):
+        out = planned_round(w, table, ids, y, spans, seeds, cfg)
+    assert all(len(kinds) <= 1 for kinds in taken)
+    return out, [kind for kinds in taken for kind in kinds]
+
+
 @pytest.mark.parametrize("block_values", [None, 1, 300])
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epochs):
@@ -299,20 +322,13 @@ def test_train_round_on_repeated_ids_matches_expanded_sgd(monkeypatch, block_val
     # and 3 pads), 1 row, 8 copies of one row with mixed labels, 13 rows, 19
     # rows that all share one id, 11 rows with no positive label, and
     # another 1-row client; the shorter clients sit out the later steps of
-    # the stacked run.  The rows come from a 3-row table, where an epoch's
-    # (batch, table row) keys span no more values than there are rows and
-    # are coded by a table, and from a 5,000-row table with the ids spread
-    # over it, where the keys of a client with more than one distinct row
-    # are coded by a sort.
+    # the stacked run.  The rows come from a 3-row table, where every block
+    # uses fewer table rows than a batch holds and steps whole, and from a
+    # 5,000-row table with the ids spread over it, where a block of the
+    # whole round or of the 21-row client gathers each batch's rows (a
+    # one-client block of a client with few distinct rows steps whole).
     if block_values is not None:
         monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", block_values)
-    sorted_sides = []
-
-    def spy(keys):
-        sorted_sides.append(int(keys.max()) - int(keys.min()) + 1 > len(keys))
-        return dense_codes(keys)
-
-    monkeypatch.setattr(head, "dense_codes", spy)
     f, k, t = 2, 3, 2
     sizes = [21, 1, 8, 13, 19, 11, 1]
     bounds = np.cumsum([0] + sizes)
@@ -331,9 +347,13 @@ def test_train_round_on_repeated_ids_matches_expanded_sgd(monkeypatch, block_val
         y[22:30] = [0, 1, 0, 1, 1, 0, 0, 1]
         y[43:62] = np.arange(19) % 3 == 0
         y[62:73] = 0
-        sorted_sides.clear()
-        out = planned_round(w, rows, ids, y, spans, seeds, cfg)
-        assert any(sorted_sides) == (table_rows > 3 and epochs > 0)
+        out, layouts = round_with_layouts(w, rows, ids, y, spans, seeds, cfg)
+        if epochs == 0:
+            assert layouts == []
+        elif table_rows == 3:
+            assert set(layouts) == {"whole"}
+        else:
+            assert "gathered" in layouts
         assert len(out) == len(spans)
         for (a, b), seed, got in zip(spans, seeds, out):
             ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
@@ -344,32 +364,65 @@ def test_train_round_on_repeated_ids_matches_expanded_sgd(monkeypatch, block_val
                 assert not got.allclose(w, rtol=0, atol=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_train_round_matches_expanded_sgd_property(data):
-    # Random shapes, tables (narrow ones repeat ids, wide ones code their
-    # keys by a sort), ids, labels, spans in any order with gaps between
-    # them, seeds and block budgets, against SGD on the expanded rows.
-    f, k, t = (data.draw(st.integers(1, 3)) for _ in range(3))
-    table_rows = data.draw(st.sampled_from([1, 2, 5, 40, 3000]))
-    n = data.draw(st.integers(1, 40))
-    ids = np.array(data.draw(st.lists(st.integers(0, table_rows - 1), min_size=n, max_size=n)))
-    y = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=float)
-    cuts = sorted(data.draw(st.sets(st.integers(0, n), min_size=2, max_size=8)))
-    spans = data.draw(st.permutations([(a, b) for a, b in zip(cuts, cuts[1:])
-                                       if data.draw(st.booleans()) or a == cuts[0]]))
-    seeds = [data.draw(st.integers(0, 2**32 - 1)) for _ in spans]
-    cfg = HeadConfig(filters=f, epochs=data.draw(st.integers(1, 3)),
-                     batch_size=data.draw(st.integers(1, 9)), learning_rate=0.5,
-                     rng_seed=data.draw(st.integers(0, 99)))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = rng.normal(size=(table_rows, k * t))
+def test_train_round_matches_expanded_sgd_property():
+    # Random shapes, tables (narrow ones step whole, wide ones gather each
+    # batch's rows), ids, labels, spans in any order with gaps between
+    # them, seeds and block budgets, against SGD on the expanded rows.  The
+    # examples reach both layouts.
+    layouts = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        f, k, t = (data.draw(st.integers(1, 3)) for _ in range(3))
+        table_rows = data.draw(st.sampled_from([1, 2, 5, 40, 3000]))
+        n = data.draw(st.integers(1, 40))
+        ids = np.array(data.draw(st.lists(st.integers(0, table_rows - 1), min_size=n,
+                                          max_size=n)))
+        y = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=float)
+        cuts = sorted(data.draw(st.sets(st.integers(0, n), min_size=2, max_size=8)))
+        spans = data.draw(st.permutations([(a, b) for a, b in zip(cuts, cuts[1:])
+                                           if data.draw(st.booleans()) or a == cuts[0]]))
+        seeds = [data.draw(st.integers(0, 2**32 - 1)) for _ in spans]
+        cfg = HeadConfig(filters=f, epochs=data.draw(st.integers(1, 3)),
+                         batch_size=data.draw(st.integers(1, 9)), learning_rate=0.5,
+                         rng_seed=data.draw(st.integers(0, 99)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = rng.normal(size=(table_rows, k * t))
+        w = init(k, t, cfg)
+        block_values = data.draw(st.sampled_from([1, 50, 300, head._ROUND_BLOCK_VALUES]))
+        with mock.patch.object(head, "_ROUND_BLOCK_VALUES", block_values):
+            out, taken = round_with_layouts(w, rows, ids, y, spans, seeds, cfg)
+        layouts.update(taken)
+        for (a, b), seed, got in zip(spans, seeds, out):
+            ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
+            assert got.allclose(ref, rtol=0, atol=1e-12)
+
+    check()
+    assert layouts == {"whole", "gathered"}
+
+
+def test_train_round_layouts_at_the_batch_size(monkeypatch):
+    # Batch size 8 and two blocks of two clients.  The first block's clients
+    # use exactly 8 table rows between them and step whole; the second's use
+    # 9 and gather.  Both match SGD on the expanded rows.
+    monkeypatch.setattr(head, "_ROUND_BLOCK_VALUES", 100)  # 2 clients of width 6
+    rng = np.random.default_rng(31)
+    f, k, t = 2, 2, 2
+    cfg = HeadConfig(filters=f, epochs=3, batch_size=8, learning_rate=0.4)
+    table = rng.normal(size=(20, k * t))
+    picks = rng.permutation(20)
+    whole_ids = rng.permutation(np.concatenate([picks[:8], rng.choice(picks[:8], 40)]))
+    gathered_ids = rng.permutation(np.concatenate([picks[8:], rng.choice(picks[8:], 17)]))
+    ids = np.concatenate([whole_ids, gathered_ids])
+    y = (rng.random(len(ids)) > 0.5).astype(float)
+    spans = [(0, 24), (24, 48), (48, 64), (64, 74)]  # 3, 3, 2 and 2 batches
+    seeds = [6, 2, 11, 5]
     w = init(k, t, cfg)
-    block_values = data.draw(st.sampled_from([1, 50, 300, head._ROUND_BLOCK_VALUES]))
-    with mock.patch.object(head, "_ROUND_BLOCK_VALUES", block_values):
-        out = planned_round(w, rows, ids, y, spans, seeds, cfg)
+    out, layouts = round_with_layouts(w, table, ids, y, spans, seeds, cfg)
+    assert layouts == ["whole", "gathered"]
     for (a, b), seed, got in zip(spans, seeds, out):
-        ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
+        ref = sgd_with_gradients(w, table[ids[a:b]], y[a:b], seed, cfg)
         assert got.allclose(ref, rtol=0, atol=1e-12)
 
 
