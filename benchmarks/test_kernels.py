@@ -352,12 +352,18 @@ def central_l():
 @pytest.mark.parametrize("annotated", [True, False], ids=["annotated", "plain"])
 def test_write_events_csv(benchmark, tmp_path, central_l, annotated):
     """The event-log CSV at the central-l shape; float repr of the times is
-    most of it."""
+    most of it.  The events are written in `parts`, all but the first
+    formatted by forked workers, so the largest `ru_maxrss` of any child
+    reaped so far is recorded (`workers_maxrss_mb`, pages shared with this
+    process included; 0.0 with one part)."""
     events, truth = central_l
     path = tmp_path / "events.csv"
     benchmark.pedantic(scenario.write_events_csv, (path, events, truth if annotated else None),
                        rounds=5)
     benchmark.extra_info["bytes"] = path.stat().st_size
+    benchmark.extra_info["parts"] = len(scenario._write_parts(len(events), scenario._cores()))
+    benchmark.extra_info["workers_maxrss_mb"] = (
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
     assert path.stat().st_size > 0
 
 

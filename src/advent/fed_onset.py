@@ -241,8 +241,10 @@ def run_training(
 
 
 def detect_onset_batch(model: GlobalModel, x: np.ndarray) -> np.ndarray:
-    """Boolean attack decisions (p > 0.5, so a tie goes normal) for a batch of feature rows."""
-    v = gbdt.per_tree_output_matrix(model.forest, x)
-    p = head.forward_batch(model.head, v)
-    return p > 0.5
+    """Boolean attack decisions (p > 0.5, so a tie goes normal) for a batch
+    of feature rows.  The head decides each distinct tree vector of the
+    rows once (`gbdt.distinct_outputs`, the table training builds), and
+    each row takes its vector's decision."""
+    table, ids = gbdt.distinct_outputs(model.forest, x)
+    return (head.forward_batch(model.head, table) > 0.5)[ids]
 

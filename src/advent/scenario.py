@@ -8,12 +8,9 @@ recorded event logs in the same CSV format.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import os
-import signal
-import traceback
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,6 +18,7 @@ import numpy as np
 
 from ._codes import dense_codes, distinct
 from ._config import ConfigError, check_types, is_int, is_number
+from ._fork import cores as _cores, fork_map, part_count
 
 __all__ = [
     "ScenarioConfig",
@@ -368,6 +366,11 @@ _MIN_PART_BYTES = 1 << 20
 # Lines joined per write.  Joined whole, the body of a 3.2M-event log took
 # the writer's peak memory from 341 MB to 803 MB.
 _WRITE_LINES = 1 << 16
+# Events per write part, at least: a smaller part gains less than a forked
+# worker costs.
+_MIN_WRITE_EVENTS = 1 << 15
+# Bytes of a write worker's part copied into the file per step.
+_COPY_BYTES = 1 << 20
 
 
 def _row_dtype(cols: list[str], ids: str) -> np.dtype:
@@ -376,15 +379,17 @@ def _row_dtype(cols: list[str], ids: str) -> np.dtype:
                     + [(name, "i1") for name in cols[3:]])
 
 
-def _line_tails(stream: EventStream, truth: GroundTruth | None) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct line tail of a non-empty stream, ``,sender,receiver``
-    plus the flags and newline, as an object array, and each event's index
-    into it."""
-    active = np.zeros(len(stream), dtype=np.int64)
+def _line_tails(times, senders, receivers, truth: GroundTruth | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct line tail of non-empty events, ``,sender,receiver`` plus
+    the flags and newline, as an object array, and each event's index into
+    it."""
+    n = len(times)
+    active = np.zeros(n, dtype=np.int64)
     for ws, we in ([] if truth is None else truth.attack_windows):
-        active |= (stream.times >= ws) & (stream.times < we)
-    ids, codes = dense_codes(np.concatenate([stream.senders, stream.receivers]))
-    pair = codes[:len(stream)] * len(ids) + codes[len(stream):]
+        active |= (times >= ws) & (times < we)
+    ids, codes = dense_codes(np.concatenate([senders, receivers]))
+    pair = codes[:n] * len(ids) + codes[n:]
     keys, index = dense_codes(2 * pair + active)
     tails = []
     for s, r, a in zip(ids[keys // 2 // len(ids)].tolist(), ids[keys // 2 % len(ids)].tolist(),
@@ -394,25 +399,69 @@ def _line_tails(stream: EventStream, truth: GroundTruth | None) -> tuple[np.ndar
     return np.array(tails, dtype=object), index
 
 
+def _write_parts(events: int, cores: int) -> list[tuple[int, int]]:
+    """The contiguous (start, stop) event ranges a log of `events` is
+    written in: one per core, each of _MIN_WRITE_EVENTS at least."""
+    count = part_count(events, _MIN_WRITE_EVENTS, cores)
+    bounds = [events * k // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _lines(stream: EventStream, truth: GroundTruth | None, part: tuple[int, int]):
+    """The encoded lines of the events in `part`, _WRITE_LINES at a time:
+    each line the time's repr and its tail, looked up in a table that
+    formats each of the part's distinct tails once."""
+    rows = slice(*part)
+    times = stream.times[rows]
+    tails, index = _line_tails(times, stream.senders[rows], stream.receivers[rows], truth)
+    for lo in range(0, len(times), _WRITE_LINES):
+        block = slice(lo, lo + _WRITE_LINES)
+        pieces = [None] * (2 * len(index[block]))
+        pieces[0::2] = map(repr, times[block].tolist())
+        pieces[1::2] = tails[index[block]].tolist()
+        yield "".join(pieces).encode("utf-8")
+
+
+def _send_lines(blocks, pipe) -> None:
+    """A write worker's result: its part's byte count, then its bytes."""
+    blocks = list(blocks)
+    pipe.write(np.int64(sum(map(len, blocks))).tobytes())
+    for block in blocks:
+        pipe.write(block)
+
+
 def write_events_csv(path, stream: EventStream, truth: GroundTruth | None = None) -> None:
     """Write the event log; annotation columns are included when truth is given.
 
-    A line is the time's repr and its tail, looked up per event in a table
-    that formats each distinct tail once.  Lines are joined and written
-    _WRITE_LINES at a time.
+    The events are cut into contiguous parts by `_write_parts`: one per core
+    this process may run on, each of _MIN_WRITE_EVENTS at least, so the cut
+    follows from the event count.  The first part's lines are formatted and
+    written here, _WRITE_LINES at a time, while a forked worker of
+    `_fork.fork_map` formats each other part whole and sends its bytes.
+    Each worker's bytes are then copied into the file in order, _COPY_BYTES
+    at a time, so this process holds no more than a block of lines and the
+    buffer.  The file is the same, byte for byte, at any part count.  A
+    worker that ends without sending its part raises ChildProcessError.
     """
     header = _BASE_HEADER if truth is None else _ANNOT_HEADER
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         if not len(stream):
             return
-        tails, index = _line_tails(stream, truth)
-        for lo in range(0, len(stream), _WRITE_LINES):
-            block = slice(lo, lo + _WRITE_LINES)
-            parts = [None] * (2 * len(index[block]))
-            parts[0::2] = map(repr, stream.times[block].tolist())
-            parts[1::2] = tails[index[block]].tolist()
-            fh.write("".join(parts))
+        with fork_map(lambda part: _lines(stream, truth, part),
+                      _write_parts(len(stream), _cores()), _send_lines) as (first, workers):
+            for block in first:
+                fh.write(block)
+            buf = memoryview(bytearray(_COPY_BYTES))
+            for worker in workers:
+                size = np.zeros(1, dtype=np.int64)
+                worker.receive(size)
+                left = int(size[0])
+                while left:
+                    view = buf[:left]
+                    worker.receive(view)
+                    fh.write(view)
+                    left -= len(view)
 
 
 def write_ground_truth(path, truth: GroundTruth) -> None:
@@ -588,17 +637,10 @@ def _flag_labels(t, s, attacker_flag, active_flag) -> tuple[set[int], list[tuple
     return attackers, windows
 
 
-def _cores() -> int:
-    """The cores this process may run on; 1 where it cannot fork."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _part_count(body_bytes: int, cores: int) -> int:
     """How many parts a log body of `body_bytes` is parsed in: one per core,
     each of _MIN_PART_BYTES at least."""
-    return max(1, min(cores, body_bytes // _MIN_PART_BYTES))
+    return part_count(body_bytes, _MIN_PART_BYTES, cores)
 
 
 def _parts(path, start: int) -> list[tuple[int, int | None]]:
@@ -652,57 +694,30 @@ def _part(path, dtype: np.dtype, skiprows: int, max_rows: int | None,
     return None if _value_error(rows, truth) is not None else rows
 
 
-def _fork_part(path, dtype: np.dtype, part: tuple[int, int | None], truth: GroundTruth | None,
-               names: list[str]) -> tuple[int, io.FileIO]:
-    """Start a worker that parses one part and sends through a pipe its row
-    count (-1 when the part is rejected), then each column of `names` in
-    turn.  Returns the worker's pid and the pipe's read end."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                rows = _part(path, dtype, *part, truth)
-                pipe.write(np.int64(-1 if rows is None else len(rows)).tobytes())
-                for name in names if rows is not None else ():
-                    for lo in range(0, len(rows), _CHECK_ROWS):
-                        pipe.write(np.ascontiguousarray(rows[name][lo:lo + _CHECK_ROWS]))
-            code = 0
-        except Exception:
-            traceback.print_exc()
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb", buffering=0)
+def _send_columns(rows: np.ndarray | None, names: list[str], pipe) -> None:
+    """A parse worker's result: its row count (-1 when its part is
+    rejected), then each column of `names` in turn."""
+    pipe.write(np.int64(-1 if rows is None else len(rows)).tobytes())
+    for name in names if rows is not None else ():
+        for lo in range(0, len(rows), _CHECK_ROWS):
+            pipe.write(np.ascontiguousarray(rows[name][lo:lo + _CHECK_ROWS]))
 
 
 def _parse_parts(path, dtype: np.dtype, parts: list[tuple[int, int | None]],
                  truth: GroundTruth | None, names: list[str]):
     """The rows of a log parsed in `parts`, or None when a part is rejected.
-    Part 0 is parsed here while a forked worker parses each other part; a
-    worker's columns are read straight into the joined columns `names`.
-    One part's structured rows are returned as they are: a copy into
-    columns would add to the peak.  Every worker is killed and reaped before
-    this returns or raises."""
-    workers = {}
-    try:
-        for part in parts[1:]:
-            pid, pipe = _fork_part(path, dtype, part, truth, names)
-            workers[pid] = pipe
-        rows = _part(path, dtype, *parts[0], truth)
+    Part 0 is parsed here while a forked worker parses each other part
+    (`_fork.fork_map`); a worker's columns are read straight into the
+    joined columns `names`.  One part's structured rows are returned as
+    they are: a copy into columns would add to the peak."""
+    with fork_map(lambda part: _part(path, dtype, *part, truth), parts,
+                  lambda rows, pipe: _send_columns(rows, names, pipe)) as (rows, workers):
         if rows is None or not workers:
             return rows
         sizes = [len(rows)]
-        for pid in list(workers):
+        for worker in workers:
             size = np.zeros(1, dtype=np.int64)
-            _receive(workers, pid, size)
+            worker.receive(size)
             if size[0] < 0:
                 return None
             sizes.append(int(size[0]))
@@ -711,30 +726,10 @@ def _parse_parts(path, dtype: np.dtype, parts: list[tuple[int, int | None]],
         for name in names:
             columns[name][:len(rows)] = rows[name]
         del rows
-        for pid, lo, hi in zip(list(workers), bounds[1:], bounds[2:]):
+        for worker, lo, hi in zip(workers, bounds[1:], bounds[2:]):
             for name in names:
-                _receive(workers, pid, columns[name][lo:hi])
+                worker.receive(columns[name][lo:hi])
         return columns
-    finally:
-        for pid, pipe in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _receive(workers: dict, pid: int, out: np.ndarray) -> None:
-    """Fill `out` from worker `pid`'s pipe.  A worker that ends first is
-    reaped and dropped from `workers`, and a ChildProcessError names its
-    exit status."""
-    view = memoryview(out).cast("B")
-    while view:
-        got = workers[pid].readinto(view)
-        if not got:
-            workers.pop(pid).close()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            raise ChildProcessError(f"an ingest worker ended with exit status {status} "
-                                    "before it sent its part of the log")
-        view = view[got:]
 
 
 def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundTruth | None]:
@@ -761,14 +756,16 @@ def ingest(path, truth: GroundTruth | None = None) -> tuple[EventStream, GroundT
     Parts.  The body is cut at line ends into one part per core this
     process may run on (``os.sched_getaffinity``), each of at least
     _MIN_PART_BYTES.  The first part is parsed here and every other one in
-    a forked worker, all with the same np.loadtxt call and value rules; no
-    worker outlives the call.  One core, a small log, a platform without
-    ``os.fork``, or an empty line or a ``\\r`` before the last cut makes one
-    part, parsed here by the same function.  Ids are parsed as uint16; when
-    any part is rejected, the same parts are parsed again with int64 ids,
-    and when one is still rejected, the log is searched for its first bad
-    line.  So the events and every error are those of a 1-part parse.  A
-    worker that ends without sending its part raises ChildProcessError.
+    a forked worker of `_fork.fork_map` (the writer's map too), all with the
+    same np.loadtxt call and value rules, and each worker's columns are
+    read straight into the joined columns; no worker outlives the call.
+    One core, a small log, a platform without ``os.fork``, or an empty
+    line or a ``\\r`` before the last cut makes one part, parsed here by
+    the same function.  Ids are parsed as uint16; when any part is
+    rejected, the same parts are parsed again with int64 ids, and when one
+    is still rejected, the log is searched for its first bad line.  So the
+    events and every error are those of a 1-part parse.  A worker that ends
+    without sending its part raises ChildProcessError.
 
     Given a `truth`, it is returned as the log's ground truth.  The
     annotation columns, when present, are checked against it: each row's

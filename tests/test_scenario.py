@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from advent import _fork as fork
 from advent import scenario
 from advent.scenario import ConfigError, EventStream, GroundTruth, ParseError, ScenarioConfig
 
@@ -713,19 +714,70 @@ def test_csv_bytes_match_reference_writer(tmp_path, small_scenario, monkeypatch)
     extremes = EventStream([0.5, 1.0, 1.5], [big.min, big.max, 0], [big.max, big.min, big.min])
     cases += [(extremes, GroundTruth(attackers={big.min}, attack_windows=[(1.0, 2.0)])),
               (extremes, None)]
-    path = tmp_path / "events.csv"
-    for stream, truth in cases:
-        scenario.write_events_csv(path, stream, truth)
-        assert path.read_bytes() == _reference_csv(stream, truth)
     # Written in blocks of 7 lines, with a partial last block.
-    monkeypatch.setattr(scenario, "_WRITE_LINES", 7)
-    for stream, truth in [small_scenario, (edges, None), (EventStream([15.5], [-7], [3]), None)]:
-        scenario.write_events_csv(path, stream, truth)
-        assert path.read_bytes() == _reference_csv(stream, truth)
+    sevens = [small_scenario, (edges, None), (EventStream([15.5], [-7], [3]), None)]
+    path = tmp_path / "events.csv"
+    # In 1, 2 and 3 parts, with no minimum part size and each worker's bytes
+    # copied 64 at a time; a log of fewer events than cores has one part
+    # per event, and an empty log one empty part.
+    monkeypatch.setattr(scenario, "_MIN_WRITE_EVENTS", 1)
+    monkeypatch.setattr(scenario, "_COPY_BYTES", 64)
+    for count in (1, 2, 3):
+        monkeypatch.setattr(scenario, "_cores", lambda: count)
+        for lines, group in [(1 << 16, cases), (7, sevens)]:
+            monkeypatch.setattr(scenario, "_WRITE_LINES", lines)
+            for stream, truth in group:
+                parts = scenario._write_parts(len(stream), count)
+                assert len(parts) == max(1, min(count, len(stream)))
+                scenario.write_events_csv(path, stream, truth)
+                assert path.read_bytes() == _reference_csv(stream, truth)
+                _no_child_left()
     scenario.write_events_csv(path, edges, edge_truth)
     assert path.read_text().splitlines()[1:] == [
         "0.1,1,2,1,0", "9.999999999999998,2,1,0,0", "10.0,1,3,1,1",
         "12.25,3,1,0,1", "20.0,1,2,1,0", "20.5,2,3,0,0"]
+
+
+def test_write_parts_are_capped_by_the_cores_and_the_part_size(monkeypatch):
+    # Planning the parts of a log at 64 cores starts no process.
+    monkeypatch.setattr(os, "fork", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert fork.cores() == 64
+    least = scenario._MIN_WRITE_EVENTS
+    assert scenario._write_parts(least - 1, 64) == [(0, least - 1)]
+    assert len(scenario._write_parts(5 * least + least // 2, 64)) == 5
+    assert scenario._write_parts(10 ** 9, 1) == [(0, 10 ** 9)]
+    parts = scenario._write_parts(64 * least + 7, fork.cores())
+    assert len(parts) == 64
+    assert parts[0][0] == 0 and parts[-1][1] == 64 * least + 7
+    assert all(stop == start for (_, stop), (start, _) in zip(parts, parts[1:]))
+    assert {stop - start for start, stop in parts} <= {least, least + 1}
+    monkeypatch.delattr(os, "fork")
+    assert fork.cores() == 1
+
+
+@pytest.mark.parametrize("ending", ["signal", "exit", "raise"])
+def test_a_write_worker_that_ends_without_its_part_raises(tmp_path, small_scenario,
+                                                          monkeypatch, ending):
+    parent = os.getpid()
+    lines = scenario._lines
+
+    def end_in_worker(*args):
+        if os.getpid() != parent:
+            if ending == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if ending == "raise":
+                raise RuntimeError("a failing write worker")
+            os._exit(3)
+        return lines(*args)
+
+    monkeypatch.setattr(scenario, "_lines", end_in_worker)
+    monkeypatch.setattr(scenario, "_MIN_WRITE_EVENTS", 1)
+    monkeypatch.setattr(scenario, "_cores", lambda: 3)
+    status = {"signal": -signal.SIGKILL, "exit": 3, "raise": 1}[ending]
+    with pytest.raises(ChildProcessError, match=f"exit status {status} "):
+        scenario.write_events_csv(tmp_path / "events.csv", *small_scenario)
+    _no_child_left()
 
 
 _ROWS = st.lists(
