@@ -25,6 +25,14 @@ T, FILTERS, BATCH, ROWS, EPOCHS = 10, 4, 64, 640, 5
 # 600 s, about 631k events.
 CENTRAL_L = scenario.ScenarioConfig(duration_s=600, concurrent_range=(20, 20), attack_count=3,
                                     attack_spacing_s=150, rng_seed=1)
+# The dense-pulsed benchmark workload's scenario at seed 1: 50 vehicles
+# present, 10 attacks of 40 s.
+DENSE_PULSED = scenario.ScenarioConfig(duration_s=1200, total_vehicles=60,
+                                       concurrent_range=(50, 50), arrival_interval_s=20,
+                                       attacker_fraction=0.2, attack_count=10,
+                                       attack_spacing_s=120, attack_duration_s=40,
+                                       normal_rate_pps=0.5, flood_rate_pps=6.0,
+                                       neighbor_degree=8, rng_seed=1)
 
 
 def _record_per_step(benchmark, name, steps):
@@ -433,3 +441,24 @@ def test_mnd_round(benchmark, central_l):
     benchmark.extra_info["events"] = len(round_events)
     benchmark.extra_info["reporters"] = len(detection.reports)
     assert len(detection.suspected) > 0
+
+
+@pytest.fixture(scope="module")
+def dense_pulsed_rounds():
+    """The dense-pulsed workload's MND rounds at seed 1, as `runner.mnd_reports`
+    gives them, and its ground truth."""
+    events, truth = scenario.generate(DENSE_PULSED)
+    return runner.mnd_reports(events, truth, runner.alert_rounds(truth), mnd.MadParams()), truth
+
+
+@pytest.mark.parametrize("mode", ["local_mad", "fl_threshold"])
+def test_mnd_aggregate(benchmark, dense_pulsed_rounds, mode):
+    """MND scoring at the dense-pulsed shape: one `runner.mnd_aggregate` call
+    over every round.  `local_mad` scores each report against the others
+    present, one set per report; `fl_threshold` votes one list per round.
+    Records the rounds and reports."""
+    round_reports, truth = dense_pulsed_rounds
+    _, _, confusion = benchmark(runner.mnd_aggregate, mode, 2, round_reports, truth)
+    benchmark.extra_info["rounds"] = len(round_reports)
+    benchmark.extra_info["reports"] = sum(len(reports) for _, reports in round_reports)
+    assert confusion.total() > 0

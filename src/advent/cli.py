@@ -139,7 +139,9 @@ def cmd_report(args) -> int:
     if not rows:
         print(f"error: no report.json files under {out_dir}", file=sys.stderr)
         return 1
-    rows.sort(key=lambda r: (r["scenario"], r["method"], r["mnd_mode"], str(r["seed"])))
+    # Integer seeds in numeric order, after any other seed by its text.
+    rows.sort(key=lambda r: (r["scenario"], r["method"], r["mnd_mode"], _config.is_int(r["seed"]),
+                             r["seed"] if _config.is_int(r["seed"]) else str(r["seed"])))
     # One timing column per key any timing.json holds, in the order first seen.
     columns = list(dict.fromkeys([*_REPORT_COLUMNS, *(k for r in rows for k in r)]))
     csv_path = out_dir / "comparison.csv"

@@ -8,6 +8,7 @@ instead of distorting them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 from .scenario import GroundTruth
@@ -68,32 +69,28 @@ def score(c: Confusion) -> EvalReport:
 
 
 def mnd_confusion(
-    broadcast_lists: list[set[int]],
+    broadcast_lists: Iterable[set[int]],
     truth: GroundTruth,
-    vehicles_present: list[set[int]],
+    vehicles_present: Iterable[set[int]],
 ) -> Confusion:
     """Sum per-round confusion: listed/unlisted x attacker/benign among present.
 
     `vehicles_present` gives, per aggregation round, the vehicles present for
-    the whole round; rounds and lists must be aligned.
+    the whole round; rounds and lists must be aligned, and a ValueError is
+    raised when one runs out before the other.  A listed vehicle that is not
+    present is not counted.
     """
     if truth is None:
         raise ValueError("ground truth required for MND evaluation")
-    if len(broadcast_lists) != len(vehicles_present):
-        raise ValueError("one present-set per broadcast list required")
     c = Confusion()
-    for listed, present in zip(broadcast_lists, vehicles_present):
-        for v in present:
-            if v in truth.attackers:
-                if v in listed:
-                    c.tp += 1
-                else:
-                    c.fn += 1
-            else:
-                if v in listed:
-                    c.fp += 1
-                else:
-                    c.tn += 1
+    for listed, present in zip(broadcast_lists, vehicles_present, strict=True):
+        flagged = listed & present
+        bad = len(present & truth.attackers)
+        tp = len(flagged & truth.attackers)
+        c.tp += tp
+        c.fp += len(flagged) - tp
+        c.fn += bad - tp
+        c.tn += len(present) - len(flagged) - bad + tp
     return c
 
 

@@ -106,10 +106,7 @@ def windowize_arrays(
     k, lag = np.nonzero(np.triu(np.ones((a, a), dtype=bool), 1))
     inside = k < lengths[:, None]
     x[(series.bounds[:-1, None] + k)[inside], np.broadcast_to(lag, inside.shape)[inside]] = 0.0
-    labels = np.zeros(len(seconds), dtype=np.int64)
-    for ws, we in truth.attack_windows:
-        labels[(seconds >= ws) & (seconds < we)] = 1
-    return seconds, x, labels
+    return seconds, x, truth.active(seconds).astype(np.int64)
 
 
 def interval_counts(events: EventStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -193,34 +193,23 @@ def mnd_reports(events, truth, rounds, params: mnd.MadParams):
 
 
 def mnd_aggregate(mode: str, th: int, round_reports, truth):
-    """(server lists, present sets, confusion) for an MND mode.
+    """(server lists, present sets, confusion) for an MND mode, the
+    confusion from `metrics.mnd_confusion` in every mode.
 
-    `local_mad` keeps no server list: each vehicle's own list is scored
-    against the other vehicles present, summed over vehicle-rounds, from
-    the sizes of its sets.  Every reporter is present in its round, as
-    `mnd_reports` makes them.
+    `local_mad` keeps no server list: each report is a list of its own,
+    scored against the other vehicles present in its round.
     """
     if mode == "local_mad":
-        c = Confusion()
-        for present, reports in round_reports:
-            present_attackers = len(present & truth.attackers)
-            for rep in reports:
-                # The attackers present besides the reporter, and the other
-                # present vehicles the report lists.
-                bad = present_attackers - (rep.reporter in truth.attackers)
-                listed = rep.suspected & present
-                listed.discard(rep.reporter)
-                tp = len(listed & truth.attackers)
-                fp = len(listed) - tp
-                c.tp += tp
-                c.fp += fp
-                c.fn += bad - tp
-                c.tn += len(present) - 1 - bad - fp
-        return [], [], c
-    th = 1 if mode == "fl_aggregate" else th
-    lists = [fed_mnd.aggregate(reports, th) for _, reports in round_reports]
-    present_sets = [present for present, _ in round_reports]
-    return lists, present_sets, metrics.mnd_confusion(lists, truth, present_sets)
+        # One others set alive at a time: the call consumes them as made.
+        lists = (rep.suspected for _, reports in round_reports for rep in reports)
+        present_sets = (present - {rep.reporter}
+                        for present, reports in round_reports for rep in reports)
+    else:
+        th = 1 if mode == "fl_aggregate" else th
+        lists = [fed_mnd.aggregate(reports, th) for _, reports in round_reports]
+        present_sets = [present for present, _ in round_reports]
+    confusion = metrics.mnd_confusion(lists, truth, present_sets)
+    return ([], [], confusion) if mode == "local_mad" else (lists, present_sets, confusion)
 
 
 def score(manifest: RunManifest, truth, per_vehicle, flags, t_split, mnd_result):

@@ -59,12 +59,17 @@ class ScenarioConfig:
             raise ConfigError("duration_s must be > 0")
         if not (0.0 <= self.attacker_fraction <= 1.0):
             raise ConfigError("attacker_fraction must be in [0, 1]")
+        for name in ("attack_count", "attack_duration_s"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.attack_count * self.attack_spacing_s > self.duration_s:
             raise ConfigError("attack_count * attack_spacing_s must be <= duration_s")
         if self.attack_duration_s > self.attack_spacing_s:
             raise ConfigError("attack_duration_s must be <= attack_spacing_s")
         if self.flood_rate_pps <= self.normal_rate_pps:
             raise ConfigError("flood_rate_pps must be > normal_rate_pps")
+        if self.concurrent_range[0] < 0:
+            raise ConfigError("concurrent_range.min must be >= 0")
         if self.concurrent_range[0] > self.concurrent_range[1]:
             raise ConfigError("concurrent_range.min must be <= concurrent_range.max")
         if self.total_vehicles < 1:
@@ -111,15 +116,11 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.times)
 
-    def sorted(self) -> "EventStream":
-        """The events in (time, sender, receiver) order; rows equal on all
-        three keep their order, as under np.lexsort((receivers, senders, times))."""
-        out = EventStream(self.times.copy(), self.senders.copy(), self.receivers.copy())
-        out._sort()
-        return out
-
     def _sort(self) -> None:
-        """Sort this stream's events as `sorted` orders them, in place.
+        """Sort this stream's events in place into (time, sender, receiver)
+        order; rows equal on all three keep their order, as under
+        np.lexsort((receivers, senders, times)).  The arrays the stream
+        holds, which may be the caller's, are changed.
 
         Each half is sorted on its own.  The halves' ids are merged into new
         arrays by where each time falls in the other half, the times are
@@ -200,6 +201,14 @@ class GroundTruth:
             "attack_windows": [[s, e] for s, e in self.attack_windows],
             "presence": {str(v): [a, b] for v, (a, b) in sorted(self.presence.items())},
         }
+
+    def active(self, times) -> np.ndarray:
+        """Whether each of `times` falls in an attack window [start, end)."""
+        times = np.asarray(times)
+        out = np.zeros(times.shape, dtype=bool)
+        for start, end in self.attack_windows:
+            out |= (times >= start) & (times < end)
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
@@ -336,14 +345,11 @@ def generate(config: ScenarioConfig) -> tuple[EventStream, GroundTruth]:
         all_senders.append(np.repeat(sender_ids, counts))
         all_receivers.append(np.repeat(ids[ri], counts))
 
-    if all_times:
-        stream = EventStream(
-            np.concatenate(all_times),
-            np.concatenate(all_senders),
-            np.concatenate(all_receivers),
-        ).sorted()
-    else:
-        stream = EventStream([], [], [])
+    if not all_times:
+        return EventStream([], [], []), truth
+    stream = EventStream(np.concatenate(all_times), np.concatenate(all_senders),
+                         np.concatenate(all_receivers))
+    stream._sort()
     return stream, truth
 
 
@@ -385,12 +391,9 @@ def _line_tails(times, senders, receivers, truth: GroundTruth | None
     the flags and newline, as an object array, and each event's index into
     it."""
     n = len(times)
-    active = np.zeros(n, dtype=np.int64)
-    for ws, we in ([] if truth is None else truth.attack_windows):
-        active |= (times >= ws) & (times < we)
     ids, codes = dense_codes(np.concatenate([senders, receivers]))
     pair = codes[:n] * len(ids) + codes[n:]
-    keys, index = dense_codes(2 * pair + active)
+    keys, index = dense_codes(2 * pair + (0 if truth is None else truth.active(times)))
     tails = []
     for s, r, a in zip(ids[keys // 2 // len(ids)].tolist(), ids[keys // 2 % len(ids)].tolist(),
                        (keys % 2).tolist()):
@@ -512,13 +515,10 @@ def _value_error(rows: np.ndarray, truth: GroundTruth | None) -> str | None:
         if truth is not None and flags:
             ok = ~np.logical_or.reduce([bad for bad, _, _ in rules])
             attacker = np.isin(s, attackers)
-            active = np.zeros(len(t), dtype=bool)
-            for ws, we in truth.attack_windows:
-                active |= (t >= ws) & (t < we)
             rules += [
                 (ok & (block[_FLAGS[0]] != attacker), _FLAGS[0],
                  "must match the ground truth's attackers"),
-                (ok & (block[_FLAGS[1]] != active), _FLAGS[1],
+                (ok & (block[_FLAGS[1]] != truth.active(t)), _FLAGS[1],
                  "must match the ground truth's attack windows"),
             ]
         hits = [(int(np.argmax(bad)), name, rule) for bad, name, rule in rules if bad.any()]

@@ -59,6 +59,19 @@ def test_generate_bad_config_exit1(tmp_path, capsys):
     assert "attacker_fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("attack_count", -1), ("attack_duration_s", -5), ("concurrent_range", [-3, 5]),
+])
+def test_generate_negative_config_value_exit1(tmp_path, capsys, field, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({field: value}))
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    name = "concurrent_range.min" if field == "concurrent_range" else field
+    assert capsys.readouterr().err == f"error: {name} must be >= 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"duration_s": 600,', "line 1"),
     ('{"concurrent_range": [4]}', "concurrent_range"),
@@ -413,6 +426,18 @@ def test_report_rejects_a_score_that_is_not_a_number(tmp_path, capsys, change, w
     assert main(["report", "--out", str(tmp_path)]) == 1
     assert _one_error_line(capsys, bad) == f"error: {bad} is not a run report: {why}\n"
     assert not (tmp_path / "comparison.csv").exists()
+
+
+def test_report_lists_seeds_in_numeric_order(tmp_path, capsys):
+    # Seed 10 after seed 2; a report with no seed first.
+    for name, seed in (("a", 10), ("b", 2), ("c", None)):
+        (tmp_path / name).mkdir()
+        report = _GOOD_REPORT if seed is None else dict(_GOOD_REPORT, seed=seed)
+        (tmp_path / name / "report.json").write_text(json.dumps(report))
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert re.findall(r"seed=(\S*)", capsys.readouterr().out) == ["", "2", "10"]
+    lines = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["", "2", "10"]
 
 
 def test_run_rejects_a_sidecar_the_annotations_disagree_with(scenario_dir, tmp_path, capsys):

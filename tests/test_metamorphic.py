@@ -1,11 +1,44 @@
 """Relations of the whole pipeline: transformed inputs whose correct outputs
 are known without a second implementation."""
 
+import json
 import os
 
+import numpy as np
 import pytest
 
 from advent import runner, scenario
+from advent.scenario import EventStream, GroundTruth
+
+# One pairing of methods and MND modes that runs every mode once.
+METHOD_MODES = list(zip(runner.METHODS, runner.MND_MODES))
+
+
+def _run(log, method, mnd_mode="fl_aggregate"):
+    """Run the pipeline on `log` (its truth.json sidecar, when there is one)
+    into a directory beside it named for the method and mode, with the small
+    settings every relation here uses; return (report, predictions) as
+    bytes."""
+    out = log.parent / f"{method}-{mnd_mode}"
+    runner.run_pipeline(runner.RunManifest(
+        scenario_path=str(log), output_dir=str(out), method=method, mnd_mode=mnd_mode,
+        seed=1, rounds=2, epochs=2, trees_per_client=2))
+    return tuple((out / name).read_bytes() for name in ("report.json", "predictions.json"))
+
+
+def _write_renamed(d, small_scenario, rename):
+    """Write the small scenario into `d` with every id v renamed `rename[v]`,
+    as an annotated log and its truth.json; return the log's path."""
+    events, truth = small_scenario
+    renamed = EventStream(events.times.copy(), rename[events.senders], rename[events.receivers])
+    renamed._sort()
+    truth = GroundTruth(attackers={int(rename[v]) for v in truth.attackers},
+                        attack_windows=list(truth.attack_windows),
+                        presence={int(rename[v]): span for v, span in truth.presence.items()})
+    d.mkdir()
+    scenario.write_events_csv(d / "events.csv", renamed, truth)
+    scenario.write_ground_truth(d / "truth.json", truth)
+    return d / "events.csv"
 
 
 @pytest.mark.parametrize("method", ["centralized", "federated", "federated_smote"])
@@ -24,12 +57,68 @@ def test_part_counts_give_identical_outputs(tmp_path, small_scenario, monkeypatc
         scenario.write_events_csv(d / "events.csv", *small_scenario)
         start = len((d / "events.csv").read_bytes().split(b"\n", 1)[0]) + 1
         assert len(scenario._parts(d / "events.csv", start)) == count
-        runner.run_pipeline(runner.RunManifest(
-            scenario_path=str(d / "events.csv"), output_dir=str(d / "run"), method=method,
-            seed=1, rounds=2, epochs=2, trees_per_client=2))
-        outputs.append([(d / name).read_bytes()
-                        for name in ("events.csv", "run/report.json", "run/predictions.json")])
+        outputs.append([(d / "events.csv").read_bytes(), *_run(d / "events.csv", method)])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("bijection", ["reversed", "permuted"])
+@pytest.mark.parametrize("mnd_mode", runner.MND_MODES)
+def test_renamed_ids_give_the_same_mnd_confusion(tmp_path, small_scenario, record_property,
+                                                 bijection, mnd_mode):
+    # Each vehicle's reports and votes follow it under any renaming.  The
+    # training rows come in vehicle order, which a renaming changes, so the
+    # onset confusion may differ; whether it does is recorded, not asserted.
+    ids = np.arange(max(small_scenario[1].presence) + 1)
+    rename = ids[::-1] if bijection == "reversed" else np.random.default_rng(3).permutation(ids)
+    reports = [json.loads(_run(_write_renamed(tmp_path / name, small_scenario, r),
+                               "centralized", mnd_mode)[0])
+               for name, r in (("same", ids), (bijection, rename))]
+    assert reports[1]["mnd_confusion"] == reports[0]["mnd_confusion"]
+    record_property("onset_confusion_equal",
+                    reports[1]["onset_confusion"] == reports[0]["onset_confusion"])
+
+
+def _shifted_back(predictions: dict, shift: int) -> dict:
+    """`predictions` with `shift` taken off every vehicle id."""
+    return dict(
+        predictions,
+        onset_flags={str(int(v) - shift): s for v, s in predictions["onset_flags"].items()},
+        mnd_lists=[[v - shift for v in s] for s in predictions["mnd_lists"]],
+        mnd_present=[[v - shift for v in s] for s in predictions["mnd_present"]])
+
+
+@pytest.mark.parametrize("shift, dtype", [(300, np.uint16), (70_000, np.int64)])
+@pytest.mark.parametrize("method, mnd_mode", METHOD_MODES)
+def test_shifted_ids_give_the_same_outputs(tmp_path, small_scenario, shift, dtype, method,
+                                           mnd_mode):
+    # The small scenario's ids fit uint8; shifted by 300 they are read as
+    # uint16 and by 70,000 as int64.  A shift keeps the vehicles' order, so
+    # every output is the same once the ids are shifted back.
+    ids = np.arange(max(small_scenario[1].presence) + 1)
+    logs = [_write_renamed(tmp_path / str(k), small_scenario, ids + k) for k in (0, shift)]
+    assert [scenario.ingest(log)[0].senders.dtype for log in logs] == [np.uint8, dtype]
+    (report, predictions), (shifted_report, shifted_predictions) = [
+        [json.loads(out) for out in _run(log, method, mnd_mode)] for log in logs]
+    report.pop("scenario")
+    shifted_report.pop("scenario")
+    assert shifted_report == report
+    assert _shifted_back(shifted_predictions, shift) == predictions
+
+
+@pytest.mark.parametrize("method, mnd_mode", METHOD_MODES)
+def test_shuffled_rows_give_identical_outputs(tmp_path, small_scenario_dir, method, mnd_mode):
+    # Ingest sorts the rows, so a log's row order is not an input.
+    text = (small_scenario_dir / "events.csv").read_text()
+    header, *rows = text.splitlines(keepends=True)
+    np.random.default_rng(5).shuffle(rows)
+    logs = []
+    for name, body in (("sorted", text), ("shuffled", header + "".join(rows))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "events.csv").write_text(body)
+        (tmp_path / name / "truth.json").write_bytes(
+            (small_scenario_dir / "truth.json").read_bytes())
+        logs.append(tmp_path / name / "events.csv")
+    assert _run(logs[1], method, mnd_mode) == _run(logs[0], method, mnd_mode)

@@ -78,6 +78,33 @@ def test_mnd_confusion_validation():
 IDS = st.integers(0, 12)
 
 
+def _per_vehicle_confusion(broadcast_lists, attackers, vehicles_present) -> Confusion:
+    """Reference: each present vehicle of each round counted on its own, by
+    whether it is an attacker and whether the round's list names it."""
+    c = Confusion()
+    for listed, present in zip(broadcast_lists, vehicles_present):
+        for v in present:
+            if v in attackers:
+                if v in listed:
+                    c.tp += 1
+                else:
+                    c.fn += 1
+            elif v in listed:
+                c.fp += 1
+            else:
+                c.tn += 1
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sets(IDS), st.sets(IDS)), max_size=6), st.sets(IDS))
+def test_mnd_confusion_matches_per_vehicle_loop(rounds, attackers):
+    # Lists name absent vehicles and non-attackers as well as present ones.
+    lists, present = [listed for listed, _ in rounds], [p for _, p in rounds]
+    assert (mnd_confusion(lists, _truth(attackers, {}), present)
+            == _per_vehicle_confusion(lists, attackers, present))
+
+
 @st.composite
 def _rounds(draw):
     """MND rounds as mnd_reports returns them: each present vehicle may
@@ -93,14 +120,12 @@ def _rounds(draw):
 @settings(max_examples=200, deadline=None)
 @given(_rounds(), st.sets(IDS))
 def test_local_mad_set_sizes_match_per_report_confusion(rounds, attackers):
-    # Oracle: each report scored with mnd_confusion against the other
-    # vehicles present, summed over reports.
-    truth = _truth(attackers, {})
-    want = Confusion()
-    for present, reports in rounds:
-        for rep in reports:
-            want = want + mnd_confusion([rep.suspected], truth, [present - {rep.reporter}])
-    assert runner.mnd_aggregate("local_mad", 2, rounds, truth) == ([], [], want)
+    # Each report counted against the other vehicles present, summed over
+    # reports.
+    scored = [(rep.suspected, present - {rep.reporter})
+              for present, reports in rounds for rep in reports]
+    want = _per_vehicle_confusion([s for s, _ in scored], attackers, [p for _, p in scored])
+    assert runner.mnd_aggregate("local_mad", 2, rounds, _truth(attackers, {})) == ([], [], want)
 
 
 def test_first_second_rate():

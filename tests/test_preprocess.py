@@ -16,6 +16,13 @@ def _stream(rows):
     return EventStream(times, senders, receivers)
 
 
+def _sorted(events):
+    """A copy of `events` in (time, sender, receiver) order."""
+    out = EventStream(events.times.copy(), events.senders.copy(), events.receivers.copy())
+    out._sort()
+    return out
+
+
 def _truth(presence, windows=()):
     return GroundTruth(presence=dict(presence), attack_windows=list(windows))
 
@@ -123,7 +130,7 @@ def test_count_series_match_receiver_mask(base):
     times = rng.random(200) * 10
     senders = base + rng.integers(0, 6, 200)
     receivers = base + rng.integers(0, 6, 200)
-    events = EventStream(times, senders, receivers).sorted()
+    events = _sorted(EventStream(times, senders, receivers))
     presence = {v: (0.0, 10.0) for v in range(base - 1, base + 7)}
     cs = build_count_series(events, _truth(presence))
     for v in presence:
@@ -215,7 +222,7 @@ def test_counts_and_windows_match_event_tally(rows, spans, windows, lags):
     # Events before, inside and after their receiver's presence, receivers
     # with no presence entry, vehicles with no inbound event and presences
     # shorter than the traffic, over ids negative and above 2^40.
-    events = _stream(rows).sorted()
+    events = _sorted(_stream(rows))
     truth = _truth({v: (enter, enter + length) for v, (enter, length) in spans.items()},
                    [(float(s), float(s + n)) for s, n in windows])
     assert _windows_by_vehicle(events, truth, lags) == reference_windows(events, truth, lags)
@@ -228,7 +235,7 @@ def test_counts_memory_is_bounded_by_events_and_seconds():
     rng = np.random.default_rng(0)
     t = np.concatenate([rng.uniform(0, 10, 300), rng.uniform(1e6, 1e6 + 10, 300)])
     receivers = np.repeat([far, low], 300)
-    events = EventStream(t, receivers[::-1].copy(), receivers).sorted()
+    events = _sorted(EventStream(t, receivers[::-1].copy(), receivers))
     truth = _truth({far: (0.0, 10.0), low: (1e6, 1e6 + 10.0)}, [(1e6 + 2, 1e6 + 4)])
     tracemalloc.start()
     try:

@@ -32,6 +32,12 @@ def test_config_invariants_rejected():
         ScenarioConfig(normal_rate_pps=5, flood_rate_pps=5)
     with pytest.raises(ConfigError, match="concurrent_range"):
         ScenarioConfig(concurrent_range=(10, 5))
+    with pytest.raises(ConfigError, match="^attack_count must be >= 0$"):
+        ScenarioConfig(attack_count=-1)
+    with pytest.raises(ConfigError, match="^attack_duration_s must be >= 0$"):
+        ScenarioConfig(attack_duration_s=-5)
+    with pytest.raises(ConfigError, match=r"^concurrent_range\.min must be >= 0$"):
+        ScenarioConfig(concurrent_range=(-3, 5))
 
 
 def test_generate_rejects_bad_config():
@@ -840,11 +846,28 @@ def test_sorted_matches_lexsort_property(rows, base):
     t = np.array([row[0] for row in rows], dtype=np.float64)
     s = np.array([base + row[1] for row in rows], dtype=np.int64)
     r = np.array([base + row[2] for row in rows], dtype=np.int64)
-    events = EventStream(t, s, r).sorted()
+    # Copies: the sort changes the arrays the stream holds.
+    events = EventStream(t.copy(), s.copy(), r.copy())
+    events._sort()
     order = np.lexsort((r, s, t))
     assert events.times.tobytes() == t[order].tobytes()
     assert events.senders.tolist() == s[order].tolist()
     assert events.receivers.tolist() == r[order].tolist()
+
+
+EDGES = [-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows=st.lists(st.tuples(st.sampled_from(EDGES), st.sampled_from(EDGES)), max_size=4),
+       times=st.lists(st.sampled_from(EDGES), max_size=20), as_int=st.booleans())
+def test_active_matches_a_per_time_loop(windows, times, as_int):
+    # Windows are [start, end): a time on an end is outside, unless another
+    # window holds it; an empty or reversed window holds nothing.
+    times = np.array(times, dtype=np.int64 if as_int else np.float64)
+    truth = GroundTruth(attack_windows=windows)
+    want = [any(s <= t < e for s, e in windows) for t in times.tolist()]
+    assert truth.active(times).tolist() == want
 
 
 def test_between_matches_mask():
