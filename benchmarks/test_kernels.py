@@ -448,7 +448,7 @@ def dense_pulsed_rounds():
     """The dense-pulsed workload's MND rounds at seed 1, as `runner.mnd_reports`
     gives them, and its ground truth."""
     events, truth = scenario.generate(DENSE_PULSED)
-    return runner.mnd_reports(events, truth, runner.alert_rounds(truth), mnd.MadParams()), truth
+    return runner.mnd_reports(events, truth, runner.alert_rounds(truth)), truth
 
 
 @pytest.mark.parametrize("mode", ["local_mad", "fl_threshold"])

@@ -5,6 +5,7 @@ and one reader."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import MISSING, fields
 
@@ -20,7 +21,14 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real: JSON's NaN and Infinity tokens, a literal such as 1e999
+    that reads as inf, and an int too large for a float are not numbers."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # Field annotation -> (the values it accepts, how an error names them).  A

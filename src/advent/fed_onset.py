@@ -114,9 +114,9 @@ def round0_aggregate(
     """The submitted ensembles sorted by client id, and the initial head.
 
     Every ensemble must hold as many trees as the others, and only finite
-    leaf values, thresholds and base score, and a shrinkage in (0, 1]: the
-    wire format's JSON accepts NaN and Infinity, which would otherwise pass
-    straight into the head's table.
+    leaf values, thresholds and base score: the wire format's JSON accepts
+    NaN and Infinity, which would otherwise pass straight into the head's
+    table.
     """
     if not submissions:
         raise ProtocolError("round 0 requires at least one submission")
@@ -131,8 +131,6 @@ def round0_aggregate(
             raise ProtocolError(f"client {cid}: non-finite threshold")
         if not np.isfinite(ens.base_score):
             raise ProtocolError(f"client {cid}: non-finite base score")
-        if not 0.0 < ens.shrinkage <= 1.0:
-            raise ProtocolError(f"client {cid}: shrinkage outside (0, 1]")
     ordered = [ens for _, ens in sorted(submissions, key=lambda s: s[0])]
     if len({len(ens.trees) for ens in ordered}) > 1:
         raise ProtocolError("clients submitted differing tree counts")

@@ -2,9 +2,8 @@
 
 Second-order boosting on the logistic loss: each tree fits the per-row
 gradients/hessians of the current margin, splits maximize the standard
-L2-regularized gain, and leaves carry -G/(H+lambda).  Leaf values are stored
-pre-shrinkage; shrinkage is applied at prediction time so serialized trees
-are scale-independent.
+L2-regularized gain, and each leaf stores the step it adds to the margin,
+-G/(H+lambda) times the shrinkage.
 
 Split search works on exact-value histograms: each client's features are
 binned once per fit into the codes of its own sorted distinct values.
@@ -33,19 +32,18 @@ level.  The root level's row counts are the same for every tree and are
 counted once.  An ensemble keeps its trees as flat node arrays and its
 depth, so prediction walks every tree at once, one vectorized step per
 level; a tree whose root is a leaf is not walked.  `compile_forest` lays
-many ensembles end to end as one ensemble, each leaf scaled by its own
-shrinkage, once: the federated table build and every federated decision
-walk that one forest.  `distinct_outputs` builds the federated head's table
-of distinct tree vectors.  It keys each row by which side of every split
-threshold it falls on, per feature (the threshold order of QuickScorer,
-Lucchese et al., SIGIR 2015), so that rows with equal keys reach the same
-leaves, and walks one row per key.  That walk gives each tree's leaf-value
-class, and only the rows with distinct classes are walked for their floats.
+many ensembles' trees end to end as one ensemble, once: the federated table
+build and every federated decision walk that one forest.
+`distinct_outputs` builds the federated head's table of distinct tree
+vectors.  It keys each row by which side of every split threshold it falls
+on, per feature (the threshold order of QuickScorer, Lucchese et al., SIGIR
+2015), so that rows with equal keys reach the same leaves, and walks one
+row per key.  That walk gives each tree's leaf-value class, and only the
+rows with distinct classes are walked for their floats.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +61,6 @@ __all__ = [
     "distinct_outputs",
     "ensemble_to_dict",
     "ensemble_from_dict",
-    "ensemble_to_json",
-    "ensemble_from_json",
 ]
 
 _MAX_LOG_ODDS = 15.0
@@ -96,9 +92,9 @@ class LocalEnsemble:
     """Trees as flat node arrays shared by the whole ensemble.
 
     trees[t] is the index of tree t's root.  Node i is a leaf iff left[i]
-    == right[i] == i; value[i] is then its pre-shrinkage log-odds step.
-    Otherwise a row goes to left[i] when x[feature[i]] < threshold[i] and
-    to right[i] when not.  A leaf has feature 0, so stepping a row on from
+    == right[i] == i; value[i] is then the log-odds step it adds to a
+    margin, shrinkage included.  Otherwise a row goes to left[i] when
+    x[feature[i]] < threshold[i] and to right[i] when not.  A leaf has feature 0, so stepping a row on from
     its leaf keeps it there.  `depth`, that of the deepest leaf, is found
     once when the ensemble is made: every walk takes that many steps.
     """
@@ -111,7 +107,6 @@ class LocalEnsemble:
     right: np.ndarray
     value: np.ndarray
     base_score: float = 0.0
-    shrinkage: float = 0.3
     depth: int = field(init=False)
 
     def __post_init__(self):
@@ -293,7 +288,7 @@ def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_cou
         starts = [0] + ends[:-1]
         tot = np.array([level_gh[:, lo:hi].sum(axis=1) for lo, hi in zip(starts, ends)])
         g_tot, h_tot = tot[:, 0], tot[:, 1]
-        value = -g_tot / (h_tot + lam)
+        value = -g_tot / (h_tot + lam) * cfg.shrinkage
         if depth < cfg.max_depth and n_features:
             feature, threshold, cut, n_left = map(np.concatenate, zip(*(
                 _level_splits(hist[:, lo:lo + step], values, client[lo:lo + step],
@@ -362,7 +357,7 @@ def _write_preorder(nodes, kids, i) -> int:
     return j
 
 
-def _ensemble(client, nodes, roots, base_score, shrinkage) -> LocalEnsemble:
+def _ensemble(client, nodes, roots, base_score) -> LocalEnsemble:
     feature, threshold, left, right, value = zip(*nodes) if nodes else ((),) * 5
     return LocalEnsemble(
         client=client,
@@ -373,7 +368,6 @@ def _ensemble(client, nodes, roots, base_score, shrinkage) -> LocalEnsemble:
         right=np.array(right, dtype=np.intp),
         value=np.array(value, dtype=np.float64),
         base_score=base_score,
-        shrinkage=shrinkage,
     )
 
 
@@ -418,7 +412,7 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
         if prevalence <= 0.0 or prevalence >= 1.0:
             base = _MAX_LOG_ODDS if prevalence >= 1.0 else -_MAX_LOG_ODDS
             nodes = [(0, 0.0, t, t, 0.0) for t in range(config.trees_per_client)]
-            out[i] = _ensemble(client, nodes, range(len(nodes)), base, config.shrinkage)
+            out[i] = _ensemble(client, nodes, range(len(nodes)), base)
         else:
             fits.append((i, x, y, float(np.log(prevalence / (1.0 - prevalence)))))
     if not fits:
@@ -449,22 +443,19 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
         kids = _grow_trees(codes, values, sizes, gh, config, leaf_of_row, root_counts)
         for c in range(len(fits)):
             roots[c].append(_write_preorder(nodes[c], kids, c))
-        margins += config.shrinkage * leaf_of_row
+        margins += leaf_of_row
     for c, (i, _, _, base) in enumerate(fits):
-        out[i] = _ensemble(clients[i], nodes[c], roots[c], base, config.shrinkage)
+        out[i] = _ensemble(clients[i], nodes[c], roots[c], base)
     return out
 
 
 def compile_forest(ensembles: list[LocalEnsemble]) -> LocalEnsemble:
-    """The ensembles' trees end to end, in the order given, as one ensemble.
-
-    Each leaf value is scaled by its own ensemble's shrinkage here, so the
-    forest's shrinkage is 1; its client is -1 and its base score 0.
-    """
+    """The ensembles' trees end to end, in the order given, as one ensemble
+    whose client is -1 and base score 0."""
     offsets = np.cumsum([0] + [len(e.left) for e in ensembles[:-1]])
-    parts = [(e.trees + o, e.feature, e.threshold, e.left + o, e.right + o, e.value * e.shrinkage)
+    parts = [(e.trees + o, e.feature, e.threshold, e.left + o, e.right + o, e.value)
              for e, o in zip(ensembles, offsets)]
-    return LocalEnsemble(-1, *map(np.concatenate, zip(*parts)), base_score=0.0, shrinkage=1.0)
+    return LocalEnsemble(-1, *map(np.concatenate, zip(*parts)))
 
 
 def _rows(e: LocalEnsemble, x: np.ndarray) -> np.ndarray:
@@ -510,7 +501,6 @@ def _leaf_values(e: LocalEnsemble, x: np.ndarray, values: np.ndarray) -> np.ndar
 
 def predict_margin_batch(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
     steps = _leaf_values(ensemble, x, ensemble.value)
-    steps *= ensemble.shrinkage
     total = np.full(len(steps), ensemble.base_score)
     for column in steps.T:  # in tree order, so the sum is bitwise stable
         total += column
@@ -518,11 +508,8 @@ def predict_margin_batch(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
 
 
 def per_tree_output_matrix(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
-    """(n_rows, n_trees) shrinkage-scaled output of each tree, in tree order
-    (a compiled forest's leaves carry their shrinkage, and its own is 1)."""
-    out = _leaf_values(ensemble, x, ensemble.value)
-    out *= ensemble.shrinkage
-    return out
+    """(n_rows, n_trees) output of each tree, in tree order."""
+    return _leaf_values(ensemble, x, ensemble.value)
 
 
 def _first_appearance(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -564,8 +551,7 @@ def distinct_outputs(forest: LocalEnsemble, x: np.ndarray) -> tuple[np.ndarray, 
     for j, (f, c) in enumerate(cuts.items()):
         codes[:, j] = np.searchsorted(c, x[:, f], side="right")
     firsts, code_ids = _first_appearance([codes])
-    outputs = forest.value * forest.shrinkage
-    bits, classes = np.unique(outputs.view(np.uint64), return_inverse=True)
+    bits, classes = np.unique(forest.value.view(np.uint64), return_inverse=True)
     classes = classes.astype(np.min_scalar_type(len(bits) - 1))
     chunk = max(1, _TABLE_CHUNK_VALUES // max(1, len(forest.trees)))
     rows, class_ids = _first_appearance(
@@ -605,7 +591,6 @@ def ensemble_to_dict(ensemble: LocalEnsemble) -> dict:
     return {
         "client": ensemble.client,
         "base_score": ensemble.base_score,
-        "shrinkage": ensemble.shrinkage,
         "trees": [{"root": _node_to_dict(ensemble, r)} for r in ensemble.trees],
     }
 
@@ -613,13 +598,4 @@ def ensemble_to_dict(ensemble: LocalEnsemble) -> dict:
 def ensemble_from_dict(d: dict) -> LocalEnsemble:
     nodes: list = []
     roots = [_node_from_dict(nodes, t["root"]) for t in d["trees"]]
-    return _ensemble(int(d["client"]), nodes, roots, float(d["base_score"]),
-                     float(d["shrinkage"]))
-
-
-def ensemble_to_json(ensemble: LocalEnsemble) -> str:
-    return json.dumps(ensemble_to_dict(ensemble), sort_keys=True)
-
-
-def ensemble_from_json(s: str) -> LocalEnsemble:
-    return ensemble_from_dict(json.loads(s))
+    return _ensemble(int(d["client"]), nodes, roots, float(d["base_score"]))

@@ -62,7 +62,6 @@ wire format and FedAvg still carry and average the factors
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,8 +80,6 @@ __all__ = [
     "train_round",
     "weights_to_dict",
     "weights_from_dict",
-    "weights_to_json",
-    "weights_from_json",
 ]
 
 
@@ -123,22 +120,6 @@ class HeadWeights:
     @property
     def n_clients(self) -> int:
         return len(self.dense) // self.n_filters
-
-    def copy(self) -> "HeadWeights":
-        return HeadWeights(
-            conv_kernels=self.conv_kernels.copy(),
-            conv_bias=self.conv_bias.copy(),
-            dense=self.dense.copy(),
-            dense_bias=float(self.dense_bias),
-        )
-
-    def allclose(self, other: "HeadWeights", **kw) -> bool:
-        return (
-            np.allclose(self.conv_kernels, other.conv_kernels, **kw)
-            and np.allclose(self.conv_bias, other.conv_bias, **kw)
-            and np.allclose(self.dense, other.dense, **kw)
-            and np.isclose(self.dense_bias, other.dense_bias, **kw)
-        )
 
 
 def init(k: int, t: int, config: HeadConfig) -> HeadWeights:
@@ -506,11 +487,3 @@ def weights_from_dict(d: dict) -> HeadWeights:
         dense=np.asarray(d["dense"], dtype=np.float64),
         dense_bias=float(d["dense_bias"]),
     )
-
-
-def weights_to_json(w: HeadWeights) -> str:
-    return json.dumps(weights_to_dict(w))
-
-
-def weights_from_json(s: str) -> HeadWeights:
-    return weights_from_dict(json.loads(s))

@@ -1,7 +1,9 @@
 """Malicious-node detection via Median Absolute Deviation thresholds.
 
 Each vehicle compares per-neighbor inbound counts against a MAD-based
-rejection band; senders exceeding the upper bound are reported as suspected.
+rejection band, median ± ce·MAD with MAD = b·median(|x − median(x)|), at
+the fixed b = CONSISTENCY_B and ce = EXCLUSION_CE (Leys et al., J. Exp. Soc.
+Psych. 2013); senders exceeding the upper bound are reported as suspected.
 Only the upper bound triggers suspicion (the attack model is flooding), so
 `detect` never computes the lower bound.  `detect` takes a whole round's
 counts and finds every receiver's band at once.  A report holds only what
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MadParams",
     "SuspicionReport",
     "RoundDetection",
     "mad",
@@ -27,18 +28,6 @@ __all__ = [
 
 CONSISTENCY_B = 1.4826
 EXCLUSION_CE = 3.0
-
-
-@dataclass(frozen=True)
-class MadParams:
-    b: float = CONSISTENCY_B
-    ce: float = EXCLUSION_CE
-
-    def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("b must be > 0")
-        if self.ce <= 0:
-            raise ValueError("ce must be > 0")
 
 
 @dataclass
@@ -56,22 +45,22 @@ def _median(values: list[float]) -> float:
     return 0.5 * (s[mid - 1] + s[mid])
 
 
-def mad(values, b: float = CONSISTENCY_B) -> float:
+def mad(values) -> float:
     """b * median(|x - median(x)|)."""
     values = list(values)
     if not values:
         raise ValueError("mad of empty list")
     m = _median(values)
-    return b * _median([abs(v - m) for v in values])
+    return CONSISTENCY_B * _median([abs(v - m) for v in values])
 
 
-def rejection_bounds(values, params: MadParams = MadParams()) -> tuple[float, float]:
+def rejection_bounds(values) -> tuple[float, float]:
     """(median - ce*MAD, median + ce*MAD)."""
     values = list(values)
     if not values:
         raise ValueError("rejection_bounds of empty list")
     m = _median(values)
-    spread = params.ce * mad(values, params.b)
+    spread = EXCLUSION_CE * mad(values)
     return (m - spread, m + spread)
 
 
@@ -93,7 +82,7 @@ class RoundDetection:
     suspected: np.ndarray
 
 
-def detect(counts, params: MadParams = MadParams()) -> RoundDetection:
+def detect(counts) -> RoundDetection:
     """Flag, for every receiver of a round, the senders whose count strictly
     exceeds its upper rejection bound.
 
@@ -110,8 +99,8 @@ def detect(counts, params: MadParams = MadParams()) -> RoundDetection:
     group = np.repeat(np.arange(len(starts)), sizes)
     values = n.astype(np.float64)
     median = _group_medians(values, group, starts, sizes)
-    spread = params.b * _group_medians(np.abs(values - median[group]), group, starts, sizes)
-    flagged = values > (median + params.ce * spread)[group]
+    spread = CONSISTENCY_B * _group_medians(np.abs(values - median[group]), group, starts, sizes)
+    flagged = values > (median + EXCLUSION_CE * spread)[group]
     suspected = senders[flagged]
     # Each reporter's run of the flagged pairs, which are in receiver order.
     cut = np.searchsorted(receivers[flagged], reporters).tolist() + [len(suspected)]

@@ -175,7 +175,7 @@ def alert_rounds(truth):
     return rounds
 
 
-def mnd_reports(events, truth, rounds, params: mnd.MadParams):
+def mnd_reports(events, truth, rounds):
     """Per round with a vehicle present for the whole of it: (present set,
     the SuspicionReport of each present vehicle that heard a packet)."""
     ids = np.array(sorted(truth.presence), dtype=np.int64)
@@ -187,7 +187,7 @@ def mnd_reports(events, truth, rounds, params: mnd.MadParams):
             continue
         receivers, senders, counts = preprocess.interval_counts(events.between(t0, t1))
         keep = present.take(np.searchsorted(present, receivers), mode="clip") == receivers
-        detection = mnd.detect((receivers[keep], senders[keep], counts[keep]), params)
+        detection = mnd.detect((receivers[keep], senders[keep], counts[keep]))
         out.append((set(present.tolist()), detection.reports))
     return out
 
@@ -286,7 +286,7 @@ def run_pipeline(manifest: RunManifest) -> dict:
     decide, t_split = timed(onset_fit, manifest, per_vehicle)
     flags = timed(onset_decide, decide, per_vehicle)
     rounds = timed(alert_rounds, truth)
-    round_reports = timed(mnd_reports, events, truth, rounds, mnd.MadParams())
+    round_reports = timed(mnd_reports, events, truth, rounds)
     mnd_result = timed(mnd_aggregate, manifest.mnd_mode, manifest.th, round_reports, truth)
     del round_reports  # 0.44 MB on dense-pulsed; score's objects reuse it
     report, predictions = timed(score, manifest, truth, per_vehicle, flags, t_split, mnd_result)

@@ -1,6 +1,15 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from advent import scenario
+
+
+def weights_close(a, b, **kw) -> bool:
+    """Whether two HeadWeights agree field by field under np.allclose."""
+    return all(np.allclose(getattr(a, f.name), getattr(b, f.name), **kw)
+               for f in dataclasses.fields(a))
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from advent import cli, fed_onset, gbdt, head, mnd, runner, scenario
 from advent.balance import smote_arrays
 from advent.head import HeadConfig, HeadWeights
 
+from conftest import weights_close
 from test_gbdt import brute_force_split, logistic_gh
 from test_head import finite_difference, random_weights, reference_logits
 
@@ -164,8 +165,8 @@ def test_criterion_4_federated_protocol():
                     int(rng.integers(1, 40))))
     a = fed_onset.fedavg(ups)
     b = fed_onset.fedavg([ups[4], ups[1], ups[3], ups[0], ups[2]])
-    perm_ok = a.allclose(b, atol=1e-12)
-    idem_ok = fed_onset.fedavg([ups[0]]).allclose(ups[0][1], atol=0)
+    perm_ok = weights_close(a, b, atol=1e-12)
+    idem_ok = weights_close(fed_onset.fedavg([ups[0]]), ups[0][1], atol=0)
 
     clients = []
     for cid in range(1, 4):
@@ -180,11 +181,11 @@ def test_criterion_4_federated_protocol():
     for line in transcript:
         msg = fed_onset.decode_message(line)
         if msg["type"] == "TREES_UPLOAD":
-            uploads[msg["cid"]] = json.dumps(msg["payload"], sort_keys=True)
+            uploads[msg["cid"]] = msg["payload"]
         elif msg["type"] == "WEIGHTS_BROADCAST":
             weight_rounds.add(msg["round"])
     # The model's forest is the round-0 uploads' in client order, bit for bit.
-    uploaded = gbdt.compile_forest([gbdt.ensemble_from_json(uploads[c]) for c in sorted(uploads)])
+    uploaded = gbdt.compile_forest([gbdt.ensemble_from_dict(uploads[c]) for c in sorted(uploads)])
     trees_ok = all(getattr(model.forest, a).tobytes() == getattr(uploaded, a).tobytes()
                    for a in ("trees", "feature", "threshold", "left", "right", "value"))
     rounds_ok = weight_rounds == set(range(1, 10))
@@ -306,11 +307,12 @@ def test_criterion_10_serialization_roundtrips(tmp_path):
     x = rng.random((60, 10))
     y = (x[:, 0] > 0.5).astype(float)
     ens = gbdt.train(x, y, gbdt.GbdtConfig(), client=3)
-    s = gbdt.ensemble_to_json(ens)
-    ok &= gbdt.ensemble_to_json(gbdt.ensemble_from_json(s)) == s
+    s = json.dumps(gbdt.ensemble_to_dict(ens), sort_keys=True)
+    ok &= json.dumps(gbdt.ensemble_to_dict(gbdt.ensemble_from_dict(json.loads(s))),
+                     sort_keys=True) == s
     # Head weights.
     w = head.init(4, 10, HeadConfig(rng_seed=1))
-    w2 = head.weights_from_json(head.weights_to_json(w))
+    w2 = head.weights_from_dict(json.loads(json.dumps(head.weights_to_dict(w))))
     ok &= bool(np.array_equal(w2.conv_kernels, w.conv_kernels)
                and np.array_equal(w2.dense, w.dense)
                and w2.dense_bias == w.dense_bias)
@@ -319,7 +321,7 @@ def test_criterion_10_serialization_roundtrips(tmp_path):
                                      {"weights": head.weights_to_dict(w),
                                       "sample_count": 12})
     msg = fed_onset.decode_message(pline)
-    ok &= head.weights_from_dict(msg["payload"]["weights"]).allclose(w, atol=0)
+    ok &= weights_close(head.weights_from_dict(msg["payload"]["weights"]), w, atol=0)
     # Reports on disk.
     report = {"onset": {"f1": 1.0}, "mnd": {"dr": float("nan")}, "seed": 1}
     runner.write_report(tmp_path / "r.json", report)

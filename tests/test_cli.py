@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from advent import runner, scenario
+from advent import _config, runner, scenario
 from advent.cli import main
 from advent.runner import RunManifest
 from advent.scenario import ScenarioConfig
@@ -484,6 +484,61 @@ def test_commands_name_the_field_of_a_bad_truth_file(scenario_dir, tmp_path, cap
     assert not out.exists()
 
 
+# (what holds the value, the value's JSON, the error after "error: ").
+# JSON's NaN and Infinity tokens, and 1e999, which reads as inf.
+_NON_FINITE = [
+    ("scenario", '{"duration_s": 300, "attack_count": 0, "arrival_interval_s": NaN}',
+     "arrival_interval_s must be a number, got nan"),
+    ("scenario", '{"flood_rate_pps": 1e999}', "flood_rate_pps must be a number, got inf"),
+    ("manifest", {"learning_rate": math.nan}, "learning_rate must be a number, got nan"),
+    ("manifest", {"lambda_l2": math.inf}, "lambda_l2 must be a number, got inf"),
+    ("manifest", {"train_fraction": -math.inf}, "train_fraction must be a number, got -inf"),
+    ("window", [120, math.inf], "attack_windows[0] must be a pair of numbers, got [120, inf]"),
+    ("window", [math.nan, 160], "attack_windows[0] must be a pair of numbers, got [nan, 160]"),
+    ("presence", [0, math.inf], "presence[{key!r}] must be a pair of numbers, got [0, inf]"),
+    ("presence", [-math.inf, 10], "presence[{key!r}] must be a pair of numbers, got [-inf, 10]"),
+]
+
+
+@pytest.mark.parametrize("where, value, why", _NON_FINITE,
+                         ids=["scenario-nan", "scenario-1e999", "manifest-nan", "manifest-inf",
+                              "manifest-minus-inf", "window-inf", "window-nan", "presence-inf",
+                              "presence-minus-inf"])
+def test_a_non_finite_number_is_one_error_line(scenario_dir, tmp_path, capsys, where, value,
+                                               why):
+    out = tmp_path / "o"
+    if where == "scenario":
+        path = tmp_path / "scenario.json"
+        path.write_text(value)
+        argv = ["generate", "--config", str(path), "--out", str(out)]
+    elif where == "manifest":
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**_run_manifest(scenario_dir, out), **value}))
+        argv = ["run", "--config", str(path)]
+    else:
+        events = tmp_path / "events.csv"
+        events.write_bytes((scenario_dir / "events.csv").read_bytes())
+        path = tmp_path / "truth.json"
+        truth = json.loads((scenario_dir / "truth.json").read_text())
+        key = min(truth["presence"], key=int)
+        if where == "window":
+            truth["attack_windows"][0] = value
+        else:
+            truth["presence"][key] = value
+        path.write_text(json.dumps(truth))
+        why = f"{path}: " + why.format(key=key)
+        argv = ["run", "--scenario", str(events), "--out", str(out), "--seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {why}\n" and captured.out == ""
+    assert not out.exists()
+
+
+def test_a_number_is_a_finite_real():
+    values = (1, 2.5, -0.0, 10**300, 10**400, math.nan, math.inf, -math.inf, True, "1")
+    assert [_config.is_number(v) for v in values] == [True] * 4 + [False] * 6
+
+
 @pytest.mark.parametrize("command", ["run", "preprocess"])
 def test_commands_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, command):
     events = tmp_path / "events.csv"
@@ -527,7 +582,7 @@ def test_manifest_validation():
         ({"train_fraction": 1.0}, "train_fraction must be in (0, 1), got 1.0"),
         ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
         ({"train_fraction": -0.2}, "train_fraction must be in (0, 1), got -0.2"),
-        ({"train_fraction": float("nan")}, "train_fraction must be in (0, 1), got nan"),
+        ({"train_fraction": float("nan")}, "train_fraction must be a number, got nan"),
         ({"target_ratio": 0.5}, "target_ratio must be >= 1"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):

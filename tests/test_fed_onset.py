@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 from unittest import mock
@@ -20,6 +21,8 @@ from advent.fed_onset import (
     run_training,
 )
 from advent.head import HeadConfig, HeadWeights
+
+from conftest import weights_close
 
 
 def _clients(n_clients=3, rows=60, seed=0):
@@ -104,11 +107,7 @@ def test_round0_empty_rejected():
     ("NaN", ("trees", 0, "root", "l", "v"), "non-finite leaf value"),
     ("Infinity", ("trees", 1, "root", "t"), "non-finite threshold"),
     ("-Infinity", ("base_score",), "non-finite base score"),
-    ("0.0", ("shrinkage",), "shrinkage outside"),
-    ("1.5", ("shrinkage",), "shrinkage outside"),
-    ("NaN", ("shrinkage",), "shrinkage outside"),
-], ids=["nan-leaf", "inf-threshold", "inf-base-score", "zero-shrinkage", "large-shrinkage",
-        "nan-shrinkage"])
+], ids=["nan-leaf", "inf-threshold", "inf-base-score"])
 def test_round0_rejects_bad_ensemble(token, path, match):
     # The wire format's JSON parser takes NaN and Infinity tokens, so a bad
     # ensemble decodes; round 0 must refuse it and name its client.
@@ -124,7 +123,7 @@ def test_round0_rejects_bad_ensemble(token, path, match):
         target = target[p]
     target[key] = "TOKEN"
     line = json.dumps(bad, sort_keys=True).replace('"TOKEN"', token)
-    subs = [(1, gbdt.ensemble_from_dict(good)), (2, gbdt.ensemble_from_json(line))]
+    subs = [(1, gbdt.ensemble_from_dict(good)), (2, gbdt.ensemble_from_dict(json.loads(line)))]
     with pytest.raises(ProtocolError, match=f"client 2: {match}"):
         round0_aggregate(subs)
     round0_aggregate(subs[:1])
@@ -151,9 +150,9 @@ def test_fedavg_permutation_invariance_and_idempotence():
     ups = [(i, w, n) for i, (w, n) in enumerate(ws)]
     a = fedavg(ups)
     b = fedavg([ups[2], ups[0], ups[3], ups[1]])
-    assert a.allclose(b, atol=1e-12)
+    assert weights_close(a, b, atol=1e-12)
     solo = fedavg([(0, ws[0][0], 17)])
-    assert solo.allclose(ws[0][0], atol=0)
+    assert weights_close(solo, ws[0][0], atol=0)
 
 
 def test_fedavg_shape_mismatch_and_bad_count():
@@ -163,19 +162,19 @@ def test_fedavg_shape_mismatch_and_bad_count():
     with pytest.raises(ProtocolError, match="shape"):
         fedavg([(1, w, 5), (2, other, 5)])
     # A length-1 conv_bias would broadcast across both filters.
-    short_bias = w.copy()
+    short_bias = copy.deepcopy(w)
     short_bias.conv_bias = short_bias.conv_bias[:1]
     with pytest.raises(ProtocolError, match="shape"):
         fedavg([(1, w, 5), (2, short_bias, 5)])
     for name in ("conv_kernels", "conv_bias", "dense", "dense_bias"):
-        poisoned = w.copy()
+        poisoned = copy.deepcopy(w)
         if name == "dense_bias":
             poisoned.dense_bias = float("nan")
         else:
             getattr(poisoned, name).flat[0] = np.nan
         with pytest.raises(ProtocolError, match="non-finite"):
             fedavg([(1, w, 5), (2, poisoned, 5)])
-    inf_first = w.copy()
+    inf_first = copy.deepcopy(w)
     inf_first.dense[0] = np.inf
     with pytest.raises(ProtocolError, match="non-finite"):
         fedavg([(1, inf_first, 5)])
@@ -216,7 +215,7 @@ def test_run_training_sends_every_message_type():
     assert transcript and all("\n" not in line for line in transcript)
     assert sorted({decode_message(line)["type"] for line in transcript}) == sorted(MESSAGE_TYPES)
     dropped = run_training(cs, *cfgs)
-    assert dropped.head.allclose(kept.head, atol=0)
+    assert weights_close(dropped.head, kept.head, atol=0)
 
 
 def test_run_training_trees_fixed_after_round0():
@@ -254,6 +253,8 @@ def test_run_training_uploads_lone_fits():
     uploads = [(m["cid"], m["payload"]) for m in uploads if m["type"] == "TREES_UPLOAD"]
     lone = [gbdt.train(c.x, c.y, cfg, client=c.cid) for c in cs]
     assert uploads == [(c.cid, gbdt.ensemble_to_dict(e)) for c, e in zip(cs, lone)]
+    # The leaves carry their shrunk steps, so the wire names no shrinkage.
+    assert all(set(payload) == {"client", "base_score", "trees"} for _, payload in uploads)
 
 
 def test_run_training_deterministic():
@@ -261,7 +262,7 @@ def test_run_training_deterministic():
                       HeadConfig(filters=2, epochs=2, rng_seed=5), 3)
     m2 = run_training(_clients(2, rows=30), gbdt.GbdtConfig(trees_per_client=2),
                       HeadConfig(filters=2, epochs=2, rng_seed=5), 3)
-    assert m1.head.allclose(m2.head, atol=0)
+    assert weights_close(m1.head, m2.head, atol=0)
 
 
 def test_run_training_matches_per_client_loop(monkeypatch):
@@ -315,7 +316,7 @@ def test_run_training_matches_per_client_loop(monkeypatch):
             cfg = dataclasses.replace(head_cfg, rng_seed=head_cfg.rng_seed * 100003 + cid * 1009 + r)
             updates.append((cid, head.train_on_matrix(w, matrices[cid], c.y, cfg), len(c.y)))
         w = fedavg(updates)
-    assert model.head.allclose(w, rtol=0, atol=1e-12)
+    assert weights_close(model.head, w, rtol=0, atol=1e-12)
 
 
 def test_run_training_plans_the_head_once(monkeypatch, caplog):
@@ -416,8 +417,7 @@ def test_tree_table_matches_byte_keyed_build(data):
         else:
             trees = [data.draw(_tree_dicts(3)) for _ in range(t)]
         ensembles.append(gbdt.ensemble_from_dict({
-            "client": cid, "base_score": 0.0, "shrinkage": data.draw(st.sampled_from([0.3, 1.0])),
-            "trees": [{"root": tree} for tree in trees]}))
+            "client": cid, "base_score": 0.0, "trees": [{"root": tree} for tree in trees]}))
     xs = [np.array(data.draw(st.lists(st.lists(st.sampled_from(_VALUES), min_size=3, max_size=3),
                                       min_size=1, max_size=12)))
           for _ in range(data.draw(st.integers(1, 3)))]
@@ -435,7 +435,7 @@ def test_tree_table_walks_floats_only_for_its_rows(monkeypatch):
     # leaves share a value: 30 rows fall in six threshold codes, which the
     # trees walk for their leaf-value classes, and in three classes, the
     # only rows walked for floats.  -0.0 leaves stay apart from 0.0 ones.
-    ens = gbdt.ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 1.0, "trees": [
+    ens = gbdt.ensemble_from_dict({"client": 0, "base_score": 0.0, "trees": [
         {"root": {"f": 0, "t": 1.0, "l": {"v": -0.0}, "r": {"f": 0, "t": 2.0, "l": {"v": 0.0},
                                                                "r": {"f": 1, "t": 0.5,
                                                                      "l": {"v": 0.5},

@@ -12,13 +12,17 @@ from advent.gbdt import (
     GbdtConfig,
     compile_forest,
     ensemble_from_dict,
-    ensemble_from_json,
     ensemble_to_dict,
-    ensemble_to_json,
     per_tree_output_matrix,
     predict_margin_batch,
     train,
 )
+
+
+def ensemble_to_json(ensemble) -> str:
+    """An ensemble's wire form as canonical JSON: equal strings mean equal
+    trees, each leaf and threshold equal bit for bit."""
+    return json.dumps(ensemble_to_dict(ensemble), sort_keys=True)
 
 
 def split_threshold(lo, hi):
@@ -86,7 +90,7 @@ def walk_margins(ens_dict: dict, x) -> np.ndarray:
     """Per-row margins, adding the trees in order as production does."""
     total = np.full(len(x), ens_dict["base_score"])
     for t in ens_dict["trees"]:
-        total += ens_dict["shrinkage"] * np.array([walk(t["root"], row) for row in x])
+        total += np.array([walk(t["root"], row) for row in x])
     return total
 
 
@@ -132,12 +136,12 @@ def _argsort_best_split(x, g, h, cfg):
 
 
 def _argsort_build_node(x, g, h, depth, cfg) -> dict:
-    lam = cfg.lambda_l2
+    leaf = {"v": float(-g.sum() / (h.sum() + cfg.lambda_l2)) * cfg.shrinkage}
     if depth >= cfg.max_depth or len(x) < 2 * cfg.min_samples_leaf:
-        return {"v": float(-g.sum() / (h.sum() + lam))}
+        return leaf
     split = _argsort_best_split(x, g, h, cfg)
     if split is None:
-        return {"v": float(-g.sum() / (h.sum() + lam))}
+        return leaf
     _, f, thr = split
     mask = x[:, f] < thr
     return {"f": f, "t": thr,
@@ -155,8 +159,8 @@ def reference_train(x, y, cfg, client=0) -> dict:
         g, h = logistic_gh(margins, y)
         root = _argsort_build_node(x, g, h, 0, cfg)
         trees.append({"root": root})
-        margins += cfg.shrinkage * np.array([walk(root, row) for row in x])
-    return {"client": client, "base_score": base, "shrinkage": cfg.shrinkage, "trees": trees}
+        margins += np.array([walk(root, row) for row in x])
+    return {"client": client, "base_score": base, "trees": trees}
 
 
 def _recursive_bin_features(x):
@@ -214,7 +218,7 @@ def _recursive_build_node(nodes, rows, codes, values, g, h, depth, cfg, leaf_of_
     if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_samples_leaf:
         split = _recursive_best_split(codes[:, rows], values, g[rows], h[rows], cfg)
     if split is None:
-        value = float(-g[rows].sum() / (h[rows].sum() + cfg.lambda_l2))
+        value = float(-g[rows].sum() / (h[rows].sum() + cfg.lambda_l2)) * cfg.shrinkage
         leaf_of_row[rows] = value
         nodes[i] = (0, 0.0, i, i, value)
         return i
@@ -241,8 +245,8 @@ def recursive_train(x, y, cfg, client=0) -> str:
     for _ in range(cfg.trees_per_client):
         g, h = logistic_gh(margins, y)
         roots.append(_recursive_build_node(nodes, rows, codes, values, g, h, 0, cfg, leaf_of_row))
-        margins += cfg.shrinkage * leaf_of_row
-    ens = gbdt._ensemble(client, nodes, roots, base, cfg.shrinkage)
+        margins += leaf_of_row
+    ens = gbdt._ensemble(client, nodes, roots, base)
     return ensemble_to_json(ens)
 
 
@@ -290,30 +294,30 @@ def test_single_class_fallback():
 
 
 def test_manual_tree_routing():
-    tree = {"f": 0, "t": 5.0, "l": {"v": -1.0}, "r": {"v": 1.0}}
-    ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 0.3,
+    tree = {"f": 0, "t": 5.0, "l": {"v": -0.3}, "r": {"v": 0.3}}
+    ens = ensemble_from_dict({"client": 0, "base_score": 0.0,
                               "trees": [{"max_depth": 1, "root": tree}]})
     rows = np.zeros((3, 10))
     rows[:, 0] = [3.0, 7.0, 5.0]  # on the threshold goes right
-    assert predict_margin_batch(ens, rows) == pytest.approx([-0.3, 0.3, 0.3])
-    assert predict_margin_batch(ens, rows[1:2])[0] == pytest.approx(0.3)
+    assert predict_margin_batch(ens, rows).tolist() == [-0.3, 0.3, 0.3]
+    assert predict_margin_batch(ens, rows[1:2])[0] == 0.3
 
 
 def test_predict_dimension_error():
-    ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 0.3, "trees": []})
+    ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "trees": []})
     with pytest.raises(ValueError):
         predict_margin_batch(ens, np.zeros(3))
     split_on_4 = {"f": 4, "t": 0.5, "l": {"v": -1.0}, "r": {"v": 1.0}}
-    ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 0.3,
+    ens = ensemble_from_dict({"client": 0, "base_score": 0.0,
                               "trees": [{"max_depth": 1, "root": split_on_4}]})
-    assert predict_margin_batch(ens, np.zeros((2, 5))) == pytest.approx([-0.3, -0.3])
+    assert predict_margin_batch(ens, np.zeros((2, 5))).tolist() == [-1.0, -1.0]
     for x in (np.zeros((2, 4)), np.zeros(5)):
         with pytest.raises(ValueError):
             predict_margin_batch(ens, x)
         with pytest.raises(ValueError):
             per_tree_output_matrix(compile_forest([ens]), x)
     split_on_neg = dict(split_on_4, f=-1)
-    ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 0.3,
+    ens = ensemble_from_dict({"client": 0, "base_score": 0.0,
                               "trees": [{"max_depth": 1, "root": split_on_neg}]})
     with pytest.raises(ValueError):
         predict_margin_batch(ens, np.zeros((2, 5)))
@@ -406,7 +410,8 @@ def test_every_node_matches_brute_force(max_depth):
                     expected = brute_force_split(x[rows], g[rows], h[rows], cfg)
                 if _is_leaf(ens, i):
                     assert expected is None
-                    assert ens.value[i] == -g[rows].sum() / (h[rows].sum() + cfg.lambda_l2)
+                    assert ens.value[i] == \
+                        -g[rows].sum() / (h[rows].sum() + cfg.lambda_l2) * cfg.shrinkage
                     continue
                 assert expected is not None
                 assert (ens.feature[i], ens.threshold[i]) == (expected[1], expected[2])
@@ -416,6 +421,23 @@ def test_every_node_matches_brute_force(max_depth):
                 stack.append((ens.right[i], rows[~goes_left], depth + 1))
             margins += column
     assert checked > 100
+
+
+@pytest.mark.parametrize("shrinkage", [0.1, 0.3, 0.7])
+def test_leaves_store_the_shrunk_step(shrinkage):
+    # A first tree's gradients do not depend on the shrinkage, so its leaves
+    # are the unshrunk fit's times the shrinkage, bit for bit, and a row's
+    # margin is the base score plus its leaf as stored.
+    rng = np.random.default_rng(31)
+    x = rng.poisson(3.0, (200, 4)).astype(float)
+    y = ((x[:, 0] + rng.normal(0, 1.5, 200)) > 3).astype(float)
+    whole = train(x, y, GbdtConfig(trees_per_client=1, shrinkage=1.0))
+    shrunk = train(x, y, GbdtConfig(trees_per_client=1, shrinkage=shrinkage))
+    assert shrunk.depth == 3
+    assert np.array_equal(shrunk.threshold, whole.threshold)
+    assert shrunk.value.tobytes() == (whole.value * shrinkage).tobytes()
+    leaf = per_tree_output_matrix(shrunk, x)[:, 0]
+    assert predict_margin_batch(shrunk, x).tobytes() == (shrunk.base_score + leaf).tobytes()
 
 
 def _tie_heavy_datasets():
@@ -934,10 +956,10 @@ def test_apply_matches_json_walk(block, monkeypatch):
     roots = [t["root"] for e in ensembles[:3] for t in ensemble_to_dict(e)["trees"]]
     mixed = [{"v": 0.75}, roots[9], {"v": -1.25}, roots[1]]
     assert "l" in roots[9]["l"] and "l" in roots[1]
-    ensembles.append(ensemble_from_dict({"client": 6, "base_score": 0.5, "shrinkage": 0.2,
+    ensembles.append(ensemble_from_dict({"client": 6, "base_score": 0.5,
                                          "trees": [{"max_depth": 4, "root": r} for r in mixed]}))
     leaves = [{"v": 0.5}, {"v": -0.25}, {"v": 2.0}, {"v": 0.0}]
-    ensembles.append(ensemble_from_dict({"client": 7, "base_score": 0.0, "shrinkage": 0.3,
+    ensembles.append(ensemble_from_dict({"client": 7, "base_score": 0.0,
                                          "trees": [{"max_depth": 1, "root": r} for r in leaves]}))
     # Probe rows hit every threshold exactly as well as values between them.
     probe = rng.poisson(3.0, (80, 6)).astype(float)
@@ -950,7 +972,7 @@ def test_apply_matches_json_walk(block, monkeypatch):
             d = ensemble_to_dict(e)
             assert np.array_equal(predict_margin_batch(e, probe), walk_margins(d, probe))
             for t in d["trees"]:
-                expected = [d["shrinkage"] * walk(t["root"], row) for row in probe]
+                expected = [walk(t["root"], row) for row in probe]
                 assert np.array_equal(matrix[:, col], expected)
                 col += 1
             assert np.array_equal(predict_margin_batch(e, probe[:0]), np.empty(0))
@@ -964,10 +986,9 @@ def _json_depth(node: dict) -> int:
 @given(st.data())
 def test_compiled_forest_matches_per_ensemble_walk(data):
     # The compiled forest's tree outputs equal, bit for bit, each ensemble's
-    # own walk scaled by its own shrinkage, and a per-row walk of the
-    # wire-format trees.  Forests mix single-leaf trees, zero clients (every
-    # tree one 0.0 leaf), trees of several depths, -0.0 leaves and a
-    # shrinkage per client; small walk blocks take one row or a few.
+    # own walk and a per-row walk of the wire-format trees.  Forests mix
+    # single-leaf trees, zero clients (every tree one 0.0 leaf), trees of
+    # several depths and -0.0 leaves; small walk blocks take one row or a few.
     cuts = [-1.0, 0.0, 0.5, 2.0]
 
     def tree(depth):
@@ -985,9 +1006,7 @@ def test_compiled_forest_matches_per_ensemble_walk(data):
             depth = data.draw(st.integers(0, 4))
             trees = [tree(depth) for _ in range(n_trees)]
         ensembles.append(ensemble_from_dict({
-            "client": client, "base_score": 0.0,
-            "shrinkage": data.draw(st.sampled_from([0.1, 0.3, 0.7, 1.0])),
-            "trees": [{"root": t} for t in trees]}))
+            "client": client, "base_score": 0.0, "trees": [{"root": t} for t in trees]}))
     values = cuts + [-0.0, 0.25, 1.0, 3.0, -7.0]
     x = np.array(data.draw(st.lists(st.lists(st.sampled_from(values), min_size=3, max_size=3),
                                     min_size=1, max_size=20)))
@@ -997,7 +1016,7 @@ def test_compiled_forest_matches_per_ensemble_walk(data):
         own = np.hstack([per_tree_output_matrix(e, x) for e in ensembles])
     assert matrix.tobytes() == own.tobytes()
     dicts = [ensemble_to_dict(e) for e in ensembles]
-    expected = [[d["shrinkage"] * walk(t["root"], row) for d in dicts for t in d["trees"]]
+    expected = [[walk(t["root"], row) for d in dicts for t in d["trees"]]
                 for row in x]
     assert matrix.tobytes() == np.array(expected).reshape(matrix.shape).tobytes()
     assert forest.depth == max(_json_depth(t["root"]) for d in dicts for t in d["trees"])
@@ -1029,7 +1048,7 @@ def test_serialization_roundtrip_exact():
     y = (x[:, 0] > 0.4).astype(float)
     ens = train(x, y, GbdtConfig(), client=9)
     s = ensemble_to_json(ens)
-    back = ensemble_from_json(s)
+    back = ensemble_from_dict(json.loads(s))
     assert ensemble_to_json(back) == s
     assert back.client == 9
     assert back.base_score == ens.base_score
@@ -1088,7 +1107,7 @@ def test_distinct_outputs_partition_rows_by_threshold_side(data):
 
     t = data.draw(st.integers(1, 3))
     depth = data.draw(st.sampled_from([0, 3]))  # 0: a forest of single leaves
-    ensembles = [ensemble_from_dict({"client": c, "base_score": 0.0, "shrinkage": 0.3,
+    ensembles = [ensemble_from_dict({"client": c, "base_score": 0.0,
                                      "trees": [{"root": tree(depth)} for _ in range(t)]})
                  for c in range(data.draw(st.integers(1, 3)))]
     x = np.array(data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_features,
@@ -1120,7 +1139,7 @@ def test_distinct_outputs_partition_rows_by_threshold_side(data):
 
 
 def test_distinct_outputs_rejects_features_outside_rows():
-    ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "shrinkage": 0.3,
+    ens = ensemble_from_dict({"client": 0, "base_score": 0.0,
                               "trees": [{"root": {"f": 2, "t": 1.0, "l": {"v": 0.0},
                                                   "r": {"v": 1.0}}}]})
     with pytest.raises(ValueError, match="outside the 2 given"):

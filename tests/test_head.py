@@ -1,3 +1,5 @@
+import copy
+import json
 from unittest import mock
 
 import numpy as np
@@ -14,9 +16,11 @@ from advent.head import (
     init,
     train_on_matrix,
     train_round,
-    weights_from_json,
-    weights_to_json,
+    weights_from_dict,
+    weights_to_dict,
 )
+
+from conftest import weights_close
 
 
 def finite_difference(w, v, y, eps=1e-6):
@@ -32,12 +36,12 @@ def finite_difference(w, v, y, eps=1e-6):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            wp, wm = w.copy(), w.copy()
+            wp, wm = copy.deepcopy(w), copy.deepcopy(w)
             getattr(wp, name)[idx] += eps
             getattr(wm, name)[idx] -= eps
             g[idx] = (loss_at(wp) - loss_at(wm)) / (2 * eps)
         grads.append(g)
-    wp, wm = w.copy(), w.copy()
+    wp, wm = copy.deepcopy(w), copy.deepcopy(w)
     wp.dense_bias += eps
     wm.dense_bias -= eps
     grads.append((loss_at(wp) - loss_at(wm)) / (2 * eps))
@@ -85,8 +89,8 @@ def test_init_shapes_and_determinism():
     w2 = init(5, 10, cfg)
     assert w1.conv_kernels.shape == (4, 10)
     assert w1.dense.shape == (20,)
-    assert w1.allclose(w2)
-    assert not w1.allclose(init(5, 10, HeadConfig(filters=4, rng_seed=4)))
+    assert weights_close(w1, w2)
+    assert not weights_close(w1, init(5, 10, HeadConfig(filters=4, rng_seed=4)))
 
 
 def test_forward_hand_computed():
@@ -201,18 +205,18 @@ def test_train_deterministic_and_pure():
     v, y = rng.normal(size=(30, 8)), (rng.random(30) > 0.5).astype(float)
     cfg = HeadConfig(filters=2, epochs=5, rng_seed=9)
     w0 = init(4, 2, cfg)
-    snapshot = w0.copy()
+    snapshot = copy.deepcopy(w0)
     w1 = train_on_matrix(w0, v, y, cfg)
     w2 = train_on_matrix(w0, v, y, cfg)
-    assert w0.allclose(snapshot)  # input left untouched
-    assert w1.allclose(w2, atol=0)
+    assert weights_close(w0, snapshot)  # input left untouched
+    assert weights_close(w1, w2, atol=0)
 
 
 def test_train_zero_epochs_identity():
     cfg = HeadConfig(epochs=0)
     w0 = init(2, 2, cfg)
     w1 = train_on_matrix(w0, np.ones((4, 4)), np.zeros(4), cfg)
-    assert w1.allclose(w0, atol=0)
+    assert weights_close(w1, w0, atol=0)
 
 
 def test_train_matches_gradients_step_loop():
@@ -224,7 +228,7 @@ def test_train_matches_gradients_step_loop():
         y = (rng.random(n) > 0.5).astype(float)
         cfg = HeadConfig(filters=f, epochs=4, batch_size=bs, learning_rate=0.3, rng_seed=11)
         w = init(k, t, cfg)
-        ref = w.copy()
+        ref = copy.deepcopy(w)
         order_rng = np.random.default_rng(cfg.rng_seed)
         for _ in range(cfg.epochs):
             order = order_rng.permutation(n)
@@ -235,13 +239,13 @@ def test_train_matches_gradients_step_loop():
                 ref.conv_bias -= cfg.learning_rate * db
                 ref.dense -= cfg.learning_rate * dd
                 ref.dense_bias -= cfg.learning_rate * ddb
-        assert train_on_matrix(w, v, y, cfg).allclose(ref, rtol=0, atol=1e-12)
+        assert weights_close(train_on_matrix(w, v, y, cfg), ref, rtol=0, atol=1e-12)
 
 
 def sgd_with_gradients(w, v, y, seed, cfg):
     """Plain SGD written against the public gradients: one rng.permutation
     per epoch, batches of cfg.batch_size in that order, one update per batch."""
-    ref = w.copy()
+    ref = copy.deepcopy(w)
     order_rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         order = order_rng.permutation(len(v))
@@ -302,15 +306,15 @@ def test_train_round_matches_lone_sgd_per_client(monkeypatch, block_values, epoc
     seeds = [7, 3, 19, 3, 44]
     cfg = HeadConfig(filters=f, epochs=epochs, batch_size=8, learning_rate=0.3, rng_seed=999)
     w = init(k, t, cfg)
-    snapshot = w.copy()
+    snapshot = copy.deepcopy(w)
     out = planned_round(w, v, np.arange(80), y, spans, seeds, cfg)
-    assert w.allclose(snapshot, rtol=0, atol=0)  # input left untouched
+    assert weights_close(w, snapshot, rtol=0, atol=0)  # input left untouched
     assert len(out) == len(spans)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, v[a:b], y[a:b], seed, cfg)
-        assert got.allclose(ref, rtol=0, atol=1e-12)
+        assert weights_close(got, ref, rtol=0, atol=1e-12)
         if epochs == 0:
-            assert got.allclose(w, rtol=0, atol=0)
+            assert weights_close(got, w, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("block_values", [None, 1, 300])
@@ -357,11 +361,11 @@ def test_train_round_on_repeated_ids_matches_expanded_sgd(monkeypatch, block_val
         assert len(out) == len(spans)
         for (a, b), seed, got in zip(spans, seeds, out):
             ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
-            assert got.allclose(ref, rtol=0, atol=1e-12)
+            assert weights_close(got, ref, rtol=0, atol=1e-12)
             if epochs == 0:
-                assert got.allclose(w, rtol=0, atol=0)
+                assert weights_close(got, w, rtol=0, atol=0)
             else:
-                assert not got.allclose(w, rtol=0, atol=0)
+                assert not weights_close(got, w, rtol=0, atol=0)
 
 
 def test_train_round_matches_expanded_sgd_property():
@@ -396,7 +400,7 @@ def test_train_round_matches_expanded_sgd_property():
         layouts.update(taken)
         for (a, b), seed, got in zip(spans, seeds, out):
             ref = sgd_with_gradients(w, rows[ids[a:b]], y[a:b], seed, cfg)
-            assert got.allclose(ref, rtol=0, atol=1e-12)
+            assert weights_close(got, ref, rtol=0, atol=1e-12)
 
     check()
     assert layouts == {"whole", "gathered"}
@@ -423,7 +427,7 @@ def test_train_round_layouts_at_the_batch_size(monkeypatch):
     assert layouts == ["whole", "gathered"]
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, table[ids[a:b]], y[a:b], seed, cfg)
-        assert got.allclose(ref, rtol=0, atol=1e-12)
+        assert weights_close(got, ref, rtol=0, atol=1e-12)
 
 
 def test_train_round_block_over_many_table_rows():
@@ -440,7 +444,7 @@ def test_train_round_block_over_many_table_rows():
     out = planned_round(w, v, ids, y, spans, seeds, cfg)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, v[ids[a:b]], y[a:b], seed, cfg)
-        assert got.allclose(ref, rtol=0, atol=1e-12)
+        assert weights_close(got, ref, rtol=0, atol=1e-12)
 
 
 def test_permuted_rows_match_successive_permutations():
@@ -497,7 +501,7 @@ def test_plan_reused_over_rounds_matches_fresh_plans(monkeypatch):
         reused = train_round(w, plan, seeds)
         fresh = planned_round(w, table, ids, y, spans, seeds, cfg)
         assert _packed_bytes(reused) == _packed_bytes(fresh)
-        assert not reused[0].allclose(w, rtol=0, atol=0)
+        assert not weights_close(reused[0], w, rtol=0, atol=0)
         w = HeadWeights(*(np.mean([getattr(o, name) for o in reused], axis=0)
                           for name in ("conv_kernels", "conv_bias", "dense", "dense_bias")))
     assert all(np.array_equal(a, before) for a, before in arrays)
@@ -526,7 +530,7 @@ def test_epoch_groups_leave_weights_bitwise_unchanged(monkeypatch, group_values)
     assert _packed_bytes(out) == _packed_bytes(reference)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, table[ids[a:b]], y[a:b], seed, cfg)
-        assert got.allclose(ref, rtol=0, atol=1e-12)
+        assert weights_close(got, ref, rtol=0, atol=1e-12)
 
 
 def test_with_bias_tap_layout():
@@ -580,7 +584,7 @@ def test_plan_round_rejects_no_spans():
 
 def test_weights_json_roundtrip_exact():
     w = init(3, 10, HeadConfig(rng_seed=5))
-    back = weights_from_json(weights_to_json(w))
+    back = weights_from_dict(json.loads(json.dumps(weights_to_dict(w))))
     assert np.array_equal(back.conv_kernels, w.conv_kernels)
     assert np.array_equal(back.dense, w.dense)
     assert back.dense_bias == w.dense_bias

@@ -122,3 +122,62 @@ def test_shuffled_rows_give_identical_outputs(tmp_path, small_scenario_dir, meth
             (small_scenario_dir / "truth.json").read_bytes())
         logs.append(tmp_path / name / "events.csv")
     assert _run(logs[1], method, mnd_mode) == _run(logs[0], method, mnd_mode)
+
+
+@pytest.mark.parametrize("method, mnd_mode", METHOD_MODES)
+def test_crlf_line_ends_give_identical_outputs(tmp_path, small_scenario_dir, method, mnd_mode):
+    # Ingest reads "\r\n" as one line end, so a log's line ends are not an
+    # input either.
+    data = (small_scenario_dir / "events.csv").read_bytes()
+    assert b"\r" not in data
+    logs = []
+    for name, body in (("lf", data), ("crlf", data.replace(b"\n", b"\r\n"))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "events.csv").write_bytes(body)
+        (tmp_path / name / "truth.json").write_bytes(
+            (small_scenario_dir / "truth.json").read_bytes())
+        logs.append(tmp_path / name / "events.csv")
+    assert _run(logs[1], method, mnd_mode) == _run(logs[0], method, mnd_mode)
+
+
+@pytest.mark.parametrize("method, mnd_mode", METHOD_MODES)
+def test_annotation_columns_give_identical_outputs(tmp_path, small_scenario, method, mnd_mode):
+    # With the same truth.json sidecar, a log's annotation columns only
+    # restate its truth: an annotated and a plain log of the same events
+    # give identical outputs.
+    events, truth = small_scenario
+    logs = []
+    for name, annotations in (("annotated", truth), ("plain", None)):
+        (tmp_path / name).mkdir()
+        scenario.write_events_csv(tmp_path / name / "events.csv", events, annotations)
+        scenario.write_ground_truth(tmp_path / name / "truth.json", truth)
+        logs.append(tmp_path / name / "events.csv")
+    assert logs[0].read_text().split("\n", 1)[0].count(",") == 4
+    assert logs[1].read_text().split("\n", 1)[0].count(",") == 2
+    assert _run(logs[1], method, mnd_mode) == _run(logs[0], method, mnd_mode)
+
+
+def test_a_truth_rebuilt_from_annotations_differs_in_presence_only(tmp_path, small_scenario,
+                                                                   record_property):
+    # Without a sidecar, the truth is rebuilt from the annotation columns.
+    # Its attackers and windows are the sidecar's, but a rebuilt presence
+    # runs from a vehicle's first packet to its last, inside the sidecar's
+    # span, so the relation above does not hold for it: the split second and
+    # the confusions may move.  Which report fields differ is recorded.
+    events, truth = small_scenario
+    logs = []
+    for name in ("rebuilt", "sidecar"):
+        (tmp_path / name).mkdir()
+        scenario.write_events_csv(tmp_path / name / "events.csv", events, truth)
+        logs.append(tmp_path / name / "events.csv")
+    scenario.write_ground_truth(tmp_path / "sidecar" / "truth.json", truth)
+    rebuilt = scenario.ingest(logs[0])[1]
+    assert rebuilt.attackers == truth.attackers
+    assert rebuilt.attack_windows == truth.attack_windows
+    assert rebuilt.presence.keys() == truth.presence.keys()
+    assert all(truth.presence[v][0] <= enter <= exit_ <= truth.presence[v][1]
+               for v, (enter, exit_) in rebuilt.presence.items())
+    assert rebuilt.presence != truth.presence
+    reports = [json.loads(_run(log, "centralized")[0]) for log in logs]
+    record_property("report_fields_that_differ",
+                    sorted(k for k in reports[0] if reports[0][k] != reports[1][k]))

@@ -3,30 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advent.mnd import MadParams, SuspicionReport, _median, detect, mad, rejection_bounds
+from advent.mnd import SuspicionReport, detect, mad, rejection_bounds
 
 
-def numpy_mad_oracle(values, b=1.4826):
+def numpy_mad_oracle(values):
     v = np.asarray(values, dtype=float)
-    return float(b * np.median(np.abs(v - np.median(v))))
-
-
-def test_params_invariants():
-    with pytest.raises(ValueError):
-        MadParams(b=0.0)
-    with pytest.raises(ValueError):
-        MadParams(ce=-1.0)
+    return float(1.4826 * np.median(np.abs(v - np.median(v))))
 
 
 def test_mad_hand_computed():
     # median 3, deviations [2,1,0,1,2] -> median 1
-    assert mad([1, 2, 3, 4, 5], b=1.0) == 1.0
-    assert mad([1, 2, 3, 4, 5]) == pytest.approx(1.4826)
+    assert mad([1, 2, 3, 4, 5]) == 1.4826
 
 
 def test_mad_even_length_central_pair():
     # median(1,2,4,10) = 3; deviations sorted [1,1,2,7] have median 1.5
-    assert mad([1.0, 2.0, 4.0, 10.0], b=1.0) == pytest.approx(1.5)
+    assert mad([1.0, 2.0, 4.0, 10.0]) == 1.4826 * 1.5
 
 
 def test_mad_constant_is_zero():
@@ -38,9 +30,14 @@ def test_mad_empty_raises():
         mad([])
 
 
+# Counts whose largest sits exactly on the upper bound at b = 1.4826 and
+# ce = 3: median 10000 and raw MAD 5000, so the bound is 10000 + 3 * 7413.
+ON_BAND = [5000, 10000, 10000, 15000, 32239]
+
+
 def test_rejection_bounds_hand_computed():
-    lo, hi = rejection_bounds([1, 2, 3, 4, 5], MadParams(b=1.0, ce=2.0))
-    assert (lo, hi) == (1.0, 5.0)
+    assert rejection_bounds([1, 2, 3, 4, 5]) == (3 - 3 * 1.4826, 3 + 3 * 1.4826)
+    assert rejection_bounds(ON_BAND) == (-12239.0, 32239.0)
 
 
 def _round(per_receiver):
@@ -51,21 +48,21 @@ def _round(per_receiver):
     return tuple(np.array([row[k] for row in rows], dtype=np.int64) for k in range(3))
 
 
-def _suspected(per_sender, params=MadParams()):
+def _suspected(per_sender):
     """The suspects of one receiver's report, in a one-receiver round."""
-    (report,) = detect(_round({0: per_sender}), params).reports
+    (report,) = detect(_round({0: per_sender})).reports
     assert report.reporter == 0
     return report.suspected
 
 
-def reference_detect(per_receiver, params=MadParams()):
-    """Oracle: each receiver's band on its own, from `_median` and `mad`,
-    as one vehicle computes it."""
+def reference_detect(per_receiver):
+    """Oracle: each receiver's band on its own, from `rejection_bounds`, as
+    one vehicle computes it."""
     out = []
     for r in sorted(per_receiver):
         senders = sorted(per_receiver[r])
         values = [float(per_receiver[r][s]) for s in senders]
-        upper = _median(values) + params.ce * mad(values, params.b)
+        upper = rejection_bounds(values)[1]
         out.append(SuspicionReport(r, {s for s, v in zip(senders, values) if v > upper}))
     return out
 
@@ -79,11 +76,9 @@ def test_detect_flags_flooder():
 
 
 def test_detect_sender_at_upper_bound_not_flagged():
-    # median 3 and MAD 1, so the upper bound is exactly 5.
-    params = MadParams(b=1.0, ce=2.0)
-    assert rejection_bounds([1, 2, 3, 4, 5], params)[1] == 5.0
-    assert _suspected({1: 1, 2: 2, 3: 3, 4: 4, 5: 5}, params) == set()
-    assert _suspected({1: 1, 2: 2, 3: 3, 4: 4, 5: 6}, params) == {5}
+    # The largest count is exactly on the band; one more is over it.
+    assert _suspected(dict(enumerate(ON_BAND))) == set()
+    assert _suspected(dict(enumerate(ON_BAND[:4] + [ON_BAND[4] + 1]))) == {4}
 
 
 def test_detect_lower_outlier_not_flagged():
@@ -115,10 +110,9 @@ def test_detect_mad_zero_majority():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(0, 1e6), min_size=1, max_size=50),
-       st.floats(0.1, 5.0))
-def test_mad_matches_numpy_oracle(values, b):
-    assert mad(values, b) == pytest.approx(numpy_mad_oracle(values, b), abs=1e-9)
+@given(st.lists(st.floats(0, 1e6), min_size=1, max_size=50))
+def test_mad_matches_numpy_oracle(values):
+    assert mad(values) == pytest.approx(numpy_mad_oracle(values), abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,19 +130,18 @@ def test_detect_matches_bound_oracle(per_sender):
 
 
 def test_grouped_detect_ties_and_sizes():
-    # One round: a tie exactly at the band (median 3, MAD 1, upper bound 5
-    # with b=1, ce=2) next to a receiver one count over it, odd and even
-    # sender counts, a lone sender and a receiver whose senders all agree.
-    params = MadParams(b=1.0, ce=2.0)
+    # One round: a tie exactly at the band next to a receiver one count over
+    # it, odd and even sender counts, a lone sender and a receiver whose
+    # senders all agree.
     per_receiver = {
-        -7: {1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
-        2: {1: 1, 2: 2, 3: 3, 4: 4, 5: 6},
+        -7: dict(zip(range(1, 6), ON_BAND)),
+        2: dict(zip(range(1, 6), ON_BAND[:4] + [ON_BAND[4] + 1])),
         3: {10: 1, 11: 2, 12: 4, 13: 10},
         1 << 41: {9: 500},
         5: {1: 4, 2: 4, 3: 4},
     }
-    got = detect(_round(per_receiver), params)
-    assert got.reports == reference_detect(per_receiver, params)
+    got = detect(_round(per_receiver))
+    assert got.reports == reference_detect(per_receiver)
     assert {r.reporter: r.suspected for r in got.reports} == {
         -7: set(), 2: {5}, 3: {13}, 1 << 41: set(), 5: set()}
     assert [r.reporter for r in got.reports] == sorted(per_receiver)
@@ -156,13 +149,16 @@ def test_grouped_detect_ties_and_sizes():
 
 
 IDS = st.integers(-5, 5) | st.integers(-(2**62), 2**62)
+# Flood-like receivers: mostly a few close counts, whose MAD is often 0 and
+# puts the senders that match the median exactly on the band, and some
+# counts far above them, which the band flags; and ON_BAND's counts, which
+# tie at a band of MAD > 0.
+COUNTS = st.integers(1, 3) | st.integers(1, 12) | st.integers(1, 10**6)
+SENDERS = st.dictionaries(IDS, COUNTS, min_size=1, max_size=12) | st.lists(
+    IDS, min_size=5, max_size=5, unique=True).map(lambda ids: dict(zip(ids, ON_BAND)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(IDS, st.dictionaries(IDS, st.integers(1, 12) | st.integers(1, 10**6),
-                                            min_size=1, max_size=12), max_size=8),
-       st.sampled_from([MadParams(), MadParams(b=1.0, ce=2.0), MadParams(b=1.0, ce=1.0),
-                        MadParams(b=0.5, ce=0.5)]))
-def test_grouped_detect_matches_per_receiver_reference(per_receiver, params):
-    # Small counts and round parameters put many senders exactly on a band.
-    assert detect(_round(per_receiver), params).reports == reference_detect(per_receiver, params)
+@given(st.dictionaries(IDS, SENDERS, max_size=8))
+def test_grouped_detect_matches_per_receiver_reference(per_receiver):
+    assert detect(_round(per_receiver)).reports == reference_detect(per_receiver)

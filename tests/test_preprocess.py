@@ -241,7 +241,7 @@ def test_counts_memory_is_bounded_by_events_and_seconds():
     try:
         series = build_count_series(events, truth)
         secs, x, y = windowize_arrays(series, truth)
-        detection = mnd.detect(interval_counts(events), mnd.MadParams())
+        detection = mnd.detect(interval_counts(events))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
