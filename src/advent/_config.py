@@ -32,14 +32,16 @@ def is_number(value) -> bool:
 
 
 # Field annotation -> (the values it accepts, how an error names them).  A
-# bool is never accepted; an int is, where a float is expected.
+# bool is never accepted; an int is, where a float is expected.  An int must
+# be a number too, so that it converts to a float.
 _KINDS = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "int": (is_int, "an integer"),
+    "int": (lambda v: is_int(v) and is_number(v), "an integer"),
     "float": (is_number, "a number"),
     "tuple[int, int]": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2
-                        and all(map(is_int, v)), "two integers [min, max]"),
+                        and all(is_int(x) and is_number(x) for x in v),
+                        "two integers [min, max]"),
 }
 
 

@@ -92,13 +92,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-_REPORT_COLUMNS = [
-    "scenario", "method", "mnd_mode", "seed",
-    "onset_dr", "onset_far", "onset_fnr", "onset_f1",
-    "first_second_rate", "mnd_dr", "mnd_far", "mnd_f1",
-]
-
-
 def cmd_report(args) -> int:
     out_dir = Path(args.out)
     if not out_dir.is_dir():
@@ -142,8 +135,8 @@ def cmd_report(args) -> int:
     # Integer seeds in numeric order, after any other seed by its text.
     rows.sort(key=lambda r: (r["scenario"], r["method"], r["mnd_mode"], _config.is_int(r["seed"]),
                              r["seed"] if _config.is_int(r["seed"]) else str(r["seed"])))
-    # One timing column per key any timing.json holds, in the order first seen.
-    columns = list(dict.fromkeys([*_REPORT_COLUMNS, *(k for r in rows for k in r)]))
+    # Each row's keys, in the order first seen: the report's, then timing's.
+    columns = list(dict.fromkeys(k for r in rows for k in r))
     csv_path = out_dir / "comparison.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,36 +142,28 @@ def fedavg(updates: list[tuple[int, HeadWeights, int]]) -> HeadWeights:
 
     Every update must match the first one's shapes and hold only finite
     values; a broadcastable mismatch or a NaN would otherwise pass straight
-    into the global model.
+    into the global model.  The checks and the mean walk `HeadWeights`'
+    fields; a mean adds count / total times each client's field to 0.0.
     """
     if not updates:
         raise ProtocolError("fedavg requires at least one update")
-
-    def shapes(w):
-        return w.conv_kernels.shape, w.conv_bias.shape, w.dense.shape, np.shape(w.dense_bias)
-
-    shape = shapes(updates[0][1])
+    names = [f.name for f in fields(HeadWeights)]
+    shape = [np.shape(getattr(updates[0][1], n)) for n in names]
     total = 0
     for cid, w, count in updates:
         if count < 1:
             raise ProtocolError(f"client {cid}: sample_count must be >= 1")
-        if shapes(w) != shape:
+        values = [getattr(w, n) for n in names]
+        if [np.shape(v) for v in values] != shape:
             raise ProtocolError(f"client {cid}: weight shape mismatch")
-        if not all(np.isfinite(a).all() for a in (w.conv_kernels, w.conv_bias, w.dense, w.dense_bias)):
+        if not all(np.isfinite(a).all() for a in values):
             raise ProtocolError(f"client {cid}: non-finite weight")
         total += count
-    first = updates[0][1]
-    kernels = np.zeros_like(first.conv_kernels)
-    bias = np.zeros_like(first.conv_bias)
-    dense = np.zeros_like(first.dense)
-    dbias = 0.0
+    mean = dict.fromkeys(names, 0.0)
     for _, w, count in updates:
-        frac = count / total
-        kernels += frac * w.conv_kernels
-        bias += frac * w.conv_bias
-        dense += frac * w.dense
-        dbias += frac * w.dense_bias
-    return HeadWeights(conv_kernels=kernels, conv_bias=bias, dense=dense, dense_bias=dbias)
+        for n in names:
+            mean[n] = mean[n] + count / total * getattr(w, n)
+    return HeadWeights(**mean)
 
 
 def run_training(

@@ -17,9 +17,10 @@ bincount per feature and statistic for all of them); its sibling's
 histograms are its parent's, kept from the level above, less the smaller
 child's.  The level puts the smaller children first, in their parents'
 order, and their siblings after them in the same order, so the rows to
-histogram are one prefix of the level's rows; the child ids in each split
-say which is which, and the trees' preorder does not change.  Counts come
-out exact.  A subtracted g or h sum can differ from the direct one by
+histogram are one prefix of the level's rows.  Each node grows in the wire
+format's form, a split holding its two children, so the trees' preorder does
+not change and the upload decoder's builder makes their node arrays.  Counts
+come out exact.  A subtracted g or h sum can differ from the direct one by
 rounding; gains within the gain tolerance tie, so that rounding changes no
 split unless two candidates' gains differ by about the tolerance.  Node
 totals and leaf values are still pairwise sums over each node's own rows in
@@ -94,9 +95,10 @@ class LocalEnsemble:
     trees[t] is the index of tree t's root.  Node i is a leaf iff left[i]
     == right[i] == i; value[i] is then the log-odds step it adds to a
     margin, shrinkage included.  Otherwise a row goes to left[i] when
-    x[feature[i]] < threshold[i] and to right[i] when not.  A leaf has feature 0, so stepping a row on from
-    its leaf keeps it there.  `depth`, that of the deepest leaf, is found
-    once when the ensemble is made: every walk takes that many steps.
+    x[feature[i]] < threshold[i] and to right[i] when not.  A leaf has
+    feature 0, so stepping a row on from its leaf keeps it there.  `depth`,
+    that of the deepest leaf, is found once when the ensemble is made: every
+    walk takes that many steps.
     """
 
     client: int
@@ -255,24 +257,24 @@ def _level_splits(hist, values, client, count, g_tot, h_tot, cfg: GbdtConfig):
 def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_counts) -> list:
     """Grow one tree per client, all of them a level at a time.
 
-    The rows are grouped by client, sizes[c] rows for client c; client c's
-    root is node c of the returned list, which holds each node, level by
-    level, as (f, thr, left, right) or as its leaf value.  Each row's leaf
-    value goes to leaf_of_row.  `root_counts` is the clients' cumulative row
-    counts, `_histograms` with no weight, the same for every tree of the
-    same rows.  Below the root a level's nodes are the smaller children of
-    the last level's splits, in their parents' order, then their siblings in
-    the same order.  Its rows are grouped by node, each node's in row order,
-    so a node's totals are pairwise sums over its own rows in row order.
-    The smaller children's rows come first and alone are histogrammed; each
-    sibling's histograms are its parent's less the smaller child's.  A level
-    whose split search would need more than `_HIST_ENTRIES` histogram
-    entries is searched in blocks of nodes.
+    The rows are grouped by client, sizes[c] rows for client c; client c's root
+    is node c of the returned list, which holds each node, level by level, in
+    the wire's form: {"v": value} or {"f", "t", "l", "r"}, whose children are
+    nodes of the list.  Each row's leaf value goes to leaf_of_row.
+    `root_counts` is the clients' cumulative row counts, `_histograms` with no
+    weight, the same for every tree of the same rows.  Below the root a level's
+    nodes are the smaller children of the last level's splits, in their
+    parents' order, then their siblings in the same order; a split makes its
+    two children empty and the next level fills them.  Its rows are grouped by
+    node, each node's in row order, so a node's totals are pairwise sums over
+    its own rows in row order.  The smaller children's rows come first and
+    alone are histogrammed; each sibling's histograms are its parent's less the
+    smaller child's.  A level whose split search would need more than
+    `_HIST_ENTRIES` histogram entries is searched in blocks of nodes.
     """
     lam = cfg.lambda_l2
     n_features, n_bins = values.shape[1:]
-    kids: list = [None] * len(sizes)
-    ids = range(len(sizes))  # the level's nodes
+    kids = level = [{} for _ in sizes]  # every node, and the level's
     client = np.arange(len(sizes))  # each node's client
     sizes = np.asarray(sizes)
     rows = np.arange(gh.shape[1])  # the level's rows, grouped by node
@@ -293,10 +295,10 @@ def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_cou
             feature, threshold, cut, n_left = map(np.concatenate, zip(*(
                 _level_splits(hist[:, lo:lo + step], values, client[lo:lo + step],
                               sizes[lo:lo + step], g_tot[lo:lo + step], h_tot[lo:lo + step], cfg)
-                for lo in range(0, len(ids), step))))
+                for lo in range(0, len(level), step))))
         else:
-            feature, threshold = np.full(len(ids), -1), np.zeros(len(ids))
-            n_left = np.zeros(len(ids), dtype=np.intp)
+            feature, threshold = np.full(len(level), -1), np.zeros(len(level))
+            n_left = np.zeros(len(level), dtype=np.intp)
         if (feature < 0).any():  # a split node's rows get their leaf below it
             leaf_of_row[rows] = np.repeat(value, sizes)
         splits = feature >= 0
@@ -304,21 +306,20 @@ def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_cou
         n_left = n_left[splits]
         n_right = sizes[splits] - n_left
         right_small = n_right < n_left
-        # The next level's smaller children (the left one on a tie) take its
-        # first n_split ids.
-        first = len(kids)
-        swap = iter(right_small.tolist())
-        for i, f, thr, v in zip(ids, feature.tolist(), threshold.tolist(), value.tolist()):
+        # The next level's smaller children (the left one on a tie) come
+        # first, in their parents' order.
+        small, large = [{} for _ in range(n_split)], [{} for _ in range(n_split)]
+        pairs = iter(zip(small, large, right_small.tolist()))
+        for node, f, thr, v in zip(level, feature.tolist(), threshold.tolist(), value.tolist()):
             if f < 0:
-                kids[i] = v
+                node["v"] = v
             else:
-                small, large = first, first + n_split
-                kids[i] = (f, thr, large, small) if next(swap) else (f, thr, small, large)
-                first += 1
+                kid, sib, swap = next(pairs)
+                node.update(f=f, t=thr, l=sib if swap else kid, r=kid if swap else sib)
         if not n_split:
             break
-        ids = range(len(kids), len(kids) + 2 * n_split)
-        kids += [None] * (2 * n_split)
+        level = small + large
+        kids += level
         # A split node's rows go left when their code on its feature is below
         # its cut; a leaf's rows leave the level.
         if n_split < len(sizes):
@@ -342,19 +343,6 @@ def _grow_trees(codes, values, sizes, gh, cfg: GbdtConfig, leaf_of_row, root_cou
             np.subtract(parent, hist[:, :n_split], out=hist[:, n_split:])
             parent = None
     return kids
-
-
-def _write_preorder(nodes, kids, i) -> int:
-    """Append node i of `kids` and its subtree to `nodes` in preorder; return its index."""
-    j = len(nodes)
-    nodes.append(None)
-    if isinstance(kids[i], float):
-        nodes[j] = (0, 0.0, j, j, kids[i])
-    else:
-        f, thr, left, right = kids[i]
-        nodes[j] = (f, thr, _write_preorder(nodes, kids, left),
-                    _write_preorder(nodes, kids, right), 0.0)
-    return j
 
 
 def _ensemble(client, nodes, roots, base_score) -> LocalEnsemble:
@@ -392,6 +380,8 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
     Tree t of every client with both classes grows in the same level-wise
     pass, each client with its own feature bins, base score and margins, so
     each ensemble is the same, bit for bit, as the client's own `train`.
+    `_node_from_dict`, which decodes an upload, appends each grown tree, in
+    the wire's form, to its client's nodes in preorder.
     """
     if not len(xs) == len(ys) == len(clients):
         raise ValueError("need one x and one y per client")
@@ -442,7 +432,7 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
         np.multiply(p, 1.0 - p, out=gh[1])
         kids = _grow_trees(codes, values, sizes, gh, config, leaf_of_row, root_counts)
         for c in range(len(fits)):
-            roots[c].append(_write_preorder(nodes[c], kids, c))
+            roots[c].append(_node_from_dict(nodes[c], kids[c]))
         margins += leaf_of_row
     for c, (i, _, _, base) in enumerate(fits):
         out[i] = _ensemble(clients[i], nodes[c], roots[c], base)

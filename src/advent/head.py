@@ -63,7 +63,7 @@ wire format and FedAvg still carry and average the factors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -472,18 +472,11 @@ def _train_block(w, table, block: _Block, seeds, config) -> np.ndarray:
 
 
 def weights_to_dict(w: HeadWeights) -> dict:
-    return {
-        "conv_kernels": w.conv_kernels.tolist(),
-        "conv_bias": w.conv_bias.tolist(),
-        "dense": w.dense.tolist(),
-        "dense_bias": w.dense_bias,
-    }
+    return {f.name: np.asarray(getattr(w, f.name)).tolist() for f in fields(w)}
 
 
 def weights_from_dict(d: dict) -> HeadWeights:
-    return HeadWeights(
-        conv_kernels=np.asarray(d["conv_kernels"], dtype=np.float64),
-        conv_bias=np.asarray(d["conv_bias"], dtype=np.float64),
-        dense=np.asarray(d["dense"], dtype=np.float64),
-        dense_bias=float(d["dense_bias"]),
-    )
+    """A field declared float as a Python float, the others as float64 arrays."""
+    return HeadWeights(**{f.name: float(d[f.name]) if f.type == "float"
+                          else np.asarray(d[f.name], dtype=np.float64)
+                          for f in fields(HeadWeights)})

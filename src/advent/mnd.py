@@ -9,7 +9,7 @@ Only the upper bound triggers suspicion (the attack model is flooding), so
 counts and finds every receiver's band at once.  A report holds only what
 the server aggregates: the reporter and the ids it suspects.  `mad` and
 `rejection_bounds` are the one-vehicle forms that the tests check `detect`
-against.
+against, with the standard library's `statistics.median`.
 """
 
 from __future__ import annotations
@@ -36,39 +36,33 @@ class SuspicionReport:
     suspected: set[int]
 
 
-def _median(values: list[float]) -> float:
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    if n % 2:
-        return float(s[mid])
-    return 0.5 * (s[mid - 1] + s[mid])
-
-
 def mad(values) -> float:
     """b * median(|x - median(x)|)."""
+    from statistics import median  # here, so that a run never loads it
     values = list(values)
     if not values:
         raise ValueError("mad of empty list")
-    m = _median(values)
-    return CONSISTENCY_B * _median([abs(v - m) for v in values])
+    m = median(values)
+    return CONSISTENCY_B * median([abs(v - m) for v in values])
 
 
 def rejection_bounds(values) -> tuple[float, float]:
     """(median - ce*MAD, median + ce*MAD)."""
+    from statistics import median
     values = list(values)
     if not values:
         raise ValueError("rejection_bounds of empty list")
-    m = _median(values)
+    m = median(values)
     spread = EXCLUSION_CE * mad(values)
     return (m - spread, m + spread)
 
 
 def _group_medians(values: np.ndarray, group: np.ndarray, starts: np.ndarray,
                    sizes: np.ndarray) -> np.ndarray:
-    """`_median` of each group's values; `group` is sorted and `starts` and
-    `sizes` give each group's run of it.  An odd group's middle value v is
-    taken as 0.5 * (v + v), which is v exactly."""
+    """The median of each group's values; `group` is sorted and `starts` and
+    `sizes` give each group's run of it.  An even group's 0.5 * (a + b) is
+    `statistics.median`'s (a + b) / 2, both correctly rounded; an odd
+    group's middle value v is taken as 0.5 * (v + v), which is v exactly."""
     s = values[np.lexsort((values, group))]
     return 0.5 * (s[starts + (sizes - 1) // 2] + s[starts + sizes // 2])
 
@@ -88,9 +82,9 @@ def detect(counts) -> RoundDetection:
 
     `counts` holds parallel (receiver, sender, count) arrays sorted by
     receiver, then sender, as `preprocess.interval_counts` returns them.
-    The bands take `_median`'s float operations in the same order as
-    `rejection_bounds`, so they equal it bit for bit.  A receiver with a
-    single sender flags nothing: the sender sits exactly at its own upper
+    Its medians equal `statistics.median`'s and its float operations follow
+    `rejection_bounds`, so the bands equal it bit for bit.  A receiver with
+    a single sender flags nothing: the sender sits exactly at its own upper
     bound, so sparse neighbourhoods right after a vehicle joins report
     empty lists rather than errors.
     """

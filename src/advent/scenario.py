@@ -637,23 +637,17 @@ def _flag_labels(t, s, attacker_flag, active_flag) -> tuple[set[int], list[tuple
     return attackers, windows
 
 
-def _part_count(body_bytes: int, cores: int) -> int:
-    """How many parts a log body of `body_bytes` is parsed in: one per core,
-    each of _MIN_PART_BYTES at least."""
-    return part_count(body_bytes, _MIN_PART_BYTES, cores)
-
-
 def _parts(path, start: int) -> list[tuple[int, int | None]]:
     """The parts of the log body that starts at byte `start`, as np.loadtxt's
     (skiprows, max_rows) of each: the last part reads to the end.
 
-    Cuts fall at line ends, and one binary pass counts the lines before
-    each.  np.loadtxt's max_rows does not count empty lines, and it ends a
-    line at a ``\\r`` too, so a body with either before the last cut is one
-    part.
+    There is one part per core, each of _MIN_PART_BYTES at least.  Cuts
+    fall at line ends, and one binary pass counts the lines before each.
+    np.loadtxt's max_rows does not count empty lines, and it ends a line at
+    a ``\\r`` too, so a body with either before the last cut is one part.
     """
     end = os.path.getsize(path)
-    count = _part_count(end - start, _cores())
+    count = part_count(end - start, _MIN_PART_BYTES, _cores())
     whole = [(1, None)]
     if count < 2:
         return whole

@@ -8,18 +8,22 @@ traced benchmark result.  Every exported function and method must also be
 called by some CLI run, or be allowlisted as a tracer target or an oracle,
 with the reason it stays.  Every name a module imports is used there or
 exported, and no module reads another's private names.  The package imports
-nothing beyond numpy and the standard library.
+nothing beyond numpy and the standard library, and a run loads none of the
+heavyweight modules that it does not need.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
 import advent
+from advent import runner
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -223,3 +227,29 @@ def test_every_export_is_reached_or_allowed(tmp_path, capsys):
     assert sorted(unreached - set(UNREACHED_ALLOWED)) == []
     # An allowed name that a run does reach no longer needs its entry.
     assert sorted(set(UNREACHED_ALLOWED) - unreached) == []
+
+
+HEAVY_MODULES = ("numpy.ma", "statistics", "decimal", "fractions")
+
+
+def test_a_run_loads_no_heavyweight_module_it_does_not_need(small_scenario_dir, tmp_path):
+    # Each of these adds resident memory to every run that imports it:
+    # numpy.ma comes with a plain np.unique, and statistics, which imports
+    # decimal and fractions, serves only the MAD oracles.  A run with each
+    # method loads none of them; an oracle call then loads statistics.
+    events = str(small_scenario_dir / "events.csv")
+    code = ("import sys\n"
+            "from advent import mnd, runner\n"
+            f"heavy = {HEAVY_MODULES!r}\n"
+            "for method in runner.METHODS:\n"
+            "    runner.run_pipeline(runner.RunManifest(\n"
+            f"        scenario_path={events!r}, output_dir={str(tmp_path)!r} + '/' + method,\n"
+            "        method=method, seed=1, rounds=2, epochs=2, trees_per_client=2))\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "mnd.mad([1.0, 2.0])\n"
+            "print([m for m in heavy if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(advent.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "[]\n['statistics', 'decimal', 'fractions']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(runner.METHODS)

@@ -539,6 +539,33 @@ def test_a_number_is_a_finite_real():
     assert [_config.is_number(v) for v in values] == [True] * 4 + [False] * 6
 
 
+_HUGE = 10 ** 400  # an int too large for a float
+
+
+@pytest.mark.parametrize("where, value, why", [
+    ("scenario", {"duration_s": _HUGE}, f"duration_s must be an integer, got {_HUGE}"),
+    ("scenario", {"concurrent_range": [4, _HUGE]},
+     f"concurrent_range must be two integers [min, max], got (4, {_HUGE})"),
+    ("manifest", {"lags": _HUGE}, f"lags must be an integer, got {_HUGE}"),
+], ids=["scenario-duration", "scenario-range", "manifest-lags"])
+def test_an_int_too_large_for_a_float_is_one_error_line(scenario_dir, tmp_path, capsys, where,
+                                                       value, why):
+    # Unchecked, the scenario's ended in an OverflowError traceback and the
+    # manifest's in numpy's "Maximum allowed dimension exceeded".
+    out = tmp_path / "o"
+    path = tmp_path / f"{where}.json"
+    if where == "scenario":
+        path.write_text(json.dumps(value))
+        argv = ["generate", "--config", str(path), "--out", str(out)]
+    else:
+        path.write_text(json.dumps({**_run_manifest(scenario_dir, out), **value}))
+        argv = ["run", "--config", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {why}\n" and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "preprocess"])
 def test_commands_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, command):
     events = tmp_path / "events.csv"

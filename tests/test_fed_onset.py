@@ -155,6 +155,39 @@ def test_fedavg_permutation_invariance_and_idempotence():
     assert weights_close(solo, ws[0][0], atol=0)
 
 
+def _fedavg_reference(updates):
+    """FedAvg's mean written out field by field, one accumulator each."""
+    total = sum(count for _, _, count in updates)
+    first = updates[0][1]
+    kernels = np.zeros_like(first.conv_kernels)
+    bias = np.zeros_like(first.conv_bias)
+    dense = np.zeros_like(first.dense)
+    dbias = 0.0
+    for _, w, count in updates:
+        frac = count / total
+        kernels += frac * w.conv_kernels
+        bias += frac * w.conv_bias
+        dense += frac * w.dense
+        dbias += frac * w.dense_bias
+    return HeadWeights(conv_kernels=kernels, conv_bias=bias, dense=dense, dense_bias=dbias)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6), st.integers(1, 4),
+       st.integers(1, 5), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_fedavg_matches_per_field_reference(counts, f, k, t, seed):
+    # Oracle: the accumulators above.  Bit for bit, and the dense bias stays
+    # a Python float, as the wire and the next round read it.
+    rng = np.random.default_rng(seed)
+    updates = [(i, _weights(rng, f, k, t), n) for i, n in enumerate(counts)]
+    got, want = fedavg(updates), _fedavg_reference(updates)
+    for field in dataclasses.fields(HeadWeights):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert type(got.dense_bias) is float
+
+
 def test_fedavg_shape_mismatch_and_bad_count():
     rng = np.random.default_rng(4)
     w = _weights(rng)

@@ -625,7 +625,7 @@ def test_wide_level_matches_recursive_reference():
                             root_counts)
     for c, (x, g) in enumerate(zip(xs, gs)):
         nodes = []
-        gbdt._write_preorder(nodes, kids, c)
+        gbdt._node_from_dict(nodes, kids[c])
         ref_nodes, ref_leaf_of_row = [], np.empty(n)
         _recursive_build_node(ref_nodes, np.arange(n), *_recursive_bin_features(x), g, h, 0,
                               cfg, ref_leaf_of_row)
@@ -679,12 +679,17 @@ def _grow_and_trace(xs, gs, hs, cfg):
     bounds = np.cumsum([0] + sizes)
     rows = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     client, depth, subtracted = list(range(len(xs))), [0] * len(xs), [False] * len(xs)
+    # Each node's id: its index in the kids list, found by object identity.
+    ids = {id(node): i for i, node in enumerate(kids)}
+    assert len(ids) == len(kids)
     level = list(range(len(xs)))
     while level:
         smalls, larges = [], []
         for i in level:
-            if isinstance(kids[i], tuple):
-                f, thr, left, right = kids[i]
+            assert sorted(kids[i]) in (["v"], ["f", "l", "r", "t"])
+            if "v" not in kids[i]:
+                f, thr = kids[i]["f"], kids[i]["t"]
+                left, right = ids[id(kids[i]["l"])], ids[id(kids[i]["r"])]
                 goes_left = x[rows[i], f] < thr
                 n_left = int(goes_left.sum())
                 if n_left <= len(goes_left) - n_left:
@@ -702,6 +707,7 @@ def _grow_and_trace(xs, gs, hs, cfg):
             client.append(client[parent])
             depth.append(depth[parent] + 1)
         subtracted += [False] * len(smalls) + [True] * len(larges)
+    assert len(rows) == len(kids)
     hist = np.concatenate(seen, axis=1)
     assert hist.shape[1] == sum(d < cfg.max_depth for d in depth)
     eps = np.finfo(float).eps
@@ -852,13 +858,9 @@ _CLIENT = st.tuples(st.integers(1, 40), st.integers(0, 3),
                     st.sampled_from(["mixed", "zeros", "ones"]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(_CLIENT, min_size=1, max_size=5), st.integers(1, 3), st.integers(1, 4),
-       st.integers(1, 3), st.sampled_from([0.0, 1.0]), st.integers(1, 3),
-       st.sampled_from([None, 1, 40]), st.integers(0, 2**32 - 1))
-def test_train_clients_matches_recursive_property(clients, nf, depth, msl, lam, trees, entries,
-                                                  seed):
-    rng = np.random.default_rng(seed)
+def _draw_clients(rng, clients, nf):
+    """Each `_CLIENT` draw's rows and labels; a mixed client of two or more
+    rows has both classes."""
     xs, ys = [], []
     for n, kind, labels in clients:
         xs.append(_client_rows(rng, n, nf, kind))
@@ -867,6 +869,16 @@ def test_train_clients_matches_recursive_property(clients, nf, depth, msl, lam, 
         if labels == "mixed" and n >= 2:
             y[:2] = [0.0, 1.0]
         ys.append(y)
+    return xs, ys
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_CLIENT, min_size=1, max_size=5), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 3), st.sampled_from([0.0, 1.0]), st.integers(1, 3),
+       st.sampled_from([None, 1, 40]), st.integers(0, 2**32 - 1))
+def test_train_clients_matches_recursive_property(clients, nf, depth, msl, lam, trees, entries,
+                                                  seed):
+    xs, ys = _draw_clients(np.random.default_rng(seed), clients, nf)
     cfg = GbdtConfig(trees_per_client=trees, max_depth=depth, min_samples_leaf=msl,
                      lambda_l2=lam)
     with warnings.catch_warnings(record=True) as caught:
@@ -886,6 +898,27 @@ def test_train_clients_matches_recursive_property(clients, nf, depth, msl, lam, 
         gbdt._HIST_ENTRIES = saved
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_CLIENT, min_size=1, max_size=5), st.integers(1, 3), st.integers(1, 6),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_fitted_nodes_equal_their_wire_round_trip(clients, nf, depth, trees, seed):
+    # The fit builds its node arrays from its trees' wire form with the
+    # upload decoder's builder, so a fitted ensemble and its decoded wire
+    # form hold equal arrays, dtype and bits.
+    xs, ys = _draw_clients(np.random.default_rng(seed), clients, nf)
+    cfg = GbdtConfig(trees_per_client=trees, max_depth=depth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fitted = gbdt.train_clients(xs, ys, cfg, list(range(len(xs))))
+    for ens in fitted:
+        back = ensemble_from_dict(ensemble_to_dict(ens))
+        for name in ("trees", "feature", "threshold", "left", "right", "value"):
+            a, b = getattr(ens, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (back.client, back.base_score, back.depth) == (ens.client, ens.base_score,
+                                                              ens.depth)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("smaller", ["left", "right", "same-size"])
 def test_subtracted_sibling_matches_direct_histograms(smaller):
@@ -901,12 +934,13 @@ def test_subtracted_sibling_matches_direct_histograms(smaller):
     h = rng.uniform(0.1, 0.3, n)
     cfg = GbdtConfig(max_depth=3)
     kids, subtracted = _grow_and_trace([x], [g], [h], cfg)
-    f, thr, left, right = kids[0]
-    assert (f, thr) == (0, cut - 0.5)
-    assert (left, right) == ((2, 1) if smaller == "right" else (1, 2))
+    root = kids[0]
+    assert (root["f"], root["t"]) == (0, cut - 0.5)
+    small, large = (root["r"], root["l"]) if smaller == "right" else (root["l"], root["r"])
+    assert small is kids[1] and large is kids[2]
     assert subtracted[2] and not subtracted[1]
     nodes = []
-    gbdt._write_preorder(nodes, kids, 0)
+    gbdt._node_from_dict(nodes, root)
     ref_nodes = []
     _recursive_build_node(ref_nodes, np.arange(n), *_recursive_bin_features(x), g, h, 0, cfg,
                           np.empty(n))

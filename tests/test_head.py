@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from unittest import mock
 
@@ -583,11 +584,17 @@ def test_plan_round_rejects_no_spans():
 
 
 def test_weights_json_roundtrip_exact():
+    # Every field crosses the wire under its own name, bit for bit, and the
+    # dense bias, declared a float, comes back a Python float.
     w = init(3, 10, HeadConfig(rng_seed=5))
-    back = weights_from_dict(json.loads(json.dumps(weights_to_dict(w))))
-    assert np.array_equal(back.conv_kernels, w.conv_kernels)
-    assert np.array_equal(back.dense, w.dense)
-    assert back.dense_bias == w.dense_bias
+    d = weights_to_dict(w)
+    assert list(d) == ["conv_kernels", "conv_bias", "dense", "dense_bias"]
+    back = weights_from_dict(json.loads(json.dumps(d)))
+    for field in dataclasses.fields(w):
+        a, b = getattr(back, field.name), getattr(w, field.name)
+        assert type(a) is type(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert type(back.dense_bias) is float
 
 
 @settings(max_examples=30, deadline=None)

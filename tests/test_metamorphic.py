@@ -14,7 +14,7 @@ from advent.scenario import EventStream, GroundTruth
 METHOD_MODES = list(zip(runner.METHODS, runner.MND_MODES))
 
 
-def _run(log, method, mnd_mode="fl_aggregate"):
+def _run(log, method, mnd_mode="fl_aggregate", epochs=2):
     """Run the pipeline on `log` (its truth.json sidecar, when there is one)
     into a directory beside it named for the method and mode, with the small
     settings every relation here uses; return (report, predictions) as
@@ -22,19 +22,21 @@ def _run(log, method, mnd_mode="fl_aggregate"):
     out = log.parent / f"{method}-{mnd_mode}"
     runner.run_pipeline(runner.RunManifest(
         scenario_path=str(log), output_dir=str(out), method=method, mnd_mode=mnd_mode,
-        seed=1, rounds=2, epochs=2, trees_per_client=2))
+        seed=1, rounds=2, epochs=epochs, trees_per_client=2))
     return tuple((out / name).read_bytes() for name in ("report.json", "predictions.json"))
 
 
-def _write_renamed(d, small_scenario, rename):
-    """Write the small scenario into `d` with every id v renamed `rename[v]`,
-    as an annotated log and its truth.json; return the log's path."""
+def _write_renamed(d, small_scenario, rename, shift=0):
+    """Write the small scenario into `d` with every id v renamed `rename[v]`
+    and `shift` added to every time, window and presence bound, as an
+    annotated log and its truth.json; return the log's path."""
     events, truth = small_scenario
-    renamed = EventStream(events.times.copy(), rename[events.senders], rename[events.receivers])
+    renamed = EventStream(events.times + shift, rename[events.senders], rename[events.receivers])
     renamed._sort()
     truth = GroundTruth(attackers={int(rename[v]) for v in truth.attackers},
-                        attack_windows=list(truth.attack_windows),
-                        presence={int(rename[v]): span for v, span in truth.presence.items()})
+                        attack_windows=[(a + shift, b + shift) for a, b in truth.attack_windows],
+                        presence={int(rename[v]): (a + shift, b + shift)
+                                  for v, (a, b) in truth.presence.items()})
     d.mkdir()
     scenario.write_events_csv(d / "events.csv", renamed, truth)
     scenario.write_ground_truth(d / "truth.json", truth)
@@ -106,6 +108,27 @@ def test_shifted_ids_give_the_same_outputs(tmp_path, small_scenario, shift, dtyp
     shifted_report.pop("scenario")
     assert shifted_report == report
     assert _shifted_back(shifted_predictions, shift) == predictions
+
+
+@pytest.mark.parametrize("shift", [7, 300, 2 ** 20])
+@pytest.mark.parametrize("method, mnd_mode", METHOD_MODES)
+def test_shifted_times_shift_the_outputs(tmp_path, small_scenario, shift, method, mnd_mode):
+    # A whole number of seconds added to every time, window and presence
+    # bound moves every second the pipeline counts by as much.  The split
+    # second and each flagged second move; every score and MND list stays.
+    # At 2 epochs the federated runs flag no second, so this runs at 30.
+    ids = np.arange(max(small_scenario[1].presence) + 1)
+    logs = [_write_renamed(tmp_path / str(k), small_scenario, ids, k) for k in (0, shift)]
+    times = [scenario.ingest(log)[0].times for log in logs]
+    assert np.array_equal(np.floor(times[1]), np.floor(times[0]) + shift)
+    (report, predictions), (moved_report, moved_predictions) = [
+        [json.loads(out) for out in _run(log, method, mnd_mode, epochs=30)] for log in logs]
+    assert any(predictions["onset_flags"].values())
+    assert moved_report == dict(report, split_second=report["split_second"] + shift)
+    assert moved_predictions == dict(
+        predictions, split_second=predictions["split_second"] + shift,
+        onset_flags={v: [t + shift for t in secs]
+                     for v, secs in predictions["onset_flags"].items()})
 
 
 @pytest.mark.parametrize("method, mnd_mode", METHOD_MODES)

@@ -411,11 +411,11 @@ def _ingest_or_error(path, truth=None):
 
 def test_part_count_is_capped_by_the_cores_and_the_part_size(tmp_path, monkeypatch):
     mb = scenario._MIN_PART_BYTES
-    assert scenario._part_count(10 ** 12, 64) == 64
-    assert scenario._part_count(5 * mb + mb // 2, 64) == 5
-    assert scenario._part_count(mb - 1, 64) == 1
-    assert scenario._part_count(0, 64) == 1
-    assert scenario._part_count(10 ** 12, 1) == 1
+    assert fork.part_count(10 ** 12, mb, 64) == 64
+    assert fork.part_count(5 * mb + mb // 2, mb, 64) == 5
+    assert fork.part_count(mb - 1, mb, 64) == 1
+    assert fork.part_count(0, mb, 64) == 1
+    assert fork.part_count(10 ** 12, mb, 1) == 1
     # Planning parts at 64 cores starts no process.
     monkeypatch.setattr(os, "fork", None)
     monkeypatch.setattr(scenario, "_cores", lambda: 64)
