@@ -151,8 +151,8 @@ def _fed_s_forest(rng):
 
 
 @pytest.fixture(scope="module")
-def l_forest():
-    """ROADMAP L's compiled forest and the clients it was fitted on: 265
+def l_ensembles():
+    """ROADMAP L's ensembles and the clients they were fitted on: 265
     clients of 336 rows x 10 trees of depth 3 where 157 clients have no
     positives, so 1,570 of the 2,650 trees are single leaves."""
     rng = np.random.default_rng(6)
@@ -162,7 +162,33 @@ def l_forest():
         clients.append((x, y if c < 108 else np.zeros_like(y)))
     ensembles = gbdt.train_clients([x for x, _ in clients], [y for _, y in clients],
                                    gbdt.GbdtConfig(trees_per_client=T), range(265))
+    return ensembles, clients
+
+
+@pytest.fixture(scope="module")
+def l_forest(l_ensembles):
+    """ROADMAP L's compiled forest (`l_ensembles`) and its clients."""
+    ensembles, clients = l_ensembles
     return gbdt.compile_forest(ensembles), clients
+
+
+@pytest.mark.parametrize("shape", ["dense-pulsed", "L"])
+def test_compile_forest(benchmark, shape, request):
+    """One `compile_forest` call, which compiles the forest's leaf masks:
+    the `l_ensembles`, or the dense-pulsed pooled fit's 20 trees of depth 3
+    as a forest of one.  Records the splitting trees, the distinct split
+    thresholds and the masks' bytes."""
+    if shape == "L":
+        ensembles = request.getfixturevalue("l_ensembles")[0]
+    else:
+        x, y, cfg = request.getfixturevalue("dense_pulsed_fit")
+        ensembles = [gbdt.train(x[:2000], y[:2000], cfg)]
+    forest = benchmark.pedantic(gbdt.compile_forest, (ensembles,), rounds=5)
+    masks = gbdt._compiled(forest)
+    benchmark.extra_info["splitting_trees"] = int(masks.splits.sum())
+    benchmark.extra_info["thresholds"] = sum(len(c) for c in masks.cuts)
+    benchmark.extra_info["mask_bytes"] = sum(m.nbytes for m in masks.masks)
+    assert len(forest.trees) == sum(len(e.trees) for e in ensembles)
 
 
 def _threshold_code_count(forest, x):
@@ -178,8 +204,9 @@ def _threshold_code_count(forest, x):
 @pytest.mark.parametrize("shape", ["fed-s", "L"])
 def test_tree_table(benchmark, shape, request):
     """The head's table build in `fed_onset.run_training`,
-    `gbdt.distinct_outputs`: threshold codes of every training row, one
-    leaf-class walk per distinct code, one float walk per table row.
+    `gbdt.distinct_outputs`: threshold codes of every training row, the
+    leaf classes of one row per distinct code and the floats of one row per
+    table row, each from the forest's leaf masks.
 
     fed-s: 12 clients of 250-750 rows in 6 threshold codes.  L: the
     `l_forest` over 40 rows per client (L has 336).  Records the distinct

@@ -50,9 +50,9 @@ def cmd_preprocess(args) -> int:
         print(f"error: --lags must be >= 1, got {args.lags}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    header = ",".join(["t", *(f"f{i}" for i in range(args.lags)), "label"])
     try:
         per_vehicle = runner.features(*runner.load(args.events, args.truth), args.lags)
+        header = ",".join(["t", *(f"f{i}" for i in range(args.lags)), "label"])
         out.mkdir(parents=True, exist_ok=True)
         for v, (seconds, x, labels) in per_vehicle.items():
             with open(out / f"vehicle_{v}.csv", "w", encoding="utf-8") as fh:

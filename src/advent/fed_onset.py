@@ -5,18 +5,18 @@ Round 0 collects each client's tree ensemble, sorts them by client id,
 checks that they hold equally many trees, and initializes the convolutional
 head.  The trees stay fixed afterwards: once the GLOBAL_ENSEMBLE broadcast
 is decoded, its ensembles are compiled into one forest
-(`gbdt.compile_forest`), and that forest is all that walks the trees from
-then on.  Rounds 1..R-1 broadcast the head weights, run client updates, and
-FedAvg the results.  `run_training` always runs every round, so the model it
-returns is the final one and holds only the forest and the head.  The work
-that does not change between weight rounds is done once per run: the head's
-table of distinct tree vectors over every client's rows
-(`gbdt.distinct_outputs`), and the head's plan of client blocks
-(`head.plan_round`).  Every message
-is encoded as one JSON line and decoded by its receiver in process; the
-lines are kept only in a transcript the caller passes, and the same bytes
-round-trip through files.  Each vehicle's onset flags are its own: no quorum
-across vehicles confirms them.
+(`gbdt.compile_forest`, which compiles its leaf masks), and that forest is
+all that decides from the trees from then on.  Rounds 1..R-1 broadcast the
+head weights, run client updates, and FedAvg the results.  `run_training`
+always runs every round, so the model it returns is the final one and holds
+only the forest and the head.  The work that does not change between weight
+rounds is done once per run: the head's table of distinct tree vectors over
+every client's rows (`gbdt.distinct_outputs`), and the head's plan of
+client blocks (`head.plan_round`).  Every message is encoded as one JSON
+line and decoded by its receiver in process; the lines are kept only in a
+transcript the caller passes, and the same bytes round-trip through files.
+Each vehicle's onset flags are its own: no quorum across vehicles confirms
+them.
 """
 
 from __future__ import annotations

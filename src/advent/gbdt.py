@@ -30,17 +30,23 @@ partition are computed for many nodes at once; a level whose search would
 need more than `_HIST_ENTRIES` (feature, node, bin) entries is searched in
 node blocks, and only the split nodes' histograms are kept for the next
 level.  The root level's row counts are the same for every tree and are
-counted once.  An ensemble keeps its trees as flat node arrays and its
-depth, so prediction walks every tree at once, one vectorized step per
-level; a tree whose root is a leaf is not walked.  `compile_forest` lays
-many ensembles' trees end to end as one ensemble, once: the federated table
-build and every federated decision walk that one forest.
-`distinct_outputs` builds the federated head's table of distinct tree
-vectors.  It keys each row by which side of every split threshold it falls
-on, per feature (the threshold order of QuickScorer, Lucchese et al., SIGIR
-2015), so that rows with equal keys reach the same leaves, and walks one
-row per key.  That walk gives each tree's leaf-value class, and only the
-rows with distinct classes are walked for their floats.
+counted once.
+
+An ensemble keeps its trees as flat node arrays.  It predicts from leaf
+masks (QuickScorer, Lucchese et al., SIGIR 2015), compiled once per
+ensemble: each feature's sorted distinct split thresholds, and for each
+threshold code and splitting tree the bits of the leaves a row with that
+code can still reach.  A row's leaf in a tree is the lowest bit set in the
+AND of its features' masks, so prediction is a search, a take and an AND
+per feature and one lookup of the leaves' values, with no step per level;
+a tree whose root is a leaf gives every row its value.
+`compile_forest` lays many ensembles' trees end to end as one ensemble,
+once, and compiles its masks: the federated table build and every
+federated decision use that one forest.  `distinct_outputs` builds the
+federated head's table of distinct tree vectors.  Rows with equal codes on
+every feature reach the same leaves, so it finds the leaves of one row per
+code, for each tree's leaf-value class, and the floats of one row per
+distinct class row.
 """
 
 from __future__ import annotations
@@ -96,9 +102,9 @@ class LocalEnsemble:
     == right[i] == i; value[i] is then the log-odds step it adds to a
     margin, shrinkage included.  Otherwise a row goes to left[i] when
     x[feature[i]] < threshold[i] and to right[i] when not.  A leaf has
-    feature 0, so stepping a row on from its leaf keeps it there.  `depth`,
-    that of the deepest leaf, is found once when the ensemble is made: every
-    walk takes that many steps.
+    feature 0.  The ensemble's first prediction compiles its leaf masks
+    (`_LeafMasks`), and the ensemble keeps them for the next, so its arrays
+    are not changed once it is made.
     """
 
     client: int
@@ -109,15 +115,10 @@ class LocalEnsemble:
     right: np.ndarray
     value: np.ndarray
     base_score: float = 0.0
-    depth: int = field(init=False)
+    _masks: _LeafMasks | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.trees = np.asarray(self.trees, dtype=np.intp)
-        internal = self.left != np.arange(len(self.left))
-        self.depth, level = 0, self.trees
-        while len(level := level[internal[level]]):
-            self.depth += 1
-            level = np.concatenate([self.left[level], self.right[level]])
 
 
 def _sigmoid(z):
@@ -137,12 +138,9 @@ MIN_GAIN = 1e-12
 # temporaries to about this many (feature, node, bin) entries.
 _HIST_ENTRIES = 1 << 16
 
-# Rows walk the trees in blocks of about this many (row, tree) pairs.
-_WALK_BLOCK_NODES = 1 << 15
-
-# `distinct_outputs` walks as many rows at a time for their leaf-value
-# classes as give about this many (row, tree) classes.
-_TABLE_CHUNK_VALUES = 1 << 21
+# Rows find their leaf slots in blocks of about this many (row, splitting
+# tree, mask word) entries.
+_SLOT_BLOCK = 1 << 15
 
 
 def _gain_tol(m: float) -> float:
@@ -441,65 +439,189 @@ def train_clients(xs, ys, config: GbdtConfig, clients) -> list[LocalEnsemble]:
 
 def compile_forest(ensembles: list[LocalEnsemble]) -> LocalEnsemble:
     """The ensembles' trees end to end, in the order given, as one ensemble
-    whose client is -1 and base score 0."""
+    whose client is -1 and base score 0, its leaf masks compiled."""
     offsets = np.cumsum([0] + [len(e.left) for e in ensembles[:-1]])
     parts = [(e.trees + o, e.feature, e.threshold, e.left + o, e.right + o, e.value)
              for e, o in zip(ensembles, offsets)]
-    return LocalEnsemble(-1, *map(np.concatenate, zip(*parts)))
+    forest = LocalEnsemble(-1, *map(np.concatenate, zip(*parts)))
+    _compiled(forest)
+    return forest
 
 
-def _rows(e: LocalEnsemble, x: np.ndarray) -> np.ndarray:
-    """x as a C-contiguous 2-D float64 array, checked to hold every feature
-    the ensemble splits on.  Leaves have feature 0, so every node's feature
-    is checked at once."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+@dataclass(frozen=True)
+class _LeafMasks:
+    """An ensemble's splitting trees as QuickScorer's leaf masks (Lucchese
+    et al., SIGIR 2015).
+
+    splits[t] tells whether tree t's root splits.  The splitting trees, in
+    tree order, number their leaves left to right, and index s * width +
+    slot of `values` is the output of leaf `slot` of splitting tree s, and
+    of `classes` its leaf-value class: the output's code among the
+    distinct bits of the ensemble's node values.  Tree t's output is column
+    columns[t] of the splitting trees' outputs followed by `constants`, the
+    distinct outputs, by their bits, of the trees whose root is a leaf.
+
+    A row's code on features[j] is the number of cuts[j], the sorted
+    distinct non-NaN split thresholds on it, at or below its value, so a
+    split at cuts[j][i] sends the row right exactly when i < code; a NaN
+    value has the top code and goes right at every split, as `x < t` sends
+    it.  masks[j][code, s] holds the bits of the leaves of tree s that such
+    a row can still reach: all but those left of a split on features[j]
+    that sends it right.  `always` holds the same for the NaN-threshold
+    splits, which send every row right.  A row's leaf in a tree is the
+    lowest bit set in all of them.  A tree's bits are words of the
+    narrowest unsigned type that holds the most leaves of any tree, or
+    several 64-bit words past 64 leaves.
+    """
+
+    splits: np.ndarray
+    columns: np.ndarray
+    constants: np.ndarray
+    width: int
+    values: np.ndarray
+    classes: np.ndarray
+    features: np.ndarray
+    cuts: list
+    masks: list
+    always: np.ndarray
+
+
+def _compile(e: LocalEnsemble) -> _LeafMasks:
+    """The ensemble's leaf masks (see `_LeafMasks`), from one pass over its
+    splitting trees' levels."""
+    internal = e.left != np.arange(len(e.left))
+    splits = internal[e.trees]
+    n_split = int(splits.sum())
+    # Each splitting tree's nodes, level by level, with their tree's index;
+    # the last level is empty.
+    levels = [(e.trees[splits], np.arange(n_split))]
+    while len(level := levels[-1][0]):
+        inner = internal[level]
+        levels.append((np.concatenate([e.left[level[inner]], e.right[level[inner]]]),
+                       np.tile(levels[-1][1][inner], 2)))
+    # Each node's leaves, counted bottom up, and its first leaf's slot, top down.
+    count = np.ones(len(e.left), dtype=np.intp)
+    for level, _ in reversed(levels):
+        inner = level[internal[level]]
+        count[inner] = count[e.left[inner]] + count[e.right[inner]]
+    first = np.zeros(len(e.left), dtype=np.intp)
+    for level, _ in levels:
+        inner = level[internal[level]]
+        first[e.left[inner]] = first[inner]
+        first[e.right[inner]] = first[inner] + count[e.left[inner]]
+    node, tree = map(np.concatenate, zip(*levels))
+    width = int(count[e.trees[splits]].max(initial=1))
+    size = next(b for b in (1, 2, 4, 8) if 8 * b >= min(width, 64))
+    word, words = np.dtype(f"u{size}"), -(-width // (8 * size))
+    leaves = np.zeros(n_split * width, dtype=np.intp)
+    leaf = ~internal[node]
+    leaves[tree[leaf] * width + first[node[leaf]]] = node[leaf]
+    # A split's mask: every bit but those of the leaves left of it.
+    node, tree = node[~leaf], tree[~leaf]
+    lo = first[e.left[node]][:, None]
+    bit = np.arange(8 * size * words)
+    mask = np.packbits((bit < lo) | (bit >= lo + count[e.left[node]][:, None]), axis=1,
+                       bitorder="little").view(word.newbyteorder("<")).astype(word)
+    ones = np.iinfo(word).max
+    threshold, feature = e.threshold[node], e.feature[node]
+    nan = np.isnan(threshold)
+    always = np.full((n_split, words), ones, dtype=word)
+    np.bitwise_and.at(always, tree[nan], mask[nan])
+    features, cuts, masks = distinct(feature[~nan]), [], []
+    for f in features.tolist():
+        on = ~nan & (feature == f)
+        cuts.append(distinct(threshold[on]))
+        table = np.full((len(cuts[-1]) + 1, *always.shape), ones, dtype=word)
+        np.bitwise_and.at(table, (np.searchsorted(cuts[-1], threshold[on]) + 1, tree[on]),
+                          mask[on])
+        masks.append(np.bitwise_and.accumulate(table, axis=0, out=table))
+    bits, classes = np.unique(e.value.view(np.int64), return_inverse=True)
+    classes = classes.astype(np.min_scalar_type(len(bits) - 1))
+    constants, constant = np.unique(e.value[e.trees[~splits]].view(np.int64),
+                                    return_inverse=True)
+    columns = np.empty(len(e.trees), dtype=np.intp)
+    columns[splits] = np.arange(n_split)
+    columns[~splits] = n_split + constant
+    return _LeafMasks(splits, columns, constants.view(np.float64), width, e.value[leaves],
+                      classes[leaves], features, cuts, masks, always)
+
+
+def _compiled(e: LocalEnsemble) -> _LeafMasks:
+    """The ensemble's leaf masks, compiled at its first call and kept."""
+    if e._masks is None:
+        e._masks = _compile(e)
+    return e._masks
+
+
+def _coded(e: LocalEnsemble, x: np.ndarray) -> tuple[_LeafMasks, np.ndarray]:
+    """The ensemble's leaf masks and the (n_features, n_rows) codes of the
+    rows of x on their features (see `_LeafMasks`).  x must be 2-D and
+    hold every feature the ensemble splits on; a leaf's feature is 0, so
+    every node's feature is checked at once."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("feature rows must be a 2-D array")
-    if e.depth and not 0 <= e.feature.min() <= e.feature.max() < x.shape[1]:
+    m = _compiled(e)
+    if m.splits.any() and not 0 <= e.feature.min() <= e.feature.max() < x.shape[1]:
         raise ValueError(f"trees split on features outside the {x.shape[1]} given")
-    return x
+    columns = x.T[m.features]  # each feature's values contiguous for its search
+    codes = np.empty(columns.shape, dtype=np.min_scalar_type(max(map(len, m.cuts), default=0)))
+    for j, c in enumerate(m.cuts):
+        codes[j] = np.searchsorted(c, columns[j], side="right")
+    return m, codes
 
 
-def _leaf_values(e: LocalEnsemble, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(n_rows, n_trees) values[leaf] of each row's leaf in each tree of the
-    ensemble, in the dtype of `values`, which holds one entry per node.
+def _slots(m: _LeafMasks, codes: np.ndarray) -> np.ndarray:
+    """(n_rows, n_splitting_trees) index into m.values and m.classes of each
+    row's leaf in each splitting tree: the lowest bit set in the AND of its
+    codes' masks."""
+    reach = np.repeat(m.always[None], codes.shape[1], axis=0)
+    for mask, code in zip(m.masks, codes):
+        reach &= mask.take(code, axis=0)
+    # A word's lowest set bit as a float32, exact, whose exponent field is
+    # 127 more than the bit's index, and 0 for a word with no bit set.
+    low = (reach & -reach).astype(np.float32).view(np.int32) >> 23
+    bits, words = 8 * reach.itemsize, reach.shape[2]
+    slot = low[:, :, words - 1] + (bits * (words - 1) - 127)
+    for w in range(words - 2, -1, -1):
+        slot = np.where(low[:, :, w] > 0, low[:, :, w] + (bits * w - 127), slot)
+    slot += np.arange(0, len(m.values), m.width, dtype=slot.dtype)
+    return slot
 
-    A block of rows steps down every tree whose root splits at once, one
-    vectorized step per level.  The blocks bound the walk's temporaries
-    however many rows and trees there are.
-    """
-    x = _rows(e, x)
-    n, n_features = x.shape
-    roots = e.trees
-    out = np.empty((n, len(roots)), dtype=values.dtype)
-    # A tree whose root is a leaf gives every row its value.
-    splits = e.left[roots] != roots
-    out[:, ~splits] = values[roots[~splits]]
-    columns, roots = np.flatnonzero(splits), roots[splits]
-    block = max(1, _WALK_BLOCK_NODES // max(1, len(roots)))
-    row_start = (np.arange(min(n, block)) * n_features)[:, None]
-    for lo in range(0, n, block):
-        rows = x[lo:lo + block]
-        flat = rows.ravel()
-        node = np.broadcast_to(roots, (len(rows), len(roots)))
-        for _ in range(e.depth):
-            goes_left = flat[row_start[:len(node)] + e.feature[node]] < e.threshold[node]
-            node = np.where(goes_left, e.left[node], e.right[node])
-        out[lo:lo + block, columns] = values[node]
-    return out
+
+def _leaf_blocks(m: _LeafMasks, codes: np.ndarray, table: np.ndarray):
+    """For each block of rows: its slice of the rows, and the entry in
+    `table`, m.values or m.classes, of each of its rows' leaf in each
+    splitting tree, (block rows, n_splitting_trees).  The blocks bound the
+    temporaries however many rows and trees there are."""
+    block = max(1, _SLOT_BLOCK // max(1, m.always.size))
+    for lo in range(0, codes.shape[1], block):
+        yield slice(lo, lo + block), table.take(_slots(m, codes[:, lo:lo + block]))
 
 
 def predict_margin_batch(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
-    steps = _leaf_values(ensemble, x, ensemble.value)
-    total = np.full(len(steps), ensemble.base_score)
-    for column in steps.T:  # in tree order, so the sum is bitwise stable
-        total += column
+    m, codes = _coded(ensemble, x)
+    steps = np.empty((len(m.always), codes.shape[1]))  # one row per splitting tree
+    for rows, part in _leaf_blocks(m, codes, m.values):
+        steps[:, rows] = part.T
+    split_steps = iter(steps)
+    total = np.full(codes.shape[1], ensemble.base_score)
+    for root, split in zip(ensemble.trees, m.splits.tolist()):  # in tree order: bitwise stable
+        total += next(split_steps) if split else ensemble.value[root]
     return total
 
 
 def per_tree_output_matrix(ensemble: LocalEnsemble, x: np.ndarray) -> np.ndarray:
     """(n_rows, n_trees) output of each tree, in tree order."""
-    return _leaf_values(ensemble, x, ensemble.value)
+    m, codes = _coded(ensemble, x)
+    out = np.empty((codes.shape[1], len(ensemble.trees)))
+    # A block's splitting trees' outputs, then the single leaves' values,
+    # put in tree order by one take; every column is in range, and "clip"
+    # writes straight into `out`, where "raise" would buffer it.
+    for rows, part in _leaf_blocks(m, codes, m.values):
+        both = np.hstack([part, np.broadcast_to(m.constants, (len(part), len(m.constants)))])
+        np.take(both, m.columns, axis=1, out=out[rows], mode="clip")
+    return out
 
 
 def _first_appearance(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -522,32 +644,18 @@ def distinct_outputs(forest: LocalEnsemble, x: np.ndarray) -> tuple[np.ndarray, 
     for bit (-0.0 apart from 0.0), in order of first appearance, and each
     row of x's index among them.
 
-    A row's code on a feature is the number of the forest's distinct split
-    thresholds on it at or below its value, so `x < t` is decided by the
-    code for every such threshold t; NaN sorts past every cut and goes
-    right, as the walk sends it.  Rows with equal codes reach the same
-    leaves, so one row per code walks the forest, in bounded chunks, for
-    the class of each tree's leaf: the leaves' output values, coded by
-    their bits.  Rows with equal classes have equal outputs, so only one
-    row per class is walked for its floats.
+    Rows with equal codes on every feature (see `_LeafMasks`) reach the same
+    leaves, so the rows are deduplicated on their codes first.  One row per
+    code, a block at a time, finds the class of its leaf in each splitting
+    tree: the leaf's output, coded by its bits.  Rows with equal classes
+    have equal outputs, so only one row per class finds its leaves again
+    for their floats.
     """
-    x = _rows(forest, x)
-    # A NaN threshold sends every row right, whatever its code.
-    split = (forest.left != np.arange(len(forest.left))) & ~np.isnan(forest.threshold)
-    cuts = {f: distinct(forest.threshold[split & (forest.feature == f)])
-            for f in distinct(forest.feature[split]).tolist()}
-    width = max(map(len, cuts.values()), default=0)
-    codes = np.empty((len(x), len(cuts)), dtype=np.min_scalar_type(width))
-    for j, (f, c) in enumerate(cuts.items()):
-        codes[:, j] = np.searchsorted(c, x[:, f], side="right")
-    firsts, code_ids = _first_appearance([codes])
-    bits, classes = np.unique(forest.value.view(np.uint64), return_inverse=True)
-    classes = classes.astype(np.min_scalar_type(len(bits) - 1))
-    chunk = max(1, _TABLE_CHUNK_VALUES // max(1, len(forest.trees)))
+    m, codes = _coded(forest, x)
+    firsts, code_ids = _first_appearance([codes.T])
     rows, class_ids = _first_appearance(
-        _leaf_values(forest, x[firsts[lo:lo + chunk]], classes)
-        for lo in range(0, len(firsts), chunk))
-    return per_tree_output_matrix(forest, x[firsts[rows]]), class_ids[code_ids]
+        part for _, part in _leaf_blocks(m, codes[:, firsts], m.classes))
+    return per_tree_output_matrix(forest, np.asarray(x)[firsts[rows]]), class_ids[code_ids]
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,66 @@ def test_preprocess_rejects_lags_below_one(scenario_dir, tmp_path, capsys, lags)
     assert not out.exists()
 
 
+def _longest_span(scenario_dir) -> int:
+    truth = scenario.load_ground_truth(scenario_dir / "truth.json")
+    return max(math.ceil(b) - math.floor(a) for a, b in truth.presence.values())
+
+
+@pytest.mark.parametrize("command", ["preprocess", "run"])
+def test_lags_past_the_longest_presence_span_are_one_error_line(scenario_dir, tmp_path, capsys,
+                                                                command):
+    # A lag past the longest presence span is zero in every row: 10^8 of
+    # them is one error line on each path, with no traceback and no output.
+    longest = _longest_span(scenario_dir)
+    out = tmp_path / "o"
+    if command == "preprocess":
+        argv = ["preprocess", "--events", str(scenario_dir / "events.csv"),
+                "--lags", str(10 ** 8), "--out", str(out)]
+    else:
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(_run_manifest(scenario_dir, out, lags=10 ** 8)))
+        argv = ["run", "--config", str(mpath)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: lags must be at most {longest}, the longest presence span in seconds, "
+        f"got {10 ** 8}\n")
+    assert not out.exists()
+
+
+def test_lags_equal_to_the_longest_presence_span_run(scenario_dir, tmp_path):
+    longest = _longest_span(scenario_dir)
+    out = tmp_path / "feat"
+    assert main(["preprocess", "--events", str(scenario_dir / "events.csv"),
+                 "--lags", str(longest), "--out", str(out)]) == 0
+    header = next(out.glob("vehicle_*.csv")).read_text().split("\n", 1)[0]
+    assert header.split(",")[-2:] == [f"f{longest - 1}", "label"]
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(_run_manifest(scenario_dir, tmp_path / "run", lags=longest)))
+    assert main(["run", "--config", str(mpath)]) == 0
+
+
+_PREDICTION_IDS = st.integers(0, 12).map(str) | st.sampled_from(["2", "10", "100"])
+_SECONDS = st.lists(st.integers(0, 10 ** 6), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(predictions=st.fixed_dictionaries({
+    "onset_flags": st.dictionaries(_PREDICTION_IDS, _SECONDS, max_size=6),
+    "onset_confusion": st.fixed_dictionaries({k: st.integers(0, 10 ** 9)
+                                              for k in ("fn", "fp", "tn", "tp")}),
+    "mnd_lists": st.lists(_SECONDS, max_size=4),
+    "mnd_present": st.lists(_SECONDS, max_size=4),
+    "split_second": st.integers(-10 ** 9, 10 ** 9)}))
+def test_predictions_file_is_json_dumps_sorted(tmp_path_factory, predictions):
+    # Written in pieces, the file's bytes are still json.dumps's with sorted
+    # keys: ids sort as strings ("10" before "2"), and empty flag lists and
+    # empty MND lists keep their place.
+    out = tmp_path_factory.mktemp("write")
+    runner.write(out, {}, predictions)
+    assert (out / "predictions.json").read_text(encoding="utf-8") == json.dumps(
+        predictions, sort_keys=True) + "\n"
+
+
 def test_run_rejects_lags_below_one(scenario_dir, tmp_path, capsys):
     # Checked with the manifest, before the scenario is read: the events
     # path does not exist, and the error names lags, not the file.
@@ -662,14 +722,17 @@ def test_run_logs_each_stage_at_info(scenario_dir, tmp_path, caplog):
 @pytest.mark.parametrize("method", runner.METHODS)
 def test_run_rejects_a_log_with_no_row_before_the_split(tmp_path, capsys, method):
     # Both vehicles are present for second 0 only, so every feature row is
-    # at the split second and no method has a row to train on.
+    # at the split second and no method has a row to train on.  One lag is
+    # all a one-second presence allows.
     events = tmp_path / "events.csv"
     events.write_text("time_s,sender,receiver\n0.5,1,2\n0.6,2,1\n")
     scenario.write_ground_truth(tmp_path / "truth.json", scenario.GroundTruth(
         presence={1: (0.0, 1.0), 2: (0.0, 1.0)}))
     out = tmp_path / "o"
-    argv = ["run", "--scenario", str(events), "--out", str(out), "--method", method]
-    assert main(argv) == 1
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"scenario_path": str(events), "output_dir": str(out),
+                                 "method": method, "lags": 1}))
+    assert main(["run", "--config", str(mpath)]) == 1
     assert capsys.readouterr().err == (
         "error: no feature row falls before the split second 0: nothing to train on\n")
     assert not out.exists()

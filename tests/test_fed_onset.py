@@ -268,7 +268,6 @@ def test_run_training_trees_fixed_after_round0():
                                     for cid in sorted(uploaded)])
     for name in ("trees", "feature", "threshold", "left", "right", "value"):
         assert getattr(model.forest, name).tobytes() == getattr(expected, name).tobytes()
-    assert model.forest.depth == expected.depth
     assert [f.name for f in dataclasses.fields(model)] == ["forest", "head"]
 
 
@@ -441,7 +440,8 @@ def _tree_dicts(depth):
 def test_tree_table_matches_byte_keyed_build(data):
     # Forests of single leaves, of zero clients (every tree one 0.0 leaf)
     # and of split trees, over rows with NaN, ±inf and values exactly at a
-    # threshold.  Small chunks walk the leaf-value classes over many chunks.
+    # threshold.  Small slot blocks find the leaf-value classes over many
+    # blocks.
     t = data.draw(st.integers(1, 3))
     ensembles = []
     for cid in range(data.draw(st.integers(1, 4))):
@@ -454,8 +454,8 @@ def test_tree_table_matches_byte_keyed_build(data):
     xs = [np.array(data.draw(st.lists(st.lists(st.sampled_from(_VALUES), min_size=3, max_size=3),
                                       min_size=1, max_size=12)))
           for _ in range(data.draw(st.integers(1, 3)))]
-    chunk_values = data.draw(st.sampled_from([1, 7, gbdt._TABLE_CHUNK_VALUES]))
-    with mock.patch.object(gbdt, "_TABLE_CHUNK_VALUES", chunk_values):
+    block = data.draw(st.sampled_from([1, 7, gbdt._SLOT_BLOCK]))
+    with mock.patch.object(gbdt, "_SLOT_BLOCK", block):
         table, ids = gbdt.distinct_outputs(gbdt.compile_forest(ensembles), np.concatenate(xs))
     expected_table, expected_ids = _byte_keyed_table(ensembles, xs)
     assert table.dtype == np.float64 and table.shape == expected_table.shape
@@ -465,9 +465,9 @@ def test_tree_table_matches_byte_keyed_build(data):
 
 def test_tree_table_walks_floats_only_for_its_rows(monkeypatch):
     # Feature 0 splits at 1.0 and 2.0 and feature 1 at 0.5, whose two
-    # leaves share a value: 30 rows fall in six threshold codes, which the
-    # trees walk for their leaf-value classes, and in three classes, the
-    # only rows walked for floats.  -0.0 leaves stay apart from 0.0 ones.
+    # leaves share a value: 30 rows fall in six threshold codes, whose
+    # leaf-value classes the slot step finds, and in three classes, the only
+    # rows whose floats it finds.  -0.0 leaves stay apart from 0.0 ones.
     ens = gbdt.ensemble_from_dict({"client": 0, "base_score": 0.0, "trees": [
         {"root": {"f": 0, "t": 1.0, "l": {"v": -0.0}, "r": {"f": 0, "t": 2.0, "l": {"v": 0.0},
                                                                "r": {"f": 1, "t": 0.5,
@@ -477,13 +477,13 @@ def test_tree_table_walks_floats_only_for_its_rows(monkeypatch):
     xs = [np.column_stack([rng.choice([0.5, 1.0, 1.5, 2.0, 9.0], 15), rng.choice([0.0, 1.0], 15)])
           for _ in range(2)]
     walked = []
-    walk = gbdt._leaf_values
+    step = gbdt._leaf_blocks
 
-    def counting(e, x, values):
-        walked.append((len(x), values.dtype))
-        return walk(e, x, values)
+    def counting(m, codes, table):
+        walked.append((codes.shape[1], table.dtype))
+        return step(m, codes, table)
 
-    monkeypatch.setattr(gbdt, "_leaf_values", counting)
+    monkeypatch.setattr(gbdt, "_leaf_blocks", counting)
     table, ids = gbdt.distinct_outputs(gbdt.compile_forest([ens]), np.concatenate(xs))
     assert walked == [(6, np.uint8), (3, np.float64)]
     assert table.tobytes() == _byte_keyed_table([ens], xs)[0].tobytes()

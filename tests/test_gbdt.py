@@ -94,6 +94,41 @@ def walk_margins(ens_dict: dict, x) -> np.ndarray:
     return total
 
 
+def tree_depth(e) -> int:
+    """The depth of the ensemble's deepest leaf."""
+    internal = e.left != np.arange(len(e.left))
+    d, level = 0, e.trees
+    while len(level := level[internal[level]]):
+        d += 1
+        level = np.concatenate([e.left[level], e.right[level]])
+    return d
+
+
+def leaf_values(e, x, values) -> np.ndarray:
+    """(n_rows, n_trees) values[leaf] of each row's leaf in each tree of the
+    ensemble, in the dtype of `values`, which holds one entry per node: the
+    float walk that leaf masks replaced.  A block of rows steps down every
+    tree whose root splits at once, one vectorized step per level."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n, n_features = x.shape
+    roots = e.trees
+    out = np.empty((n, len(roots)), dtype=values.dtype)
+    splits = e.left[roots] != roots
+    out[:, ~splits] = values[roots[~splits]]
+    columns, roots = np.flatnonzero(splits), roots[splits]
+    block = max(1, (1 << 15) // max(1, len(roots)))
+    row_start = (np.arange(min(n, block)) * n_features)[:, None]
+    for lo in range(0, n, block):
+        rows = x[lo:lo + block]
+        flat = rows.ravel()
+        node = np.broadcast_to(roots, (len(rows), len(roots)))
+        for _ in range(tree_depth(e)):
+            goes_left = flat[row_start[:len(node)] + e.feature[node]] < e.threshold[node]
+            node = np.where(goes_left, e.left[node], e.right[node])
+        out[lo:lo + block, columns] = values[node]
+    return out
+
+
 def _argsort_best_split(x, g, h, cfg):
     n, n_features = x.shape
     lam = cfg.lambda_l2
@@ -433,7 +468,7 @@ def test_leaves_store_the_shrunk_step(shrinkage):
     y = ((x[:, 0] + rng.normal(0, 1.5, 200)) > 3).astype(float)
     whole = train(x, y, GbdtConfig(trees_per_client=1, shrinkage=1.0))
     shrunk = train(x, y, GbdtConfig(trees_per_client=1, shrinkage=shrinkage))
-    assert shrunk.depth == 3
+    assert tree_depth(shrunk) == 3
     assert np.array_equal(shrunk.threshold, whole.threshold)
     assert shrunk.value.tobytes() == (whole.value * shrinkage).tobytes()
     leaf = per_tree_output_matrix(shrunk, x)[:, 0]
@@ -915,8 +950,7 @@ def test_fitted_nodes_equal_their_wire_round_trip(clients, nf, depth, trees, see
         for name in ("trees", "feature", "threshold", "left", "right", "value"):
             a, b = getattr(ens, name), getattr(back, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert (back.client, back.base_score, back.depth) == (ens.client, ens.base_score,
-                                                              ens.depth)
+        assert (back.client, back.base_score) == (ens.client, ens.base_score)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -972,10 +1006,10 @@ def test_subtracted_histograms_property(clients, nf, depth, msl, lam, entries, s
 
 @pytest.mark.parametrize("block", [None, 7, 40])
 def test_apply_matches_json_walk(block, monkeypatch):
-    # Oracle: a per-row recursive walk of the wire-format trees.  Small walk
-    # blocks take one row, or three rows and a partial last block, at a time.
+    # Oracle: a per-row recursive walk of the wire-format trees.  Small slot
+    # blocks take one row, or two, at a time.
     if block is not None:
-        monkeypatch.setattr(gbdt, "_WALK_BLOCK_NODES", block)
+        monkeypatch.setattr(gbdt, "_SLOT_BLOCK", block)
     rng = np.random.default_rng(40)
     ensembles = []
     for client, depth in enumerate((1, 3, 4), start=2):
@@ -1020,9 +1054,10 @@ def _json_depth(node: dict) -> int:
 @given(st.data())
 def test_compiled_forest_matches_per_ensemble_walk(data):
     # The compiled forest's tree outputs equal, bit for bit, each ensemble's
-    # own walk and a per-row walk of the wire-format trees.  Forests mix
-    # single-leaf trees, zero clients (every tree one 0.0 leaf), trees of
-    # several depths and -0.0 leaves; small walk blocks take one row or a few.
+    # own outputs, the float walk and a per-row walk of the wire-format
+    # trees.  Forests mix single-leaf trees, zero clients (every tree one 0.0
+    # leaf), trees of several depths and -0.0 leaves; small slot blocks take
+    # one row or a few.
     cuts = [-1.0, 0.0, 0.5, 2.0]
 
     def tree(depth):
@@ -1045,7 +1080,7 @@ def test_compiled_forest_matches_per_ensemble_walk(data):
     x = np.array(data.draw(st.lists(st.lists(st.sampled_from(values), min_size=3, max_size=3),
                                     min_size=1, max_size=20)))
     forest = compile_forest(ensembles)
-    with mock.patch.object(gbdt, "_WALK_BLOCK_NODES", data.draw(st.sampled_from([1, 7, 1 << 15]))):
+    with mock.patch.object(gbdt, "_SLOT_BLOCK", data.draw(st.sampled_from([1, 7, 1 << 15]))):
         matrix = per_tree_output_matrix(forest, x)
         own = np.hstack([per_tree_output_matrix(e, x) for e in ensembles])
     assert matrix.tobytes() == own.tobytes()
@@ -1053,7 +1088,8 @@ def test_compiled_forest_matches_per_ensemble_walk(data):
     expected = [[walk(t["root"], row) for d in dicts for t in d["trees"]]
                 for row in x]
     assert matrix.tobytes() == np.array(expected).reshape(matrix.shape).tobytes()
-    assert forest.depth == max(_json_depth(t["root"]) for d in dicts for t in d["trees"])
+    assert matrix.tobytes() == leaf_values(forest, x, forest.value).tobytes()
+    assert tree_depth(forest) == max(_json_depth(t["root"]) for d in dicts for t in d["trees"])
 
 
 def test_per_tree_outputs_single():
@@ -1121,12 +1157,12 @@ def test_output_matrix_matches_vector_api():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_distinct_outputs_partition_rows_by_threshold_side(data):
-    # The rows walked for leaf-value classes are one per threshold code:
-    # their sides of the forest's splits are pairwise distinct, and as many
-    # as the rows' distinct sides, so rows fall in one code exactly when
-    # every split sends them the same way.  Rows share an id exactly when
-    # their tree vectors are equal bit for bit; a forest of single leaves
-    # gives every row one code.  The thresholds repeat across trees and
+    # The rows whose leaves' classes the slot step finds are one per
+    # threshold code: their sides of the forest's splits are pairwise
+    # distinct, and as many as the rows' distinct sides, so rows fall in
+    # one code exactly when every split sends them the same way.  Rows share
+    # an id exactly when their tree vectors are equal bit for bit; a forest
+    # of single leaves gives every row one code.  The thresholds repeat across trees and
     # clients, include ±inf and a NaN (which sends every row right), and
     # the rows hold NaN, ±inf and values exactly at a threshold.
     n_features = data.draw(st.integers(1, 4))
@@ -1146,16 +1182,17 @@ def test_distinct_outputs_partition_rows_by_threshold_side(data):
                  for c in range(data.draw(st.integers(1, 3)))]
     x = np.array(data.draw(st.lists(st.lists(st.sampled_from(values), min_size=n_features,
                                              max_size=n_features), min_size=1, max_size=30)))
+    forest = compile_forest(ensembles)
     walked = []
-    walk = gbdt._leaf_values
+    step = gbdt._leaf_blocks
 
-    def spy(e, rows, node_values):
-        if node_values.dtype != np.float64:
-            walked.append(rows.copy())
-        return walk(e, rows, node_values)
+    def spy(m, codes, table):
+        if table is m.classes:
+            walked.append(codes.T.copy())
+        return step(m, codes, table)
 
-    with mock.patch.object(gbdt, "_leaf_values", spy):
-        table, ids = gbdt.distinct_outputs(compile_forest(ensembles), x)
+    with mock.patch.object(gbdt, "_leaf_blocks", spy):
+        table, ids = gbdt.distinct_outputs(forest, x)
     assert ids.shape == (len(x),)
     splits = [(f, thr) for e in ensembles for i, (f, thr) in enumerate(zip(e.feature, e.threshold))
               if e.left[i] != i]
@@ -1163,7 +1200,9 @@ def test_distinct_outputs_partition_rows_by_threshold_side(data):
     def sides(rows):
         return [tuple(bool(row[f] < thr) for f, thr in splits) for row in rows]
 
-    walked_sides = sides(np.concatenate(walked))
+    # The rows that found their leaves' classes, each as a row of x with its codes.
+    row_of = {code.tobytes(): row for code, row in zip(gbdt._coded(forest, x)[1].T, x)}
+    walked_sides = sides([row_of[code.tobytes()] for code in np.concatenate(walked)])
     assert len(set(walked_sides)) == len(walked_sides) == len(set(sides(x)))
     vectors = per_tree_output_matrix(compile_forest(ensembles), x)
     assert table[ids].tobytes() == vectors.tobytes()
@@ -1180,3 +1219,105 @@ def test_distinct_outputs_rejects_features_outside_rows():
         gbdt.distinct_outputs(compile_forest([ens]), np.zeros((3, 2)))
     table, ids = gbdt.distinct_outputs(compile_forest([ens]), np.zeros((0, 3)))
     assert table.shape == (0, 1) and ids.shape == (0,)
+
+
+def _random_tree(rng, depth, leaf_p, n_features, cuts, leaves) -> dict:
+    """A wire-format tree of at most `depth` levels, each node below the
+    root a leaf with probability leaf_p."""
+    if depth == 0 or rng.random() < leaf_p:
+        return {"v": float(rng.choice(leaves))}
+    return {"f": int(rng.integers(n_features)), "t": float(rng.choice(cuts)),
+            "l": _random_tree(rng, depth - 1, leaf_p, n_features, cuts, leaves),
+            "r": _random_tree(rng, depth - 1, leaf_p, n_features, cuts, leaves)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_leaf_slots_match_the_float_walk(data):
+    # Oracle: the level-by-level float walk.  What the leaf masks give
+    # equals it bit for bit: each tree's output, the margin summed in tree
+    # order, and the table of distinct outputs.  Forests mix single-leaf
+    # trees, zero clients (every tree one 0.0 leaf) and trees of up to 8
+    # levels, whose up to 256 leaves take one mask word of 8 to 64 bits or
+    # several 64-bit words.  Thresholds include NaN, ±inf and -0.0, leaves
+    # -0.0, and rows NaN, ±inf and values at and between thresholds, or
+    # there are no rows.  Small slot blocks take one row or a few.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_features = data.draw(st.integers(1, 4))
+    cuts = np.concatenate([[np.nan, np.inf, -np.inf, -0.0, 0.5],
+                           rng.normal(size=data.draw(st.sampled_from([2, 50])))])
+    leaves = [0.0, -0.0, 0.5, -1.25, 3.0, 1e-300]
+    ensembles = []
+    for client in range(data.draw(st.integers(1, 4))):
+        n_trees = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            trees = [{"v": 0.0}] * n_trees
+        else:
+            depth = data.draw(st.integers(0, 8))
+            leaf_p = data.draw(st.sampled_from([0.0, 0.1, 0.4]))
+            trees = [_random_tree(rng, depth, leaf_p, n_features, cuts, leaves)
+                     for _ in range(n_trees)]
+        ensembles.append(ensemble_from_dict({"client": client, "base_score": float(rng.normal()),
+                                             "trees": [{"root": t} for t in trees]}))
+    shape = (data.draw(st.sampled_from([0, 1, 30])), n_features)
+    x = np.where(rng.random(shape) < 0.5, rng.choice(np.append(cuts, 1.0), shape),
+                 rng.normal(size=shape))
+    forest = compile_forest(ensembles)
+    with mock.patch.object(gbdt, "_SLOT_BLOCK", data.draw(st.sampled_from([1, 7, 1 << 15]))):
+        for e in [*ensembles, forest]:
+            walked = leaf_values(e, x, e.value)
+            assert per_tree_output_matrix(e, x).tobytes() == walked.tobytes()
+            margin = np.full(len(x), e.base_score)
+            for column in walked.T:
+                margin += column
+            assert predict_margin_batch(e, x).tobytes() == margin.tobytes()
+        table, ids = gbdt.distinct_outputs(forest, x)
+    assert table[ids].tobytes() == walked.tobytes()
+    assert len({row.tobytes() for row in table}) == len(table)
+
+
+def _full_tree(depth: int, lo: int = 0) -> dict:
+    """A tree of 2**depth leaves on feature 0 that sends the integer value k
+    in [lo, lo + 2**depth) to its k-th leaf, whose value is k."""
+    if depth == 0:
+        return {"v": float(lo)}
+    half = 2 ** (depth - 1)
+    return {"f": 0, "t": lo + half - 0.5, "l": _full_tree(depth - 1, lo),
+            "r": _full_tree(depth - 1, lo + half)}
+
+
+@pytest.mark.parametrize("depth, word, words", [
+    (1, "u1", 1), (3, "u1", 1), (4, "u2", 1), (5, "u4", 1), (6, "u8", 1), (7, "u8", 2),
+    (8, "u8", 4)])
+def test_masks_take_the_narrowest_words_that_hold_the_leaves(depth, word, words):
+    # Every leaf of a full tree, a single leaf beside it, is reached, the
+    # ones on each side of a word's edge too, and the masks' words are the
+    # narrowest unsigned type that holds 2**depth leaves, or 64-bit words
+    # past 64 leaves.
+    ens = ensemble_from_dict({"client": 0, "base_score": 0.0, "trees": [
+        {"root": {"v": -0.0}}, {"root": _full_tree(depth)}]})
+    x = np.arange(2 ** depth, dtype=float)[:, None]
+    assert per_tree_output_matrix(ens, x).tobytes() == np.column_stack(
+        [np.full(len(x), -0.0), x[:, 0]]).tobytes()
+    masks = gbdt._compiled(ens).always
+    assert masks.dtype == np.dtype(word) and masks.shape == (1, words)
+
+
+def test_each_ensemble_compiles_its_masks_once(monkeypatch):
+    # `compile_forest` compiles the forest's masks, and a trained ensemble
+    # compiles its own at its first prediction; no later call compiles
+    # again.
+    compiled = []
+    compile_masks = gbdt._compile
+    monkeypatch.setattr(gbdt, "_compile", lambda e: compiled.append(e) or compile_masks(e))
+    rng = np.random.default_rng(9)
+    x = rng.poisson(3.0, (60, 4)).astype(float)
+    ens = train(x, (x[:, 0] > 3).astype(float), GbdtConfig(trees_per_client=3))
+    forest = compile_forest([ens, ens])
+    assert compiled == [forest]
+    for _ in range(2):
+        predict_margin_batch(ens, x)
+        per_tree_output_matrix(ens, x[:5])
+        per_tree_output_matrix(forest, x)
+        gbdt.distinct_outputs(forest, x)
+    assert compiled == [forest, ens]

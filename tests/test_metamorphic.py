@@ -204,3 +204,20 @@ def test_a_truth_rebuilt_from_annotations_differs_in_presence_only(tmp_path, sma
     reports = [json.loads(_run(log, "centralized")[0]) for log in logs]
     record_property("report_fields_that_differ",
                     sorted(k for k in reports[0] if reports[0][k] != reports[1][k]))
+
+
+def test_a_window_past_every_exit_gives_the_report_of_one_ending_at_the_last_exit(
+        tmp_path, small_scenario):
+    # MND rounds past the latest presence exit hold no vehicle present for
+    # the whole round, and no feature row falls past it, so a window that
+    # runs on to 10^9 s scores as one that ends at the last exit.
+    events, truth = small_scenario
+    last_exit = max(b for _, b in truth.presence.values())
+    reports = []
+    for name, end in (("huge", 1e9), ("last-exit", last_exit)):
+        (tmp_path / name).mkdir()
+        scenario.write_events_csv(tmp_path / name / "events.csv", events)
+        scenario.write_ground_truth(tmp_path / name / "truth.json", GroundTruth(
+            attackers=truth.attackers, attack_windows=[(300.0, end)], presence=truth.presence))
+        reports.append(_run(tmp_path / name / "events.csv", "centralized")[0])
+    assert reports[0] == reports[1]
