@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from advent import fed_onset, gbdt, head, mnd, preprocess, runner, scenario
+from advent import _fork, fed_onset, gbdt, head, mnd, preprocess, runner, scenario
 
 T, FILTERS, BATCH, ROWS, EPOCHS = 10, 4, 64, 640, 5
 
@@ -238,10 +238,15 @@ def test_detect_onset_batch(benchmark, l_forest, rows):
     assert flags.shape == (rows,) and flags.dtype == bool
 
 
-def test_head_rounds_fed_s(benchmark):
+@pytest.mark.parametrize("draws", ["in-process", "forked"])
+def test_head_rounds_fed_s(benchmark, monkeypatch, draws):
     """Nine FedAvg rounds of the head at fed-s's shape, as `run_training`
     runs them: one `plan_round`, then one `train_round` a round, 30 epochs,
-    on the table of a fed-s-like forest.  Records `client_step_us`."""
+    on the table of a fed-s-like forest.  The rounds' shuffles and batch
+    counts are drawn here, between the steps, with `_fork.cores` patched to
+    1, or by the producer `head.draw_rounds` forks, while the steps run.
+    Records `client_step_us`."""
+    monkeypatch.setattr(_fork, "cores", lambda: 1 if draws == "in-process" else 2)
     rng = np.random.default_rng(6)
     forest, clients = _fed_s_forest(rng)
     table, ids = gbdt.distinct_outputs(forest, np.concatenate([x for x, _ in clients]))
@@ -251,13 +256,15 @@ def test_head_rounds_fed_s(benchmark):
     spans = list(zip(bounds[:-1], bounds[1:]))
     cfg = head.HeadConfig(filters=FILTERS, epochs=30, batch_size=BATCH)
     w0 = head.init(12, T, cfg)
+    seeds = [[c * 1009 + r for c in range(12)] for r in range(1, 10)]
 
     def rounds():
         plan = head.plan_round(w0, table, ids, y, spans, cfg)
         w = w0
-        for r in range(1, 10):
-            out = head.train_round(w, plan, [c * 1009 + r for c in range(12)])
-            w = fed_onset.fedavg([(c, o, n) for c, (o, n) in enumerate(zip(out, sizes))])
+        with head.draw_rounds(plan, seeds) as drawn:
+            for round_seeds in seeds:
+                out = head.train_round(w, plan, round_seeds, drawn)
+                w = fed_onset.fedavg([(c, o, n) for c, (o, n) in enumerate(zip(out, sizes))])
         return w
 
     w = benchmark.pedantic(rounds, rounds=3)

@@ -1,8 +1,8 @@
-"""One map over forked workers, for ingest's parse and the CSV writer: task
-0 runs here and every other task in a child of a bare ``os.fork``, which
-sends its result through a pipe.  A child that ends before its result is
-read raises ChildProcessError with its exit status, and every child is
-killed and reaped before the map is left."""
+"""One map over forked workers, for ingest's parse, the CSV writer and the
+head's draw producer: task 0 runs here and every other task in a child of
+a bare ``os.fork``, which sends its result through a pipe.  A child that
+ends before its result is read raises ChildProcessError with its exit
+status, and every child is killed and reaped before the map is left."""
 
 import os
 import signal
@@ -41,11 +41,13 @@ class Worker:
             view = view[got:]
 
     def reap(self, kill: bool = True) -> int:
-        """Close the pipe, kill the child if asked, and wait for it once."""
-        self.pipe.close()
+        """Kill the child if asked, close the pipe, and wait for the child
+        once.  Killed first, a child blocked on a write never sees the pipe
+        break, so it prints no traceback."""
         pid, self.pid = self.pid, None
         if pid and kill:
             os.kill(pid, signal.SIGKILL)
+        self.pipe.close()
         return os.waitpid(pid, 0)[1] if pid else 0
 
 

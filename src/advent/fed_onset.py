@@ -12,9 +12,14 @@ always runs every round, so the model it returns is the final one and holds
 only the forest and the head.  The work that does not change between weight
 rounds is done once per run: the head's table of distinct tree vectors over
 every client's rows (`gbdt.distinct_outputs`), and the head's plan of
-client blocks (`head.plan_round`).  Every message is encoded as one JSON
-line and decoded by its receiver in process; the lines are kept only in a
-transcript the caller passes, and the same bytes round-trip through files.
+client blocks (`head.plan_round`).  Every weight round's shuffles and batch
+counts follow from that plan and seeds known before round 1, so once the
+plan is made they are drawn ahead of the steps (`head.draw_rounds`): on
+two cores or more by one producer forked for the run, which streams them
+through a pipe while the rounds step here.  Every message is encoded as
+one JSON line and decoded by its receiver in process; the lines are kept
+only in a transcript the caller passes, and the same bytes round-trip
+through files.
 Each vehicle's onset flags are its own: no quorum across vehicles confirms
 them.
 """
@@ -180,7 +185,9 @@ def run_training(
     fits every client's trees in one `gbdt.train_clients` call; each
     ensemble is the client's own fit.
     Every client trains in every weight round, with a seed derived from the
-    head seed, the client id and the round, so runs are deterministic.
+    head seed, the client id and the round, so runs are deterministic.  A
+    forked draw producer (`head.draw_rounds`) that ends early raises
+    ChildProcessError, and it is killed and reaped however this returns.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -209,20 +216,24 @@ def run_training(
     log.info("head plan: blocks=%d clients=%d table_rows=%d whole_blocks=%d",
              len(plan.blocks), len(clients), len(table), sum(b.whole for b in plan.blocks))
 
-    # Rounds 1..R-1: head-weight averaging.
-    for r in range(1, rounds):
-        w_global = head.weights_from_dict(_send(transcript, encode_message(
-            "WEIGHTS_BROADCAST", None, r, head.weights_to_dict(model.head)))["payload"])
-        trained = head.train_round(
-            w_global, plan, [head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients])
-        updates: list[tuple[int, HeadWeights, int]] = []
-        for c, w_new in zip(clients, trained):
-            msg = _send(transcript, encode_message(
-                "WEIGHTS_UPDATE", c.cid, r,
-                {"weights": head.weights_to_dict(w_new), "sample_count": len(c.y)}))
-            updates.append((msg["cid"], head.weights_from_dict(msg["payload"]["weights"]),
-                            msg["payload"]["sample_count"]))
-        model.head = fedavg(updates)
+    # Rounds 1..R-1: head-weight averaging.  Every round's shuffles and
+    # batch counts follow from the plan and the seeds alone, so they are
+    # drawn ahead of the steps (`head.draw_rounds`).
+    seeds = [[head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients]
+             for r in range(1, rounds)]
+    with head.draw_rounds(plan, seeds) as draws:
+        for r, round_seeds in enumerate(seeds, 1):
+            w_global = head.weights_from_dict(_send(transcript, encode_message(
+                "WEIGHTS_BROADCAST", None, r, head.weights_to_dict(model.head)))["payload"])
+            trained = head.train_round(w_global, plan, round_seeds, draws)
+            updates: list[tuple[int, HeadWeights, int]] = []
+            for c, w_new in zip(clients, trained):
+                msg = _send(transcript, encode_message(
+                    "WEIGHTS_UPDATE", c.cid, r,
+                    {"weights": head.weights_to_dict(w_new), "sample_count": len(c.y)}))
+                updates.append((msg["cid"], head.weights_from_dict(msg["payload"]["weights"]),
+                                msg["payload"]["sample_count"]))
+            model.head = fedavg(updates)
     return model
 
 

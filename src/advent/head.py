@@ -34,15 +34,15 @@ per-second feature rows to the same leaves, so a batch of 64 rows holds
 only a few distinct vectors.  `plan_round` checks the table, ids, labels
 and spans once and lays out, for all rounds on the same rows, each block's
 clients, the table rows it uses, its rows' local ids and labels, each
-epoch position's batch key and weight lr / (rows of the batch), and the
-block's layout; `train_round` takes only that plan.  A round draws each
-client's shuffles for several epochs with one `permuted` call, the same
-draws as that many rng.permutation calls, and those epochs run as one:
-every row of every batch gets the key (batch, local id).  Each step takes
-dz = cnt·p - pos on a batch's rows, where cnt is how many of the batch's
-rows a row stands for and pos how many of those are positive, already
-scaled (the summed dz of those rows), in the buffer of p, before the one u
-mat-vec, and subtracts the gradient.  A block steps in one of two layouts,
+epoch position's batch key and weight lr / (rows of the batch), the
+block's layout and its groups of epochs; `train_round` takes only that
+plan.  A round draws each client's shuffles for a group of epochs with one
+`permuted` call, the same draws as that many rng.permutation calls, and
+those epochs run as one: every row of every batch gets the key (batch,
+local id).  Each step takes dz = cnt·p - pos on a batch's rows, where cnt
+is how many of the batch's rows a row stands for and pos how many of those
+are positive, already scaled (the summed dz of those rows), in the buffer
+of p, before the one u mat-vec, and subtracts the gradient.  A block steps in one of two layouts,
 chosen by the plan from the number U of table rows the block uses:
 
 - whole, when U is at most the batch size: every step of every active
@@ -55,6 +55,17 @@ chosen by the plan from the number U of table rows the block uses:
   distinct rows of every active client's batch.
 
 Either way a client's step computes on at most batch-size rows.
+
+A round is drawn, then stepped.  The draws (`_draw_round`) are each epoch
+group's shuffles coded into the counts the steps read, and, in the
+gathered layout, each batch's table ids; they follow from the plan and the
+clients' seeds alone, never from the weights.  The steps (`_train_block`)
+read them and compute.  `train_round` draws its round as it steps, unless
+given the draws of `draw_rounds`, which makes every round's draws ahead of
+the steps: where the process may run on two cores or more, a producer
+forked by `_fork.fork_map` draws round after round and streams the arrays
+through its pipe, whose capacity bounds how far ahead it gets, while the
+steps run here; on one core they are drawn here by the same function.
 `train_on_matrix` is the one-client case, each row its own table row.  The
 wire format and FedAvg still carry and average the factors
 (`conv_kernels`, `conv_bias`, `dense`, `dense_bias`), never W_eff.
@@ -63,10 +74,12 @@ wire format and FedAvg still carry and average the factors
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _fork
 from ._codes import dense_codes
 
 __all__ = [
@@ -78,6 +91,7 @@ __all__ = [
     "train_on_matrix",
     "plan_round",
     "train_round",
+    "draw_rounds",
     "weights_to_dict",
     "weights_from_dict",
 ]
@@ -290,6 +304,7 @@ class _Block:
     weight: np.ndarray  # lr / (rows of its batch) of each epoch position
     active: list[int]  # clients still training at each step
     whole: bool  # each step computes on all of `used`, not on a batch's rows
+    groups: list[int]  # the epochs of each group whose shuffles are drawn at once
 
 
 @dataclass(frozen=True)
@@ -357,13 +372,16 @@ def plan_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray
         # and is never looked up.
         rows_per_batch = np.minimum(sizes - np.arange(n_steps)[:, None] * bs, bs)
         weight = (lr / rows_per_batch.ravel().clip(min=1))[batch]
+        group = max(1, min(config.epochs, _EPOCH_GROUP_VALUES // len(rows)))
         blocks.append(_Block(clients=clients, used=used, local=local, y=y[rows],
                              spans=list(zip(bounds, bounds[1:])), batch_keys=batch * len(used),
-                             weight=weight, active=active, whole=len(used) <= bs))
+                             weight=weight, active=active, whole=len(used) <= bs,
+                             groups=[min(group, config.epochs - e0)
+                                     for e0 in range(0, config.epochs, group)]))
     return _Plan(table=table, config=config, blocks=tuple(blocks))
 
 
-def train_round(w: HeadWeights, plan: _Plan, seeds) -> list[HeadWeights]:
+def train_round(w: HeadWeights, plan: _Plan, seeds, draws=None) -> list[HeadWeights]:
     """Mini-batch SGD on BCE for every client of a FedAvg round at once, on
     the rows of `plan` (`plan_round`'s).
 
@@ -371,24 +389,82 @@ def train_round(w: HeadWeights, plan: _Plan, seeds) -> list[HeadWeights]:
     epoch by its own default_rng(seeds[j]) into batches of the plan's
     batch_size, the last one short, exactly as a lone run would (the plan's
     rng_seed is not used).  So each result equals that client's lone run on
-    the expanded rows up to summation order.  Returns one HeadWeights per
-    span, in span order; `w` is not modified.
+    the expanded rows up to summation order.  The shuffles and batch counts
+    are drawn here, unless `draws` (`draw_rounds`') already holds them for
+    these seeds.  Returns one HeadWeights per span, in span order; `w` is
+    not modified.
     """
     _check_width(w, plan.table)
     out: list[HeadWeights | None] = [None] * sum(len(b.clients) for b in plan.blocks)
     if len(seeds) != len(out):
         raise ValueError(f"got {len(out)} spans but {len(seeds)} seeds")
+    if draws is None:
+        draws = _draw_round(plan, seeds)
     for block in plan.blocks:
-        theta = _train_block(w, plan.table, block, [seeds[i] for i in block.clients],
-                             plan.config)
+        theta = _train_block(w, plan.table, block, draws, plan.config)
         for i, row in zip(block.clients, theta):
             out[i] = _unpack(w, row)
     return out
 
 
-def _train_block(w, table, block: _Block, seeds, config) -> np.ndarray:
-    """Stacked SGD for the clients of one block; returns their (C, P)
-    `_pack` rows.
+def _draw_round(plan: _Plan, seeds):
+    """Yield what the steps of one round read, for each block of `plan` in
+    turn and each of its epoch groups: (step_rows, table_ids, cnts, poss),
+    each step's row count and the (steps, C, step_rows.max()) arrays of its
+    rows' table ids (None when the block steps whole), scaled row counts
+    and scaled positive counts.  They follow from the plan and the clients'
+    seeds alone, never from the weights.
+    """
+    for block in plan.blocks:
+        rngs = [np.random.default_rng(seeds[i]) for i in block.clients]
+        n_clients, n_used, n_steps = len(block.spans), len(block.used), len(block.active)
+        n_rows, n_batches = len(block.local), n_steps * n_clients
+        weight = np.tile(block.weight, max(block.groups, default=0))
+        for g in block.groups:
+            # Row e of a client's columns becomes the block positions of its
+            # rows in epoch e's order: one `permuted` call per client draws
+            # the same as g successive rng.permutation calls.
+            order = np.empty((g, n_rows), dtype=np.intp)
+            order[:] = np.arange(n_rows)
+            for (a, b), rng in zip(block.spans, rngs):
+                own = order[:, a:b]
+                rng.permuted(own, axis=1, out=own)
+            # The g epochs run as one of g·steps steps: batch b of epoch e is
+            # batch e·n_batches + b, and its row with local id i has key
+            # (e·n_batches + b)·len(used) + i.
+            keys = block.local.take(order)
+            keys += block.batch_keys
+            keys += (np.arange(g) * (n_batches * n_used))[:, None]
+            keys = keys.reshape(-1)
+            if block.whole:
+                # A row's key is its slot in the (steps, C, used) counts.
+                shape, row_slot, table_ids = (g * n_steps, n_clients, n_used), keys, None
+                step_rows = np.full(g * n_steps, n_used, dtype=np.intp)
+            else:
+                distinct, codes = dense_codes(keys)
+                b_of = distinct // n_used
+                per_batch = np.bincount(b_of, minlength=g * n_batches)
+                step_rows = per_batch.reshape(g * n_steps, n_clients).max(axis=1)
+                most = int(step_rows.max())
+                # The r-th distinct row of batch b goes to slot b·most + r of
+                # the packed (steps, C, most) arrays; a slot left empty counts
+                # 0 rows.
+                first = np.cumsum(per_batch) - per_batch
+                slot = (np.arange(g * n_batches) * most - first)[b_of] + np.arange(len(distinct))
+                shape, row_slot = (g * n_steps, n_clients, most), slot[codes]
+                table_ids = np.zeros(shape, dtype=np.intp)
+                table_ids.reshape(-1)[slot] = distinct - b_of * n_used
+            # Row count and positive count per (batch, row).
+            cnts = np.bincount(row_slot, weights=weight[:g * n_rows],
+                               minlength=math.prod(shape)).reshape(shape)
+            poss = np.bincount(row_slot, weights=(block.y.take(order) * block.weight).reshape(-1),
+                               minlength=math.prod(shape)).reshape(shape)
+            yield step_rows, table_ids, cnts, poss
+
+
+def _train_block(w, table, block: _Block, draws, config) -> np.ndarray:
+    """Stacked SGD for the clients of one block, on its next draws from
+    the `_draw_round` iterator `draws`; returns their (C, P) `_pack` rows.
 
     A block steps in one of two layouts.  Whole (`block.whole`, no more
     used table rows than a batch holds): every step of every active client
@@ -397,64 +473,22 @@ def _train_block(w, table, block: _Block, seeds, config) -> np.ndarray:
     block): every step gathers the distinct rows of each active client's
     batch.  Either way a client's step computes on at most batch_size rows.
     """
-    bs, width = config.batch_size, w.n_clients * (w.kernel_size + 1)
-    n_clients, n_used, n_steps = len(block.spans), len(block.used), len(block.active)
+    width = w.n_clients * (w.kernel_size + 1)
+    n_used = len(block.used)
     # The block's table rows are tapped 64 at a time, so neither a tapped
     # copy of the whole table nor an untapped copy of the block's rows is
     # held.
     tapped = np.empty((n_used, width))
     for lo in range(0, n_used, 64):
         tapped[lo:lo + 64] = _with_bias_tap(w, table[block.used[lo:lo + 64]])
-    theta = np.tile(_pack(w), (n_clients, 1))
+    theta = np.tile(_pack(w), (len(block.spans), 1))
     grad = np.empty_like(theta)
     views = {m: _step_views(w, theta[:m], grad[:m]) for m in set(block.active)}
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    n_rows, n_batches = len(block.local), n_steps * n_clients
-    group = max(1, min(config.epochs, _EPOCH_GROUP_VALUES // n_rows))
-    weight = np.tile(block.weight, group)
-    v_buf = None if block.whole else np.empty(n_clients * bs * width)
-    for e0 in range(0, config.epochs, group):
-        g = min(group, config.epochs - e0)
-        # Row e of a client's columns becomes the block positions of its rows
-        # in epoch e's order: one `permuted` call per client draws the same
-        # as g successive rng.permutation calls.
-        order = np.empty((g, n_rows), dtype=np.intp)
-        order[:] = np.arange(n_rows)
-        for (a, b), rng in zip(block.spans, rngs):
-            own = order[:, a:b]
-            rng.permuted(own, axis=1, out=own)
-        # The g epochs run as one of g·steps steps: batch b of epoch e is
-        # batch e·n_batches + b, and its row with local id i has key
-        # (e·n_batches + b)·len(used) + i.
-        keys = block.local.take(order)
-        keys += block.batch_keys
-        keys += (np.arange(g) * (n_batches * n_used))[:, None]
-        keys = keys.reshape(-1)
-        if block.whole:
-            # A row's key is its slot in the (steps, C, used) counts.
-            shape, row_slot = (g * n_steps, n_clients, n_used), keys
-            n_rows_of = [n_used] * (g * n_steps)
-        else:
-            distinct, codes = dense_codes(keys)
-            b_of = distinct // n_used
-            per_batch = np.bincount(b_of, minlength=g * n_batches)
-            n_distinct = per_batch.reshape(g * n_steps, n_clients).max(axis=1)
-            most = int(n_distinct.max())
-            # The r-th distinct row of batch b goes to slot b·most + r of the
-            # packed (steps, C, most) arrays; a slot left empty counts 0 rows.
-            first = np.cumsum(per_batch) - per_batch
-            slot = (np.arange(g * n_batches) * most - first)[b_of] + np.arange(len(distinct))
-            shape, row_slot = (g * n_steps, n_clients, most), slot[codes]
-            n_rows_of = n_distinct.tolist()
-            table_ids = np.zeros(shape, dtype=np.intp)
-            table_ids.reshape(-1)[slot] = distinct - b_of * n_used
-        # Row count and positive count per (batch, row).
-        cnts = np.bincount(row_slot, weights=weight[:g * n_rows],
-                           minlength=math.prod(shape)).reshape(shape)
-        poss = np.bincount(row_slot, weights=(block.y.take(order) * block.weight).reshape(-1),
-                           minlength=math.prod(shape)).reshape(shape)
+    v_buf = None if block.whole else np.empty(len(block.spans) * config.batch_size * width)
+    for g in block.groups:
+        step_rows, table_ids, cnts, poss = next(draws)
         rows = tapped
-        for j, (m, n) in enumerate(zip(block.active * g, n_rows_of)):
+        for j, (m, n) in enumerate(zip(block.active * g, step_rows.tolist())):
             s = views[m]
             if not block.whole:
                 rows = v_buf[: m * n * width].reshape(m, n, width)
@@ -465,6 +499,59 @@ def _train_block(w, table, block: _Block, seeds, config) -> np.ndarray:
             _step(s, rows, cnts[j, :m, :n], poss[j, :m, :n])
             np.subtract(s[0], s[1], out=s[0])  # theta -= grad
     return theta
+
+
+def _send_draws(draws, pipe) -> None:
+    """A producer's result: the arrays of every draw in turn, each draw
+    flushed whole, so that the steps never wait on a buffer."""
+    for draw in draws:
+        for a in draw:
+            if a is not None:
+                pipe.write(a)
+        pipe.flush()
+
+
+def _receive_draws(plan: _Plan, rounds: int, worker):
+    """The draws `_send_draws` sends for `rounds` rounds of `plan`, each
+    read from `worker` into arrays of the shapes the plan and its row
+    counts give."""
+
+    def fill(out):
+        worker.receive(out)
+        return out
+
+    for _ in range(rounds):
+        for block in plan.blocks:
+            for g in block.groups:
+                step_rows = fill(np.empty(g * len(block.active), dtype=np.intp))
+                shape = (len(step_rows), len(block.spans), int(step_rows.max()))
+                yield (step_rows, None if block.whole else fill(np.empty(shape, dtype=np.intp)),
+                       fill(np.empty(shape)), fill(np.empty(shape)))
+
+
+@contextmanager
+def draw_rounds(plan: _Plan, seeds_by_round):
+    """``with draw_rounds(plan, seeds_by_round) as draws``: `draws` yields,
+    round after round, what ``train_round(w, plan, seeds, draws)`` steps on
+    for each round's seeds.
+
+    Where this process may run on more than one core, one producer forked
+    by `_fork.fork_map` draws every round in order while the steps run
+    here, and sends its arrays through its pipe, whose capacity bounds how
+    far ahead it gets; a producer that ends early raises ChildProcessError,
+    and it is killed and reaped when the block is left.  Else, or with no
+    rounds, the same draws are made here as the steps need them.
+    """
+    seeds_by_round = [list(seeds) for seeds in seeds_by_round]
+    n_clients = sum(len(b.clients) for b in plan.blocks)
+    if any(len(seeds) != n_clients for seeds in seeds_by_round):
+        raise ValueError(f"every round needs {n_clients} seeds, one per span")
+    # Task 0, the rounds drawn here, is none of them when a producer draws.
+    forked = _fork.cores() > 1 and bool(seeds_by_round)
+    tasks = [[], seeds_by_round] if forked else [seeds_by_round]
+    with _fork.fork_map(lambda rounds: (d for seeds in rounds for d in _draw_round(plan, seeds)),
+                        tasks, _send_draws) as (drawn_here, workers):
+        yield _receive_draws(plan, len(seeds_by_round), workers[0]) if workers else drawn_here
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,17 @@ def load(scenario_path, truth_path=None):
 
 def features(events, truth, lags):
     """Vehicle -> (seconds, lagged count features, labels), for every vehicle
-    with at least one row, in vehicle order.  A lag past the longest
-    presence span would be zero in every row, and is rejected."""
+    with at least one row, in vehicle order.  A presence bound outside
+    [0, the log's last second] would have the count series span seconds
+    that hold no event, one by one, and is rejected, as is a lag past the
+    longest presence span, which would be zero in every row.  A log with
+    no events bounds no presence."""
+    if len(events):
+        last = math.ceil(events.times[-1])
+        for v, (a, b) in sorted(truth.presence.items()):
+            if not (0 <= a <= last and 0 <= b <= last):
+                raise ValueError(f"vehicle {v}'s presence [{a}, {b}] lies outside [0, {last}], "
+                                 "the seconds of the log")
     longest = max((math.ceil(b) - math.floor(a) for a, b in truth.presence.values()), default=0)
     if truth.presence and lags > longest:
         raise ValueError(f"lags must be at most {longest}, the longest presence span in "

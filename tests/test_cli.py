@@ -261,6 +261,40 @@ def test_lags_past_the_longest_presence_span_are_one_error_line(scenario_dir, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["preprocess", "run"])
+@pytest.mark.parametrize("span", [[-10 ** 9, 10], [0, 10 ** 9]], ids=["before", "after"])
+def test_a_presence_outside_the_log_is_one_error_line(scenario_dir, tmp_path, capsys, command,
+                                                      span):
+    # A sidecar presence span far outside the log's seconds: its count
+    # series was built second by second until the process was killed.  It
+    # is one error line that names the vehicle and its span, and no output.
+    events = tmp_path / "events.csv"
+    events.write_bytes((scenario_dir / "events.csv").read_bytes())
+    truth = json.loads((scenario_dir / "truth.json").read_text())
+    key = min(truth["presence"], key=int)
+    truth["presence"][key] = span
+    (tmp_path / "truth.json").write_text(json.dumps(truth))
+    last = math.ceil(scenario.ingest(events)[0].times[-1])
+    out = tmp_path / "o"
+    if command == "preprocess":
+        argv = ["preprocess", "--events", str(events), "--out", str(out)]
+    else:
+        argv = ["run", "--scenario", str(events), "--out", str(out), "--seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: vehicle {key}'s presence [{float(span[0])}, {float(span[1])}] lies outside "
+        f"[0, {last}], the seconds of the log\n")
+    assert not out.exists()
+
+
+def test_a_log_with_no_events_bounds_no_presence():
+    # As before the presence bound: every second of the span is a row.
+    truth = scenario.GroundTruth(attackers=set(), attack_windows=[], presence={4: (-3.0, 7.0)})
+    [(v, (secs, x, y))] = runner.features(scenario.EventStream([], [], []), truth, 2).items()
+    assert v == 4 and len(secs) == len(x) == len(y) > 0 and not x.any()
+
+
 def test_lags_equal_to_the_longest_presence_span_run(scenario_dir, tmp_path):
     longest = _longest_span(scenario_dir)
     out = tmp_path / "feat"

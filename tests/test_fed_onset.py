@@ -1,6 +1,9 @@
 import copy
 import dataclasses
+import itertools
 import json
+import os
+import signal
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advent import fed_onset, gbdt, head
+from advent import _fork, fed_onset, gbdt, head, runner
 from advent.fed_onset import (
     MESSAGE_TYPES,
     FedClient,
@@ -22,7 +25,7 @@ from advent.fed_onset import (
 )
 from advent.head import HeadConfig, HeadWeights
 
-from conftest import weights_close
+from conftest import spy_fork_maps, weights_close
 
 
 def _clients(n_clients=3, rows=60, seed=0):
@@ -361,9 +364,9 @@ def test_run_training_plans_the_head_once(monkeypatch, caplog):
         plans.append(plan_round(*args))
         return plans[-1]
 
-    def recording_train(w, plan, seeds):
+    def recording_train(w, plan, seeds, draws=None):
         used.append(plan)
-        return train_round(w, plan, seeds)
+        return train_round(w, plan, seeds, draws)
 
     monkeypatch.setattr(head, "plan_round", recording_plan)
     monkeypatch.setattr(head, "train_round", recording_train)
@@ -375,6 +378,107 @@ def test_run_training_plans_the_head_once(monkeypatch, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"head plan: blocks={len(plan.blocks)} clients=3 table_rows={len(plan.table)} "
         f"whole_blocks={sum(b.whole for b in plan.blocks)}"]
+
+
+def test_forked_draws_give_the_same_run(small_scenario_dir, tmp_path, monkeypatch):
+    # The small scenario through the federated_smote pipeline, 4 rounds: with
+    # the head's draws made by a forked producer, and with `_fork.cores`
+    # patched to 1, where no producer starts, the head weights, the
+    # transcript and the output files are the same bytes.
+    run_training, runs = fed_onset.run_training, []
+
+    def recording(*args):
+        transcript = []
+        runs.append((run_training(*args, transcript=transcript), transcript))
+        return runs[-1][0]
+
+    monkeypatch.setattr(fed_onset, "run_training", recording)
+    maps = spy_fork_maps(monkeypatch)
+    for cores in (2, 1):
+        monkeypatch.setattr(_fork, "cores", lambda: cores)
+        runner.run_pipeline(runner.RunManifest(
+            scenario_path=str(small_scenario_dir / "events.csv"),
+            output_dir=str(tmp_path / str(cores)), method="federated_smote", seed=1, rounds=4,
+            epochs=3, trees_per_client=2))
+    assert [len(pids) for pids in maps] == [1, 0]
+    (forked, forked_lines), (here, here_lines) = runs
+    assert len(forked_lines) > 3 and forked_lines == here_lines
+    for field in dataclasses.fields(HeadWeights):
+        a, b = getattr(forked.head, field.name), getattr(here.head, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    for name in ("report.json", "predictions.json"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+def _plan_spy(monkeypatch) -> list:
+    plans, plan_round = [], head.plan_round
+    monkeypatch.setattr(head, "plan_round", lambda *args: plans.append(plan_round(*args))
+                        or plans[-1])
+    return plans
+
+
+@pytest.mark.parametrize("how, status", [("killed", -signal.SIGKILL), ("exits", 3)])
+def test_a_producer_that_ends_mid_run_raises(monkeypatch, how, status):
+    # The producer sends the first round's draws and ends, killed by
+    # SIGKILL or exiting 3.  The second round finds its pipe closed and
+    # raises ChildProcessError with its exit status instead of waiting.
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    plans, send = _plan_spy(monkeypatch), head._send_draws
+
+    def ending(draws, pipe):
+        send(itertools.islice(draws, sum(len(b.groups) for b in plans[0].blocks)), pipe)
+        if how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(3)
+
+    monkeypatch.setattr(head, "_send_draws", ending)
+    averaged, fedavg = [], fed_onset.fedavg
+    monkeypatch.setattr(fed_onset, "fedavg", lambda updates: averaged.append(fedavg(updates))
+                        or averaged[-1])
+
+    def hung(*_):
+        raise TimeoutError("run_training still waits on a producer that has ended")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match=f"exit status {status} before"):
+            run_training(_clients(3, rows=40), gbdt.GbdtConfig(trees_per_client=2),
+                         HeadConfig(filters=2, epochs=4), 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(averaged) == 1
+
+
+def test_a_protocol_error_between_rounds_kills_and_reaps_the_producer(monkeypatch):
+    # The second round's FedAvg raises while the producer, 60 rounds of 200
+    # epochs ahead, is blocked on its full pipe.  The error reaches the
+    # caller, and the producer is killed, not left to end, and reaped.
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    maps, statuses, reap = spy_fork_maps(monkeypatch), [], _fork.Worker.reap
+
+    def recording_reap(worker, kill=True):
+        statuses.append(reap(worker, kill))
+        return statuses[-1]
+
+    monkeypatch.setattr(_fork.Worker, "reap", recording_reap)
+    calls, fedavg = [], fed_onset.fedavg
+
+    def failing(updates):
+        calls.append(len(updates))
+        if len(calls) == 2:
+            raise ProtocolError("client 1: weight shape mismatch")
+        return fedavg(updates)
+
+    monkeypatch.setattr(fed_onset, "fedavg", failing)
+    with pytest.raises(ProtocolError, match="mismatch"):
+        run_training(_clients(3, rows=60), gbdt.GbdtConfig(trees_per_client=2),
+                     HeadConfig(filters=2, epochs=200), 60)
+    [[pid]] = maps
+    assert [os.waitstatus_to_exitcode(s) for s in statuses] == [-signal.SIGKILL]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 def test_run_training_no_clients():
@@ -493,8 +597,6 @@ def test_tree_table_walks_floats_only_for_its_rows(monkeypatch):
 def test_pipeline_compiles_the_forest_once(small_scenario_dir, tmp_path, monkeypatch):
     # One federated run builds one forest, and each of its decisions equals
     # the final head over every ensemble walked on its own.
-    from advent import runner
-
     built, decided = [], []
     compile_forest, detect = gbdt.compile_forest, fed_onset.detect_onset_batch
 

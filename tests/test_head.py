@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advent import head
+from advent import _fork, head
 from advent.head import (
     HeadConfig,
     HeadWeights,
@@ -21,7 +21,7 @@ from advent.head import (
     weights_to_dict,
 )
 
-from conftest import weights_close
+from conftest import spy_fork_maps, weights_close
 
 
 def finite_difference(w, v, y, eps=1e-6):
@@ -532,6 +532,66 @@ def test_epoch_groups_leave_weights_bitwise_unchanged(monkeypatch, group_values)
     for (a, b), seed, got in zip(spans, seeds, out):
         ref = sgd_with_gradients(w, table[ids[a:b]], y[a:b], seed, cfg)
         assert weights_close(got, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ids_from", ["6-row-table", "L-like"])
+def test_forked_draws_give_the_same_weights(monkeypatch, ids_from):
+    # Three rounds of 6 clients of 40-120 rows, batch 16, 5 epochs drawn in
+    # groups of 2, 2 and 1: drawn by `train_round` itself, by the producer
+    # `draw_rounds` forks, and by `draw_rounds` on one core, where no
+    # process starts.  The weights agree bit for bit.  Rows from a 6-row
+    # table step whole; L-like rows, each client's from its own 25 rows of
+    # a 5,000-row table, gather each batch's rows.
+    monkeypatch.setattr(head, "_EPOCH_GROUP_VALUES", 1000)
+    rng = np.random.default_rng(17)
+    k, t = 6, 3
+    sizes = rng.integers(40, 121, size=k)
+    bounds = np.cumsum([0, *sizes])
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    if ids_from == "6-row-table":
+        table = rng.normal(size=(6, k * t))
+        ids = rng.integers(0, 6, size=bounds[-1])
+    else:
+        table = rng.normal(size=(5000, k * t))
+        ids = np.concatenate([rng.choice(rng.choice(5000, 25, replace=False), size)
+                              for size in sizes])
+    y = (rng.random(bounds[-1]) > 0.5).astype(float)
+    cfg = HeadConfig(filters=2, epochs=5, batch_size=16, learning_rate=0.3)
+    w = init(k, t, cfg)
+    plan = head.plan_round(w, table, ids, y, spans, cfg)
+    assert [(b.whole, b.groups) for b in plan.blocks] == [(ids_from == "6-row-table", [2, 2, 1])]
+    seeds = [[100 * r + c for c in range(k)] for r in range(3)]
+
+    def rounds(draws):
+        w_r, out = w, []
+        for round_seeds in seeds:
+            trained = train_round(w_r, plan, round_seeds, draws)
+            out.append(_packed_bytes(trained))
+            w_r = trained[0]
+        return out
+
+    reference = rounds(None)
+    maps = spy_fork_maps(monkeypatch)
+    for cores in (2, 1):
+        monkeypatch.setattr(_fork, "cores", lambda: cores)
+        with head.draw_rounds(plan, seeds) as draws:
+            assert rounds(draws) == reference
+    assert [len(pids) for pids in maps] == [1, 0]
+
+
+def test_draw_rounds_checks_the_seeds_and_starts_nothing_for_no_rounds(monkeypatch):
+    cfg = HeadConfig(filters=2, epochs=2, batch_size=4)
+    w = init(2, 3, cfg)
+    plan = head.plan_round(w, np.zeros((4, 6)), np.arange(10) % 4, np.zeros(10),
+                           [(0, 5), (5, 10)], cfg)
+    monkeypatch.setattr(_fork, "cores", lambda: 2)
+    maps = spy_fork_maps(monkeypatch)
+    with pytest.raises(ValueError, match="every round needs 2 seeds"):
+        with head.draw_rounds(plan, [[0, 1], [2]]):
+            pass
+    with head.draw_rounds(plan, []) as draws:
+        assert list(draws) == []
+    assert maps == [[]]
 
 
 def test_with_bias_tap_layout():
