@@ -109,8 +109,11 @@ def test_head_round(benchmark, ids_from):
                               for size in sizes])
     y = (rng.random(n) > 0.5).astype(np.float64)
     spans = list(zip(bounds[:-1], bounds[1:]))
-    out = benchmark(lambda: head.train_round(w, head.plan_round(w, table, ids, y, spans, cfg),
-                                             list(range(k))))
+    def round_():
+        plan = head.plan_round(w, table, ids, y, spans, cfg)
+        return head.train_round(w, plan, head._draw_round(plan, list(range(k))))
+
+    out = benchmark(round_)
     _record_per_step(benchmark, "client_step",
                      EPOCHS * sum(math.ceil(size / BATCH) for size in sizes))
     _record_layouts(benchmark, head.plan_round(w, table, ids, y, spans, cfg))
@@ -262,8 +265,8 @@ def test_head_rounds_fed_s(benchmark, monkeypatch, draws):
         plan = head.plan_round(w0, table, ids, y, spans, cfg)
         w = w0
         with head.draw_rounds(plan, seeds) as drawn:
-            for round_seeds in seeds:
-                out = head.train_round(w, plan, round_seeds, drawn)
+            for _ in seeds:
+                out = head.train_round(w, plan, drawn)
                 w = fed_onset.fedavg([(c, o, n) for c, (o, n) in enumerate(zip(out, sizes))])
         return w
 

@@ -222,10 +222,10 @@ def run_training(
     seeds = [[head_config.rng_seed * 100003 + c.cid * 1009 + r for c in clients]
              for r in range(1, rounds)]
     with head.draw_rounds(plan, seeds) as draws:
-        for r, round_seeds in enumerate(seeds, 1):
+        for r in range(1, rounds):
             w_global = head.weights_from_dict(_send(transcript, encode_message(
                 "WEIGHTS_BROADCAST", None, r, head.weights_to_dict(model.head)))["payload"])
-            trained = head.train_round(w_global, plan, round_seeds, draws)
+            trained = head.train_round(w_global, plan, draws)
             updates: list[tuple[int, HeadWeights, int]] = []
             for c, w_new in zip(clients, trained):
                 msg = _send(transcript, encode_message(

@@ -59,16 +59,16 @@ Either way a client's step computes on at most batch-size rows.
 A round is drawn, then stepped.  The draws (`_draw_round`) are each epoch
 group's shuffles coded into the counts the steps read, and, in the
 gathered layout, each batch's table ids; they follow from the plan and the
-clients' seeds alone, never from the weights.  The steps (`_train_block`)
-read them and compute.  `train_round` draws its round as it steps, unless
-given the draws of `draw_rounds`, which makes every round's draws ahead of
-the steps: where the process may run on two cores or more, a producer
-forked by `_fork.fork_map` draws round after round and streams the arrays
-through its pipe, whose capacity bounds how far ahead it gets, while the
-steps run here; on one core they are drawn here by the same function.
-`train_on_matrix` is the one-client case, each row its own table row.  The
-wire format and FedAvg still carry and average the factors
-(`conv_kernels`, `conv_bias`, `dense`, `dense_bias`), never W_eff.
+clients' seeds alone, never from the weights.  `train_round` takes only
+the draws and steps on them (`_train_block`).  `draw_rounds` makes every
+round's draws ahead of the steps: where the process may run on two cores
+or more, a producer forked by `_fork.fork_map` draws round after round and
+streams the arrays through its pipe, whose capacity bounds how far ahead
+it gets, while the steps run here; on one core they are drawn here by the
+same function.  `train_on_matrix` is the one-client case, each row its own
+table row, drawn in process.  The wire format and FedAvg still carry and
+average the factors (`conv_kernels`, `conv_bias`, `dense`, `dense_bias`),
+never W_eff.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def train_on_matrix(w: HeadWeights, v: np.ndarray, y: np.ndarray, config: HeadCo
     row, shuffled by config.rng_seed.
     """
     plan = plan_round(w, v, np.arange(len(v)), y, [(0, len(v))], config)
-    return train_round(w, plan, [config.rng_seed])[0]
+    return train_round(w, plan, _draw_round(plan, [config.rng_seed]))[0]
 
 
 @dataclass(frozen=True)
@@ -381,25 +381,21 @@ def plan_round(w: HeadWeights, table: np.ndarray, ids: np.ndarray, y: np.ndarray
     return _Plan(table=table, config=config, blocks=tuple(blocks))
 
 
-def train_round(w: HeadWeights, plan: _Plan, seeds, draws=None) -> list[HeadWeights]:
+def train_round(w: HeadWeights, plan: _Plan, draws) -> list[HeadWeights]:
     """Mini-batch SGD on BCE for every client of a FedAvg round at once, on
-    the rows of `plan` (`plan_round`'s).
+    the rows of `plan` (`plan_round`'s), stepping on the round's next
+    `draws`: `_draw_round`'s for the round's seeds, or the next round of
+    `draw_rounds`'.
 
     Client j starts from `w` and trains on its span's rows, shuffled each
-    epoch by its own default_rng(seeds[j]) into batches of the plan's
-    batch_size, the last one short, exactly as a lone run would (the plan's
-    rng_seed is not used).  So each result equals that client's lone run on
-    the expanded rows up to summation order.  The shuffles and batch counts
-    are drawn here, unless `draws` (`draw_rounds`') already holds them for
-    these seeds.  Returns one HeadWeights per span, in span order; `w` is
-    not modified.
+    epoch, as drawn, by its own default_rng(seeds[j]) into batches of the
+    plan's batch_size, the last one short, exactly as a lone run would (the
+    plan's rng_seed is not used).  So each result equals that client's lone run on
+    the expanded rows up to summation order.  Returns one HeadWeights per
+    span, in span order; `w` is not modified.
     """
     _check_width(w, plan.table)
     out: list[HeadWeights | None] = [None] * sum(len(b.clients) for b in plan.blocks)
-    if len(seeds) != len(out):
-        raise ValueError(f"got {len(out)} spans but {len(seeds)} seeds")
-    if draws is None:
-        draws = _draw_round(plan, seeds)
     for block in plan.blocks:
         theta = _train_block(w, plan.table, block, draws, plan.config)
         for i, row in zip(block.clients, theta):
@@ -407,14 +403,22 @@ def train_round(w: HeadWeights, plan: _Plan, seeds, draws=None) -> list[HeadWeig
     return out
 
 
+def _check_seeds(plan: _Plan, seeds) -> None:
+    n_clients = sum(len(b.clients) for b in plan.blocks)
+    if len(seeds) != n_clients:
+        raise ValueError(f"every round needs {n_clients} seeds, one per span, got {len(seeds)}")
+
+
 def _draw_round(plan: _Plan, seeds):
-    """Yield what the steps of one round read, for each block of `plan` in
+    """What `train_round` steps on for one round of `plan` whose client j
+    shuffles by default_rng(seeds[j]).  Yields, for each block of `plan` in
     turn and each of its epoch groups: (step_rows, table_ids, cnts, poss),
     each step's row count and the (steps, C, step_rows.max()) arrays of its
     rows' table ids (None when the block steps whole), scaled row counts
     and scaled positive counts.  They follow from the plan and the clients'
     seeds alone, never from the weights.
     """
+    _check_seeds(plan, seeds)
     for block in plan.blocks:
         rngs = [np.random.default_rng(seeds[i]) for i in block.clients]
         n_clients, n_used, n_steps = len(block.spans), len(block.used), len(block.active)
@@ -532,8 +536,8 @@ def _receive_draws(plan: _Plan, rounds: int, worker):
 @contextmanager
 def draw_rounds(plan: _Plan, seeds_by_round):
     """``with draw_rounds(plan, seeds_by_round) as draws``: `draws` yields,
-    round after round, what ``train_round(w, plan, seeds, draws)`` steps on
-    for each round's seeds.
+    round after round, what ``train_round(w, plan, draws)`` steps on for
+    each round's seeds, the same as `_draw_round` yields.
 
     Where this process may run on more than one core, one producer forked
     by `_fork.fork_map` draws every round in order while the steps run
@@ -543,9 +547,8 @@ def draw_rounds(plan: _Plan, seeds_by_round):
     rounds, the same draws are made here as the steps need them.
     """
     seeds_by_round = [list(seeds) for seeds in seeds_by_round]
-    n_clients = sum(len(b.clients) for b in plan.blocks)
-    if any(len(seeds) != n_clients for seeds in seeds_by_round):
-        raise ValueError(f"every round needs {n_clients} seeds, one per span")
+    for seeds in seeds_by_round:
+        _check_seeds(plan, seeds)
     # Task 0, the rounds drawn here, is none of them when a producer draws.
     forked = _fork.cores() > 1 and bool(seeds_by_round)
     tasks = [[], seeds_by_round] if forked else [seeds_by_round]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -110,21 +111,29 @@ def load(scenario_path, truth_path=None):
 
 def features(events, truth, lags):
     """Vehicle -> (seconds, lagged count features, labels), for every vehicle
-    with at least one row, in vehicle order.  A presence bound outside
-    [0, the log's last second] would have the count series span seconds
-    that hold no event, one by one, and is rejected, as is a lag past the
-    longest presence span, which would be zero in every row.  A log with
-    no events bounds no presence."""
-    if len(events):
-        last = math.ceil(events.times[-1])
-        for v, (a, b) in sorted(truth.presence.items()):
-            if not (0 <= a <= last and 0 <= b <= last):
-                raise ValueError(f"vehicle {v}'s presence [{a}, {b}] lies outside [0, {last}], "
-                                 "the seconds of the log")
+    with at least one row, in vehicle order.  Each second of a presence
+    span is a row, whether or not an event lies in it.  So a span that
+    starts before second 0, where no event lies, is rejected, as is a lag
+    past the longest presence span, which would be zero in every row, and
+    spans whose rows, their seconds and labels would not fit in this host's
+    memory, which would be built until the process was killed."""
+    for v, (a, b) in sorted(truth.presence.items()):
+        if a < 0:
+            raise ValueError(f"vehicle {v}'s presence [{a}, {b}] starts before second 0, "
+                             "where no event lies")
     longest = max((math.ceil(b) - math.floor(a) for a, b in truth.presence.values()), default=0)
     if truth.presence and lags > longest:
         raise ValueError(f"lags must be at most {longest}, the longest presence span in "
                          f"seconds, got {lags}")
+    rows = sum(max(math.ceil(b) - math.floor(a), 0) for a, b in truth.presence.values())
+    need = rows * (lags + 2) * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        v, (a, b) = max(truth.presence.items(), key=lambda item: item[1][1] - item[1][0])
+        raise ValueError(f"the presence spans {rows} seconds, whose rows would take at least "
+                         f"{need / 2 ** 30:.1f} GiB, more than this host's "
+                         f"{memory / 2 ** 30:.1f} GiB of memory; vehicle {v}'s [{a}, {b}] "
+                         "is the longest")
     series = preprocess.build_count_series(events, truth)
     secs, x, y = preprocess.windowize_arrays(series, truth, lags)
     bounds = series.bounds.tolist()

@@ -261,20 +261,28 @@ def test_lags_past_the_longest_presence_span_are_one_error_line(scenario_dir, tm
     assert not out.exists()
 
 
+def _huge_span_error(span) -> str:
+    """The error line for a presence `span` as `runner.features` words it."""
+    if span[0] < 0:
+        return (r"error: vehicle \d+'s presence \[-1000000000\.0, 10\.0\] starts before "
+                r"second 0, where no event lies\n")
+    return (r"error: the presence spans \d+ seconds, whose rows would take at least [\d.]+ GiB, "
+            r"more than this host's [\d.]+ GiB of memory; vehicle \d+'s "
+            r"\[0\.0, 1000000000000\.0\] is the longest\n")
+
+
 @pytest.mark.parametrize("command", ["preprocess", "run"])
-@pytest.mark.parametrize("span", [[-10 ** 9, 10], [0, 10 ** 9]], ids=["before", "after"])
-def test_a_presence_outside_the_log_is_one_error_line(scenario_dir, tmp_path, capsys, command,
-                                                      span):
+@pytest.mark.parametrize("span", [[-10 ** 9, 10], [0, 10 ** 12]], ids=["before", "after"])
+def test_a_huge_presence_span_is_one_error_line(scenario_dir, tmp_path, capsys, command, span):
     # A sidecar presence span far outside the log's seconds: its count
-    # series was built second by second until the process was killed.  It
-    # is one error line that names the vehicle and its span, and no output.
+    # series was built second by second until the process was killed.  One
+    # that starts before second 0 is rejected as such; 10^12 seconds of rows
+    # fit in no host's memory.  Either is one error line and no output.
     events = tmp_path / "events.csv"
     events.write_bytes((scenario_dir / "events.csv").read_bytes())
     truth = json.loads((scenario_dir / "truth.json").read_text())
-    key = min(truth["presence"], key=int)
-    truth["presence"][key] = span
+    truth["presence"][min(truth["presence"], key=int)] = span
     (tmp_path / "truth.json").write_text(json.dumps(truth))
-    last = math.ceil(scenario.ingest(events)[0].times[-1])
     out = tmp_path / "o"
     if command == "preprocess":
         argv = ["preprocess", "--events", str(events), "--out", str(out)]
@@ -282,17 +290,40 @@ def test_a_presence_outside_the_log_is_one_error_line(scenario_dir, tmp_path, ca
         argv = ["run", "--scenario", str(events), "--out", str(out), "--seed", "1"]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == (
-        f"error: vehicle {key}'s presence [{float(span[0])}, {float(span[1])}] lies outside "
-        f"[0, {last}], the seconds of the log\n")
+    assert captured.out == "" and re.fullmatch(_huge_span_error(span), captured.err)
     assert not out.exists()
 
 
-def test_a_log_with_no_events_bounds_no_presence():
-    # As before the presence bound: every second of the span is a row.
-    truth = scenario.GroundTruth(attackers=set(), attack_windows=[], presence={4: (-3.0, 7.0)})
+def test_a_log_with_no_events_bounds_presence_as_any_log():
+    # Every second of a span is a row, with or without events; a span no
+    # host's memory holds is rejected all the same.
+    truth = scenario.GroundTruth(attackers=set(), attack_windows=[], presence={4: (0.0, 7.0)})
     [(v, (secs, x, y))] = runner.features(scenario.EventStream([], [], []), truth, 2).items()
-    assert v == 4 and len(secs) == len(x) == len(y) > 0 and not x.any()
+    assert v == 4 and len(secs) == len(x) == len(y) == 7 and not x.any()
+    truth.presence[4] = (0.0, 1e12)
+    with pytest.raises(ValueError, match="more than this host's"):
+        runner.features(scenario.EventStream([], [], []), truth, 2)
+
+
+def test_generate_then_run_when_the_last_vehicles_are_alone(tmp_path):
+    # Four vehicles 50 s apart: the last to leave is alone at the end and
+    # sends nothing, so its presence runs past the log's last event.  The
+    # truth.json that `generate` writes is taken as it is.
+    d = tmp_path / "scn"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "duration_s": 600, "total_vehicles": 4, "concurrent_range": [2, 4],
+        "arrival_interval_s": 50, "attacker_fraction": 0.25, "attack_count": 1,
+        "attack_spacing_s": 100, "attack_duration_s": 25, "rng_seed": 3}))
+    assert main(["generate", "--config", str(cfg), "--out", str(d)]) == 0
+    events, truth = runner.load(d / "events.csv")
+    assert max(b for _, b in truth.presence.values()) > math.ceil(events.times[-1])
+    for method in ("centralized", "federated_smote"):
+        out = tmp_path / method
+        mpath = tmp_path / f"{method}.json"
+        mpath.write_text(json.dumps(_run_manifest(d, out, method=method)))
+        assert main(["run", "--config", str(mpath)]) == 0
+        assert (out / "report.json").exists()
 
 
 def test_lags_equal_to_the_longest_presence_span_run(scenario_dir, tmp_path):

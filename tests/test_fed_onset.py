@@ -364,9 +364,9 @@ def test_run_training_plans_the_head_once(monkeypatch, caplog):
         plans.append(plan_round(*args))
         return plans[-1]
 
-    def recording_train(w, plan, seeds, draws=None):
+    def recording_train(w, plan, draws):
         used.append(plan)
-        return train_round(w, plan, seeds, draws)
+        return train_round(w, plan, draws)
 
     monkeypatch.setattr(head, "plan_round", recording_plan)
     monkeypatch.setattr(head, "train_round", recording_train)

@@ -262,7 +262,8 @@ def sgd_with_gradients(w, v, y, seed, cfg):
 
 def planned_round(w, table, ids, y, spans, seeds, cfg):
     """One `train_round` on a plan of these rows built for it alone."""
-    return train_round(w, head.plan_round(w, table, ids, y, spans, cfg), seeds)
+    plan = head.plan_round(w, table, ids, y, spans, cfg)
+    return train_round(w, plan, head._draw_round(plan, seeds))
 
 
 def round_with_layouts(w, table, ids, y, spans, seeds, cfg):
@@ -499,7 +500,7 @@ def test_plan_reused_over_rounds_matches_fresh_plans(monkeypatch):
               if isinstance(a, np.ndarray)]
     for r in range(3):
         seeds = [r * 100 + i for i in range(len(spans))]
-        reused = train_round(w, plan, seeds)
+        reused = train_round(w, plan, head._draw_round(plan, seeds))
         fresh = planned_round(w, table, ids, y, spans, seeds, cfg)
         assert _packed_bytes(reused) == _packed_bytes(fresh)
         assert not weights_close(reused[0], w, rtol=0, atol=0)
@@ -537,9 +538,9 @@ def test_epoch_groups_leave_weights_bitwise_unchanged(monkeypatch, group_values)
 @pytest.mark.parametrize("ids_from", ["6-row-table", "L-like"])
 def test_forked_draws_give_the_same_weights(monkeypatch, ids_from):
     # Three rounds of 6 clients of 40-120 rows, batch 16, 5 epochs drawn in
-    # groups of 2, 2 and 1: drawn by `train_round` itself, by the producer
-    # `draw_rounds` forks, and by `draw_rounds` on one core, where no
-    # process starts.  The weights agree bit for bit.  Rows from a 6-row
+    # groups of 2, 2 and 1: drawn by `_draw_round` round by round, by the
+    # producer `draw_rounds` forks, and by `draw_rounds` on one core, where
+    # no process starts.  The weights agree bit for bit.  Rows from a 6-row
     # table step whole; L-like rows, each client's from its own 25 rows of
     # a 5,000-row table, gather each batch's rows.
     monkeypatch.setattr(head, "_EPOCH_GROUP_VALUES", 1000)
@@ -562,20 +563,20 @@ def test_forked_draws_give_the_same_weights(monkeypatch, ids_from):
     assert [(b.whole, b.groups) for b in plan.blocks] == [(ids_from == "6-row-table", [2, 2, 1])]
     seeds = [[100 * r + c for c in range(k)] for r in range(3)]
 
-    def rounds(draws):
+    def rounds(draws_by_round):
         w_r, out = w, []
-        for round_seeds in seeds:
-            trained = train_round(w_r, plan, round_seeds, draws)
+        for round_draws in draws_by_round:
+            trained = train_round(w_r, plan, round_draws)
             out.append(_packed_bytes(trained))
             w_r = trained[0]
         return out
 
-    reference = rounds(None)
+    reference = rounds(head._draw_round(plan, round_seeds) for round_seeds in seeds)
     maps = spy_fork_maps(monkeypatch)
     for cores in (2, 1):
         monkeypatch.setattr(_fork, "cores", lambda: cores)
         with head.draw_rounds(plan, seeds) as draws:
-            assert rounds(draws) == reference
+            assert rounds([draws] * len(seeds)) == reference
     assert [len(pids) for pids in maps] == [1, 0]
 
 
@@ -627,11 +628,11 @@ def test_train_round_rejects_bad_spans_and_seeds():
     with pytest.raises(ValueError, match="integer"):
         head.plan_round(w, table, ids.astype(float), y, [(0, 10)], cfg)
     plan = head.plan_round(w, table, ids, y, [(0, 5), (5, 10)], cfg)
-    with pytest.raises(ValueError, match="seeds"):
-        train_round(w, plan, [0])
+    with pytest.raises(ValueError, match="every round needs 2 seeds, one per span, got 1"):
+        next(head._draw_round(plan, [0]))
     # Weights of another width than the plan's table.
     with pytest.raises(ValueError, match="length 9"):
-        train_round(init(3, 3, cfg), plan, [0, 1])
+        train_round(init(3, 3, cfg), plan, head._draw_round(plan, [0, 1]))
     with pytest.raises(ValueError, match="span"):
         train_on_matrix(w, np.zeros((0, 6)), np.zeros(0), cfg)
 
